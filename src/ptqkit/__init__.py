@@ -75,7 +75,6 @@ from .toynet import (
     HOOKS,
     PRESETS,
     ActivationTrace,
-    HookAssignment,
     PipelineConfig,
     QuantPlan,
     ToyNetWeights,

@@ -21,23 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .dual_region import DualRegionParams, calibrate_dual_region, encode_tensor, fake_dual_region
+from .dual_region import calibrate_dual_region
 from .errors import QuantizationError
 from .generate import KINDS as SYNTH_KINDS
 from .generate import synth
 from .metrics import mask_metrics
-from .outlier_groups import (
-    GroupedQuantParams,
-    ThresholdStrategy,
-    calibrate_grouped,
-    encode_grouped,
-    fake_grouped,
-)
+from .outlier_groups import ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
 from .search import SearchSpace, mse_grid_search, percentile_calibrate
 from .tensor import Tensor
 from .toynet import PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import QuantParams, error_stats, fake_quant_array, quantize_array
+from .uniform import error_stats
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -120,7 +114,7 @@ def _cmd_calibrate(args) -> int:
         params = _calibrate_hook(samples, spec, cfg)
         doc.hooks[hook] = params
         stacked = np.stack([s.array.astype(np.float64) for s in samples])
-        recon = _apply_params(stacked, params)
+        recon = params.fake(stacked)
         reports[hook] = HookReport(*error_stats(stacked, recon))
     pio.emit_params(doc, args.out)
     report = CalibrationReport(hooks=reports, config=cfg, seed=cfg.get("seed"))
@@ -128,27 +122,6 @@ def _cmd_calibrate(args) -> int:
         pio.write_report(report, args.report)
     print(pio.report_to_text(report), end="")
     return 0
-
-
-def _apply_params(arr: np.ndarray, params) -> np.ndarray:
-    if isinstance(params, QuantParams):
-        return fake_quant_array(arr, params)
-    if isinstance(params, DualRegionParams):
-        return fake_dual_region(arr, params)
-    if isinstance(params, GroupedQuantParams):
-        return fake_grouped(arr, params)
-    raise QuantizationError(f"cannot apply {type(params).__name__}")
-
-
-def _encode_codes(arr: np.ndarray, params) -> np.ndarray:
-    if isinstance(params, QuantParams):
-        return quantize_array(arr, params)
-    if isinstance(params, DualRegionParams):
-        return encode_tensor(arr, params)
-    if isinstance(params, GroupedQuantParams):
-        groups, codes = encode_grouped(arr, params)
-        return np.stack([groups, codes.reshape(-1)])
-    raise QuantizationError(f"cannot encode with {type(params).__name__}")
 
 
 def _cmd_quantize(args) -> int:
@@ -164,10 +137,10 @@ def _cmd_quantize(args) -> int:
         raise QuantizationError(f"--hook required; file defines {sorted(hooks)}")
     t = pio.read_dump(getattr(args, "in"))
     arr = t.array.astype(np.float64)
-    recon = _apply_params(arr, params)
+    recon = params.fake(arr)
     pio.write_dump(Tensor.from_array(recon.astype(np.float32)), args.out)
     codes_path = args.codes or f"{args.out}.codes"
-    pio.write_code_dump(_encode_codes(arr, params), codes_path)
+    pio.write_code_dump(params.encode(arr), codes_path)
     print(f"wrote {args.out} and {codes_path}")
     return 0
 
@@ -198,12 +171,7 @@ def _cmd_evaluate(args) -> int:
     else:
         ta = pio.read_dump(args.a)
         tb = pio.read_dump(args.b)
-        mse, sqnr, cosine = error_stats(ta.array, tb.array)
-        payload = {
-            "mse": mse,
-            "sqnr_db": "inf" if sqnr == float("inf") else ("-inf" if sqnr == float("-inf") else sqnr),
-            "cosine": cosine,
-        }
+        payload = HookReport(*error_stats(ta.array, tb.array)).to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -226,7 +194,7 @@ def _cmd_pipeline(args) -> int:
         Path(args.out).write_text(text)
     if args.params_out:
         doc = pio.ParamDoc(
-            hooks={name: a.params for name, a in plan.hooks.items()},
+            hooks=dict(plan.hooks),
             weights=dict(plan.weight_params),
             meta={"preset": args.preset, "seed": args.seed, "decoder_folded": True},
         )

@@ -76,6 +76,14 @@ class DualRegionParams:
         """Softmax R1/R2 split point: 2^(b-1) * scale_r1."""
         return 2 ** (self.bits - 1) * self.scale_r1
 
+    def fake(self, arr: TensorLike) -> np.ndarray:
+        """Encode-then-decode reconstruction of `arr`, shape preserved."""
+        return fake_dual_region(arr, self)
+
+    def encode(self, arr: TensorLike) -> np.ndarray:
+        """Packed b-bit words of `arr`, shape preserved."""
+        return encode_tensor(arr, self)
+
 
 @dataclass(frozen=True)
 class DualRegionCode:

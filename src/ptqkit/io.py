@@ -27,7 +27,7 @@ import numpy as np
 from .dual_region import DualRegionParams
 from .errors import FormatError, InvalidArgument
 from .outlier_groups import GroupedQuantParams, QuantGroup
-from .report import CalibrationReport
+from .report import CalibrationReport, json_float
 from .tensor import MAX_RANK, Tensor, TensorLike, as_tensor
 from .uniform import QuantParams
 
@@ -111,20 +111,6 @@ def read_code_dump(path) -> np.ndarray:
         return _read_payload(fh, dims, "<i4").copy()
 
 
-def _encode_float(value: float):
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return float(value)
-
-
-def _decode_float(value) -> float:
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    return float(value)
-
-
 def quantizer_to_dict(params) -> dict:
     if isinstance(params, QuantParams):
         if params.per_channel:
@@ -157,7 +143,7 @@ def quantizer_to_dict(params) -> dict:
             "max_iters": params.max_iters,
             "mad_fallbacks": list(params.mad_fallbacks),
             "groups": [
-                {"upper": _encode_float(g.upper), "params": quantizer_to_dict(g.params)}
+                {"upper": json_float(g.upper), "params": quantizer_to_dict(g.params)}
                 for g in params.groups
             ],
         }
@@ -185,7 +171,7 @@ def quantizer_from_dict(d: dict):
         )
     if kind == "outlier_groups":
         groups = tuple(
-            QuantGroup(upper=_decode_float(g["upper"]), params=quantizer_from_dict(g["params"]))
+            QuantGroup(upper=float(g["upper"]), params=quantizer_from_dict(g["params"]))
             for g in d["groups"]
         )
         return GroupedQuantParams(
@@ -230,11 +216,12 @@ def parse_params(path) -> ParamDoc:
         raise FormatError("not a ptqkit parameter file")
     if payload.get("version") != PARAMS_VERSION:
         raise FormatError(f"unsupported parameter file version {payload.get('version')}")
-    return ParamDoc(
-        hooks={n: quantizer_from_dict(d) for n, d in payload.get("hooks", {}).items()},
-        weights={n: quantizer_from_dict(d) for n, d in payload.get("weights", {}).items()},
-        meta=payload.get("meta", {}),
-    )
+    try:
+        hooks = {n: quantizer_from_dict(d) for n, d in payload.get("hooks", {}).items()}
+        weights = {n: quantizer_from_dict(d) for n, d in payload.get("weights", {}).items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"malformed quantizer entry: {type(exc).__name__}: {exc}") from None
+    return ParamDoc(hooks=hooks, weights=weights, meta=payload.get("meta", {}))
 
 
 def report_to_text(report: CalibrationReport) -> str:

@@ -117,6 +117,14 @@ class GroupedQuantParams:
     def thresholds(self) -> np.ndarray:
         return np.array([g.upper for g in self.groups], dtype=np.float64)
 
+    def fake(self, arr: TensorLike) -> np.ndarray:
+        """Group-wise reconstruction of `arr`, shape preserved."""
+        return fake_grouped(arr, self)
+
+    def encode(self, arr: TensorLike) -> np.ndarray:
+        """A (2, n) array: group indices over codes of the flattened `arr`."""
+        return np.stack(encode_grouped(arr, self))
+
 
 def calibrate_grouped(
     samples: Sequence[TensorLike] | TensorLike,

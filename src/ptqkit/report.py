@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 
-def _json_float(value: float):
+def json_float(value: float):
+    """`value` as a JSON-safe number; infinities become "inf"/"-inf"."""
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return float(value)
@@ -22,9 +23,9 @@ class HookReport:
 
     def to_dict(self) -> dict:
         return {
-            "mse": _json_float(self.mse),
-            "sqnr_db": _json_float(self.sqnr_db),
-            "cosine": _json_float(self.cosine),
+            "mse": json_float(self.mse),
+            "sqnr_db": json_float(self.sqnr_db),
+            "cosine": json_float(self.cosine),
         }
 
 
@@ -42,7 +43,7 @@ class CalibrationReport:
         return {
             "hooks": {name: rep.to_dict() for name, rep in self.hooks.items()},
             "weights": {name: rep.to_dict() for name, rep in self.weights.items()},
-            "totals": {k: _json_float(v) for k, v in self.totals.items()},
+            "totals": {k: json_float(v) for k, v in self.totals.items()},
             "config": self.config,
             "seed": self.seed,
         }

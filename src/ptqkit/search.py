@@ -44,14 +44,6 @@ class SearchSpace:
         if self.n_candidates < 1:
             raise InvalidArgument("n_candidates must be >= 1")
 
-    def candidates(self, absmax: float, bits: int) -> np.ndarray:
-        if absmax <= 0:
-            return np.empty(0, dtype=np.float64)
-        denom = 2**bits - 1
-        return np.linspace(
-            self.alpha * absmax / denom, self.beta * absmax / denom, self.n_candidates
-        )
-
     def scale_candidates(self, full_scale: float) -> np.ndarray:
         """Grid bracketing an arbitrary full-range scale by [alpha, beta]."""
         if full_scale <= 0:
@@ -114,7 +106,9 @@ def mse_grid_search(
     requested scheme would use (absmax-based for symmetric, span-based for
     asymmetric), so the search can both shrink and slightly widen the
     clipping range. Ties break deterministically to the smallest scale.
-    All-zero and constant samples return the closed-form parameters.
+    All-zero and constant samples return the closed-form parameters, and so
+    do samples on which no candidate scores finite (e.g. values near the
+    float64 limit, whose squared error overflows).
     """
     arr = _as_f64(samples)
     if arr.size == 0:
@@ -138,7 +132,7 @@ def mse_grid_search(
         if score < best_score:
             best_score = score
             best_params = params
-    return best_params
+    return best_params if best_params is not None else full
 
 
 def percentile_calibrate(

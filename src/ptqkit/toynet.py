@@ -23,14 +23,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
-from .dual_region import DualRegionParams, calibrate_dual_region, fake_dual_region
+from .dual_region import DualRegionParams, calibrate_dual_region
 from .errors import InvalidArgument, ShapeError
-from .outlier_groups import (
-    GroupedQuantParams,
-    ThresholdStrategy,
-    calibrate_grouped,
-    fake_grouped,
-)
+from .generate import _gelu
+from .outlier_groups import GroupedQuantParams, ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
 from .search import (
     SearchSpace,
@@ -40,14 +36,7 @@ from .search import (
     mse_grid_search,
 )
 from .tensor import TensorLike, _as_f64
-from .uniform import (
-    BNParams,
-    QuantParams,
-    error_stats,
-    fake_quant_array,
-    fold_batchnorm,
-    make_params,
-)
+from .uniform import BNParams, QuantParams, error_stats, fold_batchnorm, make_params
 
 # Hook names in forward order. `attn.scores` and `attn.out` anchor the
 # matmul gradient dumps and are never themselves quantized.
@@ -76,10 +65,6 @@ QUANTIZED_HOOKS = (
 )
 
 PRESETS = {"W8A8": (8, 8), "W6A6": (6, 6), "W4A8": (4, 8), "W4A4": (4, 4)}
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -221,24 +206,14 @@ class ActivationTrace:
 
 
 @dataclass
-class HookAssignment:
-    """Quantizer choice for a single hook, parameterized after calibration."""
-
-    kind: str  # "uniform" | "dual_region" | "outlier_groups"
-    bits: int
-    params: QuantParams | DualRegionParams | GroupedQuantParams | None = None
-
-
-@dataclass
 class QuantPlan:
-    """Per-hook and per-weight quantizer assignments for the network."""
+    """Calibrated quantizers per hook and per weight, plus the folded conv."""
 
-    w_bits: int = 8
-    a_bits: int = 8
-    hooks: dict[str, HookAssignment] = field(default_factory=dict)
+    hooks: dict[str, QuantParams | DualRegionParams | GroupedQuantParams] = field(
+        default_factory=dict
+    )
     weight_params: dict[str, QuantParams] = field(default_factory=dict)
     folded_conv: tuple[np.ndarray, np.ndarray] | None = None
-    extras: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -310,18 +285,6 @@ class PipelineConfig:
         }
 
 
-def _apply_assignment(arr: np.ndarray, assignment: HookAssignment) -> np.ndarray:
-    if assignment.params is None:
-        return arr
-    if assignment.kind == "uniform":
-        return fake_quant_array(arr, assignment.params)
-    if assignment.kind == "dual_region":
-        return fake_dual_region(arr, assignment.params)
-    if assignment.kind == "outlier_groups":
-        return fake_grouped(arr, assignment.params)
-    raise InvalidArgument(f"unknown quantizer kind {assignment.kind!r}")
-
-
 def forward(
     x: TensorLike,
     w: ToyNetWeights,
@@ -332,7 +295,7 @@ def forward(
 
     plan=None runs the full-precision reference (batch-norm applied
     explicitly); with a plan, weights and hooked activations are
-    fake-quantized per their assignments and the decoder uses the folded
+    fake-quantized by their quantizers and the decoder uses the folded
     conv when present, in which case the decoder hook sees the folded
     (post-normalization) output. `overrides` replaces a hooked activation
     before downstream use, which is what the finite-difference oracle needs.
@@ -347,13 +310,13 @@ def forward(
         if name in overrides:
             value = np.asarray(overrides[name], dtype=np.float64)
         if plan is not None and name in plan.hooks:
-            value = _apply_assignment(value, plan.hooks[name])
+            value = plan.hooks[name].fake(value)
         trace.activations[name] = value
         return value
 
     def weight(name: str, value: np.ndarray) -> np.ndarray:
         if plan is not None and name in plan.weight_params:
-            return fake_quant_array(value, plan.weight_params[name])
+            return plan.weight_params[name].fake(value)
         return value
 
     q = hook("attn.q", x @ weight("attn.w_q", w.w_q))
@@ -475,7 +438,7 @@ def run_pipeline(
     acts = {h: np.stack([t.activations[h] for t in traces]) for h in HOOKS}
     grads = {h: np.stack([t.gradients[h] for t in traces]) for h in HOOKS}
 
-    plan = QuantPlan(w_bits=cfg.w_bits, a_bits=cfg.a_bits)
+    plan = QuantPlan()
     space = cfg.space
     use_hessian = cfg.metric == "hessian"
 
@@ -494,16 +457,16 @@ def run_pipeline(
         "decoder.conv_w": folded_w,
     }
     weight_modes = {
-        "attn.w_q": (cfg.visual, "mse", 1),
-        "attn.w_k": (cfg.visual, "mse", 1),
-        "attn.w_v": (cfg.visual, "mse", 1),
-        "mlp.w1": (cfg.visual, "mse", 1),
-        "mlp.w2": (cfg.visual, "mse", 1),
-        "text.w": (cfg.text, "mse", 1),
-        "fusion.w": (cfg.fusion, "mse", 1),
-        "decoder.conv_w": (cfg.decoder, "mse", 0),
+        "attn.w_q": (cfg.visual, 1),
+        "attn.w_k": (cfg.visual, 1),
+        "attn.w_v": (cfg.visual, 1),
+        "mlp.w1": (cfg.visual, 1),
+        "mlp.w2": (cfg.visual, 1),
+        "text.w": (cfg.text, 1),
+        "fusion.w": (cfg.fusion, 1),
+        "decoder.conv_w": (cfg.decoder, 0),
     }
-    for name, (mode, method, axis) in weight_modes.items():
+    for name, (mode, axis) in weight_modes.items():
         arr = weight_arrays[name]
         if mode == "rtn":
             plan.weight_params[name] = _weight_minmax(arr, cfg.w_bits)
@@ -512,7 +475,7 @@ def run_pipeline(
                 arr,
                 cfg.w_bits,
                 axis=axis,
-                method=method,
+                method="mse",
                 scheme="symmetric",
                 signed=True,
                 space=space,
@@ -522,9 +485,7 @@ def run_pipeline(
     a_bits = cfg.a_bits
     if cfg.visual == "rtn":
         for hookname in ("attn.q", "attn.k_t", "attn.v", "attn.softmax", "mlp.gelu"):
-            plan.hooks[hookname] = HookAssignment(
-                "uniform", a_bits, _minmax_params(acts[hookname], a_bits)
-            )
+            plan.hooks[hookname] = _minmax_params(acts[hookname], a_bits)
     else:
         qk = alternating_matmul_search(
             acts["attn.q"],
@@ -534,8 +495,8 @@ def run_pipeline(
             space=space,
             rounds=cfg.rounds,
         )
-        plan.hooks["attn.q"] = HookAssignment("uniform", a_bits, qk.params_a)
-        plan.hooks["attn.k_t"] = HookAssignment("uniform", a_bits, qk.params_b)
+        plan.hooks["attn.q"] = qk.params_a
+        plan.hooks["attn.k_t"] = qk.params_b
         pv = alternating_matmul_search(
             acts["attn.softmax"],
             acts["attn.v"],
@@ -544,82 +505,57 @@ def run_pipeline(
             space=space,
             rounds=cfg.rounds,
         )
-        plan.hooks["attn.v"] = HookAssignment("uniform", a_bits, pv.params_b)
-        # The softmax hook owns its region quantizer; the product-side scale
-        # for that operand is recorded for reference only.
-        plan.extras["pv_scale_a"] = pv.scale_a
+        # The softmax hook owns its region quantizer, so only the value-side
+        # scale of this search is used.
+        plan.hooks["attn.v"] = pv.params_b
         softmax_metric = hessian_metric_fn(grads["attn.softmax"]) if use_hessian else None
-        plan.hooks["attn.softmax"] = HookAssignment(
-            "dual_region",
-            a_bits,
-            calibrate_dual_region(
-                acts["attn.softmax"], "softmax", a_bits, metric=softmax_metric, space=space
-            ),
+        plan.hooks["attn.softmax"] = calibrate_dual_region(
+            acts["attn.softmax"], "softmax", a_bits, metric=softmax_metric, space=space
         )
         gelu_metric = hessian_metric_fn(grads["mlp.gelu"]) if use_hessian else None
-        plan.hooks["mlp.gelu"] = HookAssignment(
-            "dual_region",
-            a_bits,
-            calibrate_dual_region(
-                acts["mlp.gelu"], "gelu", a_bits, metric=gelu_metric, space=space
-            ),
+        plan.hooks["mlp.gelu"] = calibrate_dual_region(
+            acts["mlp.gelu"], "gelu", a_bits, metric=gelu_metric, space=space
         )
 
     if cfg.text == "rtn":
-        plan.hooks["text.out"] = HookAssignment(
-            "uniform", a_bits, _minmax_params(acts["text.out"], a_bits)
-        )
+        plan.hooks["text.out"] = _minmax_params(acts["text.out"], a_bits)
     else:
-        plan.hooks["text.out"] = HookAssignment(
-            "outlier_groups",
-            a_bits,
-            calibrate_grouped(
-                acts["text.out"], a_bits, cfg.strategy, cfg.max_iters, space=space
-            ),
+        plan.hooks["text.out"] = calibrate_grouped(
+            acts["text.out"], a_bits, cfg.strategy, cfg.max_iters, space=space
         )
 
     if cfg.fusion == "rtn":
-        plan.hooks["fusion.out"] = HookAssignment(
-            "uniform", a_bits, _minmax_params(acts["fusion.out"], a_bits)
-        )
+        plan.hooks["fusion.out"] = _minmax_params(acts["fusion.out"], a_bits)
     else:
-        plan.hooks["fusion.out"] = HookAssignment(
-            "uniform",
-            a_bits,
-            mse_grid_search(acts["fusion.out"], a_bits, "asymmetric", False, space),
+        plan.hooks["fusion.out"] = mse_grid_search(
+            acts["fusion.out"], a_bits, "asymmetric", False, space
         )
 
     # Decoder activations are calibrated on the normalized pre-activation,
     # which is what the folded conv emits at inference time.
     decoder_acts = np.stack([_bn_apply(t.activations["decoder.pre_bn"], w.bn) for t in traces])
     if cfg.decoder == "rtn":
-        plan.hooks["decoder.pre_bn"] = HookAssignment(
-            "uniform", a_bits, _minmax_params(decoder_acts, a_bits)
-        )
+        plan.hooks["decoder.pre_bn"] = _minmax_params(decoder_acts, a_bits)
     else:
         # calibrate channel-first so the stored axis matches the (C, H, W)
         # activation layout seen at inference time
-        plan.hooks["decoder.pre_bn"] = HookAssignment(
-            "uniform",
+        plan.hooks["decoder.pre_bn"] = channelwise_params(
+            decoder_acts.transpose(1, 0, 2, 3),
             a_bits,
-            channelwise_params(
-                decoder_acts.transpose(1, 0, 2, 3),
-                a_bits,
-                axis=0,
-                method="mse",
-                scheme="asymmetric",
-                signed=False,
-                space=space,
-            ),
+            axis=0,
+            method="mse",
+            scheme="asymmetric",
+            signed=False,
+            space=space,
         )
 
     hook_reports: dict[str, HookReport] = {}
-    for hookname, assignment in plan.hooks.items():
+    for hookname, quantizer in plan.hooks.items():
         dumps = decoder_acts if hookname == "decoder.pre_bn" else acts[hookname]
-        recon = np.stack([_apply_assignment(d, assignment) for d in dumps])
+        recon = np.stack([quantizer.fake(d) for d in dumps])
         hook_reports[hookname] = HookReport(*error_stats(dumps, recon))
     weight_reports = {
-        name: HookReport(*error_stats(arr, fake_quant_array(arr, plan.weight_params[name])))
+        name: HookReport(*error_stats(arr, plan.weight_params[name].fake(arr)))
         for name, arr in weight_arrays.items()
     }
 

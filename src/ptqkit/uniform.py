@@ -42,6 +42,8 @@ class QuantParams:
     def __post_init__(self) -> None:
         if not 2 <= int(self.bits) <= 16:
             raise InvalidArgument(f"bits must be in [2, 16], got {self.bits}")
+        if self.axis is not None and not isinstance(self.axis, int):
+            raise InvalidArgument(f"axis must be an int or None, got {self.axis!r}")
         q_min, q_max = quant_range(self.bits, self.signed)
         if self.per_channel:
             scale = np.asarray(self.scale, dtype=np.float64).reshape(-1)
@@ -82,6 +84,14 @@ class QuantParams:
         if self.per_channel:
             return bool(np.all(np.asarray(self.zero_point) == 0))
         return self.zero_point == 0
+
+    def fake(self, arr: np.ndarray) -> np.ndarray:
+        """Quantize-then-dequantize reconstruction of `arr`."""
+        return fake_quant_array(arr, self)
+
+    def encode(self, arr: np.ndarray) -> np.ndarray:
+        """Integer codes of `arr`, shape preserved."""
+        return quantize_array(arr, self)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,20 @@ class TestPipelineCommand:
         assert rep["config"]["a_bits"] == 8
         assert "output_mse_mean" in rep["totals"]
 
+    def test_malformed_params_entry_is_one_line(self, tmp_path, capsys):
+        dump = tmp_path / "x.dump"
+        write_dump(Tensor.from_array(np.linspace(-1.0, 1.0, 16)), dump)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "format": "ptqkit-params", "version": 1,
+            "hooks": {"h": {"kind": "uniform", "bits": 8, "signed": False, "zero_point": 0, "axis": None}},
+        }))
+        code, _, err = run_cli(
+            capsys, "quantize", "--params", str(params), "--in", str(dump), "--out", str(tmp_path / "r.dump")
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_errors(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--a", "/nonexistent/a.dump", "--b", "/nonexistent/b.dump")
         assert code == 1 and "error:" in err

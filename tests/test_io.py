@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ptqkit import (
     InvalidArgument,
     ParamDoc,
     QuantGroup,
+    QuantizationError,
     Tensor,
     calibrate_grouped,
     emit_params,
@@ -98,6 +100,24 @@ class TestDumpFormat:
             read_dump(path)
 
 
+def _mutations(node):
+    """Copies of a JSON value with one dict key dropped or one value replaced
+    by a string, at every depth."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return
+    for key in keys:
+        for value in ("x", "8", *_mutations(node[key])):
+            out = node.copy()
+            out[key] = value
+            yield out
+        if isinstance(node, dict):
+            yield {k: v for k, v in node.items() if k != key}
+
+
 class TestParamFile:
     def _doc(self):
         grouped = GroupedQuantParams(
@@ -152,6 +172,36 @@ class TestParamFile:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(FormatError):
             parse_params(path)
+
+    def test_malformed_entry_is_a_format_error(self, tmp_path):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        feat = payload["hooks"]["feat"]
+        no_scale = {k: v for k, v in feat.items() if k != "scale"}
+        for bad in (no_scale, {**feat, "bits": "8"}, [feat]):
+            path.write_text(json.dumps({**payload, "hooks": {"feat": bad}}))
+            with pytest.raises(FormatError):
+                parse_params(path)
+
+    def test_mutated_entries_raise_only_quantization_errors(self, tmp_path):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        entries = {**payload["hooks"], **payload["weights"]}
+        arr = np.linspace(-1.0, 2.0, 6).reshape(2, 3)
+        tried = 0
+        for name, entry in entries.items():
+            for bad in _mutations(entry):
+                path.write_text(json.dumps({**payload, "hooks": {name: bad}, "weights": {}}))
+                tried += 1
+                try:
+                    quantizer = parse_params(path).hooks[name]
+                    quantizer.fake(arr)
+                    quantizer.encode(arr)
+                except QuantizationError:
+                    pass
+        assert tried > 100
 
     def test_calibrated_grouped_roundtrip(self, tmp_path):
         t = synth("outlier", (16, 16), seed=3)
