@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as pio
 from .dual_region import calibrate_dual_region
-from .errors import QuantizationError
+from .errors import InvalidArgument, QuantizationError, ShapeError
 from .generate import KINDS as SYNTH_KINDS
 from .generate import synth
 from .metrics import mask_metrics
@@ -49,33 +49,46 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _collect_samples(dumps_dir: Path, hook: str) -> list[Tensor]:
+def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
+    """Every dump of `hook`, stacked in float64 along a new leading axis."""
     exact = dumps_dir / f"{hook}.dump"
     files = sorted(dumps_dir.glob(f"{hook}__*.dump"))
     if exact.exists():
         files.insert(0, exact)
     if not files:
         raise QuantizationError(f"no dump files for hook {hook!r} in {dumps_dir}")
-    return [pio.read_dump(f) for f in files]
+    samples = [pio.read_dump(f) for f in files]
+    shapes = {s.shape for s in samples}
+    if len(shapes) > 1:
+        raise ShapeError(f"dumps for hook {hook!r} differ in shape: {sorted(shapes)}")
+    return np.stack([s.array.astype(np.float64) for s in samples])
 
 
-def _calibrate_hook(samples: list[Tensor], spec: dict, cfg: dict):
-    bits = int(spec.get("bits", cfg.get("bits", 8)))
+def _number(convert, key: str, default, *sources: dict):
+    """`key` from the first source that has it (else `default`), as a number."""
+    value = next((src[key] for src in sources if key in src), default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"{key} must be a number, got {value!r}") from None
+
+
+def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
+    bits = _number(int, "bits", 8, spec, cfg)
     space = SearchSpace(
-        float(cfg.get("alpha", 0.01)),
-        float(cfg.get("beta", 1.2)),
-        int(cfg.get("n_candidates", 100)),
+        _number(float, "alpha", 0.01, cfg),
+        _number(float, "beta", 1.2, cfg),
+        _number(int, "n_candidates", 100, cfg),
     )
-    stacked = np.stack([s.array for s in samples])
     kind = spec.get("kind", "uniform")
     if kind == "uniform":
         method = spec.get("method", "mse")
         scheme = spec.get("scheme", "asymmetric")
-        signed = bool(spec.get("signed", False))
+        signed = spec.get("signed", False)
         if method == "mse":
             return mse_grid_search(stacked, bits, scheme, signed, space)
         if method == "percentile":
-            p = float(spec.get("percentile", cfg.get("percentile", 99.9)))
+            p = _number(float, "percentile", 99.9, spec, cfg)
             return percentile_calibrate(stacked, bits, p, scheme, signed)
         raise QuantizationError(f"unknown uniform method {method!r}")
     if kind == "dual_region":
@@ -88,12 +101,12 @@ def _calibrate_hook(samples: list[Tensor], spec: dict, cfg: dict):
     if kind == "outlier_groups":
         strategy = ThresholdStrategy(
             kind=spec.get("strategy", cfg.get("strategy", "mean_3sd")),
-            mad_multiplier=float(spec.get("mad_multiplier", 3.0)),
-            mean_multiplier=float(spec.get("mean_multiplier", 1.0)),
-            confidence_level=float(spec.get("confidence_level", 0.99)),
+            mad_multiplier=_number(float, "mad_multiplier", 3.0, spec),
+            mean_multiplier=_number(float, "mean_multiplier", 1.0, spec),
+            confidence_level=_number(float, "confidence_level", 0.99, spec),
         )
         return calibrate_grouped(
-            stacked, bits, strategy, int(spec.get("max_iters", cfg.get("max_iters", 3))), space
+            stacked, bits, strategy, _number(int, "max_iters", 3, spec, cfg), space
         )
     raise QuantizationError(f"unknown quantizer kind {kind!r}")
 
@@ -103,17 +116,18 @@ def _cmd_calibrate(args) -> int:
         cfg = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise QuantizationError(f"malformed config: {exc}") from None
-    hooks_cfg = cfg.get("hooks")
+    hooks_cfg = cfg.get("hooks") if isinstance(cfg, dict) else None
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:
         raise QuantizationError("config must define a non-empty 'hooks' mapping")
     dumps_dir = Path(args.dumps)
     doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", 8)})
     reports: dict[str, HookReport] = {}
     for hook, spec in sorted(hooks_cfg.items()):
-        samples = _collect_samples(dumps_dir, hook)
-        params = _calibrate_hook(samples, spec, cfg)
+        if not isinstance(spec, dict):
+            raise InvalidArgument(f"hook {hook!r} must map to an object, got {spec!r}")
+        stacked = _collect_samples(dumps_dir, hook)
+        params = _calibrate_hook(stacked, spec, cfg)
         doc.hooks[hook] = params
-        stacked = np.stack([s.array.astype(np.float64) for s in samples])
         recon = params.fake(stacked)
         reports[hook] = HookReport(*error_stats(stacked, recon))
     pio.emit_params(doc, args.out)

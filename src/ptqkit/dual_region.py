@@ -54,8 +54,8 @@ class DualRegionParams:
             raise InvalidArgument(f"kind must be one of {KINDS}")
         if not 2 <= self.bits <= 16:
             raise InvalidArgument(f"bits must be in [2, 16], got {self.bits}")
-        if self.scale_r2 <= 0:
-            raise InvalidArgument("scale_r2 must be positive")
+        if not (math.isfinite(self.scale_r2) and self.scale_r2 > 0):
+            raise InvalidArgument(f"scale_r2 must be finite and positive, got {self.scale_r2}")
         if self.shift_m < 0:
             raise InvalidArgument("shift_m must be >= 0")
         if self.kind == "softmax" and not 0.0 < self.boundary < 1.0:
@@ -132,9 +132,9 @@ def unpack_code(word: int, bits: int) -> DualRegionCode:
 
 
 def _regions(arr: np.ndarray, p: DualRegionParams) -> np.ndarray:
-    if p.kind == "softmax":
-        return (arr >= p.boundary).astype(np.int32)
-    return (arr >= 0.0).astype(np.int32)
+    """Region index per element (0 = R1, 1 = R2), the vectorized assign_region."""
+    split = p.boundary if p.kind == "softmax" else 0.0
+    return (arr >= split).astype(np.intp)
 
 
 def encode_tensor(x: TensorLike, p: DualRegionParams) -> np.ndarray:
@@ -143,7 +143,7 @@ def encode_tensor(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     region = _regions(arr, p)
     scale = np.where(region == 1, p.scale_r2, p.scale_r1)
     value = np.clip(np.rint(np.abs(arr) / scale), 0, p.value_max).astype(np.int32)
-    return region * 2 ** (p.bits - 1) + value
+    return (region * 2 ** (p.bits - 1) + value).astype(np.int32)
 
 
 def decode_tensor(words: np.ndarray, p: DualRegionParams) -> np.ndarray:
@@ -160,10 +160,42 @@ def decode_tensor(words: np.ndarray, p: DualRegionParams) -> np.ndarray:
     return magnitude
 
 
+def _numerator(arr: np.ndarray, kind: str) -> np.ndarray:
+    """What `_reconstruct_into` divides by the region scale.
+
+    Softmax codes store |x|. GeLU's R1 scale carries the sign instead, so
+    x itself is divided; adding 0.0 turns -0.0 (an R2 element) into +0.0,
+    as the codec's abs() does.
+    """
+    return np.abs(arr) if kind == "softmax" else arr + 0.0
+
+
+def _reconstruct_into(
+    num: np.ndarray, region: np.ndarray, p: DualRegionParams, scale: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """decode_tensor(encode_tensor(x)) computed in float64 into `out`.
+
+    `num` is `_numerator(x)`, `region` is `_regions(x)` and `scale` is a
+    work buffer of x's shape. GeLU's R1 scale is -scale_r1: dividing a negative
+    element by it gives the stored magnitude and multiplying the code by it
+    restores the sign, so no int words are built.
+    """
+    r1 = -p.scale_r1 if p.kind == "gelu" else p.scale_r1
+    # region holds only 0 and 1; mode="clip" spares take() its buffered bounds check
+    np.take(np.array([r1, p.scale_r2]), region, out=scale, mode="clip")
+    np.divide(num, scale, out=out)
+    np.rint(out, out=out)
+    np.clip(out, 0, p.value_max, out=out)
+    return np.multiply(out, scale, out=out)
+
+
 def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     """Encode-then-decode reconstruction, shape preserved."""
     arr = _as_f64(x)
-    return decode_tensor(encode_tensor(arr, p), p).reshape(arr.shape)
+    scale = np.empty_like(arr)
+    return _reconstruct_into(
+        _numerator(arr, p.kind), _regions(arr, p), p, scale, np.empty_like(arr)
+    )
 
 
 def _stack(samples) -> np.ndarray:
@@ -192,13 +224,21 @@ def calibrate_dual_region(
     """
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}")
+    if not 2 <= bits <= 16:
+        raise InvalidArgument(f"bits must be in [2, 16], got {bits}")
     arr = _stack(samples)
+    if kind == "softmax" and (arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6):
+        raise InvalidArgument("softmax samples must lie in [0, 1]")
     metric = metric or mse_metric
     space = space or SearchSpace()
+    num = _numerator(arr, kind)
+    scale = np.empty_like(arr)
+    recon = np.empty_like(arr)
+
+    def candidate_score(params: DualRegionParams, region: np.ndarray) -> float:
+        return metric(arr, _reconstruct_into(num, region, params, scale, recon))
 
     if kind == "softmax":
-        if arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6:
-            raise InvalidArgument("softmax samples must lie in [0, 1]")
         scale_r2 = softmax_r2_scale(bits, full_range)
         best_params = None
         best_score = math.inf
@@ -206,7 +246,7 @@ def calibrate_dual_region(
             if 2 ** (bits - 1) * scale_r2 * 2.0**-m >= 1.0:
                 continue
             params = DualRegionParams(kind, bits, scale_r2, m)
-            score = metric(arr, fake_dual_region(arr, params))
+            score = candidate_score(params, _regions(arr, params))
             if score < best_score:
                 best_score = score
                 best_params = params
@@ -225,6 +265,7 @@ def calibrate_dual_region(
     pos_max = float(max(arr.max(), 0.0))
     if pos_max == 0.0:
         return DualRegionParams(kind, bits, scale_r1_init, 0)
+    region = (arr >= 0.0).astype(np.intp)  # the GeLU split does not move with the scales
     best_params = None
     best_score = math.inf
     # candidates bracket the full-range scale of the (b-1)-bit payload
@@ -236,7 +277,7 @@ def calibrate_dual_region(
         while m > 0 and scale_r2 * 2.0**-m * 2 ** (bits - 1) < neg_absmax:
             m -= 1
         params = DualRegionParams(kind, bits, scale_r2, m)
-        score = metric(arr, fake_dual_region(arr, params))
+        score = candidate_score(params, region)
         if score < best_score:
             best_score = score
             best_params = params

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dual_region import DualRegionParams
-from .errors import FormatError, InvalidArgument
+from .errors import FormatError, InvalidArgument, QuantizationError
 from .outlier_groups import GroupedQuantParams, QuantGroup
 from .report import CalibrationReport, json_float
 from .tensor import MAX_RANK, Tensor, TensorLike, as_tensor
@@ -219,7 +219,7 @@ def parse_params(path) -> ParamDoc:
     try:
         hooks = {n: quantizer_from_dict(d) for n, d in payload.get("hooks", {}).items()}
         weights = {n: quantizer_from_dict(d) for n, d in payload.get("weights", {}).items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (QuantizationError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"malformed quantizer entry: {type(exc).__name__}: {exc}") from None
     return ParamDoc(hooks=hooks, weights=weights, meta=payload.get("meta", {}))
 

@@ -124,15 +124,33 @@ def mse_grid_search(
     candidates = space.scale_candidates(full.scale)
     if candidates.size == 0:
         raise InvalidArgument("empty candidate set")
-    best_params = None
+    q_min, q_max = quant_range(bits, signed)
+    if scheme == "symmetric":
+        zero_points = np.zeros_like(candidates)
+    else:  # params_from_scale's zero-point, for every candidate at once
+        zero_points = np.clip(np.rint(q_min - data_min / candidates), q_min, q_max)
+    # fake_quant_array and mse_metric, op for op, in one reused buffer
+    buf = np.empty_like(arr)
+    best_scale = None
     best_score = np.inf
-    for cand in candidates:
-        params = params_from_scale(float(cand), data_min, bits, scheme, signed)
-        score = mse_metric(arr, fake_quant_array(arr, params))
+    for scale, zp in zip(candidates.tolist(), zero_points.tolist()):
+        np.divide(arr, scale, out=buf)
+        np.rint(buf, out=buf)
+        if zp:
+            buf += zp
+        np.clip(buf, q_min, q_max, out=buf)
+        if zp:
+            buf -= zp
+        buf *= scale
+        np.subtract(arr, buf, out=buf)
+        np.square(buf, out=buf)
+        score = float(buf.mean())
         if score < best_score:
             best_score = score
-            best_params = params
-    return best_params if best_params is not None else full
+            best_scale = scale
+    if best_scale is None:
+        return full
+    return params_from_scale(best_scale, data_min, bits, scheme, signed)
 
 
 def percentile_calibrate(

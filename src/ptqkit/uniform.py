@@ -44,14 +44,17 @@ class QuantParams:
             raise InvalidArgument(f"bits must be in [2, 16], got {self.bits}")
         if self.axis is not None and not isinstance(self.axis, int):
             raise InvalidArgument(f"axis must be an int or None, got {self.axis!r}")
+        if not isinstance(self.signed, (bool, np.bool_)):
+            raise InvalidArgument(f"signed must be a bool, got {self.signed!r}")
+        object.__setattr__(self, "signed", bool(self.signed))
         q_min, q_max = quant_range(self.bits, self.signed)
         if self.per_channel:
             scale = np.asarray(self.scale, dtype=np.float64).reshape(-1)
             zp = np.asarray(self.zero_point, dtype=np.int64).reshape(-1)
             if scale.size != zp.size:
                 raise ShapeError("per-channel scale and zero_point lengths differ")
-            if not np.all(scale > 0):
-                raise InvalidArgument("all per-channel scales must be positive")
+            if not np.all(np.isfinite(scale) & (scale > 0)):
+                raise InvalidArgument("all per-channel scales must be finite and positive")
             if np.any(zp < q_min) or np.any(zp > q_max):
                 raise InvalidArgument("zero_point outside integer range")
             scale.flags.writeable = False
@@ -59,12 +62,13 @@ class QuantParams:
             object.__setattr__(self, "scale", scale)
             object.__setattr__(self, "zero_point", zp)
         else:
-            if not float(self.scale) > 0:
-                raise InvalidArgument(f"scale must be positive, got {self.scale}")
+            scale = float(self.scale)
+            if not (math.isfinite(scale) and scale > 0):
+                raise InvalidArgument(f"scale must be finite and positive, got {scale}")
             zp = int(self.zero_point)
             if not q_min <= zp <= q_max:
                 raise InvalidArgument(f"zero_point {zp} outside [{q_min}, {q_max}]")
-            object.__setattr__(self, "scale", float(self.scale))
+            object.__setattr__(self, "scale", scale)
             object.__setattr__(self, "zero_point", zp)
 
     @property

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,36 @@ class TestCalibrateQuantizeEvaluate:
         assert metrics["mse"] == 0.0
         assert metrics["sqnr_db"] == "inf"
 
+    def test_mixed_shape_dumps_are_one_line(self, tmp_path, capsys, config_path):
+        d = tmp_path / "mixed"
+        d.mkdir()
+        write_dump(Tensor.from_array(np.linspace(-1.0, 1.0, 64)), d / "feat__000.dump")
+        write_dump(Tensor.from_array(np.linspace(-1.0, 1.0, 32)), d / "feat__001.dump")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"hooks": {"feat": {"kind": "uniform"}}}))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(cfg), "--dumps", str(d), "--out", str(tmp_path / "p.json")
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "differ in shape" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("bits", "eight"), ("alpha", "small"), ("beta", [1.2]), ("n_candidates", "many"), ("n_candidates", None)],
+    )
+    def test_non_numeric_config_value_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, key, value):
+        cfg = json.loads(config_path.read_text())
+        cfg[key] = value
+        config_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir),
+            "--out", str(tmp_path / "p.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
+
     def test_quantize_needs_hook_when_ambiguous(self, tmp_path, capsys, dumps_dir, config_path):
         params = tmp_path / "params.json"
         run_cli(capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params))
@@ -194,6 +225,23 @@ class TestPipelineCommand:
         )
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("literal", ["Infinity", "1e999"])
+    def test_infinite_scale_is_one_line(self, tmp_path, capsys, literal):
+        dump = tmp_path / "x.dump"
+        write_dump(Tensor.from_array(np.linspace(-1.0, 1.0, 16)), dump)
+        params = tmp_path / "params.json"
+        entry = {"kind": "uniform", "bits": 8, "signed": False, "scale": "SCALE", "zero_point": 0, "axis": None}
+        text = json.dumps({"format": "ptqkit-params", "version": 1, "hooks": {"h": entry}})
+        params.write_text(text.replace('"SCALE"', literal))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+            code, _, err = run_cli(
+                capsys, "quantize", "--params", str(params), "--in", str(dump), "--out", str(tmp_path / "r.dump")
+            )
+        assert code == 1
+        assert err.startswith("error: malformed quantizer entry") and err.count("\n") == 1
+        assert "finite" in err
 
     def test_missing_file_errors(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--a", "/nonexistent/a.dump", "--b", "/nonexistent/b.dump")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqkit import (
     DualRegionCode,
@@ -12,12 +16,14 @@ from ptqkit import (
     dual_region_quantize,
     encode_tensor,
     fake_dual_region,
+    hessian_metric_fn,
     mse_grid_search,
     pack_code,
     softmax_r2_scale,
     synth,
     unpack_code,
 )
+from ptqkit.search import SearchSpace, mse_metric
 from ptqkit.uniform import fake_quant_array
 
 
@@ -198,3 +204,116 @@ class TestCalibration:
         t = synth("softmax", (16, 16), seed=1)
         p = calibrate_dual_region(t, "softmax", 8, full_range=False)
         assert p.scale_r2 == pytest.approx(1.0 / 255.0)
+
+
+def codec_roundtrip(x, p):
+    return decode_tensor(encode_tensor(x, p), p)
+
+
+@st.composite
+def params_and_values(draw):
+    kind = draw(st.sampled_from(["softmax", "gelu"]))
+    bits = draw(st.integers(2, 16))
+    if kind == "softmax":
+        scale_r2 = softmax_r2_scale(bits, draw(st.booleans()))
+        # the smallest shift whose R1 boundary lies below 1
+        m_min = next(m for m in range(bits + 2) if 2 ** (bits - 1) * scale_r2 * 2.0**-m < 1.0)
+        m = draw(st.integers(m_min, m_min + 4))
+    else:
+        scale_r2 = draw(st.floats(1e-6, 10.0))
+        m = draw(st.integers(0, bits + 2))
+    p = DualRegionParams(kind, bits, scale_r2, m)
+    edges = []
+    for s in (p.scale_r1, p.scale_r2):
+        # past the clip, on the clip, and half-way points where rint ties
+        for k in (2 * p.value_max + 1, 2 * p.value_max + 3, 1, 3):
+            edges += [k * s / 2, -k * s / 2]
+        edges += [(p.value_max + 7) * s, -(p.value_max + 7) * s]
+    special = [-0.0, 0.0, p.boundary, math.nextafter(p.boundary, 0.0), -p.boundary, *edges]
+    value = st.one_of(
+        st.sampled_from(special),
+        st.floats(-4.0 * p.value_max * scale_r2, 4.0 * p.value_max * scale_r2),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    return p, np.array(draw(st.lists(value, min_size=1, max_size=64)))
+
+
+class TestFloatDomainReconstruction:
+    @settings(max_examples=400, deadline=None)
+    @given(params_and_values())
+    def test_matches_codec_bit_for_bit(self, case):
+        p, x = case
+        with np.errstate(over="ignore"):
+            got = fake_dual_region(x, p)
+            want = codec_roundtrip(x, p)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_and_shape_match_codec(self):
+        x = np.array([[-0.0, 0.0], [-1e-30, 1e-30], [-0.5, 0.5]])
+        for p in (softmax_params(), DualRegionParams("gelu", 8, 0.02, 3)):
+            got = fake_dual_region(x, p)
+            assert got.shape == (3, 2)
+            assert got.tobytes() == codec_roundtrip(x, p).tobytes()
+
+
+def reference_calibrate_dual_region(arr, kind, bits, metric=mse_metric, space=SearchSpace()):
+    """The candidate loop scored through the int codec, one fresh
+    reconstruction per candidate: the oracle for calibrate_dual_region."""
+    if kind == "softmax":
+        scale_r2 = softmax_r2_scale(bits)
+        best, best_score = None, math.inf
+        for m in range(1, bits + 1):
+            if 2 ** (bits - 1) * scale_r2 * 2.0**-m >= 1.0:
+                continue
+            params = DualRegionParams(kind, bits, scale_r2, m)
+            score = metric(arr, codec_roundtrip(arr, params))
+            if score < best_score:
+                best, best_score = params, score
+        return best
+    negatives = arr[arr < 0.0]
+    vmax = 2 ** (bits - 1) - 1
+    neg_absmax = float(np.max(np.abs(negatives)))
+    scale_r1_init = neg_absmax / vmax
+    cover_min = neg_absmax / 2 ** (bits - 1)
+    best, best_score = DualRegionParams(kind, bits, scale_r1_init, 0), math.inf
+    for cand in space.scale_candidates(float(max(arr.max(), 0.0)) / vmax):
+        scale_r2 = float(cand)
+        if scale_r2 < cover_min:
+            continue
+        m = max(0, int(round(math.log2(scale_r2 / scale_r1_init))))
+        while m > 0 and scale_r2 * 2.0**-m * 2 ** (bits - 1) < neg_absmax:
+            m -= 1
+        params = DualRegionParams(kind, bits, scale_r2, m)
+        score = metric(arr, codec_roundtrip(arr, params))
+        if score < best_score:
+            best, best_score = params, score
+    return best
+
+
+class TestCalibrationOracle:
+    @pytest.mark.parametrize("kind", ["softmax", "gelu"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_codec_candidate_loop(self, kind, weighted):
+        space = SearchSpace(0.05, 1.3, 40)
+        for seed in range(12):
+            bits = (4, 6, 8)[seed % 3]
+            arr = synth(kind, (8, 24), seed=seed).array.astype(np.float64)
+            metric = mse_metric
+            if weighted:
+                grad = np.random.default_rng(seed).standard_normal(arr.shape)
+                metric = hessian_metric_fn(grad)
+            got = calibrate_dual_region(arr, kind, bits, metric=metric, space=space)
+            assert got == reference_calibrate_dual_region(arr, kind, bits, metric, space)
+
+    @pytest.mark.parametrize("kind", ["softmax", "gelu"])
+    def test_does_not_mutate_input(self, kind):
+        arr = synth(kind, (16, 16), seed=4).array.astype(np.float64)
+        before = arr.copy()
+        fake_dual_region(arr, calibrate_dual_region(arr, kind, 8))
+        assert arr.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 17])
+    def test_bits_validated(self, bits):
+        with pytest.raises(InvalidArgument):
+            calibrate_dual_region(np.array([0.1, 0.9]), "softmax", bits)

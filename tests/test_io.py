@@ -203,6 +203,31 @@ class TestParamFile:
                     pass
         assert tried > 100
 
+    @pytest.mark.parametrize("signed", ["no", "false", 0, None])
+    def test_non_bool_signed_is_a_format_error(self, tmp_path, signed):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        payload["hooks"]["feat"]["signed"] = signed
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="signed"):
+            parse_params(path)
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+    @pytest.mark.parametrize(
+        "section,entry,key",
+        [("hooks", "feat", "scale"), ("weights", "w", "scale"), ("hooks", "softmax", "scale_r2")],
+    )
+    def test_non_finite_scale_is_a_format_error(self, tmp_path, literal, section, entry, key):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        quantizer = payload[section][entry]
+        quantizer[key] = ["SCALE", 1.0] if isinstance(quantizer[key], list) else "SCALE"
+        path.write_text(json.dumps(payload).replace('"SCALE"', literal))
+        with pytest.raises(FormatError, match="finite"):
+            parse_params(path)
+
     def test_calibrated_grouped_roundtrip(self, tmp_path):
         t = synth("outlier", (16, 16), seed=3)
         params = calibrate_grouped(t, 8)

@@ -17,15 +17,16 @@ from ptqkit.uniform import fake_quant_array
 
 
 def brute_force_best(arr, bits, scheme, signed, space):
-    """Independent exhaustive argmin over the same candidate list."""
+    """Independent exhaustive argmin over the same candidate list, with one
+    QuantParams and one fresh fake-quantized array per candidate."""
     full = make_params(float(arr.min()), float(arr.max()), bits, scheme, signed)
-    best_scale, best_mse = None, np.inf
+    best, best_mse = full, np.inf
     for cand in space.scale_candidates(full.scale):
         p = params_from_scale(float(cand), float(arr.min()), bits, scheme, signed)
         mse = float(np.mean((arr - fake_quant_array(arr, p)) ** 2))
         if mse < best_mse:
-            best_scale, best_mse = float(cand), mse
-    return best_scale
+            best, best_mse = p, mse
+    return best
 
 
 class TestSearchSpace:
@@ -58,14 +59,38 @@ class TestMseGridSearch:
         assert p.scale == pytest.approx(c)
         assert np.allclose(fake_quant_array(arr, p), arr)
 
-    @pytest.mark.parametrize("scheme,signed", [("symmetric", True), ("asymmetric", False)])
+    @pytest.mark.parametrize(
+        "scheme,signed",
+        [("symmetric", True), ("asymmetric", False), ("symmetric", False), ("asymmetric", True)],
+    )
     def test_matches_bruteforce_oracle(self, scheme, signed):
         space = SearchSpace(0.2, 1.2, 20)
         for seed in range(25):
             rng = np.random.default_rng(seed)
             arr = rng.standard_normal(200) * rng.uniform(0.1, 10)
             got = mse_grid_search(arr, 8, scheme, signed, space)
-            assert got.scale == pytest.approx(brute_force_best(arr, 8, scheme, signed, space))
+            assert got == brute_force_best(arr, 8, scheme, signed, space)
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_bruteforce_oracle_across_bits_shapes_and_spaces(self, scheme, signed):
+        for seed in range(30):
+            rng = np.random.default_rng([seed, signed])
+            bits = int(rng.integers(2, 10))
+            shape = [(257,), (16,), (6, 5, 7)][seed % 3]
+            arr = rng.standard_normal(shape) * rng.uniform(0.01, 50) + rng.uniform(-1, 1)
+            if seed % 4 == 0:
+                arr = np.abs(arr)
+            space = SearchSpace(rng.uniform(0.01, 0.5), rng.uniform(0.6, 1.5), int(rng.integers(1, 80)))
+            got = mse_grid_search(arr, bits, scheme, signed, space)
+            assert got == brute_force_best(arr, bits, scheme, signed, space)
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_does_not_mutate_input(self, scheme):
+        arr = np.random.default_rng(3).standard_normal((8, 9))
+        before = arr.copy()
+        mse_grid_search(arr, 4, scheme)
+        assert arr.tobytes() == before.tobytes()
 
     def test_all_zero_degenerate(self):
         p = mse_grid_search(np.zeros(16), 8, "symmetric")

@@ -49,6 +49,22 @@ class TestMakeParams:
         with pytest.raises(InvalidArgument):
             QuantParams(scale=1.0, zero_point=0, bits=17, signed=False)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(InvalidArgument):
+            QuantParams(scale=scale, zero_point=0, bits=8, signed=False)
+        with pytest.raises(InvalidArgument):
+            QuantParams(scale=[1.0, scale], zero_point=[0, 0], bits=8, signed=False, axis=0)
+
+    @pytest.mark.parametrize("signed", ["no", 1, None])
+    def test_signed_must_be_a_bool(self, signed):
+        with pytest.raises(InvalidArgument):
+            QuantParams(scale=1.0, zero_point=0, bits=8, signed=signed)
+
+    def test_numpy_bool_signed_is_stored_as_bool(self):
+        p = QuantParams(scale=1.0, zero_point=0, bits=8, signed=np.True_)
+        assert p.signed is True
+
     def test_constant_nonzero_value_representable(self):
         for c in (5.0, -3.25):
             p = make_params(c, c, 8, "asymmetric", signed=False)
