@@ -65,12 +65,18 @@ def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
 
 
 def _number(convert, key: str, default, *sources: dict):
-    """`key` from the first source that has it (else `default`), as a number."""
+    """`key` from the first source that has it (else `default`), as a number.
+
+    An int is never made by truncating a fractional value.
+    """
     value = next((src[key] for src in sources if key in src), default)
     try:
-        return convert(value)
+        number = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidArgument(f"{key} must be a number, got {value!r}") from None
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise InvalidArgument(f"{key} must be a whole number, got {value!r}")
+    return number
 
 
 def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
@@ -95,9 +101,10 @@ def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
         region = spec.get("region")
         if region not in ("softmax", "gelu"):
             raise QuantizationError("dual_region hooks need region: softmax|gelu")
-        return calibrate_dual_region(
-            stacked, region, bits, space=space, full_range=bool(spec.get("full_range", True))
-        )
+        full_range = spec.get("full_range", True)
+        if not isinstance(full_range, bool):
+            raise InvalidArgument(f"full_range must be true or false, got {full_range!r}")
+        return calibrate_dual_region(stacked, region, bits, space=space, full_range=full_range)
     if kind == "outlier_groups":
         strategy = ThresholdStrategy(
             kind=spec.get("strategy", cfg.get("strategy", "mean_3sd")),
@@ -198,7 +205,6 @@ def _cmd_pipeline(args) -> int:
         text=args.text,
         fusion=args.fusion,
         decoder=args.decoder,
-        calibration_size=args.calib_count,
     )
     weights = ToyNetWeights.seeded(args.seed)
     inputs = seeded_inputs(args.seed, args.calib_count, weights.seq, weights.dim)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument
-from .search import MetricFn, SearchSpace, mse_grid_search, mse_metric
+from .search import MetricFn, SearchSpace, first_min, mse_grid_search, mse_metric
 from .tensor import TensorLike, _as_f64
 
 KINDS = ("softmax", "gelu")
@@ -240,19 +240,15 @@ def calibrate_dual_region(
 
     if kind == "softmax":
         scale_r2 = softmax_r2_scale(bits, full_range)
-        best_params = None
-        best_score = math.inf
-        for m in range(1, bits + 1):
-            if 2 ** (bits - 1) * scale_r2 * 2.0**-m >= 1.0:
-                continue
-            params = DualRegionParams(kind, bits, scale_r2, m)
-            score = candidate_score(params, _regions(arr, params))
-            if score < best_score:
-                best_score = score
-                best_params = params
-        if best_params is None:
+        candidates = (
+            DualRegionParams(kind, bits, scale_r2, m)
+            for m in range(1, bits + 1)
+            if 2 ** (bits - 1) * scale_r2 * 2.0**-m < 1.0  # R1 boundary inside (0, 1)
+        )
+        best, _ = first_min(candidates, lambda p: candidate_score(p, _regions(arr, p)))
+        if best is None:
             raise InvalidArgument(f"no admissible shift exponent for bits={bits}")
-        return best_params
+        return best
 
     negatives = arr[arr < 0.0]
     vmax = 2 ** (bits - 1) - 1
@@ -266,21 +262,20 @@ def calibrate_dual_region(
     if pos_max == 0.0:
         return DualRegionParams(kind, bits, scale_r1_init, 0)
     region = (arr >= 0.0).astype(np.intp)  # the GeLU split does not move with the scales
-    best_params = None
-    best_score = math.inf
-    # candidates bracket the full-range scale of the (b-1)-bit payload
-    for cand in space.scale_candidates(pos_max / vmax):
-        scale_r2 = float(cand)
-        if scale_r2 < cover_min:
-            continue  # no shift keeps R1 covering the negative range
+
+    def snapped(scale_r2: float) -> DualRegionParams:
+        """`scale_r2` with the nearest shift that keeps R1 covering the negatives."""
         m = max(0, int(round(math.log2(scale_r2 / scale_r1_init))))
         while m > 0 and scale_r2 * 2.0**-m * 2 ** (bits - 1) < neg_absmax:
             m -= 1
-        params = DualRegionParams(kind, bits, scale_r2, m)
-        score = candidate_score(params, region)
-        if score < best_score:
-            best_score = score
-            best_params = params
-    if best_params is None:
-        best_params = DualRegionParams(kind, bits, scale_r1_init, 0)
-    return best_params
+        return DualRegionParams(kind, bits, scale_r2, m)
+
+    # candidates bracket the full-range scale of the (b-1)-bit payload; below
+    # cover_min no shift keeps R1 covering the negative range
+    scales = space.scale_candidates(pos_max / vmax).tolist()
+    best, _ = first_min(
+        (snapped(s) for s in scales if s >= cover_min), lambda p: candidate_score(p, region)
+    )
+    if best is None:
+        return DualRegionParams(kind, bits, scale_r1_init, 0)
+    return best

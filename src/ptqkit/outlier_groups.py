@@ -158,9 +158,7 @@ def calibrate_grouped(
         tau, degenerate = _threshold_info(magnitudes, strategy)
         if degenerate:
             fallbacks.append(iteration)
-            mu = float(magnitudes.mean())
-            sigma = float(np.sqrt(np.mean((magnitudes - mu) ** 2)))
-            tau = mu + 3.0 * sigma
+            tau, _ = _threshold_info(magnitudes, ThresholdStrategy())  # mean_3sd
         mask = magnitudes <= tau
         inliers = current[mask]
         outliers = current[~mask]

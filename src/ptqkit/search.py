@@ -3,17 +3,18 @@
 Covers MSE grid search over a linear candidate space, percentile clipping,
 the gradient-weighted output-perturbation metric, and the alternating
 coordinate-descent search for the two scale factors of a matrix product.
+Every search over candidates picks its winner with `first_min`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ShapeError
-from .tensor import TensorLike, _as_f64, percentile
+from .tensor import TensorLike, _as_f64, channel_minmax, channel_slices, percentile
 from .uniform import (
     QuantParams,
     fake_quant_array,
@@ -23,6 +24,23 @@ from .uniform import (
 )
 
 MetricFn = Callable[[np.ndarray, np.ndarray], float]
+T = TypeVar("T")
+
+
+def first_min(candidates: Iterable[T], score: Callable[[T], float]) -> tuple[T | None, float]:
+    """The lowest-scoring candidate and its score, reading `candidates` once.
+
+    A candidate wins only on a strictly lower score, so the first of equal
+    scores wins and a NaN score never wins. `(None, inf)` means no candidate
+    scored below inf; each caller decides what to fall back to.
+    """
+    best = None
+    best_score = np.inf
+    for cand in candidates:
+        value = score(cand)
+        if value < best_score:
+            best, best_score = cand, value
+    return best, best_score
 
 
 @dataclass(frozen=True)
@@ -54,7 +72,8 @@ class SearchSpace:
 
 
 def mse_metric(reference: np.ndarray, approx: np.ndarray) -> float:
-    return float(np.mean((np.asarray(reference) - np.asarray(approx)) ** 2))
+    diff = np.asarray(np.subtract(reference, approx))
+    return float(np.square(diff, out=diff).mean())
 
 
 def hessian_metric(out_fp: TensorLike, out_q: TensorLike, grad: TensorLike) -> float:
@@ -129,28 +148,27 @@ def mse_grid_search(
         zero_points = np.zeros_like(candidates)
     else:  # params_from_scale's zero-point, for every candidate at once
         zero_points = np.clip(np.rint(q_min - data_min / candidates), q_min, q_max)
-    # fake_quant_array and mse_metric, op for op, in one reused buffer
     buf = np.empty_like(arr)
-    best_scale = None
-    best_score = np.inf
-    for scale, zp in zip(candidates.tolist(), zero_points.tolist()):
+
+    def score(cand: tuple[float, float]) -> float:
+        """fake_quant_array and mse_metric, op for op, in the reused buffer."""
+        scale, zp = cand
         np.divide(arr, scale, out=buf)
         np.rint(buf, out=buf)
         if zp:
-            buf += zp
+            np.add(buf, zp, out=buf)
         np.clip(buf, q_min, q_max, out=buf)
         if zp:
-            buf -= zp
-        buf *= scale
+            np.subtract(buf, zp, out=buf)
+        np.multiply(buf, scale, out=buf)
         np.subtract(arr, buf, out=buf)
         np.square(buf, out=buf)
-        score = float(buf.mean())
-        if score < best_score:
-            best_score = score
-            best_scale = scale
-    if best_scale is None:
+        return float(buf.mean())
+
+    best, _ = first_min(zip(candidates.tolist(), zero_points.tolist()), score)
+    if best is None:
         return full
-    return params_from_scale(best_scale, data_min, bits, scheme, signed)
+    return params_from_scale(best[0], data_min, bits, scheme, signed)
 
 
 def percentile_calibrate(
@@ -248,21 +266,21 @@ def alternating_matmul_search(
     history: list[float] = []
     for _ in range(rounds):
         fq_b = fake_quant_array(arr_b, qp(scale_b, signed_b))
-        best = np.inf
-        for cand in cand_a:
-            score = metric(np.matmul(fake_quant_array(arr_a, qp(float(cand), signed_a)), fq_b))
-            if score < best:
-                best = score
-                scale_a = float(cand)
-        history.append(best)
+        best, score = first_min(
+            cand_a.tolist(),
+            lambda s: metric(np.matmul(fake_quant_array(arr_a, qp(s, signed_a)), fq_b)),
+        )
+        if best is not None:  # else keep the previous scale
+            scale_a = best
+        history.append(score)
         fq_a = fake_quant_array(arr_a, qp(scale_a, signed_a))
-        best = np.inf
-        for cand in cand_b:
-            score = metric(np.matmul(fq_a, fake_quant_array(arr_b, qp(float(cand), signed_b))))
-            if score < best:
-                best = score
-                scale_b = float(cand)
-        history.append(best)
+        best, score = first_min(
+            cand_b.tolist(),
+            lambda s: metric(np.matmul(fq_a, fake_quant_array(arr_b, qp(s, signed_b)))),
+        )
+        if best is not None:
+            scale_b = best
+        history.append(score)
     return MatmulScaleSearchResult(
         scale_a=scale_a,
         scale_b=scale_b,
@@ -280,33 +298,19 @@ def channelwise_params(
     scheme: str = "symmetric",
     signed: bool = True,
     space: SearchSpace | None = None,
-    percentile_p: float = 99.9,
 ) -> QuantParams:
     """Per-channel parameters along `axis`, calibrated slice by slice.
 
-    method: "minmax" (full range), "mse" (grid search) or "percentile".
+    method: "minmax" (full range) or "mse" (grid search).
     """
-    arr = _as_f64(weight)
-    if not 0 <= axis < arr.ndim:
-        raise InvalidArgument(f"axis {axis} out of range for rank {arr.ndim}")
-    slices = np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)
     if method == "minmax":
-        pairs = [(float(s.min()), float(s.max())) for s in slices]
-        return make_channel_params(pairs, bits, axis, scheme, signed)
-    scales = []
-    zps = []
-    for s in slices:
-        if method == "mse":
-            p = mse_grid_search(s, bits, scheme, signed, space)
-        elif method == "percentile":
-            p = percentile_calibrate(s, bits, percentile_p, scheme, signed)
-        else:
-            raise InvalidArgument(f"unknown calibration method {method!r}")
-        scales.append(p.scale)
-        zps.append(p.zero_point)
+        return make_channel_params(channel_minmax(weight, axis), bits, axis, scheme, signed)
+    if method != "mse":
+        raise InvalidArgument(f"unknown calibration method {method!r}")
+    per = [mse_grid_search(s, bits, scheme, signed, space) for s in channel_slices(weight, axis)]
     return QuantParams(
-        scale=np.asarray(scales, dtype=np.float64),
-        zero_point=np.asarray(zps, dtype=np.int64),
+        scale=np.asarray([p.scale for p in per], dtype=np.float64),
+        zero_point=np.asarray([p.zero_point for p in per], dtype=np.int64),
         bits=bits,
         signed=signed,
         axis=axis,

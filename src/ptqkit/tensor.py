@@ -117,10 +117,14 @@ def percentile(t: TensorLike, p: float) -> float:
     return float(np.percentile(arr, p, method="linear"))
 
 
-def channel_minmax(t: TensorLike, axis: int) -> list[tuple[float, float]]:
-    """Per-slice (min, max) along `axis`; one entry per slice."""
+def channel_slices(t: TensorLike, axis: int) -> np.ndarray:
+    """float64 values as (channels, elements): row i is slice i along `axis`."""
     arr = _as_f64(t)
     if not 0 <= axis < arr.ndim:
         raise InvalidArgument(f"axis {axis} out of range for rank {arr.ndim}")
-    moved = np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)
-    return [(float(row.min()), float(row.max())) for row in moved]
+    return np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)
+
+
+def channel_minmax(t: TensorLike, axis: int) -> list[tuple[float, float]]:
+    """Per-slice (min, max) along `axis`; one entry per slice."""
+    return [(float(row.min()), float(row.max())) for row in channel_slices(t, axis)]

@@ -238,10 +238,8 @@ class PipelineConfig:
     rounds: int = 3
     strategy: ThresholdStrategy = field(default_factory=ThresholdStrategy)
     max_iters: int = 3
-    percentile_p: float = 99.9
     metric: str = "hessian"  # or "mse"
     seed: int = 0
-    calibration_size: int = 32
 
     def __post_init__(self) -> None:
         if self.visual not in ("rtn", "dual_region"):
@@ -278,10 +276,8 @@ class PipelineConfig:
             "rounds": self.rounds,
             "strategy": self.strategy.kind,
             "max_iters": self.max_iters,
-            "percentile_p": self.percentile_p,
             "metric": self.metric,
             "seed": self.seed,
-            "calibration_size": self.calibration_size,
         }
 
 
@@ -479,7 +475,6 @@ def run_pipeline(
                 scheme="symmetric",
                 signed=True,
                 space=space,
-                percentile_p=cfg.percentile_p,
             )
 
     a_bits = cfg.a_bits
@@ -575,7 +570,7 @@ def run_pipeline(
             "output_mse_mean": float(np.mean(out_mse)),
             "output_cosine_mean": float(np.mean(out_cos)),
         },
-        config=cfg.to_dict(),
+        config={**cfg.to_dict(), "calibration_size": len(calib_inputs)},
         seed=cfg.seed,
     )
     return plan, report

@@ -83,12 +83,6 @@ class QuantParams:
     def q_max(self) -> int:
         return quant_range(self.bits, self.signed)[1]
 
-    @property
-    def symmetric(self) -> bool:
-        if self.per_channel:
-            return bool(np.all(np.asarray(self.zero_point) == 0))
-        return self.zero_point == 0
-
     def fake(self, arr: np.ndarray) -> np.ndarray:
         """Quantize-then-dequantize reconstruction of `arr`."""
         return fake_quant_array(arr, self)

@@ -139,7 +139,10 @@ class TestCalibrateQuantizeEvaluate:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("bits", "eight"), ("alpha", "small"), ("beta", [1.2]), ("n_candidates", "many"), ("n_candidates", None)],
+        [
+            ("bits", "eight"), ("alpha", "small"), ("beta", [1.2]), ("n_candidates", "many"),
+            ("n_candidates", None), ("n_candidates", 2.5),
+        ],
     )
     def test_non_numeric_config_value_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, key, value):
         cfg = json.loads(config_path.read_text())
@@ -152,6 +155,37 @@ class TestCalibrateQuantizeEvaluate:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
+
+    def test_whole_float_count_is_an_int(self, tmp_path, capsys, dumps_dir, config_path):
+        texts = []
+        for n in (3, 3.0):
+            cfg = json.loads(config_path.read_text())
+            cfg["n_candidates"] = n
+            config_path.write_text(json.dumps(cfg))
+            params = tmp_path / f"p{n}.json"
+            code, _, _ = run_cli(
+                capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params)
+            )
+            assert code == 0
+            texts.append(params.read_text())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("full_range,scale_r2", [(True, 1 / 127), (False, 1 / 255), ("no", None)])
+    def test_full_range_must_be_a_bool(self, tmp_path, capsys, dumps_dir, config_path, full_range, scale_r2):
+        cfg = json.loads(config_path.read_text())
+        cfg["hooks"] = {"post_softmax": {"kind": "dual_region", "region": "softmax", "full_range": full_range}}
+        config_path.write_text(json.dumps(cfg))
+        params = tmp_path / "p.json"
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params)
+        )
+        if scale_r2 is None:
+            assert code == 1
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "full_range" in err
+        else:
+            assert code == 0
+            assert json.loads(params.read_text())["hooks"]["post_softmax"]["scale_r2"] == scale_r2
 
     def test_quantize_needs_hook_when_ambiguous(self, tmp_path, capsys, dumps_dir, config_path):
         params = tmp_path / "params.json"

@@ -12,8 +12,8 @@ from ptqkit import (
     mse_grid_search,
     percentile_calibrate,
 )
-from ptqkit.search import params_from_scale
-from ptqkit.uniform import fake_quant_array
+from ptqkit.search import first_min, mse_metric, params_from_scale
+from ptqkit.uniform import QuantParams, fake_quant_array
 
 
 def brute_force_best(arr, bits, scheme, signed, space):
@@ -27,6 +27,70 @@ def brute_force_best(arr, bits, scheme, signed, space):
         if mse < best_mse:
             best, best_mse = p, mse
     return best
+
+
+def alternating_oracle(a, b, grad, bits, space, rounds):
+    """Independent copy of the alternating search with both half-steps as
+    explicit argmin loops: (scale_a, scale_b, params_a, params_b, history)."""
+    out_fp = a @ b
+    g = 1.0 if grad is None else grad
+    signed_a, signed_b = bool(a.min() < 0), bool(b.min() < 0)
+
+    def qp(scale, signed):
+        return QuantParams(scale=scale, zero_point=0, bits=bits, signed=signed)
+
+    def metric(out_q):
+        return float(np.mean((g * (out_q - out_fp)) ** 2))
+
+    q_max = {True: 2 ** (bits - 1) - 1, False: 2**bits - 1}
+    cand_a = space.scale_candidates(np.abs(a).max() / q_max[signed_a])
+    cand_b = space.scale_candidates(np.abs(b).max() / q_max[signed_b])
+    scale_a = float(np.abs(a).max()) / (2**bits - 1)
+    scale_b = float(np.abs(b).max()) / (2**bits - 1)
+    history = []
+    for _ in range(rounds):
+        fq_b = fake_quant_array(b, qp(scale_b, signed_b))
+        best = np.inf
+        for cand in cand_a:
+            score = metric(fake_quant_array(a, qp(float(cand), signed_a)) @ fq_b)
+            if score < best:
+                best = score
+                scale_a = float(cand)
+        history.append(best)
+        fq_a = fake_quant_array(a, qp(scale_a, signed_a))
+        best = np.inf
+        for cand in cand_b:
+            score = metric(fq_a @ fake_quant_array(b, qp(float(cand), signed_b)))
+            if score < best:
+                best = score
+                scale_b = float(cand)
+        history.append(best)
+    return scale_a, scale_b, qp(scale_a, signed_a), qp(scale_b, signed_b), tuple(history)
+
+
+class TestFirstMin:
+    def test_first_of_equal_scores_wins(self):
+        assert first_min(["a", "b", "c", "d"], {"a": 2.0, "b": 1.0, "c": 1.0, "d": 3.0}.get) == ("b", 1.0)
+
+    @pytest.mark.parametrize("scores", [[np.nan, 2.0, 1.0], [3.0, np.nan, 1.0], [np.nan, np.nan, 1.0]])
+    def test_nan_never_wins(self, scores):
+        assert first_min(range(3), scores.__getitem__) == (2, 1.0)
+
+    @pytest.mark.parametrize("scores", [[], [np.inf], [np.inf, np.nan, np.inf]])
+    def test_nothing_below_inf_is_none(self, scores):
+        assert first_min(range(len(scores)), scores.__getitem__) == (None, np.inf)
+
+    def test_reads_a_generator_once_and_scores_each_candidate_once(self):
+        scored = []
+
+        def score(c):
+            scored.append(c)
+            return abs(c - 2)
+
+        gen = (c for c in range(5))
+        assert first_min(gen, score) == (2, 0)
+        assert scored == [0, 1, 2, 3, 4]
+        assert next(gen, None) is None
 
 
 class TestSearchSpace:
@@ -153,7 +217,34 @@ class TestHessianMetric:
             hessian_metric(np.ones(3), np.ones(3), np.ones(4))
 
 
+class TestMseMetric:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_plain_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        ref = rng.standard_normal((64, 96)).astype(dtype)
+        approx = (ref + rng.standard_normal((64, 96)) * 1e-3).astype(dtype)
+        before = approx.copy()
+        assert mse_metric(ref, approx) == float(np.mean((ref - approx) ** 2))
+        assert approx.tobytes() == before.tobytes()
+
+
 class TestAlternatingSearch:
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_matches_the_hand_written_loops(self, bits, with_grad, rounds):
+        space = SearchSpace(0.2, 1.2, 16)
+        for seed in range(6):
+            rng = np.random.default_rng([seed, bits])
+            a = rng.standard_normal((6, 8))
+            b = rng.standard_normal((8, 5))
+            if seed % 2:
+                a = np.abs(a)  # an unsigned operand
+            grad = rng.standard_normal((6, 5)) if with_grad else None
+            res = alternating_matmul_search(a, b, grad=grad, bits=bits, space=space, rounds=rounds)
+            got = (res.scale_a, res.scale_b, res.params_a, res.params_b, res.metric_history)
+            assert got == alternating_oracle(a, b, grad, bits, space, rounds)
+
     def test_single_candidate_trivial(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 4))
@@ -237,5 +328,6 @@ class TestChannelwiseParams:
         assert err_ms <= err_mm
 
     def test_unknown_method(self):
-        with pytest.raises(InvalidArgument):
-            channelwise_params(np.ones((2, 2)), 8, method="magic")
+        for method in ("magic", "percentile"):
+            with pytest.raises(InvalidArgument):
+                channelwise_params(np.ones((2, 2)), 8, method=method)

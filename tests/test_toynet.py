@@ -195,6 +195,11 @@ class TestPipeline:
         with pytest.raises(InvalidArgument):
             PipelineConfig.from_preset("W2A2")
 
+    def test_report_echoes_calibration_input_count(self, weights, calib):
+        _, report = run_pipeline(calib[:3], weights, PipelineConfig.from_preset("W8A8", seed=0))
+        assert report.config["calibration_size"] == 3
+        assert "percentile_p" not in report.config
+
     def test_mse_metric_variant_runs(self, weights, calib):
         cfg = PipelineConfig.from_preset("W8A8", seed=0, metric="mse")
         plan, report = run_pipeline(calib, weights, cfg)
