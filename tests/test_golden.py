@@ -2,7 +2,9 @@
 
 Every file the CLI writes is a deterministic function of its arguments, so
 the pipeline reports and parameter files, the calibrate outputs and the
-quantize dumps are pinned here byte for byte. A change that alters any of
+quantize dumps are pinned here byte for byte. The module ablation (every
+combination of round-to-nearest and dedicated treatment per module, plus
+the MSE-metric variant) is pinned by the sha256 of the same bytes. A change that alters any of
 them on purpose regenerates the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -13,12 +15,15 @@ and says why in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from ptqkit import io as pio
 from ptqkit.cli import main
+from ptqkit.toynet import PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +58,15 @@ def _cli(*args) -> str:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# module flag -> (round-to-nearest, dedicated treatment)
+ABLATION = {
+    "visual": ("rtn", "dual_region"),
+    "text": ("rtn", "outlier_groups"),
+    "fusion": ("rtn", "search"),
+    "decoder": ("rtn", "search"),
+}
 
 
 def _pipeline(work: Path, preset: str) -> dict[str, bytes]:
@@ -99,12 +113,34 @@ def _calibrate_quantize(work: Path) -> dict[str, bytes]:
     }
 
 
+def _ablation(work: Path) -> dict[str, bytes]:
+    """sha256 of the W4A4 pipeline outputs for each module-mode combination,
+    and of the report text of the MSE-metric variant."""
+    runs = {}
+    for modes in itertools.product(*ABLATION.values()):
+        flags = dict(zip(ABLATION, modes))
+        key = ",".join(f"{k}={v}" for k, v in flags.items())
+        report = work / f"ablation.{key}.report.json"
+        params = work / f"ablation.{key}.params.json"
+        argv = [f"--{k}={v}" for k, v in flags.items()]
+        _cli("pipeline", "--seed", 0, "--preset", "W4A4", *argv, "--out", report, "--params-out", params)
+        runs[key] = {"report_sha256": _sha256(report), "params_sha256": _sha256(params)}
+    weights = ToyNetWeights.seeded(0)
+    inputs = seeded_inputs(0, 32, weights.seq, weights.dim)
+    cfg = PipelineConfig.from_preset("W4A4", seed=0, metric="mse")
+    _, report = run_pipeline(inputs, weights, cfg)
+    text = pio.report_to_text(report).encode()
+    doc = {"pipeline_W4A4": runs, "run_pipeline_W4A4_mse_report_sha256": hashlib.sha256(text).hexdigest()}
+    return {"golden_ablation_seed0.json": (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()}
+
+
 def generate(work: Path) -> dict[str, bytes]:
     """Fixture file name -> bytes, produced by the CLI under `work`."""
     files = {}
     for preset in ("W8A8", "W4A4"):
         files.update(_pipeline(work, preset))
     files.update(_calibrate_quantize(work))
+    files.update(_ablation(work))
     return files
 
 
@@ -123,6 +159,7 @@ def generated(tmp_path_factory):
         "golden_calibrate_seed0_params.json",
         "golden_calibrate_seed0_report.json",
         "golden_quantize_seed0.json",
+        "golden_ablation_seed0.json",
     ],
 )
 def test_bytes_match_golden(generated, name):
