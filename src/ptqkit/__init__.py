@@ -73,6 +73,7 @@ from .tensor import (
 )
 from .toynet import (
     HOOKS,
+    MODULES,
     PRESETS,
     ActivationTrace,
     PipelineConfig,

@@ -26,12 +26,14 @@ from .errors import InvalidArgument, QuantizationError, ShapeError
 from .generate import KINDS as SYNTH_KINDS
 from .generate import synth
 from .metrics import mask_metrics
-from .outlier_groups import ThresholdStrategy, calibrate_grouped
+from .outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
-from .search import SearchSpace, mse_grid_search, percentile_calibrate
+from .search import DEFAULT_PERCENTILE, SearchSpace, mse_grid_search, percentile_calibrate
 from .tensor import Tensor
-from .toynet import PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
+from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
 from .uniform import error_stats
+
+DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -67,10 +69,13 @@ def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
 def _number(convert, key: str, default, *sources: dict):
     """`key` from the first source that has it (else `default`), as a number.
 
-    An int is never made by truncating a fractional value.
+    An int is never made by truncating a fractional value, nor a number from
+    a bool.
     """
     value = next((src[key] for src in sources if key in src), default)
     try:
+        if isinstance(value, bool):  # int(True) == 1
+            raise TypeError
         number = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidArgument(f"{key} must be a number, got {value!r}") from None
@@ -80,11 +85,12 @@ def _number(convert, key: str, default, *sources: dict):
 
 
 def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
-    bits = _number(int, "bits", 8, spec, cfg)
+    """The quantizer `spec` asks for; unset settings take the calibrators' defaults."""
+    bits = _number(int, "bits", DEFAULT_BITS, spec, cfg)
     space = SearchSpace(
-        _number(float, "alpha", 0.01, cfg),
-        _number(float, "beta", 1.2, cfg),
-        _number(int, "n_candidates", 100, cfg),
+        _number(float, "alpha", SearchSpace.alpha, cfg),
+        _number(float, "beta", SearchSpace.beta, cfg),
+        _number(int, "n_candidates", SearchSpace.n_candidates, cfg),
     )
     kind = spec.get("kind", "uniform")
     if kind == "uniform":
@@ -94,7 +100,7 @@ def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
         if method == "mse":
             return mse_grid_search(stacked, bits, scheme, signed, space)
         if method == "percentile":
-            p = _number(float, "percentile", 99.9, spec, cfg)
+            p = _number(float, "percentile", DEFAULT_PERCENTILE, spec, cfg)
             return percentile_calibrate(stacked, bits, p, scheme, signed)
         raise QuantizationError(f"unknown uniform method {method!r}")
     if kind == "dual_region":
@@ -106,15 +112,15 @@ def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
             raise InvalidArgument(f"full_range must be true or false, got {full_range!r}")
         return calibrate_dual_region(stacked, region, bits, space=space, full_range=full_range)
     if kind == "outlier_groups":
+        default = ThresholdStrategy()
         strategy = ThresholdStrategy(
-            kind=spec.get("strategy", cfg.get("strategy", "mean_3sd")),
-            mad_multiplier=_number(float, "mad_multiplier", 3.0, spec),
-            mean_multiplier=_number(float, "mean_multiplier", 1.0, spec),
-            confidence_level=_number(float, "confidence_level", 0.99, spec),
+            kind=spec.get("strategy", cfg.get("strategy", default.kind)),
+            mad_multiplier=_number(float, "mad_multiplier", default.mad_multiplier, spec),
+            mean_multiplier=_number(float, "mean_multiplier", default.mean_multiplier, spec),
+            confidence_level=_number(float, "confidence_level", default.confidence_level, spec),
         )
-        return calibrate_grouped(
-            stacked, bits, strategy, _number(int, "max_iters", 3, spec, cfg), space
-        )
+        max_iters = _number(int, "max_iters", DEFAULT_MAX_ITERS, spec, cfg)
+        return calibrate_grouped(stacked, bits, strategy, max_iters, space)
     raise QuantizationError(f"unknown quantizer kind {kind!r}")
 
 
@@ -127,7 +133,7 @@ def _cmd_calibrate(args) -> int:
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:
         raise QuantizationError("config must define a non-empty 'hooks' mapping")
     dumps_dir = Path(args.dumps)
-    doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", 8)})
+    doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", DEFAULT_BITS)})
     reports: dict[str, HookReport] = {}
     for hook, spec in sorted(hooks_cfg.items()):
         if not isinstance(spec, dict):
@@ -198,14 +204,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = PipelineConfig.from_preset(
-        args.preset,
-        seed=args.seed,
-        visual=args.visual,
-        text=args.text,
-        fusion=args.fusion,
-        decoder=args.decoder,
-    )
+    modes = {module: getattr(args, module) for module in MODULES}
+    cfg = PipelineConfig.from_preset(args.preset, seed=args.seed, **modes)
     weights = ToyNetWeights.seeded(args.seed)
     inputs = seeded_inputs(args.seed, args.calib_count, weights.seq, weights.dim)
     plan, report = run_pipeline(inputs, weights, cfg)
@@ -259,10 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", default="W8A8", choices=sorted(PRESETS))
     p.add_argument("--calib-count", type=int, default=32)
-    p.add_argument("--visual", default="dual_region", choices=("rtn", "dual_region"))
-    p.add_argument("--text", default="outlier_groups", choices=("rtn", "outlier_groups"))
-    p.add_argument("--fusion", default="search", choices=("rtn", "search"))
-    p.add_argument("--decoder", default="search", choices=("rtn", "search"))
+    for module, modes in MODULES.items():
+        p.add_argument(f"--{module}", default=getattr(PipelineConfig, module), choices=modes)
     p.add_argument("--out", help="write the report here as well as stdout")
     p.add_argument("--params-out", help="write the calibrated parameter file")
     p.set_defaults(func=_cmd_pipeline)

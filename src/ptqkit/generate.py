@@ -12,27 +12,24 @@ from .tensor import Tensor
 
 KINDS = ("softmax", "gelu", "outlier")
 
+TEMPERATURE = 0.25  # softmax logit sharpening
+GELU_STD = 1.5  # std of the GeLU pre-activations
+OUTLIER_FRACTION = 0.005  # share of outlier entries
+OUTLIER_RANGE = (20.0, 50.0)  # outlier magnification
+
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-def synth(
-    kind: str,
-    shape: tuple[int, ...],
-    seed: int,
-    temperature: float = 0.25,
-    gelu_std: float = 1.5,
-    outlier_fraction: float = 0.005,
-    outlier_range: tuple[float, float] = (20.0, 50.0),
-) -> Tensor:
+def synth(kind: str, shape: tuple[int, ...], seed: int) -> Tensor:
     """Generate one seeded tensor of the requested activation shape.
 
     softmax: rows (last axis) are the softmax of Gaussian logits sharpened
-    by `temperature`, so mass clusters near 0 with a few entries near 1.
-    gelu: GeLU applied to N(0, gelu_std^2) draws, bounded below by the GeLU
-    minimum (~ -0.17). outlier: standard normal with a small fraction of
-    entries scaled into the 20-50x range.
+    by TEMPERATURE, so mass clusters near 0 with a few entries near 1.
+    gelu: GeLU applied to N(0, GELU_STD^2) draws, bounded below by the GeLU
+    minimum (~ -0.17). outlier: standard normal with OUTLIER_FRACTION of the
+    entries scaled by factors drawn from OUTLIER_RANGE (20-50x).
     """
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}")
@@ -41,15 +38,15 @@ def synth(
         raise InvalidArgument(f"shape must have positive dimensions, got {shape}")
     rng = np.random.default_rng(seed)
     if kind == "softmax":
-        logits = rng.standard_normal(shape) / temperature
+        logits = rng.standard_normal(shape) / TEMPERATURE
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return Tensor.from_array(e / e.sum(axis=-1, keepdims=True))
     if kind == "gelu":
-        return Tensor.from_array(_gelu(rng.normal(0.0, gelu_std, shape)))
+        return Tensor.from_array(_gelu(rng.normal(0.0, GELU_STD, shape)))
     values = rng.standard_normal(shape)
     flat = values.reshape(-1)
-    count = max(1, round(outlier_fraction * flat.size))
+    count = max(1, round(OUTLIER_FRACTION * flat.size))
     idx = rng.choice(flat.size, size=count, replace=False)
-    flat[idx] *= rng.uniform(*outlier_range, size=count)
+    flat[idx] *= rng.uniform(*OUTLIER_RANGE, size=count)
     return Tensor.from_array(values)

@@ -24,6 +24,8 @@ from .uniform import QuantParams, dequantize_array, fake_quant_array, quantize_a
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
+DEFAULT_MAX_ITERS = 3  # calibrate_grouped's cap on threshold splits
+
 
 @dataclass(frozen=True)
 class ThresholdStrategy:
@@ -44,6 +46,10 @@ class ThresholdStrategy:
             raise InvalidArgument(f"kind must be one of {STRATEGY_KINDS}")
         if not 0.0 < self.confidence_level < 1.0:
             raise InvalidArgument("confidence_level must be in (0, 1)")
+        if not (math.isfinite(self.mean_multiplier) and self.mean_multiplier > 0.0):
+            raise InvalidArgument(f"need a finite mean_multiplier > 0, got {self.mean_multiplier}")
+        if not (math.isfinite(self.mad_multiplier) and self.mad_multiplier >= 0.0):
+            raise InvalidArgument(f"need a finite mad_multiplier >= 0, got {self.mad_multiplier}")
 
 
 def _threshold_info(magnitudes: np.ndarray, strategy: ThresholdStrategy) -> tuple[float, bool]:
@@ -130,16 +136,16 @@ def calibrate_grouped(
     samples: Sequence[TensorLike] | TensorLike,
     bits: int,
     strategy: ThresholdStrategy | None = None,
-    max_iters: int = 3,
+    max_iters: int = DEFAULT_MAX_ITERS,
     space: SearchSpace | None = None,
-    scheme: str = "asymmetric",
 ) -> GroupedQuantParams:
     """Iterative inlier/outlier partition with per-group grid search.
 
     Each iteration thresholds the current set's magnitudes (a degenerate MAD
     falls back to mean_3sd for that iteration and is recorded), searches
-    uniform parameters for the inliers, and continues on the outliers. The
-    residual after the iteration cap becomes the final, unbounded group.
+    asymmetric uniform parameters for the inliers, and continues on the
+    outliers. The residual after the iteration cap, or after a threshold
+    that leaves no inliers, becomes the final, unbounded group.
     """
     if max_iters < 1:
         raise InvalidArgument("max_iters must be >= 1")
@@ -160,18 +166,13 @@ def calibrate_grouped(
             fallbacks.append(iteration)
             tau, _ = _threshold_info(magnitudes, ThresholdStrategy())  # mean_3sd
         mask = magnitudes <= tau
-        inliers = current[mask]
-        outliers = current[~mask]
-        params = mse_grid_search(inliers, bits, scheme=scheme, signed=False, space=space)
-        if outliers.size == 0:
-            groups.append(QuantGroup(upper=math.inf, params=params))
-            current = outliers
-            break
+        if mask.all() or not mask.any():
+            break  # a split with an empty side: the rest is the final group
+        params = mse_grid_search(current[mask], bits, "asymmetric", signed=False, space=space)
         groups.append(QuantGroup(upper=float(tau), params=params))
-        current = outliers
-    if current.size:
-        params = mse_grid_search(current, bits, scheme=scheme, signed=False, space=space)
-        groups.append(QuantGroup(upper=math.inf, params=params))
+        current = current[~mask]
+    params = mse_grid_search(current, bits, "asymmetric", signed=False, space=space)
+    groups.append(QuantGroup(upper=math.inf, params=params))
     return GroupedQuantParams(
         bits=bits,
         groups=tuple(groups),

@@ -26,6 +26,9 @@ from .uniform import (
 MetricFn = Callable[[np.ndarray, np.ndarray], float]
 T = TypeVar("T")
 
+DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
+DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
+
 
 def first_min(candidates: Iterable[T], score: Callable[[T], float]) -> tuple[T | None, float]:
     """The lowest-scoring candidate and its score, reading `candidates` once.
@@ -174,7 +177,7 @@ def mse_grid_search(
 def percentile_calibrate(
     samples: TensorLike,
     bits: int,
-    p: float = 99.9,
+    p: float = DEFAULT_PERCENTILE,
     scheme: str = "asymmetric",
     signed: bool = False,
 ) -> QuantParams:
@@ -215,7 +218,7 @@ def alternating_matmul_search(
     grad: TensorLike | None = None,
     bits: int = 8,
     space: SearchSpace | None = None,
-    rounds: int = 3,
+    rounds: int = DEFAULT_ROUNDS,
 ) -> MatmulScaleSearchResult:
     """Coordinate-descent search for the operand scales of a matrix product.
 

@@ -16,7 +16,7 @@ gradient-weighted calibration metrics consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,9 +26,15 @@ from scipy.special import erf
 from .dual_region import DualRegionParams, calibrate_dual_region
 from .errors import InvalidArgument, ShapeError
 from .generate import _gelu
-from .outlier_groups import GroupedQuantParams, ThresholdStrategy, calibrate_grouped
+from .outlier_groups import (
+    DEFAULT_MAX_ITERS,
+    GroupedQuantParams,
+    ThresholdStrategy,
+    calibrate_grouped,
+)
 from .report import CalibrationReport, HookReport
 from .search import (
+    DEFAULT_ROUNDS,
     SearchSpace,
     alternating_matmul_search,
     channelwise_params,
@@ -65,6 +71,20 @@ QUANTIZED_HOOKS = (
 )
 
 PRESETS = {"W8A8": (8, 8), "W6A6": (6, 6), "W4A8": (4, 8), "W4A4": (4, 4)}
+
+RTN = "rtn"
+
+# PipelineConfig field -> its modes: RTN (min/max round-to-nearest), then the
+# module's dedicated treatment, which is the default. visual "dual_region":
+# region quantizers plus alternating matmul scale search; text
+# "outlier_groups"; fusion/decoder "search": grid-searched scales and
+# channel-wise weights.
+MODULES = {
+    "visual": (RTN, "dual_region"),
+    "text": (RTN, "outlier_groups"),
+    "fusion": (RTN, "search"),
+    "decoder": (RTN, "search"),
+}
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -131,11 +151,16 @@ class ToyNetWeights:
     conv_w: np.ndarray
     conv_b: np.ndarray
     bn: BNParams
-    seq: int = 8
-    dim: int = 16
-    hidden: int = 32
-    conv_channels: int = 4
-    attn_temperature: float = 0.25
+
+    # The fixed architecture: (seq, dim) inputs, the MLP width, the decoder
+    # channels, the softmax sharpening, and the text block's outlier columns.
+    seq = 8
+    dim = 16
+    hidden = 32
+    conv_channels = 4
+    attn_temperature = 0.25
+    outlier_count = 2
+    outlier_range = (20.0, 50.0)
 
     @property
     def conv_hw(self) -> tuple[int, int]:
@@ -146,23 +171,14 @@ class ToyNetWeights:
         return h, spatial // h
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        seq: int = 8,
-        dim: int = 16,
-        hidden: int = 32,
-        conv_channels: int = 4,
-        outlier_count: int = 2,
-        outlier_range: tuple[float, float] = (20.0, 50.0),
-        attn_temperature: float = 0.25,
-    ) -> "ToyNetWeights":
+    def seeded(cls, seed: int) -> "ToyNetWeights":
         rng = np.random.default_rng([seed, 0])
+        dim, hidden, conv_channels = cls.dim, cls.hidden, cls.conv_channels
         s = 1.0 / math.sqrt(dim)
         w_text = rng.normal(0.0, s, (dim, dim))
         b_text = rng.normal(0.0, 0.05, dim)
-        cols = tuple(int(c) for c in rng.choice(dim, size=outlier_count, replace=False))
-        factors = tuple(float(f) for f in rng.uniform(*outlier_range, size=outlier_count))
+        cols = tuple(int(c) for c in rng.choice(dim, size=cls.outlier_count, replace=False))
+        factors = tuple(float(f) for f in rng.uniform(*cls.outlier_range, size=cls.outlier_count))
         for col, factor in zip(cols, factors):
             w_text[:, col] *= factor
             b_text[col] *= factor
@@ -189,11 +205,6 @@ class ToyNetWeights:
                 running_var=rng.uniform(0.5, 1.5, conv_channels),
                 eps=1e-5,
             ),
-            seq=seq,
-            dim=dim,
-            hidden=hidden,
-            conv_channels=conv_channels,
-            attn_temperature=attn_temperature,
         )
 
 
@@ -218,36 +229,24 @@ class QuantPlan:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Module-level strategy switches plus the shared search settings.
+    """Bit-widths, one MODULES mode per module, and the search metric.
 
-    Each module accepts "rtn" (min/max round-to-nearest) or its dedicated
-    treatment: visual "dual_region" (region quantizers plus alternating
-    matmul scale search), text "outlier_groups", fusion/decoder "search"
-    (grid-searched scales, channel-wise weights).
+    Every search runs with its calibrator's default settings.
     """
 
     w_bits: int = 8
     a_bits: int = 8
-    visual: str = "dual_region"
-    text: str = "outlier_groups"
-    fusion: str = "search"
-    decoder: str = "search"
-    alpha: float = 0.01
-    beta: float = 1.2
-    n_candidates: int = 100
-    rounds: int = 3
-    strategy: ThresholdStrategy = field(default_factory=ThresholdStrategy)
-    max_iters: int = 3
+    visual: str = MODULES["visual"][1]
+    text: str = MODULES["text"][1]
+    fusion: str = MODULES["fusion"][1]
+    decoder: str = MODULES["decoder"][1]
     metric: str = "hessian"  # or "mse"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.visual not in ("rtn", "dual_region"):
-            raise InvalidArgument(f"visual mode {self.visual!r}")
-        if self.text not in ("rtn", "outlier_groups"):
-            raise InvalidArgument(f"text mode {self.text!r}")
-        if self.fusion not in ("rtn", "search") or self.decoder not in ("rtn", "search"):
-            raise InvalidArgument("fusion/decoder mode must be 'rtn' or 'search'")
+        for module, modes in MODULES.items():
+            if getattr(self, module) not in modes:
+                raise InvalidArgument(f"{module} mode {getattr(self, module)!r} not in {modes}")
         if self.metric not in ("hessian", "mse"):
             raise InvalidArgument(f"metric {self.metric!r}")
 
@@ -258,26 +257,23 @@ class PipelineConfig:
         w_bits, a_bits = PRESETS[preset]
         return cls(w_bits=w_bits, a_bits=a_bits, **overrides)
 
-    @property
-    def space(self) -> SearchSpace:
-        return SearchSpace(self.alpha, self.beta, self.n_candidates)
+    def mode_of(self, name: str) -> str:
+        """The mode of the module that owns hook or weight `name`.
+
+        Names start with their module's MODULES key, except the visual
+        block's, which start with "attn" or "mlp".
+        """
+        block = name.split(".", 1)[0]
+        return getattr(self, "visual" if block in ("attn", "mlp") else block)
 
     def to_dict(self) -> dict:
+        """The fields plus the calibrators' default search settings."""
         return {
-            "w_bits": self.w_bits,
-            "a_bits": self.a_bits,
-            "visual": self.visual,
-            "text": self.text,
-            "fusion": self.fusion,
-            "decoder": self.decoder,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "n_candidates": self.n_candidates,
-            "rounds": self.rounds,
-            "strategy": self.strategy.kind,
-            "max_iters": self.max_iters,
-            "metric": self.metric,
-            "seed": self.seed,
+            **asdict(self),
+            **asdict(SearchSpace()),
+            "rounds": DEFAULT_ROUNDS,
+            "strategy": ThresholdStrategy.kind,
+            "max_iters": DEFAULT_MAX_ITERS,
         }
 
 
@@ -407,12 +403,6 @@ def _minmax_params(arr: np.ndarray, bits: int) -> QuantParams:
     return make_params(lo, hi, bits, "asymmetric", signed=False)
 
 
-def _weight_minmax(arr: np.ndarray, bits: int) -> QuantParams:
-    lo = float(arr.min())
-    hi = float(arr.max())
-    return make_params(lo, hi, bits, "symmetric", signed=True)
-
-
 def run_pipeline(
     calib_inputs: Sequence[TensorLike],
     w: ToyNetWeights,
@@ -434,8 +424,11 @@ def run_pipeline(
     acts = {h: np.stack([t.activations[h] for t in traces]) for h in HOOKS}
     grads = {h: np.stack([t.gradients[h] for t in traces]) for h in HOOKS}
 
+    # Decoder activations are calibrated on the normalized pre-activation,
+    # which is what the folded conv emits at inference time.
+    acts["decoder.pre_bn"] = _bn_apply(acts["decoder.pre_bn"], w.bn)
+
     plan = QuantPlan()
-    space = cfg.space
     use_hessian = cfg.metric == "hessian"
 
     # Decoder: fold BN first; weight calibration sees the folded kernel.
@@ -452,21 +445,14 @@ def run_pipeline(
         "fusion.w": w.w_fuse,
         "decoder.conv_w": folded_w,
     }
-    weight_modes = {
-        "attn.w_q": (cfg.visual, 1),
-        "attn.w_k": (cfg.visual, 1),
-        "attn.w_v": (cfg.visual, 1),
-        "mlp.w1": (cfg.visual, 1),
-        "mlp.w2": (cfg.visual, 1),
-        "text.w": (cfg.text, 1),
-        "fusion.w": (cfg.fusion, 1),
-        "decoder.conv_w": (cfg.decoder, 0),
-    }
-    for name, (mode, axis) in weight_modes.items():
-        arr = weight_arrays[name]
-        if mode == "rtn":
-            plan.weight_params[name] = _weight_minmax(arr, cfg.w_bits)
+    for name, arr in weight_arrays.items():
+        if cfg.mode_of(name) == RTN:
+            lo, hi = float(arr.min()), float(arr.max())
+            plan.weight_params[name] = make_params(lo, hi, cfg.w_bits, "symmetric", signed=True)
         else:
+            # per output channel: the columns of a (in, out) linear weight,
+            # the first axis of an (O, C, 3, 3) conv kernel
+            axis = 0 if arr.ndim == 4 else 1
             plan.weight_params[name] = channelwise_params(
                 arr,
                 cfg.w_bits,
@@ -474,21 +460,19 @@ def run_pipeline(
                 method="mse",
                 scheme="symmetric",
                 signed=True,
-                space=space,
             )
 
     a_bits = cfg.a_bits
-    if cfg.visual == "rtn":
-        for hookname in ("attn.q", "attn.k_t", "attn.v", "attn.softmax", "mlp.gelu"):
+    for hookname in QUANTIZED_HOOKS:
+        if cfg.mode_of(hookname) == RTN:
             plan.hooks[hookname] = _minmax_params(acts[hookname], a_bits)
-    else:
+
+    if cfg.visual != RTN:
         qk = alternating_matmul_search(
             acts["attn.q"],
             acts["attn.k_t"],
             grad=grads["attn.scores"] if use_hessian else None,
             bits=a_bits,
-            space=space,
-            rounds=cfg.rounds,
         )
         plan.hooks["attn.q"] = qk.params_a
         plan.hooks["attn.k_t"] = qk.params_b
@@ -497,58 +481,43 @@ def run_pipeline(
             acts["attn.v"],
             grad=grads["attn.out"] if use_hessian else None,
             bits=a_bits,
-            space=space,
-            rounds=cfg.rounds,
         )
         # The softmax hook owns its region quantizer, so only the value-side
         # scale of this search is used.
         plan.hooks["attn.v"] = pv.params_b
         softmax_metric = hessian_metric_fn(grads["attn.softmax"]) if use_hessian else None
         plan.hooks["attn.softmax"] = calibrate_dual_region(
-            acts["attn.softmax"], "softmax", a_bits, metric=softmax_metric, space=space
+            acts["attn.softmax"], "softmax", a_bits, metric=softmax_metric
         )
         gelu_metric = hessian_metric_fn(grads["mlp.gelu"]) if use_hessian else None
         plan.hooks["mlp.gelu"] = calibrate_dual_region(
-            acts["mlp.gelu"], "gelu", a_bits, metric=gelu_metric, space=space
+            acts["mlp.gelu"], "gelu", a_bits, metric=gelu_metric
         )
 
-    if cfg.text == "rtn":
-        plan.hooks["text.out"] = _minmax_params(acts["text.out"], a_bits)
-    else:
-        plan.hooks["text.out"] = calibrate_grouped(
-            acts["text.out"], a_bits, cfg.strategy, cfg.max_iters, space=space
-        )
+    if cfg.text != RTN:
+        plan.hooks["text.out"] = calibrate_grouped(acts["text.out"], a_bits)
 
-    if cfg.fusion == "rtn":
-        plan.hooks["fusion.out"] = _minmax_params(acts["fusion.out"], a_bits)
-    else:
+    if cfg.fusion != RTN:
         plan.hooks["fusion.out"] = mse_grid_search(
-            acts["fusion.out"], a_bits, "asymmetric", False, space
+            acts["fusion.out"], a_bits, "asymmetric", False
         )
 
-    # Decoder activations are calibrated on the normalized pre-activation,
-    # which is what the folded conv emits at inference time.
-    decoder_acts = np.stack([_bn_apply(t.activations["decoder.pre_bn"], w.bn) for t in traces])
-    if cfg.decoder == "rtn":
-        plan.hooks["decoder.pre_bn"] = _minmax_params(decoder_acts, a_bits)
-    else:
+    if cfg.decoder != RTN:
         # calibrate channel-first so the stored axis matches the (C, H, W)
         # activation layout seen at inference time
         plan.hooks["decoder.pre_bn"] = channelwise_params(
-            decoder_acts.transpose(1, 0, 2, 3),
+            acts["decoder.pre_bn"].transpose(1, 0, 2, 3),
             a_bits,
             axis=0,
             method="mse",
             scheme="asymmetric",
             signed=False,
-            space=space,
         )
 
     hook_reports: dict[str, HookReport] = {}
     for hookname, quantizer in plan.hooks.items():
-        dumps = decoder_acts if hookname == "decoder.pre_bn" else acts[hookname]
-        recon = np.stack([quantizer.fake(d) for d in dumps])
-        hook_reports[hookname] = HookReport(*error_stats(dumps, recon))
+        recon = np.stack([quantizer.fake(d) for d in acts[hookname]])
+        hook_reports[hookname] = HookReport(*error_stats(acts[hookname], recon))
     weight_reports = {
         name: HookReport(*error_stats(arr, plan.weight_params[name].fake(arr)))
         for name, arr in weight_arrays.items()
@@ -576,7 +545,7 @@ def run_pipeline(
     return plan, report
 
 
-def seeded_inputs(seed: int, count: int, seq: int = 8, dim: int = 16) -> list[np.ndarray]:
+def seeded_inputs(seed: int, count: int, seq: int, dim: int) -> list[np.ndarray]:
     """Deterministic calibration inputs drawn from a seed-derived stream.
 
     Roughly half the token rows are scaled down, mixing near-uniform

@@ -1,11 +1,14 @@
+import argparse
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ptqkit import Tensor, read_code_dump, read_dump, write_dump
-from ptqkit.cli import main
+from ptqkit import MODULES, SearchSpace, Tensor, ThresholdStrategy, read_code_dump, read_dump, write_dump
+from ptqkit.cli import build_parser, main
+from ptqkit.outlier_groups import DEFAULT_MAX_ITERS
 
 
 def run_cli(capsys, *args):
@@ -141,7 +144,7 @@ class TestCalibrateQuantizeEvaluate:
         "key,value",
         [
             ("bits", "eight"), ("alpha", "small"), ("beta", [1.2]), ("n_candidates", "many"),
-            ("n_candidates", None), ("n_candidates", 2.5),
+            ("n_candidates", None), ("n_candidates", 2.5), ("n_candidates", True), ("alpha", False),
         ],
     )
     def test_non_numeric_config_value_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, key, value):
@@ -168,6 +171,40 @@ class TestCalibrateQuantizeEvaluate:
             )
             assert code == 0
             texts.append(params.read_text())
+        assert texts[0] == texts[1]
+
+    def test_zero_mean_multiplier_is_one_line(self, tmp_path, capsys, dumps_dir, config_path):
+        cfg = json.loads(config_path.read_text())
+        cfg["hooks"]["text"]["mean_multiplier"] = 0
+        config_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir),
+            "--out", str(tmp_path / "p.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "mean_multiplier" in err
+
+    def test_unset_settings_are_the_calibrators_defaults(self, tmp_path, capsys, dumps_dir, config_path):
+        cfg = json.loads(config_path.read_text())
+        for key in ("alpha", "beta", "n_candidates"):
+            del cfg[key]
+        del cfg["hooks"]["text"]["max_iters"]
+        spelled = {
+            **cfg,
+            **asdict(SearchSpace()),
+            "max_iters": DEFAULT_MAX_ITERS,
+            "strategy": ThresholdStrategy().kind,
+        }
+        texts = []
+        for i, doc in enumerate((cfg, spelled)):
+            config_path.write_text(json.dumps(doc))
+            params = tmp_path / f"p{i}.json"
+            code, _, _ = run_cli(
+                capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params)
+            )
+            assert code == 0
+            texts.append(params.read_bytes())
         assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("full_range,scale_r2", [(True, 1 / 127), (False, 1 / 255), ("no", None)])
@@ -216,6 +253,11 @@ class TestEvaluateMasks:
 
 
 class TestPipelineCommand:
+    def test_module_flags_are_the_modules_table(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: (a.choices, a.default) for a in sub.choices["pipeline"]._actions if a.dest in MODULES}
+        assert flags == {m: (modes, modes[1]) for m, modes in MODULES.items()}
+
     def test_deterministic_reports(self, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

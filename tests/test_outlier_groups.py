@@ -62,6 +62,18 @@ class TestComputeThreshold:
         with pytest.raises(InvalidArgument):
             ThresholdStrategy("weird")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("mean_multiplier", 0.0), ("mean_multiplier", -1.0), ("mean_multiplier", math.inf),
+            ("mean_multiplier", math.nan), ("mad_multiplier", -0.5), ("mad_multiplier", math.inf),
+            ("mad_multiplier", math.nan),
+        ],
+    )
+    def test_multiplier_out_of_range_rejected(self, field, value):
+        with pytest.raises(InvalidArgument):
+            ThresholdStrategy("mean_division", **{field: value})
+
 
 class TestPartition:
     def test_all_inliers(self):
@@ -168,6 +180,35 @@ class TestCalibration:
         params = calibrate_grouped(t, 8, ThresholdStrategy("none"))
         assert len(params.groups) == 1
 
+    def test_threshold_without_inliers_ends_the_split(self):
+        x = np.random.default_rng(0).standard_normal(256)
+        params = calibrate_grouped(x, 8, ThresholdStrategy("mean_division", mean_multiplier=0.2), max_iters=3)
+        # 0.2 * the mean of the last group's magnitudes lies below their
+        # minimum, so its split would leave no inliers and was not made
+        last = np.abs(x[np.abs(x) > params.groups[-2].upper])
+        assert 0.2 * last.mean() < last.min()
+        assert len(params.groups) < 4
+        assert params.groups[-1].upper == math.inf
+
+    @given(
+        st.sampled_from(["mean_3sd", "mean_division", "median_mad", "confidence", "none"]),
+        st.floats(1e-3, 10.0),
+        st.floats(0.0, 10.0),
+        st.floats(1e-3, 0.999),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_thresholds_increase_for_every_strategy(self, kind, mean_mult, mad_mult, level, max_iters, seed):
+        strategy = ThresholdStrategy(kind, mad_mult, mean_mult, level)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(128) * rng.uniform(0.01, 100.0)
+        x[rng.random(128) < 0.05] *= 30.0
+        params = calibrate_grouped(x, int(rng.integers(2, 9)), strategy, max_iters)
+        uppers = [g.upper for g in params.groups]
+        assert all(b > a for a, b in zip(uppers, uppers[1:]))
+        assert uppers[-1] == math.inf
+
 
 class TestCodec:
     @pytest.fixture()
@@ -204,6 +245,18 @@ class TestCodec:
         recon = fake_grouped(x, params)
         expected = [grouped_dequantize(*grouped_quantize(float(v), params), params) for v in x]
         assert recon.tolist() == pytest.approx(expected)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_dequantized_codes_equal_fake_bit_for_bit(self, seed):
+        # fake itself is not idempotent: a reconstruction can land above its
+        # group's upper threshold and re-quantize in the next group
+        rng = np.random.default_rng(seed)
+        params = calibrate_grouped(synth("outlier", (16, 32), seed=seed), int(rng.integers(2, 9)))
+        x = rng.standard_normal(96) * rng.uniform(1.0, 60.0)
+        groups, codes = params.encode(x)
+        got = [grouped_dequantize(int(g), int(c), params) for g, c in zip(groups, codes)]
+        assert np.array(got).tobytes() == params.fake(x).tobytes()
 
 
 class TestDominance:

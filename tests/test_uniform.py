@@ -149,6 +149,21 @@ class TestFakeQuant:
         x = [-3.0, 0.0, 7.0]
         assert fake_quant(x, p).data.tolist() == x
 
+    @given(st.integers(0, 10_000), st.sampled_from(["symmetric", "asymmetric"]), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_fake_is_idempotent(self, seed, scheme, signed, per_channel):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 24)) * rng.uniform(0.01, 100.0)
+        bits = int(rng.integers(2, 17))
+        # clip ranges both narrower and wider than the data
+        ranges = [(float(r.min()) * k, float(r.max()) * k) for r, k in zip(x, rng.uniform(0.5, 1.5, 4))]
+        if per_channel:
+            p = make_channel_params(ranges, bits, axis=0, scheme=scheme, signed=signed)
+        else:
+            p = make_params(*ranges[0], bits, scheme, signed)
+        once = p.fake(x)
+        assert np.array_equal(p.fake(once), once)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_idempotent_bit_exact(self, seed):
