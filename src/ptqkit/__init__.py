@@ -44,12 +44,10 @@ from .outlier_groups import (
     QuantGroup,
     ThresholdStrategy,
     calibrate_grouped,
-    compute_threshold,
     fake_grouped,
     group_index,
     grouped_dequantize,
     grouped_quantize,
-    partition_by_threshold,
 )
 from .report import CalibrationReport, HookReport
 from .search import (
@@ -57,19 +55,14 @@ from .search import (
     SearchSpace,
     alternating_matmul_search,
     channelwise_params,
-    hessian_metric,
-    hessian_metric_fn,
     mse_grid_search,
-    mse_metric,
     percentile_calibrate,
+    sq_error,
 )
 from .tensor import (
-    SummaryStats,
     Tensor,
     as_tensor,
-    channel_minmax,
     percentile,
-    summary_stats,
 )
 from .toynet import (
     HOOKS,
@@ -86,16 +79,12 @@ from .toynet import (
 )
 from .uniform import (
     BNParams,
-    QuantErrorStats,
     QuantParams,
     QuantizedTensor,
     dequantize,
-    fake_quant,
     fake_quant_array,
     fold_batchnorm,
-    make_channel_params,
     make_params,
-    quant_error,
     quantize,
 )
 

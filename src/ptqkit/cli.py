@@ -85,12 +85,17 @@ def _number(convert, key: str, default, *sources: dict):
 
 
 def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
-    """The quantizer `spec` asks for; unset settings take the calibrators' defaults."""
+    """The quantizer `spec` asks for.
+
+    Every number, and the outlier-group strategy, is read from the hook's
+    spec first, then from the config; unset settings take the calibrators'
+    defaults.
+    """
     bits = _number(int, "bits", DEFAULT_BITS, spec, cfg)
     space = SearchSpace(
-        _number(float, "alpha", SearchSpace.alpha, cfg),
-        _number(float, "beta", SearchSpace.beta, cfg),
-        _number(int, "n_candidates", SearchSpace.n_candidates, cfg),
+        _number(float, "alpha", SearchSpace.alpha, spec, cfg),
+        _number(float, "beta", SearchSpace.beta, spec, cfg),
+        _number(int, "n_candidates", SearchSpace.n_candidates, spec, cfg),
     )
     kind = spec.get("kind", "uniform")
     if kind == "uniform":
@@ -115,9 +120,9 @@ def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
         default = ThresholdStrategy()
         strategy = ThresholdStrategy(
             kind=spec.get("strategy", cfg.get("strategy", default.kind)),
-            mad_multiplier=_number(float, "mad_multiplier", default.mad_multiplier, spec),
-            mean_multiplier=_number(float, "mean_multiplier", default.mean_multiplier, spec),
-            confidence_level=_number(float, "confidence_level", default.confidence_level, spec),
+            mad_multiplier=_number(float, "mad_multiplier", default.mad_multiplier, spec, cfg),
+            mean_multiplier=_number(float, "mean_multiplier", default.mean_multiplier, spec, cfg),
+            confidence_level=_number(float, "confidence_level", default.confidence_level, spec, cfg),
         )
         max_iters = _number(int, "max_iters", DEFAULT_MAX_ITERS, spec, cfg)
         return calibrate_grouped(stacked, bits, strategy, max_iters, space)

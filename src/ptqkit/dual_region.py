@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .search import MetricFn, SearchSpace, first_min, mse_grid_search, mse_metric
+from .errors import InvalidArgument, ShapeError
+from .search import SearchSpace, first_min, mse_grid_search, sq_error
 from .tensor import TensorLike, _as_f64
 
 KINDS = ("softmax", "gelu")
@@ -58,6 +57,10 @@ class DualRegionParams:
             raise InvalidArgument(f"scale_r2 must be finite and positive, got {self.scale_r2}")
         if self.shift_m < 0:
             raise InvalidArgument("shift_m must be >= 0")
+        if self.kind == "softmax" and self.shift_m < 1:
+            # shift 0 gives R2 the R1 scale: R2 codes reconstruct below the
+            # boundary and re-encode in R1, so codes are not stable
+            raise InvalidArgument("softmax shift_m must be >= 1")
         if self.kind == "softmax" and not 0.0 < self.boundary < 1.0:
             raise InvalidArgument(
                 f"softmax region boundary {self.boundary} must lie in (0, 1)"
@@ -198,21 +201,18 @@ def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     )
 
 
-def _stack(samples) -> np.ndarray:
-    if isinstance(samples, (list, tuple)):
-        return np.stack([_as_f64(s) for s in samples])
-    return _as_f64(samples)
-
-
 def calibrate_dual_region(
-    samples: Sequence[TensorLike] | TensorLike,
+    samples: TensorLike,
     kind: str,
     bits: int,
-    metric: MetricFn | None = None,
+    grad: TensorLike | None = None,
     space: SearchSpace | None = None,
     full_range: bool = True,
 ) -> DualRegionParams:
     """Search the region scales against a calibration set.
+
+    Candidates are scored by `sq_error`, weighted by `grad` (one gradient
+    per sample, of the samples' shape) when given.
 
     Softmax: the coarse scale is fixed to span the full [0, 1] range and the
     shift exponent m is searched over {1..bits} (smallest m wins ties).
@@ -226,17 +226,19 @@ def calibrate_dual_region(
         raise InvalidArgument(f"kind must be one of {KINDS}")
     if not 2 <= bits <= 16:
         raise InvalidArgument(f"bits must be in [2, 16], got {bits}")
-    arr = _stack(samples)
+    arr = _as_f64(samples)
     if kind == "softmax" and (arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6):
         raise InvalidArgument("softmax samples must lie in [0, 1]")
-    metric = metric or mse_metric
+    g = None if grad is None else _as_f64(grad)
+    if g is not None and g.shape != arr.shape:
+        raise ShapeError(f"grad shape {g.shape} does not match samples {arr.shape}")
     space = space or SearchSpace()
     num = _numerator(arr, kind)
     scale = np.empty_like(arr)
     recon = np.empty_like(arr)
 
     def candidate_score(params: DualRegionParams, region: np.ndarray) -> float:
-        return metric(arr, _reconstruct_into(num, region, params, scale, recon))
+        return sq_error(arr, _reconstruct_into(num, region, params, scale, recon), g)
 
     if kind == "softmax":
         scale_r2 = softmax_r2_scale(bits, full_range)

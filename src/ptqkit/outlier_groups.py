@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidArgument
+from .errors import InvalidArgument
 from .search import SearchSpace, mse_grid_search
 from .tensor import TensorLike, _as_f64
 from .uniform import QuantParams, dequantize_array, fake_quant_array, quantize_array
@@ -71,28 +70,6 @@ def _threshold_info(magnitudes: np.ndarray, strategy: ThresholdStrategy) -> tupl
     return math.inf, False  # "none"
 
 
-def compute_threshold(values: TensorLike, strategy: ThresholdStrategy) -> float:
-    """Threshold over the absolute values of `values` per the strategy."""
-    arr = _as_f64(values).reshape(-1)
-    if arr.size == 0:
-        raise EmptyInput("no values")
-    tau, _ = _threshold_info(np.abs(arr), strategy)
-    return tau
-
-
-def partition_by_threshold(values: TensorLike, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split into (inliers: |x| <= tau, outliers: |x| > tau).
-
-    Returned as float64 arrays (either side may be empty); the two sides are
-    disjoint and preserve the input multiset exactly.
-    """
-    if tau <= 0:
-        raise InvalidArgument(f"threshold must be positive, got {tau}")
-    arr = _as_f64(values).reshape(-1)
-    mask = np.abs(arr) <= tau
-    return arr[mask], arr[~mask]
-
-
 @dataclass(frozen=True)
 class QuantGroup:
     """One dynamic group: values with |x| <= upper use `params`."""
@@ -133,7 +110,7 @@ class GroupedQuantParams:
 
 
 def calibrate_grouped(
-    samples: Sequence[TensorLike] | TensorLike,
+    samples: TensorLike,
     bits: int,
     strategy: ThresholdStrategy | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -150,12 +127,7 @@ def calibrate_grouped(
     if max_iters < 1:
         raise InvalidArgument("max_iters must be >= 1")
     strategy = strategy or ThresholdStrategy()
-    if isinstance(samples, (list, tuple)):
-        current = np.concatenate([_as_f64(s).reshape(-1) for s in samples])
-    else:
-        current = _as_f64(samples).reshape(-1)
-    if current.size == 0:
-        raise EmptyInput("no calibration samples")
+    current = _as_f64(samples).reshape(-1)
 
     groups: list[QuantGroup] = []
     fallbacks: list[int] = []

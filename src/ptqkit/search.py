@@ -1,9 +1,9 @@
 """Calibration-time scale-factor optimization.
 
 Covers MSE grid search over a linear candidate space, percentile clipping,
-the gradient-weighted output-perturbation metric, and the alternating
-coordinate-descent search for the two scale factors of a matrix product.
-Every search over candidates picks its winner with `first_min`.
+and the alternating coordinate-descent search for the two scale factors of a
+matrix product. Every search over candidates scores them with `sq_error` and
+picks its winner with `first_min`.
 """
 
 from __future__ import annotations
@@ -14,20 +14,14 @@ from typing import Callable, Iterable, TypeVar
 import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ShapeError
-from .tensor import TensorLike, _as_f64, channel_minmax, channel_slices, percentile
-from .uniform import (
-    QuantParams,
-    fake_quant_array,
-    make_channel_params,
-    make_params,
-    quant_range,
-)
+from .tensor import TensorLike, _as_f64, channel_slices, percentile
+from .uniform import QuantParams, fake_quant_array, make_params, quant_range
 
-MetricFn = Callable[[np.ndarray, np.ndarray], float]
 T = TypeVar("T")
 
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
+MAX_CANDIDATES = 10_000  # SearchSpace.n_candidates bound: the grid is allocated from it
 
 
 def first_min(candidates: Iterable[T], score: Callable[[T], float]) -> tuple[T | None, float]:
@@ -62,8 +56,10 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if not 0 < self.alpha < self.beta:
             raise InvalidArgument(f"need 0 < alpha < beta, got {self.alpha}, {self.beta}")
-        if self.n_candidates < 1:
-            raise InvalidArgument("n_candidates must be >= 1")
+        if not 1 <= self.n_candidates <= MAX_CANDIDATES:
+            raise InvalidArgument(
+                f"n_candidates must be in [1, {MAX_CANDIDATES}], got {self.n_candidates}"
+            )
 
     def scale_candidates(self, full_scale: float) -> np.ndarray:
         """Grid bracketing an arbitrary full-range scale by [alpha, beta]."""
@@ -74,26 +70,18 @@ class SearchSpace:
         )
 
 
-def mse_metric(reference: np.ndarray, approx: np.ndarray) -> float:
-    diff = np.asarray(np.subtract(reference, approx))
+def sq_error(reference: np.ndarray, approx: np.ndarray, grad: np.ndarray | None = None) -> float:
+    """Mean of (grad * (approx - reference))^2, the score of every candidate.
+
+    This is the gradient-weighted output perturbation of PTQ4ViT's
+    Hessian-guided metric; `grad=None` makes it the plain MSE. The error is
+    computed in place: `approx` is overwritten, `reference` and `grad` are
+    only read. Callers check that `grad` has the reference's shape.
+    """
+    diff = np.subtract(approx, reference, out=approx)
+    if grad is not None:
+        np.multiply(diff, grad, out=diff)
     return float(np.square(diff, out=diff).mean())
-
-
-def hessian_metric(out_fp: TensorLike, out_q: TensorLike, grad: TensorLike) -> float:
-    """Mean of (grad * (out_q - out_fp))^2: the squared gradient-weighted
-    output perturbation used to rank scale candidates."""
-    fp = _as_f64(out_fp)
-    q = _as_f64(out_q)
-    g = _as_f64(grad)
-    if fp.shape != q.shape or fp.shape != g.shape:
-        raise ShapeError(f"shape mismatch: {fp.shape}, {q.shape}, {g.shape}")
-    return float(np.mean((g * (q - fp)) ** 2))
-
-
-def hessian_metric_fn(grad: TensorLike) -> MetricFn:
-    """Bind a gradient dump into a (reference, approx) -> score metric."""
-    g = _as_f64(grad)
-    return lambda fp, q: hessian_metric(fp, q, g)
 
 
 def params_from_scale(
@@ -154,7 +142,7 @@ def mse_grid_search(
     buf = np.empty_like(arr)
 
     def score(cand: tuple[float, float]) -> float:
-        """fake_quant_array and mse_metric, op for op, in the reused buffer."""
+        """fake_quant_array then sq_error, op for op, in the reused buffer."""
         scale, zp = cand
         np.divide(arr, scale, out=buf)
         np.rint(buf, out=buf)
@@ -164,9 +152,7 @@ def mse_grid_search(
         if zp:
             np.subtract(buf, zp, out=buf)
         np.multiply(buf, scale, out=buf)
-        np.subtract(arr, buf, out=buf)
-        np.square(buf, out=buf)
-        return float(buf.mean())
+        return sq_error(arr, buf)
 
     best, _ = first_min(zip(candidates.tolist(), zero_points.tolist()), score)
     if best is None:
@@ -202,14 +188,14 @@ def percentile_calibrate(
 
 @dataclass(frozen=True)
 class MatmulScaleSearchResult:
-    """Final operand scales plus the metric recorded after every half-step."""
+    """Final operand quantizers plus the metric recorded after every half-step.
 
-    scale_a: float
-    scale_b: float
+    A zero operand gets identity parameters (scale 1.0) and an empty history.
+    """
+
     params_a: QuantParams
     params_b: QuantParams
     metric_history: tuple[float, ...]
-    degenerate: bool = False
 
 
 def alternating_matmul_search(
@@ -237,12 +223,9 @@ def alternating_matmul_search(
         out_fp = np.matmul(arr_a, arr_b)
     except ValueError as exc:
         raise ShapeError(f"operands are not matmul-compatible: {exc}") from None
-    if grad is not None:
-        g = _as_f64(grad)
-        if g.shape != out_fp.shape:
-            raise ShapeError(f"grad shape {g.shape} does not match output {out_fp.shape}")
-    else:
-        g = np.float64(1.0)
+    g = None if grad is None else _as_f64(grad)
+    if g is not None and g.shape != out_fp.shape:
+        raise ShapeError(f"grad shape {g.shape} does not match output {out_fp.shape}")
 
     absmax_a = float(np.max(np.abs(arr_a)))
     absmax_b = float(np.max(np.abs(arr_b)))
@@ -251,10 +234,7 @@ def alternating_matmul_search(
     signed_b = bool(arr_b.min() < 0)
     if absmax_a == 0.0 or absmax_b == 0.0:
         identity = QuantParams(scale=1.0, zero_point=0, bits=bits, signed=True)
-        return MatmulScaleSearchResult(1.0, 1.0, identity, identity, (), degenerate=True)
-
-    def metric(out_q: np.ndarray) -> float:
-        return float(np.mean((g * (out_q - out_fp)) ** 2))
+        return MatmulScaleSearchResult(identity, identity, ())
 
     def qp(scale: float, signed: bool) -> QuantParams:
         return QuantParams(scale=scale, zero_point=0, bits=bits, signed=signed)
@@ -271,7 +251,7 @@ def alternating_matmul_search(
         fq_b = fake_quant_array(arr_b, qp(scale_b, signed_b))
         best, score = first_min(
             cand_a.tolist(),
-            lambda s: metric(np.matmul(fake_quant_array(arr_a, qp(s, signed_a)), fq_b)),
+            lambda s: sq_error(out_fp, np.matmul(fake_quant_array(arr_a, qp(s, signed_a)), fq_b), g),
         )
         if best is not None:  # else keep the previous scale
             scale_a = best
@@ -279,14 +259,12 @@ def alternating_matmul_search(
         fq_a = fake_quant_array(arr_a, qp(scale_a, signed_a))
         best, score = first_min(
             cand_b.tolist(),
-            lambda s: metric(np.matmul(fq_a, fake_quant_array(arr_b, qp(s, signed_b)))),
+            lambda s: sq_error(out_fp, np.matmul(fq_a, fake_quant_array(arr_b, qp(s, signed_b))), g),
         )
         if best is not None:
             scale_b = best
         history.append(score)
     return MatmulScaleSearchResult(
-        scale_a=scale_a,
-        scale_b=scale_b,
         params_a=qp(scale_a, signed_a),
         params_b=qp(scale_b, signed_b),
         metric_history=tuple(history),
@@ -297,19 +275,12 @@ def channelwise_params(
     weight: TensorLike,
     bits: int,
     axis: int = 0,
-    method: str = "minmax",
     scheme: str = "symmetric",
     signed: bool = True,
     space: SearchSpace | None = None,
 ) -> QuantParams:
-    """Per-channel parameters along `axis`, calibrated slice by slice.
-
-    method: "minmax" (full range) or "mse" (grid search).
-    """
-    if method == "minmax":
-        return make_channel_params(channel_minmax(weight, axis), bits, axis, scheme, signed)
-    if method != "mse":
-        raise InvalidArgument(f"unknown calibration method {method!r}")
+    """Per-channel parameters along `axis`, each slice grid-searched by
+    `mse_grid_search`."""
     per = [mse_grid_search(s, bits, scheme, signed, space) for s in channel_slices(weight, axis)]
     return QuantParams(
         scale=np.asarray([p.scale for p in per], dtype=np.float64),

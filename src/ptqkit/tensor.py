@@ -88,27 +88,6 @@ def _as_f64(values: TensorLike) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Population-form summary (std uses the divide-by-N denominator)."""
-
-    mean: float
-    std: float
-    min: float
-    max: float
-    absmax: float
-
-
-def summary_stats(t: TensorLike) -> SummaryStats:
-    """Exact population mean/std plus extrema of all elements."""
-    arr = _as_f64(t).reshape(-1)
-    mean = float(arr.mean())
-    std = float(np.sqrt(np.mean((arr - mean) ** 2)))
-    lo = float(arr.min())
-    hi = float(arr.max())
-    return SummaryStats(mean=mean, std=std, min=lo, max=hi, absmax=max(abs(lo), abs(hi)))
-
-
 def percentile(t: TensorLike, p: float) -> float:
     """p-th percentile with linear interpolation between closest ranks."""
     if not 0.0 <= p <= 100.0:
@@ -123,8 +102,3 @@ def channel_slices(t: TensorLike, axis: int) -> np.ndarray:
     if not 0 <= axis < arr.ndim:
         raise InvalidArgument(f"axis {axis} out of range for rank {arr.ndim}")
     return np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)
-
-
-def channel_minmax(t: TensorLike, axis: int) -> list[tuple[float, float]]:
-    """Per-slice (min, max) along `axis`; one entry per slice."""
-    return [(float(row.min()), float(row.max())) for row in channel_slices(t, axis)]

@@ -38,7 +38,6 @@ from .search import (
     SearchSpace,
     alternating_matmul_search,
     channelwise_params,
-    hessian_metric_fn,
     mse_grid_search,
 )
 from .tensor import TensorLike, _as_f64
@@ -454,12 +453,7 @@ def run_pipeline(
             # the first axis of an (O, C, 3, 3) conv kernel
             axis = 0 if arr.ndim == 4 else 1
             plan.weight_params[name] = channelwise_params(
-                arr,
-                cfg.w_bits,
-                axis=axis,
-                method="mse",
-                scheme="symmetric",
-                signed=True,
+                arr, cfg.w_bits, axis=axis, scheme="symmetric", signed=True
             )
 
     a_bits = cfg.a_bits
@@ -485,13 +479,14 @@ def run_pipeline(
         # The softmax hook owns its region quantizer, so only the value-side
         # scale of this search is used.
         plan.hooks["attn.v"] = pv.params_b
-        softmax_metric = hessian_metric_fn(grads["attn.softmax"]) if use_hessian else None
         plan.hooks["attn.softmax"] = calibrate_dual_region(
-            acts["attn.softmax"], "softmax", a_bits, metric=softmax_metric
+            acts["attn.softmax"],
+            "softmax",
+            a_bits,
+            grad=grads["attn.softmax"] if use_hessian else None,
         )
-        gelu_metric = hessian_metric_fn(grads["mlp.gelu"]) if use_hessian else None
         plan.hooks["mlp.gelu"] = calibrate_dual_region(
-            acts["mlp.gelu"], "gelu", a_bits, metric=gelu_metric
+            acts["mlp.gelu"], "gelu", a_bits, grad=grads["mlp.gelu"] if use_hessian else None
         )
 
     if cfg.text != RTN:
@@ -509,7 +504,6 @@ def run_pipeline(
             acts["decoder.pre_bn"].transpose(1, 0, 2, 3),
             a_bits,
             axis=0,
-            method="mse",
             scheme="asymmetric",
             signed=False,
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidArgument, ShapeError
+from .errors import InvalidArgument, ShapeError
 from .tensor import Tensor, TensorLike, as_tensor
 
 SCHEMES = ("symmetric", "asymmetric")
@@ -171,24 +171,6 @@ def make_params(
     return QuantParams(scale=scale, zero_point=zp, bits=bits, signed=signed)
 
 
-def make_channel_params(
-    minmax: list[tuple[float, float]],
-    bits: int,
-    axis: int,
-    scheme: str = "asymmetric",
-    signed: bool = False,
-) -> QuantParams:
-    """Assemble per-channel parameters from per-slice (min, max) pairs."""
-    per = [make_params(lo, hi, bits, scheme, signed) for lo, hi in minmax]
-    return QuantParams(
-        scale=np.array([p.scale for p in per], dtype=np.float64),
-        zero_point=np.array([p.zero_point for p in per], dtype=np.int64),
-        bits=bits,
-        signed=signed,
-        axis=axis,
-    )
-
-
 def _broadcast(values: np.ndarray, rank: int, axis: int) -> np.ndarray:
     shape = [1] * rank
     shape[axis] = -1
@@ -239,10 +221,6 @@ def dequantize(q: QuantizedTensor) -> Tensor:
     return Tensor.from_array(arr.astype(np.float32))
 
 
-def fake_quant(x: TensorLike, p: QuantParams) -> Tensor:
-    return dequantize(quantize(x, p))
-
-
 def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float, float]:
     """(mse, sqnr_db, cosine) between a reference signal and its approximation.
 
@@ -272,23 +250,6 @@ def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float
     else:
         cosine = float(np.dot(a, b) / (na * nb))
     return mse, sqnr, cosine
-
-
-@dataclass(frozen=True)
-class QuantErrorStats:
-    mse: float
-    sqnr_db: float
-    cosine: float
-
-
-def quant_error(x: TensorLike, p: QuantParams) -> QuantErrorStats:
-    """Reconstruction error of fake-quantizing `x` with `p`."""
-    t = as_tensor(x)
-    if t.size == 0:
-        raise EmptyInput("empty tensor")
-    approx = fake_quant(t, p)
-    mse, sqnr, cosine = error_stats(t.array, approx.array)
-    return QuantErrorStats(mse=mse, sqnr_db=sqnr, cosine=cosine)
 
 
 def fold_batchnorm(weight, bias, bn: BNParams):

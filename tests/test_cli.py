@@ -145,6 +145,7 @@ class TestCalibrateQuantizeEvaluate:
         [
             ("bits", "eight"), ("alpha", "small"), ("beta", [1.2]), ("n_candidates", "many"),
             ("n_candidates", None), ("n_candidates", 2.5), ("n_candidates", True), ("alpha", False),
+            ("n_candidates", 1e12),
         ],
     )
     def test_non_numeric_config_value_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, key, value):
@@ -206,6 +207,29 @@ class TestCalibrateQuantizeEvaluate:
             assert code == 0
             texts.append(params.read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize(
+        "key,value,spec",
+        [("n_candidates", 40, {}), ("beta", 1.0, {}), ("mean_multiplier", 1.5, {"strategy": "mean_division"})],
+    )
+    def test_hook_setting_equals_config_setting(self, tmp_path, capsys, dumps_dir, config_path, key, value, spec):
+        base = json.loads(config_path.read_text())
+        base.pop(key, None)
+        for hook_spec in base["hooks"].values():
+            hook_spec.update(spec)
+        at_hook = json.loads(json.dumps(base))
+        for hook_spec in at_hook["hooks"].values():
+            hook_spec[key] = value
+        texts = []
+        for i, doc in enumerate((base, {**base, key: value}, at_hook)):
+            config_path.write_text(json.dumps(doc))
+            params = tmp_path / f"p{i}.json"
+            code, _, _ = run_cli(
+                capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params)
+            )
+            assert code == 0
+            texts.append(params.read_bytes())
+        assert texts[0] != texts[1] == texts[2]
 
     @pytest.mark.parametrize("full_range,scale_r2", [(True, 1 / 127), (False, 1 / 255), ("no", None)])
     def test_full_range_must_be_a_bool(self, tmp_path, capsys, dumps_dir, config_path, full_range, scale_r2):
@@ -318,6 +342,19 @@ class TestPipelineCommand:
         assert code == 1
         assert err.startswith("error: malformed quantizer entry") and err.count("\n") == 1
         assert "finite" in err
+
+    def test_softmax_shift_zero_is_one_line(self, tmp_path, capsys):
+        dump = tmp_path / "x.dump"
+        write_dump(Tensor.from_array(np.linspace(0.0, 1.0, 16)), dump)
+        params = tmp_path / "params.json"
+        entry = {"kind": "dual_region", "region": "softmax", "bits": 2, "scale_r2": 1 / 3, "shift_m": 0}
+        params.write_text(json.dumps({"format": "ptqkit-params", "version": 1, "hooks": {"h": entry}}))
+        code, _, err = run_cli(
+            capsys, "quantize", "--params", str(params), "--in", str(dump), "--out", str(tmp_path / "r.dump")
+        )
+        assert code == 1
+        assert err.startswith("error: malformed quantizer entry") and err.count("\n") == 1
+        assert "shift_m" in err
 
     def test_missing_file_errors(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--a", "/nonexistent/a.dump", "--b", "/nonexistent/b.dump")

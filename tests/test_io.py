@@ -12,10 +12,10 @@ from ptqkit import (
     ParamDoc,
     QuantGroup,
     QuantizationError,
+    QuantParams,
     Tensor,
     calibrate_grouped,
     emit_params,
-    make_channel_params,
     make_params,
     mask_metrics,
     parse_params,
@@ -135,7 +135,7 @@ class TestParamFile:
                 "text": grouped,
                 "feat": make_params(-0.5, 2.0, 8, "asymmetric"),
             },
-            weights={"w": make_channel_params([(-1.0, 1.0), (-2.0, 2.0)], 8, axis=0, scheme="symmetric", signed=True)},
+            weights={"w": QuantParams([1.0 / 127.0, 2.0 / 127.0], [0, 0], bits=8, signed=True, axis=0)},
             meta={"seed": 0},
         )
 

@@ -12,51 +12,56 @@ from ptqkit import (
     QuantGroup,
     ThresholdStrategy,
     calibrate_grouped,
-    compute_threshold,
     fake_grouped,
     group_index,
     grouped_dequantize,
     grouped_quantize,
     make_params,
-    partition_by_threshold,
     synth,
 )
+from ptqkit.outlier_groups import _threshold_info
 from ptqkit.uniform import fake_quant_array
 
 
-class TestComputeThreshold:
+def threshold_of(values, strategy):
+    """The threshold calibrate_grouped places over `values`' magnitudes."""
+    return _threshold_info(np.abs(np.asarray(values, dtype=np.float64)), strategy)[0]
+
+
+class TestThreshold:
     def test_mean_plus_three_sd(self):
-        tau = compute_threshold([1, 2, 3, 4, 5], ThresholdStrategy("mean_3sd"))
+        tau = threshold_of([1, 2, 3, 4, 5], ThresholdStrategy("mean_3sd"))
         assert tau == pytest.approx(3.0 + 3.0 * math.sqrt(2.0))
 
     def test_absolute_values_used(self):
-        tau_pos = compute_threshold([1, 2, 3], ThresholdStrategy("mean_3sd"))
-        tau_mixed = compute_threshold([-1, 2, -3], ThresholdStrategy("mean_3sd"))
+        tau_pos = threshold_of([1, 2, 3], ThresholdStrategy("mean_3sd"))
+        tau_mixed = threshold_of([-1, 2, -3], ThresholdStrategy("mean_3sd"))
         assert tau_pos == pytest.approx(tau_mixed)
 
     def test_constant_data(self):
-        assert compute_threshold([2.0, 2.0, 2.0], ThresholdStrategy("mean_3sd")) == pytest.approx(2.0)
+        assert threshold_of([2.0, 2.0, 2.0], ThresholdStrategy("mean_3sd")) == pytest.approx(2.0)
 
     def test_median_mad_degenerate(self):
-        tau = compute_threshold([1, 1, 1, 1, 1, 9], ThresholdStrategy("median_mad"))
+        tau, degenerate = _threshold_info(np.asarray([1.0, 1, 1, 1, 1, 9]), ThresholdStrategy("median_mad"))
         assert tau == pytest.approx(1.0)  # MAD collapses to zero
+        assert degenerate
 
     def test_mean_division(self):
-        tau = compute_threshold([1, 2, 3], ThresholdStrategy("mean_division"))
+        tau = threshold_of([1, 2, 3], ThresholdStrategy("mean_division"))
         assert tau == pytest.approx(2.0)
 
     def test_confidence_matches_gaussian_quantile(self):
         from statistics import NormalDist
 
         values = np.asarray([0.0, 1.0, 2.0, 3.0])
-        tau = compute_threshold(values, ThresholdStrategy("confidence", confidence_level=0.99))
+        tau = threshold_of(values, ThresholdStrategy("confidence", confidence_level=0.99))
         mu = values.mean()
         sigma = values.std()
         assert tau == pytest.approx(mu + NormalDist().inv_cdf(0.995) * sigma)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            compute_threshold(np.asarray([]), ThresholdStrategy())
+            calibrate_grouped(np.asarray([]), 8)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -73,34 +78,6 @@ class TestComputeThreshold:
     def test_multiplier_out_of_range_rejected(self, field, value):
         with pytest.raises(InvalidArgument):
             ThresholdStrategy("mean_division", **{field: value})
-
-
-class TestPartition:
-    def test_all_inliers(self):
-        inl, outl = partition_by_threshold([1, 2, 3], 10.0)
-        assert inl.tolist() == [1, 2, 3]
-        assert outl.size == 0
-
-    def test_absolute_split(self):
-        inl, outl = partition_by_threshold([-5.0, 0.1, 5.0], 1.0)
-        assert inl.tolist() == [0.1]
-        assert sorted(outl.tolist()) == [-5.0, 5.0]
-
-    def test_nonpositive_tau_rejected(self):
-        with pytest.raises(InvalidArgument):
-            partition_by_threshold([1.0], 0.0)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_multiset_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal(73)
-        tau = float(rng.uniform(0.1, 2.0))
-        inl, outl = partition_by_threshold(values, tau)
-        assert inl.size + outl.size == values.size
-        assert sorted(np.concatenate([inl, outl]).tolist()) == sorted(values.tolist())
-        assert np.all(np.abs(inl) <= tau)
-        assert np.all(np.abs(outl) > tau)
 
 
 class TestGroupedParamsInvariants:
@@ -157,6 +134,11 @@ class TestCalibration:
         params = calibrate_grouped(t, 8, max_iters=3)
         uppers = [g.upper for g in params.groups]
         assert all(b > a for a, b in zip(uppers, uppers[1:]))
+
+    def test_all_zero_input_single_group(self):
+        params = calibrate_grouped(np.zeros(64), 4)
+        assert [g.upper for g in params.groups] == [math.inf]
+        assert fake_grouped(np.zeros(8), params).tolist() == [0.0] * 8
 
     def test_identical_values_degenerate_scale(self):
         params = calibrate_grouped(np.full(64, 3.5), 8)

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ptqkit import (
     InvalidArgument,
     SearchSpace,
     ShapeError,
     alternating_matmul_search,
+    calibrate_dual_region,
     channelwise_params,
-    hessian_metric,
     make_params,
     mse_grid_search,
     percentile_calibrate,
+    sq_error,
 )
-from ptqkit.search import first_min, mse_metric, params_from_scale
+from ptqkit.search import MAX_CANDIDATES, first_min, params_from_scale
 from ptqkit.uniform import QuantParams, fake_quant_array
 
 
@@ -31,7 +35,7 @@ def brute_force_best(arr, bits, scheme, signed, space):
 
 def alternating_oracle(a, b, grad, bits, space, rounds):
     """Independent copy of the alternating search with both half-steps as
-    explicit argmin loops: (scale_a, scale_b, params_a, params_b, history)."""
+    explicit argmin loops: (params_a, params_b, history)."""
     out_fp = a @ b
     g = 1.0 if grad is None else grad
     signed_a, signed_b = bool(a.min() < 0), bool(b.min() < 0)
@@ -65,7 +69,7 @@ def alternating_oracle(a, b, grad, bits, space, rounds):
                 best = score
                 scale_b = float(cand)
         history.append(best)
-    return scale_a, scale_b, qp(scale_a, signed_a), qp(scale_b, signed_b), tuple(history)
+    return qp(scale_a, signed_a), qp(scale_b, signed_b), tuple(history)
 
 
 class TestFirstMin:
@@ -101,6 +105,12 @@ class TestSearchSpace:
             SearchSpace(alpha=-0.1, beta=1.0)
         with pytest.raises(InvalidArgument):
             SearchSpace(n_candidates=0)
+
+    def test_candidate_count_is_bounded(self):
+        assert SearchSpace(n_candidates=MAX_CANDIDATES).n_candidates == MAX_CANDIDATES
+        for n in (MAX_CANDIDATES + 1, 10**12):
+            with pytest.raises(InvalidArgument, match="n_candidates"):
+                SearchSpace(n_candidates=n)
 
 
 class TestMseGridSearch:
@@ -195,37 +205,67 @@ class TestPercentileCalibrate:
             percentile_calibrate(np.ones(4), 8, 100.5)
 
 
-class TestHessianMetric:
+# values where rounding, ties and signed zeros matter
+ELEMENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def error_cases(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    ref = draw(hnp.arrays(np.float64, shape, elements=ELEMENT))
+    other = draw(hnp.arrays(np.float64, shape, elements=ELEMENT))
+    # ties: approx shares elements with the reference
+    approx = np.where(draw(hnp.arrays(np.bool_, shape)), ref, other)
+    grad = draw(st.none() | hnp.arrays(np.float64, shape, elements=ELEMENT))
+    return ref, approx, grad
+
+
+class TestSqError:
+    @settings(max_examples=300, deadline=None)
+    @given(error_cases())
+    def test_is_the_plain_formula_bit_for_bit(self, case):
+        ref, approx, grad = case
+        if grad is None:
+            want = float(np.mean((ref - approx) ** 2))
+        else:
+            want = float(np.mean((grad * (approx - ref)) ** 2))
+        assert sq_error(ref, approx.copy(), grad) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(error_cases())
+    def test_writes_only_approx(self, case):
+        ref, approx, grad = case
+        before = [a.tobytes() for a in (ref, grad) if a is not None]
+        sq_error(ref, approx, grad)
+        assert [a.tobytes() for a in (ref, grad) if a is not None] == before
+
     def test_zero_perturbation(self):
         x = np.ones((3, 3))
-        assert hessian_metric(x, x, np.ones_like(x)) == 0.0
+        assert sq_error(x, x.copy(), np.ones_like(x)) == 0.0
 
     def test_zero_gradient(self):
         x = np.ones((3, 3))
-        assert hessian_metric(x, x + 5.0, np.zeros_like(x)) == 0.0
+        assert sq_error(x, x + 5.0, np.zeros_like(x)) == 0.0
 
-    def test_unit_gradient_reduces_to_mse(self):
+    def test_unit_gradient_is_mse(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 5))
         b = rng.standard_normal((4, 5))
-        assert hessian_metric(a, b, np.ones_like(a)) == pytest.approx(
-            float(np.mean((a - b) ** 2))
-        )
+        assert sq_error(a, b.copy(), np.ones_like(a)) == sq_error(a, b.copy())
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hessian_metric(np.ones(3), np.ones(3), np.ones(4))
-
-
-class TestMseMetric:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_matches_the_plain_formula_bit_for_bit(self, dtype):
+    def test_matches_the_plain_formula_in_each_dtype(self, dtype):
         rng = np.random.default_rng(9)
         ref = rng.standard_normal((64, 96)).astype(dtype)
         approx = (ref + rng.standard_normal((64, 96)) * 1e-3).astype(dtype)
-        before = approx.copy()
-        assert mse_metric(ref, approx) == float(np.mean((ref - approx) ** 2))
-        assert approx.tobytes() == before.tobytes()
+        assert sq_error(ref, approx.copy()) == float(np.mean((ref - approx) ** 2))
+
+    def test_grad_shape_checked_by_the_calibrator(self):
+        with pytest.raises(ShapeError):
+            calibrate_dual_region(np.linspace(-1, 1, 12), "gelu", 8, grad=np.ones(13))
 
 
 class TestAlternatingSearch:
@@ -242,7 +282,7 @@ class TestAlternatingSearch:
                 a = np.abs(a)  # an unsigned operand
             grad = rng.standard_normal((6, 5)) if with_grad else None
             res = alternating_matmul_search(a, b, grad=grad, bits=bits, space=space, rounds=rounds)
-            got = (res.scale_a, res.scale_b, res.params_a, res.params_b, res.metric_history)
+            got = (res.params_a, res.params_b, res.metric_history)
             assert got == alternating_oracle(a, b, grad, bits, space, rounds)
 
     def test_single_candidate_trivial(self):
@@ -251,8 +291,8 @@ class TestAlternatingSearch:
         b = rng.standard_normal((4, 4))
         space = SearchSpace(0.9, 1.0, 1)
         res = alternating_matmul_search(a, b, bits=8, space=space, rounds=1)
-        assert res.scale_a == pytest.approx(space.scale_candidates(np.abs(a).max() / 127)[0])
-        assert res.scale_b == pytest.approx(space.scale_candidates(np.abs(b).max() / 127)[0])
+        assert res.params_a.scale == pytest.approx(space.scale_candidates(np.abs(a).max() / 127)[0])
+        assert res.params_b.scale == pytest.approx(space.scale_candidates(np.abs(b).max() / 127)[0])
 
     def test_uniform_gradient_matches_plain_mse(self):
         rng = np.random.default_rng(3)
@@ -261,8 +301,8 @@ class TestAlternatingSearch:
         grad = np.ones((6, 6))
         with_grad = alternating_matmul_search(a, b, grad=grad, bits=8, rounds=3)
         without = alternating_matmul_search(a, b, grad=None, bits=8, rounds=3)
-        assert with_grad.scale_a == without.scale_a
-        assert with_grad.scale_b == without.scale_b
+        assert with_grad.params_a == without.params_a
+        assert with_grad.params_b == without.params_b
 
     def test_metric_history_non_increasing(self):
         for seed in range(8):
@@ -279,8 +319,8 @@ class TestAlternatingSearch:
 
     def test_degenerate_zero_operand(self):
         res = alternating_matmul_search(np.zeros((3, 3)), np.ones((3, 3)), bits=8)
-        assert res.degenerate
-        assert res.scale_a == 1.0 and res.scale_b == 1.0
+        identity = QuantParams(scale=1.0, zero_point=0, bits=8, signed=True)
+        assert (res.params_a, res.params_b, res.metric_history) == (identity, identity, ())
 
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
@@ -297,7 +337,7 @@ class TestAlternatingSearch:
         a = rng.standard_normal((5, 4, 6))
         b = rng.standard_normal((5, 6, 4))
         res = alternating_matmul_search(a, b, bits=8, rounds=2)
-        assert res.scale_a > 0 and res.scale_b > 0
+        assert res.params_a.scale > 0 and res.params_b.scale > 0
         assert len(res.metric_history) == 4
 
 
@@ -305,29 +345,25 @@ class TestChannelwiseParams:
     def test_per_channel_lengths(self):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((6, 10))
-        p = channelwise_params(w, 8, axis=0, method="minmax")
+        p = channelwise_params(w, 8, axis=0)
         assert p.per_channel and p.axis == 0
         assert np.asarray(p.scale).shape == (6,)
 
-    def test_minmax_matches_per_slice(self):
+    def test_matches_per_slice(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal((3, 8))
-        p = channelwise_params(w, 8, axis=0, method="minmax", scheme="symmetric", signed=True)
+        p = channelwise_params(w, 8, axis=0, scheme="symmetric", signed=True)
         for i, row in enumerate(w):
-            expect = make_params(float(row.min()), float(row.max()), 8, "symmetric", True)
-            assert np.asarray(p.scale)[i] == pytest.approx(expect.scale)
+            expect = mse_grid_search(row, 8, "symmetric", True)
+            assert (np.asarray(p.scale)[i], np.asarray(p.zero_point)[i]) == (expect.scale, expect.zero_point)
 
     def test_mse_reduces_error_vs_minmax(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((4, 256))
         w[:, 0] *= 30  # inject a per-channel outlier the search can clip
-        mm = channelwise_params(w, 4, axis=0, method="minmax", scheme="symmetric", signed=True)
-        ms = channelwise_params(w, 4, axis=0, method="mse", scheme="symmetric", signed=True)
+        ms = channelwise_params(w, 4, axis=0, scheme="symmetric", signed=True)
+        full = [make_params(float(row.min()), float(row.max()), 4, "symmetric", True) for row in w]
+        mm = QuantParams([p.scale for p in full], [0] * 4, bits=4, signed=True, axis=0)
         err_mm = float(np.mean((w - fake_quant_array(w, mm)) ** 2))
         err_ms = float(np.mean((w - fake_quant_array(w, ms)) ** 2))
         assert err_ms <= err_mm
-
-    def test_unknown_method(self):
-        for method in ("magic", "percentile"):
-            with pytest.raises(InvalidArgument):
-                channelwise_params(np.ones((2, 2)), 8, method=method)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +7,9 @@ from ptqkit import (
     EmptyInput,
     InvalidArgument,
     Tensor,
-    channel_minmax,
     percentile,
-    summary_stats,
 )
+from ptqkit.tensor import channel_slices
 
 
 class TestTensorContainer:
@@ -48,35 +45,6 @@ class TestTensorContainer:
             t.data[0] = 5.0
 
 
-class TestSummaryStats:
-    def test_one_to_five(self):
-        s = summary_stats([1, 2, 3, 4, 5])
-        assert s.mean == pytest.approx(3.0)
-        assert s.std == pytest.approx(math.sqrt(2.0))
-        assert (s.min, s.max, s.absmax) == (1.0, 5.0, 5.0)
-
-    def test_constant(self):
-        s = summary_stats([0.0, 0.0, 0.0])
-        assert s.mean == 0.0 and s.std == 0.0
-
-    def test_symmetric_pair(self):
-        s = summary_stats([-4.0, 4.0])
-        assert s.mean == 0.0
-        assert s.std == pytest.approx(4.0)
-        assert s.absmax == 4.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            summary_stats(np.asarray([]))
-
-    def test_concat_preserves_mean(self):
-        rng = np.random.default_rng(7)
-        t = rng.standard_normal(257).astype(np.float32)
-        a = summary_stats(t).mean
-        b = summary_stats(np.concatenate([t, t])).mean
-        assert b == pytest.approx(a, rel=1e-6)
-
-
 class TestPercentile:
     def test_endpoints(self):
         assert percentile([1, 2, 3, 4], 100) == 4.0
@@ -101,30 +69,11 @@ class TestPercentile:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-class TestChannelMinmax:
-    def test_rows(self):
-        assert channel_minmax([[1, 2], [-3, 4]], 0) == [(1.0, 2.0), (-3.0, 4.0)]
-
-    def test_constant(self):
-        assert channel_minmax(np.full((3, 2), 7.0), 0) == [(7.0, 7.0)] * 3
-
-    def test_matches_bruteforce_scan(self):
-        rng = np.random.default_rng(11)
-        t = rng.standard_normal((3, 4))
-        got = channel_minmax(t, 0)
-        for row, (lo, hi) in zip(t, got):
-            expect_lo = min(float(v) for v in row)
-            expect_hi = max(float(v) for v in row)
-            assert (lo, hi) == (expect_lo, expect_hi)
+class TestChannelSlices:
+    def test_rows_are_slices_along_axis(self):
+        t = np.arange(24.0).reshape(2, 3, 4)
+        assert channel_slices(t, 1).tolist() == [t[:, i].reshape(-1).tolist() for i in range(3)]
 
     def test_axis_out_of_range(self):
         with pytest.raises(InvalidArgument):
-            channel_minmax([[1.0]], 2)
-
-    def test_global_reduce_matches_summary(self):
-        rng = np.random.default_rng(3)
-        t = rng.standard_normal((4, 5)).astype(np.float32)
-        pairs = channel_minmax(t, 1)
-        s = summary_stats(t)
-        assert min(lo for lo, _ in pairs) == pytest.approx(s.min)
-        assert max(hi for _, hi in pairs) == pytest.approx(s.max)
+            channel_slices([[1.0]], 2)

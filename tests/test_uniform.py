@@ -12,14 +12,17 @@ from ptqkit import (
     ShapeError,
     Tensor,
     dequantize,
-    fake_quant,
     fold_batchnorm,
-    make_channel_params,
     make_params,
-    quant_error,
     quantize,
 )
-from ptqkit.uniform import fake_quant_array
+from ptqkit.uniform import error_stats, fake_quant_array
+
+
+def channel_params(ranges, bits, scheme="asymmetric", signed=False):
+    """Axis-0 parameters with each channel's make_params for its (min, max)."""
+    per = [make_params(lo, hi, bits, scheme, signed) for lo, hi in ranges]
+    return QuantParams([p.scale for p in per], [p.zero_point for p in per], bits, signed, axis=0)
 
 
 class TestMakeParams:
@@ -68,8 +71,7 @@ class TestMakeParams:
     def test_constant_nonzero_value_representable(self):
         for c in (5.0, -3.25):
             p = make_params(c, c, 8, "asymmetric", signed=False)
-            t = fake_quant([c], p)
-            assert t.data[0] == pytest.approx(c, rel=1e-6)
+            assert fake_quant_array(np.array([c]), p)[0] == pytest.approx(c, rel=1e-6)
 
 
 class TestQuantizeDequantize:
@@ -104,7 +106,7 @@ class TestQuantizeDequantize:
         assert dequantize(q).data[0] == 0.0
 
     def test_shape_mismatch_per_channel(self):
-        p = make_channel_params([(0.0, 1.0), (0.0, 2.0)], 8, axis=0)
+        p = channel_params([(0.0, 1.0), (0.0, 2.0)], 8)
         with pytest.raises(ShapeError):
             quantize(np.zeros((3, 2)), p)
 
@@ -135,11 +137,11 @@ class TestFakeQuant:
     def test_lattice_points_unchanged(self):
         p = QuantParams(scale=0.25, zero_point=0, bits=8, signed=True)
         x = np.array([-2.0, -0.25, 0.0, 0.5, 1.25])
-        assert np.array_equal(fake_quant(x, p).array, x.astype(np.float32))
+        assert np.array_equal(fake_quant_array(x, p), x)
 
     def test_compose_example(self):
         p = make_params(0.0, 1.0, 8, "asymmetric", signed=False)
-        got = fake_quant([0.0, 0.5, 1.0], p).data
+        got = fake_quant_array(np.array([0.0, 0.5, 1.0]), p)
         assert got[0] == 0.0
         assert got[1] == pytest.approx(128.0 / 255.0)
         assert got[2] == pytest.approx(1.0)
@@ -147,7 +149,7 @@ class TestFakeQuant:
     def test_integer_identity_scale(self):
         p = QuantParams(scale=1.0, zero_point=0, bits=8, signed=True)
         x = [-3.0, 0.0, 7.0]
-        assert fake_quant(x, p).data.tolist() == x
+        assert fake_quant_array(np.array(x), p).tolist() == x
 
     @given(st.integers(0, 10_000), st.sampled_from(["symmetric", "asymmetric"]), st.booleans(), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -158,7 +160,7 @@ class TestFakeQuant:
         # clip ranges both narrower and wider than the data
         ranges = [(float(r.min()) * k, float(r.max()) * k) for r, k in zip(x, rng.uniform(0.5, 1.5, 4))]
         if per_channel:
-            p = make_channel_params(ranges, bits, axis=0, scheme=scheme, signed=signed)
+            p = channel_params(ranges, bits, scheme, signed)
         else:
             p = make_params(*ranges[0], bits, scheme, signed)
         once = p.fake(x)
@@ -170,23 +172,22 @@ class TestFakeQuant:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(96).astype(np.float32)
         p = make_params(float(x.min()), float(x.max()), 6, "asymmetric")
-        once = fake_quant(x, p)
-        twice = fake_quant(once, p)
-        assert np.array_equal(once.data, twice.data)
+        once = fake_quant_array(x, p)
+        assert np.array_equal(fake_quant_array(once, p), once)
 
     def test_odd_symmetry_signed(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, 64)
         p = make_params(-1.0, 1.0, 8, "symmetric", signed=True)
-        left = fake_quant(-x, p).array
-        right = -fake_quant(x, p).array
+        left = fake_quant_array(-x, p)
+        right = -fake_quant_array(x, p)
         assert np.array_equal(left, right)
 
     def test_per_channel_beats_per_tensor_mse(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 64)) * np.array([[0.1], [1.0], [5.0], [20.0]])
         pairs = [(float(r.min()), float(r.max())) for r in x]
-        per_channel = make_channel_params(pairs, 8, axis=0)
+        per_channel = channel_params(pairs, 8)
         per_tensor = make_params(float(x.min()), float(x.max()), 8, "asymmetric")
         mse_ch = np.mean((x - fake_quant_array(x, per_channel)) ** 2)
         mse_pt = np.mean((x - fake_quant_array(x, per_tensor)) ** 2)
@@ -194,25 +195,29 @@ class TestFakeQuant:
 
 
 class TestQuantError:
+    """error_stats of a fake-quantized signal against the signal."""
+
     def test_exact_lattice(self):
         p = QuantParams(scale=0.5, zero_point=0, bits=8, signed=True)
-        e = quant_error([0.5, -1.0, 2.0], p)
-        assert e.mse == 0.0
-        assert e.cosine == pytest.approx(1.0)
-        assert e.sqnr_db == math.inf
+        x = np.array([0.5, -1.0, 2.0])
+        mse, sqnr_db, cosine = error_stats(x, fake_quant_array(x, p))
+        assert mse == 0.0
+        assert cosine == pytest.approx(1.0)
+        assert sqnr_db == math.inf
 
     def test_half_step_error(self):
         p = make_params(0.0, 1.0, 8, "asymmetric", signed=False)
-        e = quant_error([0.5], p)
-        assert e.mse == pytest.approx((0.5 - np.float32(128.0 / 255.0)) ** 2, rel=1e-6)
+        x = np.array([0.5])
+        mse, _, _ = error_stats(x, fake_quant_array(x, p))
+        assert mse == pytest.approx((0.5 - 128.0 / 255.0) ** 2, rel=1e-6)
 
     def test_uniform_noise_model(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, 100_000)
         p = make_params(0.0, 1.0, 8, "asymmetric", signed=False)
-        e = quant_error(x, p)
+        mse, _, _ = error_stats(x, fake_quant_array(x, p))
         model = p.scale**2 / 12.0
-        assert model / 2 <= e.mse <= model * 2
+        assert model / 2 <= mse <= model * 2
 
 
 class TestFoldBatchnorm:
