@@ -80,6 +80,40 @@ class TestThreshold:
             ThresholdStrategy("mean_division", **{field: value})
 
 
+class TestPartition:
+    """calibrate_grouped splits on magnitudes; encode files each value in one group."""
+
+    def test_all_inliers(self):
+        p = calibrate_grouped([1.0, 2.0, 3.0], 8, ThresholdStrategy("mean_division", mean_multiplier=10.0))
+        assert len(p.groups) == 1
+        assert p.encode([1.0, 2.0, 3.0])[0].tolist() == [0, 0, 0]
+
+    def test_absolute_split(self):
+        # mean |x| is 10.1 / 3, so tau = 0.3 * mean ~ 1.01 keeps only 0.1 inside
+        values = [-5.0, 0.1, 5.0]
+        p = calibrate_grouped(values, 8, ThresholdStrategy("mean_division", mean_multiplier=0.3))
+        assert len(p.groups) == 2
+        assert p.groups[0].upper == pytest.approx(0.3 * 10.1 / 3)
+        assert p.encode(values)[0].tolist() == [1, 0, 1]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_multiset_preserved(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(73)
+        multiplier = float(rng.uniform(0.5, 2.0))
+        p = calibrate_grouped(values, 8, ThresholdStrategy("mean_division", mean_multiplier=multiplier))
+        idx = p.encode(values)[0]
+        assert idx.size == values.size
+        parts = [values[idx == gi] for gi in range(len(p.groups))]
+        assert sorted(np.concatenate(parts).tolist()) == sorted(values.tolist())
+        lower = -math.inf
+        for part, group in zip(parts, p.groups):
+            assert np.all(np.abs(part) <= group.upper)
+            assert np.all(np.abs(part) > lower)
+            lower = group.upper
+
+
 class TestGroupedParamsInvariants:
     def test_thresholds_must_increase(self):
         p8 = make_params(0.0, 1.0, 8)

@@ -74,6 +74,18 @@ class TestChannelSlices:
         t = np.arange(24.0).reshape(2, 3, 4)
         assert channel_slices(t, 1).tolist() == [t[:, i].reshape(-1).tolist() for i in range(3)]
 
+    def test_constant(self):
+        assert channel_slices(np.full((3, 2), 7.0), 0).tolist() == [[7.0, 7.0]] * 3
+
+    def test_matches_bruteforce_scan(self):
+        rng = np.random.default_rng(11)
+        t = rng.standard_normal((3, 4))
+        for axis in (0, 1):
+            got = channel_slices(t, axis)
+            for i, row in enumerate(got):
+                expect = [float(t[i, j]) if axis == 0 else float(t[j, i]) for j in range(t.shape[1 - axis])]
+                assert row.tolist() == expect
+
     def test_axis_out_of_range(self):
         with pytest.raises(InvalidArgument):
             channel_slices([[1.0]], 2)
