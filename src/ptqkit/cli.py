@@ -35,6 +35,17 @@ from .uniform import error_stats
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
+# The keys a calibrate config may set. The shared settings may sit at the top
+# level or in a hook's entry, which is read first (see `_calibrate_hook`).
+SHARED_KEYS = {"bits", "alpha", "beta", "n_candidates", "percentile", "strategy",
+               "mad_multiplier", "mean_multiplier", "confidence_level", "max_iters"}
+CONFIG_KEYS = SHARED_KEYS | {"seed", "hooks"}
+HOOK_KEYS = {  # by the hook's kind
+    "uniform": SHARED_KEYS | {"kind", "method", "scheme", "signed"},
+    "dual_region": SHARED_KEYS | {"kind", "region", "full_range"},
+    "outlier_groups": SHARED_KEYS | {"kind"},
+}
+
 
 def _parse_shape(text: str) -> tuple[int, ...]:
     seps = "x" if "x" in text else ","
@@ -85,7 +96,7 @@ def _number(convert, key: str, default, *sources: dict):
 
 
 def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
-    """The quantizer `spec` asks for.
+    """The quantizer `spec` asks for (`_cmd_calibrate` checked its kind and keys).
 
     Every number, and the outlier-group strategy, is read from the hook's
     spec first, then from the config; unset settings take the calibrators'
@@ -116,17 +127,22 @@ def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
         if not isinstance(full_range, bool):
             raise InvalidArgument(f"full_range must be true or false, got {full_range!r}")
         return calibrate_dual_region(stacked, region, bits, space=space, full_range=full_range)
-    if kind == "outlier_groups":
-        default = ThresholdStrategy()
-        strategy = ThresholdStrategy(
-            kind=spec.get("strategy", cfg.get("strategy", default.kind)),
-            mad_multiplier=_number(float, "mad_multiplier", default.mad_multiplier, spec, cfg),
-            mean_multiplier=_number(float, "mean_multiplier", default.mean_multiplier, spec, cfg),
-            confidence_level=_number(float, "confidence_level", default.confidence_level, spec, cfg),
-        )
-        max_iters = _number(int, "max_iters", DEFAULT_MAX_ITERS, spec, cfg)
-        return calibrate_grouped(stacked, bits, strategy, max_iters, space)
-    raise QuantizationError(f"unknown quantizer kind {kind!r}")
+    default = ThresholdStrategy()  # outlier_groups, the one kind left
+    strategy = ThresholdStrategy(
+        kind=spec.get("strategy", cfg.get("strategy", default.kind)),
+        mad_multiplier=_number(float, "mad_multiplier", default.mad_multiplier, spec, cfg),
+        mean_multiplier=_number(float, "mean_multiplier", default.mean_multiplier, spec, cfg),
+        confidence_level=_number(float, "confidence_level", default.confidence_level, spec, cfg),
+    )
+    max_iters = _number(int, "max_iters", DEFAULT_MAX_ITERS, spec, cfg)
+    return calibrate_grouped(stacked, bits, strategy, max_iters, space)
+
+
+def _check_keys(where: str, entry: dict, allowed: set) -> None:
+    """One error naming the first key of `entry` outside `allowed`."""
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise InvalidArgument(f"unknown key {unknown[0]!r} in {where}")
 
 
 def _cmd_calibrate(args) -> int:
@@ -137,12 +153,18 @@ def _cmd_calibrate(args) -> int:
     hooks_cfg = cfg.get("hooks") if isinstance(cfg, dict) else None
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:
         raise QuantizationError("config must define a non-empty 'hooks' mapping")
+    _check_keys("the config", cfg, CONFIG_KEYS)
+    for hook, spec in sorted(hooks_cfg.items()):  # every entry is vetted before any dump is read
+        if not isinstance(spec, dict):
+            raise InvalidArgument(f"hook {hook!r} must map to an object, got {spec!r}")
+        kind = spec.get("kind", "uniform")
+        if kind not in tuple(HOOK_KEYS):  # compared, not hashed: a list is no TypeError
+            raise QuantizationError(f"unknown quantizer kind {kind!r}")
+        _check_keys(f"hook {hook!r}", spec, HOOK_KEYS[kind])
     dumps_dir = Path(args.dumps)
     doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", DEFAULT_BITS)})
     reports: dict[str, HookReport] = {}
     for hook, spec in sorted(hooks_cfg.items()):
-        if not isinstance(spec, dict):
-            raise InvalidArgument(f"hook {hook!r} must map to an object, got {spec!r}")
         stacked = _collect_samples(dumps_dir, hook)
         params = _calibrate_hook(stacked, spec, cfg)
         doc.hooks[hook] = params

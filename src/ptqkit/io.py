@@ -113,18 +113,12 @@ def read_code_dump(path) -> np.ndarray:
 
 def quantizer_to_dict(params) -> dict:
     if isinstance(params, QuantParams):
-        if params.per_channel:
-            scale = [float(s) for s in np.asarray(params.scale)]
-            zp = [int(z) for z in np.asarray(params.zero_point)]
-        else:
-            scale = float(params.scale)
-            zp = int(params.zero_point)
-        return {
+        return {  # tolist() gives a float and an int per tensor, lists per channel
             "kind": "uniform",
             "bits": params.bits,
             "signed": params.signed,
-            "scale": scale,
-            "zero_point": zp,
+            "scale": np.asarray(params.scale).tolist(),
+            "zero_point": np.asarray(params.zero_point).tolist(),
             "axis": params.axis,
         }
     if isinstance(params, DualRegionParams):

@@ -2,8 +2,8 @@
 
 Covers MSE grid search over a linear candidate space, percentile clipping,
 and the alternating coordinate-descent search for the two scale factors of a
-matrix product. Every search over candidates scores them with `sq_error` and
-picks its winner with `first_min`.
+matrix product. Every search scores its candidates with `sq_error` and keeps
+`first_min`'s winner policy; tensors and their channels share one row search.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidArgument, ShapeError
+from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, channel_slices, percentile
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range
 
@@ -61,27 +61,28 @@ class SearchSpace:
                 f"n_candidates must be in [1, {MAX_CANDIDATES}], got {self.n_candidates}"
             )
 
-    def scale_candidates(self, full_scale: float) -> np.ndarray:
-        """Grid bracketing an arbitrary full-range scale by [alpha, beta]."""
-        if full_scale <= 0:
-            return np.empty(0, dtype=np.float64)
-        return np.linspace(
-            self.alpha * full_scale, self.beta * full_scale, self.n_candidates
-        )
+    def scale_candidates(self, full_scale: float | np.ndarray) -> np.ndarray:
+        """Grid bracketing each full-range scale by [alpha, beta], along the
+        last axis: an array of scales gives one grid per row."""
+        return np.linspace(self.alpha * full_scale, self.beta * full_scale, self.n_candidates, axis=-1)
 
 
-def sq_error(reference: np.ndarray, approx: np.ndarray, grad: np.ndarray | None = None) -> float:
+def sq_error(
+    reference: np.ndarray, approx: np.ndarray, grad: np.ndarray | None = None, axis: int | None = None
+) -> float | np.ndarray:
     """Mean of (grad * (approx - reference))^2, the score of every candidate.
 
     This is the gradient-weighted output perturbation of PTQ4ViT's
     Hessian-guided metric; `grad=None` makes it the plain MSE. The error is
     computed in place: `approx` is overwritten, `reference` and `grad` are
     only read. Callers check that `grad` has the reference's shape.
+    `axis=1` gives one mean per row (the row search's scores).
     """
     diff = np.subtract(approx, reference, out=approx)
     if grad is not None:
         np.multiply(diff, grad, out=diff)
-    return float(np.square(diff, out=diff).mean())
+    mean = np.square(diff, out=diff).mean(axis=axis)
+    return float(mean) if axis is None else mean
 
 
 def params_from_scale(
@@ -103,6 +104,46 @@ def params_from_scale(
     return QuantParams(scale=scale, zero_point=zp, bits=bits, signed=signed)
 
 
+def _row_search(
+    rows: np.ndarray, bits: int, scheme: str, signed: bool, space: SearchSpace | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (scales, zero_points) minimizing the MSE of each row of a
+    (rows, elements) float64 array over a grid bracketing its `make_params`
+    scale, with `first_min`'s policy: the first of equal scores wins, a NaN
+    never wins, and a degenerate row (all zero, or constant under the
+    asymmetric scheme) or one with no score below inf keeps those parameters."""
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    full = [make_params(a, b, bits, scheme, signed) for a, b in zip(lo.tolist(), hi.tolist())]
+    scales = np.array([p.scale for p in full], dtype=np.float64)
+    zero_points = np.array([p.zero_point for p in full], dtype=np.int64)
+    candidates = (space or SearchSpace()).scale_candidates(scales)
+    q_min, q_max = quant_range(bits, signed)
+    if scheme == "symmetric":
+        cand_zps = np.zeros_like(candidates)
+    else:  # params_from_scale's zero-point, for every candidate at once
+        cand_zps = np.clip(np.rint(q_min - lo[:, None] / candidates), q_min, q_max)
+    degenerate = (lo == hi) & ((lo == 0.0) | (scheme == "asymmetric"))
+    best = np.where(degenerate, -np.inf, np.inf)  # no score beats a degenerate row's -inf
+    winner = np.full(len(rows), -1)
+    # fake_quant_array with the zero point folded into the clip bounds: for whole r,
+    # clip(r + z, q_min, q_max) - z is clip(r, q_min - z, q_max - z) up to a zero's sign
+    lower, upper = q_min - cand_zps, q_max - cand_zps
+    buf = np.empty_like(rows)
+    for j in range(candidates.shape[1]):
+        scale = candidates[:, j : j + 1]
+        np.divide(rows, scale, out=buf)
+        np.rint(buf, out=buf)
+        np.clip(buf, lower[:, j : j + 1], upper[:, j : j + 1], out=buf)
+        np.multiply(buf, scale, out=buf)
+        score = sq_error(rows, buf, axis=1)
+        better = score < best
+        best[better], winner[better] = score[better], j
+    won = np.flatnonzero(winner >= 0)
+    scales[won] = candidates[won, winner[won]]
+    zero_points[won] = cand_zps[won, winner[won]]
+    return scales, zero_points
+
+
 def mse_grid_search(
     samples: TensorLike,
     bits: int,
@@ -120,44 +161,8 @@ def mse_grid_search(
     do samples on which no candidate scores finite (e.g. values near the
     float64 limit, whose squared error overflows).
     """
-    arr = _as_f64(samples)
-    if arr.size == 0:
-        raise EmptyInput("no calibration samples")
-    space = space or SearchSpace()
-    data_min = float(arr.min())
-    data_max = float(arr.max())
-    full = make_params(data_min, data_max, bits, scheme, signed)
-    if (scheme == "symmetric" and max(abs(data_min), abs(data_max)) == 0.0) or (
-        scheme == "asymmetric" and data_min == data_max
-    ):
-        return full
-    candidates = space.scale_candidates(full.scale)
-    if candidates.size == 0:
-        raise InvalidArgument("empty candidate set")
-    q_min, q_max = quant_range(bits, signed)
-    if scheme == "symmetric":
-        zero_points = np.zeros_like(candidates)
-    else:  # params_from_scale's zero-point, for every candidate at once
-        zero_points = np.clip(np.rint(q_min - data_min / candidates), q_min, q_max)
-    buf = np.empty_like(arr)
-
-    def score(cand: tuple[float, float]) -> float:
-        """fake_quant_array then sq_error, op for op, in the reused buffer."""
-        scale, zp = cand
-        np.divide(arr, scale, out=buf)
-        np.rint(buf, out=buf)
-        if zp:
-            np.add(buf, zp, out=buf)
-        np.clip(buf, q_min, q_max, out=buf)
-        if zp:
-            np.subtract(buf, zp, out=buf)
-        np.multiply(buf, scale, out=buf)
-        return sq_error(arr, buf)
-
-    best, _ = first_min(zip(candidates.tolist(), zero_points.tolist()), score)
-    if best is None:
-        return full
-    return params_from_scale(best[0], data_min, bits, scheme, signed)
+    scales, zero_points = _row_search(_as_f64(samples).reshape(1, -1), bits, scheme, signed, space)
+    return QuantParams(scale=scales[0], zero_point=zero_points[0], bits=bits, signed=signed)
 
 
 def percentile_calibrate(
@@ -176,8 +181,6 @@ def percentile_calibrate(
     if not 0.0 < p <= 100.0:
         raise InvalidArgument(f"percentile must be in (0, 100], got {p}")
     arr = _as_f64(samples)
-    if arr.size == 0:
-        raise EmptyInput("no calibration samples")
     if scheme == "symmetric":
         clip = percentile(np.abs(arr), p)
         return make_params(-clip, clip, bits, "symmetric", signed)
@@ -279,13 +282,7 @@ def channelwise_params(
     signed: bool = True,
     space: SearchSpace | None = None,
 ) -> QuantParams:
-    """Per-channel parameters along `axis`, each slice grid-searched by
-    `mse_grid_search`."""
-    per = [mse_grid_search(s, bits, scheme, signed, space) for s in channel_slices(weight, axis)]
-    return QuantParams(
-        scale=np.asarray([p.scale for p in per], dtype=np.float64),
-        zero_point=np.asarray([p.zero_point for p in per], dtype=np.int64),
-        bits=bits,
-        signed=signed,
-        axis=axis,
-    )
+    """Per-channel parameters along `axis`: the row search over the channel
+    slices, each row equal to `mse_grid_search` on its slice."""
+    scales, zero_points = _row_search(channel_slices(weight, axis), bits, scheme, signed, space)
+    return QuantParams(scale=scales, zero_point=zero_points, bits=bits, signed=signed, axis=axis)

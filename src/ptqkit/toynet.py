@@ -58,16 +58,7 @@ HOOKS = (
     "decoder.pre_bn",
 )
 
-QUANTIZED_HOOKS = (
-    "attn.q",
-    "attn.k_t",
-    "attn.softmax",
-    "attn.v",
-    "mlp.gelu",
-    "text.out",
-    "fusion.out",
-    "decoder.pre_bn",
-)
+QUANTIZED_HOOKS = tuple(h for h in HOOKS if h not in ("attn.scores", "attn.out"))
 
 PRESETS = {"W8A8": (8, 8), "W6A6": (6, 6), "W4A8": (4, 8), "W4A4": (4, 4)}
 
@@ -209,10 +200,11 @@ class ToyNetWeights:
 
 @dataclass
 class ActivationTrace:
-    """Hooked activations (and optionally their proxy-loss gradients)."""
+    """Hooked activations, plus the gradients and output `backward_collect` adds."""
 
     activations: dict[str, np.ndarray] = field(default_factory=dict)
     gradients: dict[str, np.ndarray] = field(default_factory=dict)
+    output: np.ndarray | None = None
 
 
 @dataclass
@@ -344,7 +336,7 @@ def backward_collect(
     w: ToyNetWeights,
     perturbation: float = 1.0,
 ) -> ActivationTrace:
-    """Full-precision forward plus analytic gradients at every hook.
+    """Full-precision forward (its output kept on the trace) plus analytic gradients at every hook.
 
     The proxy loss is the final output contracted with a constant
     perturbation seed, so the gradient of the loss with respect to the
@@ -353,6 +345,7 @@ def backward_collect(
     """
     x = _as_f64(x)
     out, trace = forward(x, w, plan=None)
+    trace.output = out
     acts = trace.activations
 
     d_out = np.full_like(out, float(perturbation))
@@ -410,12 +403,12 @@ def run_pipeline(
     """Calibrate every quantizer in the plan and report reconstruction error.
 
     Step 1 runs full-precision forwards over the calibration inputs and
-    collects activations plus proxy-loss gradients. Step 2 dispatches per
-    module: region quantizers and the alternating matmul scale search for
-    the attention block, iterative outlier grouping for the text block,
-    grid-searched uniform scales (or plain min/max in "rtn" mode) elsewhere.
-    Batch-norm is always folded into the decoder conv before its weights are
-    calibrated.
+    collects activations, proxy-loss gradients and the reference outputs.
+    Step 2 dispatches per module: region quantizers and the alternating
+    matmul scale search for the attention block, iterative outlier grouping
+    for the text block, grid-searched uniform scales (or plain min/max in
+    "rtn" mode) elsewhere. Batch-norm is always folded into the decoder conv
+    before its weights are calibrated.
     """
     if len(calib_inputs) < 1:
         raise InvalidArgument("at least one calibration input required")
@@ -517,21 +510,15 @@ def run_pipeline(
         for name, arr in weight_arrays.items()
     }
 
-    out_mse = []
-    out_cos = []
-    for x in calib_inputs:
-        fp_out, _ = forward(x, w, plan=None)
-        q_out, _ = forward(x, w, plan=plan)
-        mse, _, cos = error_stats(fp_out, q_out)
-        out_mse.append(mse)
-        out_cos.append(cos)
+    # (mse, sqnr_db, cosine) of each input's quantized output against its traced one
+    out = [error_stats(t.output, forward(x, w, plan=plan)[0]) for x, t in zip(calib_inputs, traces)]
 
     report = CalibrationReport(
         hooks=hook_reports,
         weights=weight_reports,
         totals={
-            "output_mse_mean": float(np.mean(out_mse)),
-            "output_cosine_mean": float(np.mean(out_cos)),
+            "output_mse_mean": float(np.mean([o[0] for o in out])),
+            "output_cosine_mean": float(np.mean([o[2] for o in out])),
         },
         config={**cfg.to_dict(), "calibration_size": len(calib_inputs)},
         seed=cfg.seed,

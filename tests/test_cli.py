@@ -160,6 +160,35 @@ class TestCalibrateQuantizeEvaluate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
 
+    @pytest.mark.parametrize(
+        "hook,key",
+        [(None, "alhpa"), (None, "kind"), ("feat", "n_candidtes"), ("feat", "region"), ("text", "scheme")],
+    )
+    def test_unknown_key_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, hook, key):
+        cfg = json.loads(config_path.read_text())
+        (cfg if hook is None else cfg["hooks"][hook])[key] = 0.5
+        config_path.write_text(json.dumps(cfg))
+        params = tmp_path / "p.json"
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params)
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(key) in err
+        assert not params.exists()
+
+    @pytest.mark.parametrize("kind", ["groups", ["uniform"], None])
+    def test_unknown_kind_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, kind):
+        cfg = json.loads(config_path.read_text())
+        cfg["hooks"]["feat"]["kind"] = kind
+        config_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir),
+            "--out", str(tmp_path / "p.json"),
+        )
+        assert code == 1
+        assert err == f"error: unknown quantizer kind {kind!r}\n"
+
     def test_whole_float_count_is_an_int(self, tmp_path, capsys, dumps_dir, config_path):
         texts = []
         for n in (3, 3.0):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ptqkit import (
+    EmptyInput,
     InvalidArgument,
     SearchSpace,
     ShapeError,
@@ -205,6 +206,12 @@ class TestPercentileCalibrate:
             percentile_calibrate(np.ones(4), 8, 100.5)
 
 
+@pytest.mark.parametrize("calibrate", [mse_grid_search, channelwise_params, percentile_calibrate])
+def test_empty_samples_raise_empty_input(calibrate):
+    with pytest.raises(EmptyInput):
+        calibrate([], 8)
+
+
 # values where rounding, ties and signed zeros matter
 ELEMENT = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300]),
@@ -349,13 +356,56 @@ class TestChannelwiseParams:
         assert p.per_channel and p.axis == 0
         assert np.asarray(p.scale).shape == (6,)
 
+    @staticmethod
+    def assert_each_channel_is_its_own_search(w, bits, axis, scheme, signed, space=None):
+        p = channelwise_params(w, bits, axis, scheme, signed, space)
+        for i in range(w.shape[axis]):
+            expect = mse_grid_search(np.take(w, i, axis=axis), bits, scheme, signed, space)
+            assert (p.scale[i], p.zero_point[i]) == (expect.scale, expect.zero_point)
+        return p
+
     def test_matches_per_slice(self):
+        """The row search's oracle: every channel, including the degenerate
+        and tied ones, equals `mse_grid_search` on its own slice exactly."""
         rng = np.random.default_rng(6)
-        w = rng.standard_normal((3, 8))
-        p = channelwise_params(w, 8, axis=0, scheme="symmetric", signed=True)
-        for i, row in enumerate(w):
-            expect = mse_grid_search(row, 8, "symmetric", True)
-            assert (np.asarray(p.scale)[i], np.asarray(p.zero_point)[i]) == (expect.scale, expect.zero_point)
+        for shape, axis in [((7, 9), 0), ((9, 7), 1), ((7, 3, 3, 3), 0)]:
+            w = rng.standard_normal(shape) * rng.uniform(0.1, 10)
+            channels = np.moveaxis(w, axis, 0)  # a view: writes land in w
+            channels[1] = 0.0
+            channels[2] = -0.75
+            # every candidate's squared error underflows to 0, so all tie
+            channels[3] = rng.choice([-1e-180, 1e-180], channels[3].shape)
+            # every candidate's squared error overflows to inf
+            channels[4] = rng.choice([-1.0, 1.0], channels[4].shape) * rng.uniform(1e200, 2e200, channels[4].shape)
+            channels[5] = np.abs(channels[5])
+            for scheme in ("symmetric", "asymmetric"):
+                for signed in (True, False):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        p = self.assert_each_channel_is_its_own_search(w, 4, axis, scheme, signed)
+                    tie = make_params(float(channels[3].min()), float(channels[3].max()), 4, scheme, signed)
+                    assert p.scale[3] == SearchSpace().scale_candidates(tie.scale)[0]  # the first of equals
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ints=hnp.arrays(np.int64, st.tuples(st.integers(1, 5), st.integers(1, 8)), elements=st.integers(-40, 40)),
+        magnitudes=st.lists(st.sampled_from([1e-180, 1e-3, 1.0, 7.5, 1e200]), min_size=5, max_size=5),
+        transpose=st.booleans(),
+        scheme=st.sampled_from(["symmetric", "asymmetric"]),
+        signed=st.booleans(),
+        bits=st.integers(2, 8),
+        n_candidates=st.integers(1, 30),
+    )
+    def test_matches_per_slice_on_drawn_rows(self, ints, magnitudes, transpose, scheme, signed, bits, n_candidates):
+        """Rows of small integers, each at one magnitude: zero, constant,
+        equal and tied rows, and rows that overflow. (Rows whose span is so
+        small that `make_params`' own scale underflows to 0 are left out: it
+        fails on them before any search.)"""
+        w = ints * np.asarray(magnitudes[: len(ints)])[:, None]
+        space = SearchSpace(0.2, 1.3, n_candidates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_each_channel_is_its_own_search(
+                w.T if transpose else w, bits, int(transpose), scheme, signed, space
+            )
 
     def test_mse_reduces_error_vs_minmax(self):
         rng = np.random.default_rng(7)

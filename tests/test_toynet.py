@@ -16,6 +16,7 @@ from ptqkit import (
     run_pipeline,
     seeded_inputs,
 )
+from ptqkit import toynet
 from ptqkit.toynet import HOOKS, QUANTIZED_HOOKS, _minmax_params
 from ptqkit.dual_region import fake_dual_region
 from ptqkit.outlier_groups import fake_grouped
@@ -186,6 +187,18 @@ class TestPipeline:
             q, _ = forward(x, weights, plan=plan)
             mses.append(error_stats(fp, q)[0])
         assert report.totals["output_mse_mean"] == pytest.approx(float(np.mean(mses)))
+
+    def test_one_full_precision_and_one_quantized_forward_per_input(self, weights, calib, monkeypatch):
+        plans = []
+
+        def counted(x, w, plan=None, overrides=None):
+            plans.append(plan)
+            return forward(x, w, plan, overrides)
+
+        monkeypatch.setattr(toynet, "forward", counted)
+        run_pipeline(calib[:5], weights, PipelineConfig.from_preset("W8A8", seed=0))
+        assert len(plans) == 2 * 5
+        assert sum(plan is None for plan in plans) == 5
 
     def test_requires_calibration_inputs(self, weights):
         with pytest.raises(InvalidArgument):
