@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .report import CalibrationReport, HookReport
 from .search import DEFAULT_PERCENTILE, SearchSpace, mse_grid_search, percentile_calibrate
 from .tensor import Tensor
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import error_stats
+from .uniform import error_stats, whole
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
@@ -78,21 +79,18 @@ def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
 
 
 def _number(convert, key: str, default, *sources: dict):
-    """`key` from the first source that has it (else `default`), as a number.
-
-    An int is never made by truncating a fractional value, nor a number from
-    a bool.
-    """
+    """`key` from the first source that has it (else `default`), as a float,
+    or as a whole number (`uniform.whole`) when `convert` is int. No number is
+    made from a bool (`int(True) == 1`)."""
     value = next((src[key] for src in sources if key in src), default)
+    if convert is int:
+        return whole(key, value, -math.inf, math.inf)
     try:
-        if isinstance(value, bool):  # int(True) == 1
+        if isinstance(value, bool):
             raise TypeError
-        number = convert(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidArgument(f"{key} must be a number, got {value!r}") from None
-    if convert is int and isinstance(value, float) and not value.is_integer():
-        raise InvalidArgument(f"{key} must be a whole number, got {value!r}")
-    return number
 
 
 def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import InvalidArgument, ShapeError
 from .search import SearchSpace, first_min, mse_grid_search, sq_error
 from .tensor import TensorLike, _as_f64
+from .uniform import TINY, whole
 
 KINDS = ("softmax", "gelu")
 
@@ -51,12 +52,12 @@ class DualRegionParams:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidArgument(f"kind must be one of {KINDS}")
-        if not 2 <= self.bits <= 16:
-            raise InvalidArgument(f"bits must be in [2, 16], got {self.bits}")
+        object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
         if not (math.isfinite(self.scale_r2) and self.scale_r2 > 0):
             raise InvalidArgument(f"scale_r2 must be finite and positive, got {self.scale_r2}")
-        if self.shift_m < 0:
-            raise InvalidArgument("shift_m must be >= 0")
+        object.__setattr__(self, "shift_m", whole("shift_m", self.shift_m, 0, 1074))  # 2.0**-1075 == 0
+        if self.scale_r1 < TINY:
+            raise InvalidArgument(f"scale_r1 = scale_r2 * 2^-shift_m is subnormal: {self.scale_r1!r}")
         if self.kind == "softmax" and self.shift_m < 1:
             # shift 0 gives R2 the R1 scale: R2 codes reconstruct below the
             # boundary and re-encode in R1, so codes are not stable

@@ -146,15 +146,8 @@ def quantizer_to_dict(params) -> dict:
 
 def quantizer_from_dict(d: dict):
     kind = d.get("kind")
-    if kind == "uniform":
-        scale = d["scale"]
-        zp = d["zero_point"]
-        if isinstance(scale, list):
-            scale = np.asarray(scale, dtype=np.float64)
-            zp = np.asarray(zp, dtype=np.int64)
-        return QuantParams(
-            scale=scale, zero_point=zp, bits=d["bits"], signed=d["signed"], axis=d["axis"]
-        )
+    if kind == "uniform":  # QuantParams makes arrays of per-channel lists
+        return QuantParams(d["scale"], d["zero_point"], d["bits"], d["signed"], d["axis"])
     if kind == "dual_region":
         return DualRegionParams(
             kind=d["region"],
@@ -213,7 +206,7 @@ def parse_params(path) -> ParamDoc:
     try:
         hooks = {n: quantizer_from_dict(d) for n, d in payload.get("hooks", {}).items()}
         weights = {n: quantizer_from_dict(d) for n, d in payload.get("weights", {}).items()}
-    except (QuantizationError, KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (QuantizationError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise FormatError(f"malformed quantizer entry: {type(exc).__name__}: {exc}") from None
     return ParamDoc(hooks=hooks, weights=weights, meta=payload.get("meta", {}))
 

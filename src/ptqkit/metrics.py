@@ -37,9 +37,8 @@ def _pair_iou(pred: np.ndarray, gt: np.ndarray) -> float:
 def mask_metrics(
     pred_masks: Sequence[TensorLike],
     gt_masks: Sequence[TensorLike],
-    levels: Sequence[float] = PRECISION_LEVELS,
 ) -> MaskMetrics:
-    """Overall IoU (set level), mean per-pair IoU, and precision@X."""
+    """Overall IoU (set level), mean per-pair IoU, and precision@X for X in PRECISION_LEVELS."""
     if len(pred_masks) != len(gt_masks) or not pred_masks:
         raise InvalidArgument("need one or more prediction/ground-truth pairs")
     inter_total = 0
@@ -54,5 +53,5 @@ def mask_metrics(
         union_total += int(np.logical_or(pred, gt).sum())
         ious.append(_pair_iou(pred, gt))
     oiou = 1.0 if union_total == 0 else inter_total / union_total
-    prec = {x: float(np.mean([iou >= x for iou in ious])) for x in levels}
+    prec = {x: float(np.mean([iou >= x for iou in ious])) for x in PRECISION_LEVELS}
     return MaskMetrics(oiou=float(oiou), miou=float(np.mean(ious)), prec_at=prec)

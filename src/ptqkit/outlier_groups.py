@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .search import SearchSpace, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import QuantParams, dequantize_array, fake_quant_array, quantize_array
+from .uniform import QuantParams, dequantize_array, fake_quant_array, quantize_array, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -80,14 +80,23 @@ class QuantGroup:
 
 @dataclass(frozen=True)
 class GroupedQuantParams:
+    """Groups in increasing threshold order, each per-tensor uniform at `bits`."""
+
     bits: int
     groups: tuple[QuantGroup, ...]
     max_iters: int
     mad_fallbacks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
+        object.__setattr__(self, "max_iters", whole("max_iters", self.max_iters, 0, math.inf))
         if not self.groups:
             raise InvalidArgument("at least one group required")
+        if not all(
+            isinstance(g.params, QuantParams) and not g.params.per_channel and g.params.bits == self.bits
+            for g in self.groups
+        ):
+            raise InvalidArgument(f"every group needs per-tensor uniform params of {self.bits} bits")
         uppers = [g.upper for g in self.groups]
         if any(b <= a for a, b in zip(uppers, uppers[1:])):
             raise InvalidArgument(f"thresholds must strictly increase, got {uppers}")

@@ -58,14 +58,6 @@ class Tensor:
         return cls(arr.shape, arr.reshape(-1))
 
     @property
-    def size(self) -> int:
-        return int(self.data.size)
-
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
-
-    @property
     def array(self) -> np.ndarray:
         """Read-only view with the tensor's shape."""
         return self.data.reshape(self.shape)

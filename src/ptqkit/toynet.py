@@ -8,9 +8,9 @@ concatenated branch outputs, and a 3x3 conv + batch-norm + ReLU decoder
 stub. All math runs in float64 and is fully determined by (seed, input).
 
 Hook points capture the tensors calibration needs; `backward_collect`
-produces analytic gradients of a proxy loss (the perturbation-seeded sum of
-the final output) with respect to every hooked activation, which the
-gradient-weighted calibration metrics consume.
+produces analytic gradients of a proxy loss (the sum of the final output)
+with respect to every hooked activation, which the gradient-weighted
+calibration metrics consume.
 """
 
 from __future__ import annotations
@@ -143,22 +143,16 @@ class ToyNetWeights:
     bn: BNParams
 
     # The fixed architecture: (seq, dim) inputs, the MLP width, the decoder
-    # channels, the softmax sharpening, and the text block's outlier columns.
+    # channels and the (H, W) they reshape the 8x16 fused features to, the
+    # softmax sharpening, and the text block's outlier columns.
     seq = 8
     dim = 16
     hidden = 32
     conv_channels = 4
+    conv_hw = (4, 8)
     attn_temperature = 0.25
     outlier_count = 2
     outlier_range = (20.0, 50.0)
-
-    @property
-    def conv_hw(self) -> tuple[int, int]:
-        # seq*dim must factor as conv_channels * H * W; H fixed to the
-        # channel count keeps the default 8x16 features at (4, 4, 8)
-        spatial = self.seq * self.dim // self.conv_channels
-        h = self.conv_channels
-        return h, spatial // h
 
     @classmethod
     def seeded(cls, seed: int) -> "ToyNetWeights":
@@ -279,9 +273,9 @@ def forward(
     plan=None runs the full-precision reference (batch-norm applied
     explicitly); with a plan, weights and hooked activations are
     fake-quantized by their quantizers and the decoder uses the folded
-    conv when present, in which case the decoder hook sees the folded
-    (post-normalization) output. `overrides` replaces a hooked activation
-    before downstream use, which is what the finite-difference oracle needs.
+    conv when present. Either way the decoder hook holds the normalized
+    pre-activation. `overrides` replaces a hooked activation before
+    downstream use, which is what the finite-difference oracle needs.
     """
     x = _as_f64(x)
     if x.shape != (w.seq, w.dim):
@@ -322,40 +316,29 @@ def forward(
     img = f.reshape(w.conv_channels, *w.conv_hw)
     if plan is not None and plan.folded_conv is not None:
         cw, cb = plan.folded_conv
-        pre = hook("decoder.pre_bn", _conv2d(img, weight("decoder.conv_w", cw), cb))
-        z = pre
+        z = _conv2d(img, weight("decoder.conv_w", cw), cb)
     else:
-        pre = hook("decoder.pre_bn", _conv2d(img, weight("decoder.conv_w", w.conv_w), w.conv_b))
-        z = _bn_apply(pre, w.bn)
-    out = np.maximum(z, 0.0)
+        z = _bn_apply(_conv2d(img, weight("decoder.conv_w", w.conv_w), w.conv_b), w.bn)
+    out = np.maximum(hook("decoder.pre_bn", z), 0.0)
     return out, trace
 
 
-def backward_collect(
-    x: TensorLike,
-    w: ToyNetWeights,
-    perturbation: float = 1.0,
-) -> ActivationTrace:
+def backward_collect(x: TensorLike, w: ToyNetWeights) -> ActivationTrace:
     """Full-precision forward (its output kept on the trace) plus analytic gradients at every hook.
 
-    The proxy loss is the final output contracted with a constant
-    perturbation seed, so the gradient of the loss with respect to the
-    output is `perturbation` everywhere (zero perturbation zeroes every
-    gradient). Gradients treat each hooked activation as a free variable.
+    The proxy loss is the sum of the final output, so the gradient at the
+    decoder hook (the normalized pre-activation) is the ReLU mask.
+    Gradients treat each hooked activation as a free variable.
     """
     x = _as_f64(x)
     out, trace = forward(x, w, plan=None)
     trace.output = out
     acts = trace.activations
 
-    d_out = np.full_like(out, float(perturbation))
-    z = _bn_apply(acts["decoder.pre_bn"], w.bn)
-    dz = d_out * (z > 0.0)
+    dz = (acts["decoder.pre_bn"] > 0.0).astype(np.float64)
+    trace.gradients["decoder.pre_bn"] = dz
     inv = w.bn.gamma / np.sqrt(w.bn.running_var + w.bn.eps)
-    d_pre = dz * inv[:, None, None]
-    trace.gradients["decoder.pre_bn"] = d_pre
-
-    d_f = _conv2d_input_grad(d_pre, w.conv_w).reshape(w.seq, w.dim)
+    d_f = _conv2d_input_grad(dz * inv[:, None, None], w.conv_w).reshape(w.seq, w.dim)
     trace.gradients["fusion.out"] = d_f
     d_fin = d_f @ w.w_fuse.T
     d_vout = d_fin[:, : w.dim]
@@ -412,16 +395,12 @@ def run_pipeline(
     """
     if len(calib_inputs) < 1:
         raise InvalidArgument("at least one calibration input required")
-    traces = [backward_collect(x, w, perturbation=1.0) for x in calib_inputs]
+    traces = [backward_collect(x, w) for x in calib_inputs]
     acts = {h: np.stack([t.activations[h] for t in traces]) for h in HOOKS}
-    grads = {h: np.stack([t.gradients[h] for t in traces]) for h in HOOKS}
-
-    # Decoder activations are calibrated on the normalized pre-activation,
-    # which is what the folded conv emits at inference time.
-    acts["decoder.pre_bn"] = _bn_apply(acts["decoder.pre_bn"], w.bn)
+    # the "mse" metric weights no candidate by a gradient
+    grads = {h: np.stack([t.gradients[h] for t in traces]) for h in HOOKS if cfg.metric == "hessian"}
 
     plan = QuantPlan()
-    use_hessian = cfg.metric == "hessian"
 
     # Decoder: fold BN first; weight calibration sees the folded kernel.
     folded_w, folded_b = fold_batchnorm(w.conv_w, w.conv_b, w.bn)
@@ -456,30 +435,21 @@ def run_pipeline(
 
     if cfg.visual != RTN:
         qk = alternating_matmul_search(
-            acts["attn.q"],
-            acts["attn.k_t"],
-            grad=grads["attn.scores"] if use_hessian else None,
-            bits=a_bits,
+            acts["attn.q"], acts["attn.k_t"], grad=grads.get("attn.scores"), bits=a_bits
         )
         plan.hooks["attn.q"] = qk.params_a
         plan.hooks["attn.k_t"] = qk.params_b
         pv = alternating_matmul_search(
-            acts["attn.softmax"],
-            acts["attn.v"],
-            grad=grads["attn.out"] if use_hessian else None,
-            bits=a_bits,
+            acts["attn.softmax"], acts["attn.v"], grad=grads.get("attn.out"), bits=a_bits
         )
         # The softmax hook owns its region quantizer, so only the value-side
         # scale of this search is used.
         plan.hooks["attn.v"] = pv.params_b
         plan.hooks["attn.softmax"] = calibrate_dual_region(
-            acts["attn.softmax"],
-            "softmax",
-            a_bits,
-            grad=grads["attn.softmax"] if use_hessian else None,
+            acts["attn.softmax"], "softmax", a_bits, grad=grads.get("attn.softmax")
         )
         plan.hooks["mlp.gelu"] = calibrate_dual_region(
-            acts["mlp.gelu"], "gelu", a_bits, grad=grads["mlp.gelu"] if use_hessian else None
+            acts["mlp.gelu"], "gelu", a_bits, grad=grads.get("mlp.gelu")
         )
 
     if cfg.text != RTN:

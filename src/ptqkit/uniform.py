@@ -17,6 +17,20 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import Tensor, TensorLike, as_tensor
 
 SCHEMES = ("symmetric", "asymmetric")
+TINY = np.finfo(np.float64).tiny  # the smallest normal float64, make_params' least scale
+
+
+def whole(name: str, value, lo: float, hi: float) -> int:
+    """`value` as an int in [lo, hi]. Whole floats such as 8.0 pass; a bool,
+    a string or a fractional value is an error, never truncated."""
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or not lo <= value <= hi
+        or (isinstance(value, (float, np.floating)) and not float(value).is_integer())
+    ):
+        raise InvalidArgument(f"{name} must be a whole number in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 def quant_range(bits: int, signed: bool) -> tuple[int, int]:
@@ -30,7 +44,8 @@ class QuantParams:
     """Scale/zero-point pair for one uniform quantizer.
 
     Per-tensor parameters are scalars; per-channel parameters are 1-D arrays
-    along `axis`. Symmetric quantizers carry zero_point == 0.
+    along `axis`. Symmetric quantizers carry zero_point == 0. `bits`, `axis`
+    and every zero point must be whole numbers (see `whole`).
     """
 
     scale: float | np.ndarray
@@ -40,23 +55,21 @@ class QuantParams:
     axis: int | None = None
 
     def __post_init__(self) -> None:
-        if not 2 <= int(self.bits) <= 16:
-            raise InvalidArgument(f"bits must be in [2, 16], got {self.bits}")
-        if self.axis is not None and not isinstance(self.axis, int):
-            raise InvalidArgument(f"axis must be an int or None, got {self.axis!r}")
+        object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
+        if self.axis is not None:
+            object.__setattr__(self, "axis", whole("axis", self.axis, 0, math.inf))
         if not isinstance(self.signed, (bool, np.bool_)):
             raise InvalidArgument(f"signed must be a bool, got {self.signed!r}")
         object.__setattr__(self, "signed", bool(self.signed))
         q_min, q_max = quant_range(self.bits, self.signed)
         if self.per_channel:
             scale = np.asarray(self.scale, dtype=np.float64).reshape(-1)
-            zp = np.asarray(self.zero_point, dtype=np.int64).reshape(-1)
+            zps = np.asarray(self.zero_point, dtype=object).reshape(-1)  # elements as given
+            zp = np.array([whole("zero_point", z, q_min, q_max) for z in zps], dtype=np.int64)
             if scale.size != zp.size:
                 raise ShapeError("per-channel scale and zero_point lengths differ")
             if not np.all(np.isfinite(scale) & (scale > 0)):
                 raise InvalidArgument("all per-channel scales must be finite and positive")
-            if np.any(zp < q_min) or np.any(zp > q_max):
-                raise InvalidArgument("zero_point outside integer range")
             scale.flags.writeable = False
             zp.flags.writeable = False
             object.__setattr__(self, "scale", scale)
@@ -65,11 +78,8 @@ class QuantParams:
             scale = float(self.scale)
             if not (math.isfinite(scale) and scale > 0):
                 raise InvalidArgument(f"scale must be finite and positive, got {scale}")
-            zp = int(self.zero_point)
-            if not q_min <= zp <= q_max:
-                raise InvalidArgument(f"zero_point {zp} outside [{q_min}, {q_max}]")
             object.__setattr__(self, "scale", scale)
-            object.__setattr__(self, "zero_point", zp)
+            object.__setattr__(self, "zero_point", whole("zero_point", self.zero_point, q_min, q_max))
 
     @property
     def per_channel(self) -> bool:
@@ -149,7 +159,8 @@ def make_params(
 
     Asymmetric: s = (max - min) / (q_max - q_min), z = round(q_min - min/s)
     clamped into range. Symmetric: s = absmax / q_max, z = 0. A fully
-    degenerate range (max == min == 0) returns the sentinel scale 1.0.
+    degenerate range (max == min == 0) returns the sentinel scale 1.0; a range
+    so narrow that s is subnormal (below TINY) is an InvalidArgument.
     """
     if scheme not in SCHEMES:
         raise InvalidArgument(f"scheme must be one of {SCHEMES}")
@@ -160,14 +171,15 @@ def make_params(
     if absmax == 0.0:
         return QuantParams(scale=1.0, zero_point=0, bits=bits, signed=signed)
     if scheme == "symmetric":
-        return QuantParams(scale=absmax / q_max, zero_point=0, bits=bits, signed=signed)
-    span = max_val - min_val
-    if span == 0.0:
+        scale = absmax / q_max
+    elif max_val == min_val:
         # single repeated value: anchor the scale on its magnitude
         scale = absmax / max(abs(q_min), q_max)
     else:
-        scale = span / (q_max - q_min)
-    zp = int(np.clip(np.rint(q_min - min_val / scale), q_min, q_max))
+        scale = (max_val - min_val) / (q_max - q_min)
+    if scale < TINY:
+        raise InvalidArgument(f"range [{min_val!r}, {max_val!r}] gives the subnormal scale {scale!r}")
+    zp = 0 if scheme == "symmetric" else int(np.clip(np.rint(q_min - min_val / scale), q_min, q_max))
     return QuantParams(scale=scale, zero_point=zp, bits=bits, signed=signed)
 
 
@@ -252,17 +264,15 @@ def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float
     return mse, sqnr, cosine
 
 
-def fold_batchnorm(weight, bias, bn: BNParams):
+def fold_batchnorm(weight: np.ndarray, bias: np.ndarray, bn: BNParams):
     """Absorb batch-norm into the preceding linear/conv layer.
 
     `weight` has output channels on axis 0 (rank 2 linear or rank 4 conv).
     Returns (weight', bias') such that BN(W x + bias) == W' x + bias' for all
     inputs, up to float rounding.
     """
-    return_tensor = isinstance(weight, Tensor)
-    w = weight.array.astype(np.float64) if return_tensor else np.asarray(weight, dtype=np.float64)
-    b = bias.array.astype(np.float64) if isinstance(bias, Tensor) else np.asarray(bias, dtype=np.float64)
-    b = b.reshape(-1)
+    w = np.asarray(weight, dtype=np.float64)
+    b = np.asarray(bias, dtype=np.float64).reshape(-1)
     if w.shape[0] != bn.channels or b.size != bn.channels:
         raise ShapeError(
             f"channel mismatch: weight {w.shape[0]}, bias {b.size}, bn {bn.channels}"
@@ -270,6 +280,4 @@ def fold_batchnorm(weight, bias, bn: BNParams):
     factor = bn.gamma / np.sqrt(bn.running_var + bn.eps)
     w_folded = w * factor.reshape((-1,) + (1,) * (w.ndim - 1))
     b_folded = (b - bn.running_mean) * factor + bn.beta
-    if return_tensor:
-        return Tensor.from_array(w_folded), Tensor.from_array(b_folded)
     return w_folded, b_folded

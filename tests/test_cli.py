@@ -1,10 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqkit import MODULES, SearchSpace, Tensor, ThresholdStrategy, read_code_dump, read_dump, write_dump
 from ptqkit.cli import build_parser, main
@@ -393,3 +397,188 @@ class TestPipelineCommand:
         with pytest.raises(SystemExit) as exc:
             main(["pipeline", "--frobnicate"])
         assert exc.value.code != 0
+
+
+def _params_file(path, entry):
+    path.write_text(json.dumps({"format": "ptqkit-params", "version": 1, "hooks": {"h": entry}}))
+    return path
+
+
+def _write_sample_dump(path):
+    write_dump(Tensor.from_array(np.linspace(-2.0, 3.0, 64).reshape(2, 32)), path)
+    return path
+
+
+def _one_line_or_success(code, err):
+    return code == 0 or (code == 1 and err.startswith("error:") and err.count("\n") == 1)
+
+
+UNIFORM = {"kind": "uniform", "bits": 8, "signed": False, "scale": 0.02, "zero_point": 100, "axis": None}
+CHANNELS = {**UNIFORM, "scale": [0.02, 0.03], "zero_point": [100, 3], "axis": 0}
+GELU = {"kind": "dual_region", "region": "gelu", "bits": 8, "scale_r2": 0.05, "shift_m": 2, "fallback_uniform": False}
+SOFTMAX = {**GELU, "region": "softmax", "scale_r2": 1 / 127, "shift_m": 3}
+GROUPED = {
+    "kind": "outlier_groups", "bits": 8, "max_iters": 3, "mad_fallbacks": [],
+    "groups": [{"upper": 1.5, "params": UNIFORM}, {"upper": "inf", "params": {**UNIFORM, "scale": 0.1}}],
+}
+ENTRIES = {"uniform": UNIFORM, "channels": CHANNELS, "gelu": GELU, "softmax": SOFTMAX, "grouped": GROUPED}
+INT_FIELDS = ("bits", "zero_point", "shift_m", "max_iters", "axis")
+
+
+def _is_whole(v):
+    return (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer())
+
+
+def _all_whole(node):
+    """Every integer field of a params entry, at any depth, holds whole numbers."""
+    if isinstance(node, list):
+        return all(_all_whole(v) for v in node)
+    if not isinstance(node, dict):
+        return True
+    for key, value in node.items():
+        if key in INT_FIELDS and value is not None:
+            if not all(_is_whole(v) for v in (value if isinstance(value, list) else [value])):
+                return False
+        if not _all_whole(value):
+            return False
+    return True
+
+
+class TestParamsFileRules:
+    """Integer fields are whole numbers and outlier groups hold per-tensor
+    uniform parameters at the entry's bits; anything else is one line."""
+
+    @pytest.fixture()
+    def dump(self, tmp_path):
+        return _write_sample_dump(tmp_path / "x.dump")
+
+    def _quantize(self, capsys, tmp_path, dump, entry):
+        params = _params_file(tmp_path / "p.json", entry)
+        return run_cli(
+            capsys, "quantize", "--params", str(params), "--in", str(dump), "--out", str(tmp_path / "r.dump")
+        )
+
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("uniform", "bits", 8.5), ("uniform", "zero_point", 100.7), ("channels", "zero_point", [100.7, 3]),
+            ("channels", "axis", True), ("gelu", "shift_m", 1.5), ("grouped", "max_iters", 1.5),
+            ("grouped", "bits", "8"), ("softmax", "bits", False),
+        ],
+    )
+    def test_fractional_or_non_numeric_integer_field_is_one_line(self, tmp_path, capsys, dump, name, key, value):
+        code, _, err = self._quantize(capsys, tmp_path, dump, {**ENTRIES[name], key: value})
+        assert code == 1
+        assert err.startswith("error: malformed quantizer entry") and err.count("\n") == 1
+        assert f"{key} must be a whole number" in err
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_whole_float_fields_apply_like_ints(self, tmp_path, capsys, dump, name):
+        entry = ENTRIES[name]
+        floats = {k: float(v) for k, v in entry.items() if k in INT_FIELDS and isinstance(v, int)}
+        outputs = []
+        for variant in (entry, {**entry, **floats}):
+            code, _, _ = self._quantize(capsys, tmp_path, dump, variant)
+            assert code == 0
+            outputs.append((tmp_path / "r.dump").read_bytes() + (tmp_path / "r.dump.codes").read_bytes())
+        assert floats and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "group", [GELU, GROUPED, CHANNELS, {**UNIFORM, "bits": 4, "signed": True, "zero_point": 0}]
+    )
+    def test_group_must_be_per_tensor_uniform_at_entry_bits(self, tmp_path, capsys, dump, group):
+        entry = {**GROUPED, "groups": [{"upper": 1.5, "params": group}, GROUPED["groups"][1]]}
+        code, _, err = self._quantize(capsys, tmp_path, dump, entry)
+        assert code == 1
+        assert err == (
+            "error: malformed quantizer entry: InvalidArgument: every group needs per-tensor uniform params of 8 bits\n"
+        )
+
+
+ODD_VALUES = (1.5, 100.7, 8.0, -3, 0, 10**30, 10**400, True, None, "8", "x", [], [1.5], {}, float("inf"), float("nan"))
+
+
+@st.composite
+def _mutated_entry(draw):
+    """A valid params entry with one to three fields replaced (by an odd value
+    or another kind's entry) or deleted, at any depth."""
+    entry = json.loads(json.dumps(draw(st.sampled_from(sorted(ENTRIES.items())))[1]))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = []
+
+        def walk(node):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if key not in ("mad_fallbacks", "fallback_uniform"):  # stored, never applied
+                    slots.append((node, key))
+                    if isinstance(value, (dict, list)):
+                        walk(value)
+
+        walk(entry)
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.integers(0, 3)) == 0:  # delete one time in four
+            del node[key]
+        else:
+            pool = ODD_VALUES + tuple(ENTRIES.values())
+            node[key] = json.loads(json.dumps(draw(st.sampled_from(pool))))
+    return entry
+
+
+@st.composite
+def _mutated_dump(draw, valid, header=16):
+    """`valid` truncated, or with one to four bytes of its header (magic,
+    version, dtype, rank and two dims) or payload replaced."""
+    how = draw(st.sampled_from(["truncate", "header", "payload"]))
+    if how == "truncate":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    lo, hi = (0, header) if how == "header" else (header, len(valid))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(lo, hi - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+class TestMalformedInputs:
+    """Malformed dumps and params files through quantize and evaluate: exit 0,
+    or exit 1 with one stderr line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("malformed")
+        _write_sample_dump(workdir / "valid.dump")
+        return workdir
+
+    @staticmethod
+    def _run(*args):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(list(args))
+        return code, err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_params(self, workdir, data):
+        entry = data.draw(_mutated_entry())
+        params = _params_file(workdir / "p.json", entry)
+        code, err = self._run(
+            "quantize", "--params", str(params), "--in", str(workdir / "valid.dump"), "--out", str(workdir / "r.dump")
+        )
+        assert _one_line_or_success(code, err), (entry, code, err)
+        assert code == 1 or _all_whole(entry), entry
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dumps(self, workdir, data):
+        bad = workdir / "bad.dump"
+        bad.write_bytes(data.draw(_mutated_dump((workdir / "valid.dump").read_bytes())))
+        for entry in ENTRIES.values():
+            params = _params_file(workdir / "p.json", entry)
+            code, err = self._run(
+                "quantize", "--params", str(params), "--in", str(bad), "--out", str(workdir / "r.dump")
+            )
+            assert _one_line_or_success(code, err), (entry, code, err)
+        for a, b in ((bad, workdir / "valid.dump"), (bad, bad)):
+            code, err = self._run("evaluate", "--a", str(a), "--b", str(b))
+            assert _one_line_or_success(code, err), (code, err)

@@ -47,6 +47,17 @@ class TestParams:
         assert DualRegionParams("softmax", 2, 1.0 / 3.0, 1).shift_m == 1
         assert DualRegionParams("gelu", 2, 1.0 / 3.0, 0).shift_m == 0
 
+    @pytest.mark.parametrize("field,value", [("bits", 8.5), ("bits", "8"), ("shift_m", 1.5), ("shift_m", True), ("shift_m", 1075)])
+    def test_integer_fields_must_be_whole_numbers(self, field, value):
+        fields = {"kind": "gelu", "bits": 8, "scale_r2": 0.05, "shift_m": 2, field: value}
+        with pytest.raises(InvalidArgument, match=f"{field} must be a whole number"):
+            DualRegionParams(**fields)
+
+    def test_subnormal_fine_scale_rejected(self):
+        with pytest.raises(InvalidArgument, match="subnormal"):
+            DualRegionParams("gelu", 8, 1e-300, 40)
+        assert DualRegionParams("gelu", 8.0, 1e-300, 20.0).shift_m == 20
+
     def test_narrow_compat_scale(self):
         assert softmax_r2_scale(8, full_range=False) == pytest.approx(1.0 / 255.0)
         assert softmax_r2_scale(8, full_range=True) == pytest.approx(1.0 / 127.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,52 @@ class TestParamFile:
         path.write_text(json.dumps(payload).replace('"SCALE"', literal))
         with pytest.raises(FormatError, match="finite"):
             parse_params(path)
+
+    @pytest.mark.parametrize(
+        "section,entry,key,value",
+        [
+            ("hooks", "feat", "bits", 8.5), ("hooks", "feat", "zero_point", 100.7),
+            ("weights", "w", "zero_point", [0, 0.5]), ("hooks", "softmax", "shift_m", 4.5),
+            ("hooks", "text", "max_iters", 3.5), ("hooks", "text", "bits", "8"), ("hooks", "feat", "axis", True),
+        ],
+    )
+    def test_fractional_integer_field_is_a_format_error(self, tmp_path, section, entry, key, value):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        payload[section][entry][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"{key} must be a whole number"):
+            parse_params(path)
+
+    def test_whole_float_fields_parse_as_ints(self, tmp_path):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        text = path.read_text()
+
+        def as_floats(node):
+            if isinstance(node, dict):
+                return {k: (float(v) if k in ("bits", "zero_point", "shift_m", "max_iters") and isinstance(v, int)
+                            else [float(z) for z in v] if k == "zero_point" and isinstance(v, list)
+                            else as_floats(v)) for k, v in node.items()}
+            return [as_floats(v) for v in node] if isinstance(node, list) else node
+
+        floats = json.dumps(as_floats(json.loads(text)))
+        assert floats.count(".0") > text.count(".0")
+        path.write_text(floats)
+        emit_params(parse_params(path), path)
+        assert path.read_text() == text
+
+    def test_per_tensor_list_scale_is_a_format_error(self, tmp_path):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        payload["hooks"]["feat"]["scale"] = [payload["hooks"]["feat"]["scale"]]
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy only warns when it makes a scalar of a size-1 array
+            with pytest.raises(FormatError, match="TypeError"):
+                parse_params(path)
 
     def test_calibrated_grouped_roundtrip(self, tmp_path):
         t = synth("outlier", (16, 16), seed=3)

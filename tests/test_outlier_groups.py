@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqkit import (
+    DualRegionParams,
     EmptyInput,
     GroupedQuantParams,
     InvalidArgument,
     QuantGroup,
+    QuantParams,
     ThresholdStrategy,
     calibrate_grouped,
     fake_grouped,
@@ -115,6 +117,26 @@ class TestPartition:
 
 
 class TestGroupedParamsInvariants:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_params(0.0, 1.0, 4, "asymmetric", signed=True),  # not the entry's bits
+            QuantParams([0.1, 0.2], [0, 0], 8, False, axis=0),
+            DualRegionParams("gelu", 8, 0.05, 2),
+        ],
+    )
+    def test_groups_are_per_tensor_uniform_at_entry_bits(self, params):
+        with pytest.raises(InvalidArgument, match="per-tensor uniform params of 8 bits"):
+            GroupedQuantParams(
+                bits=8, groups=(QuantGroup(1.0, params), QuantGroup(math.inf, make_params(0.0, 9.0, 8))), max_iters=3
+            )
+
+    @pytest.mark.parametrize("field,value", [("bits", 8.5), ("bits", True), ("max_iters", 2.5), ("max_iters", "3")])
+    def test_integer_fields_must_be_whole_numbers(self, field, value):
+        fields = {"bits": 8, "groups": (QuantGroup(math.inf, make_params(0.0, 1.0, 8)),), "max_iters": 3, field: value}
+        with pytest.raises(InvalidArgument, match=f"{field} must be a whole number"):
+            GroupedQuantParams(**fields)
+
     def test_thresholds_must_increase(self):
         p8 = make_params(0.0, 1.0, 8)
         with pytest.raises(InvalidArgument):

@@ -397,15 +397,27 @@ class TestChannelwiseParams:
     )
     def test_matches_per_slice_on_drawn_rows(self, ints, magnitudes, transpose, scheme, signed, bits, n_candidates):
         """Rows of small integers, each at one magnitude: zero, constant,
-        equal and tied rows, and rows that overflow. (Rows whose span is so
-        small that `make_params`' own scale underflows to 0 are left out: it
-        fails on them before any search.)"""
+        equal and tied rows, and rows that overflow. (Rows whose full-range
+        scale is subnormal are left out: `make_params` rejects them before
+        any search, see `test_subnormal_row_scale_rejected`.)"""
         w = ints * np.asarray(magnitudes[: len(ints)])[:, None]
         space = SearchSpace(0.2, 1.3, n_candidates)
         with np.errstate(over="ignore", invalid="ignore"):
             self.assert_each_channel_is_its_own_search(
                 w.T if transpose else w, bits, int(transpose), scheme, signed, space
             )
+
+    @pytest.mark.parametrize(
+        "row,scheme",
+        [([2.2250738585072014e-308, 2.225073858507202e-308], "asymmetric"), ([1e-321, -2e-321, 3e-322], "symmetric")],
+    )
+    def test_subnormal_row_scale_rejected(self, row, scheme):
+        """A row whose full-range scale is subnormal never reaches the row
+        search (one such row would change the grid of every other row)."""
+        w = np.array([np.linspace(-1.0, 2.0, len(row)), row])
+        for arr, search in ((w, lambda a: channelwise_params(a, 8, 0, scheme)), (np.array(row), None)):
+            with pytest.raises(InvalidArgument, match="subnormal"):
+                search(arr) if search else mse_grid_search(arr, 8, scheme)
 
     def test_mse_reduces_error_vs_minmax(self):
         rng = np.random.default_rng(7)

@@ -10,13 +10,12 @@ from ptqkit import (
     InvalidArgument,
     QuantParams,
     ShapeError,
-    Tensor,
     dequantize,
     fold_batchnorm,
     make_params,
     quantize,
 )
-from ptqkit.uniform import error_stats, fake_quant_array
+from ptqkit.uniform import TINY, error_stats, fake_quant_array
 
 
 def channel_params(ranges, bits, scheme="asymmetric", signed=False):
@@ -67,6 +66,45 @@ class TestMakeParams:
     def test_numpy_bool_signed_is_stored_as_bool(self):
         p = QuantParams(scale=1.0, zero_point=0, bits=8, signed=np.True_)
         assert p.signed is True
+
+    @pytest.mark.parametrize(
+        "lo,hi,scheme",
+        [
+            (2.2250738585072014e-308, 2.225073858507202e-308, "asymmetric"),  # was a ZeroDivisionError
+            (-2e-321, 1e-321, "symmetric"),
+            (-2e-321, 1e-321, "asymmetric"),
+            (3e-310, 3e-310, "asymmetric"),
+        ],
+    )
+    def test_subnormal_scale_rejected(self, lo, hi, scheme):
+        with pytest.raises(InvalidArgument, match="subnormal"):
+            make_params(lo, hi, 8, scheme)
+
+    def test_smallest_normal_scale_accepted(self):
+        assert make_params(0.0, 255 * TINY, 8, "asymmetric").scale == TINY
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("bits", 8.5), ("bits", "8"), ("bits", True), ("zero_point", 100.7), ("zero_point", "3"),
+            ("zero_point", math.inf), ("axis", True), ("axis", -1), ("axis", 0.5),
+        ],
+    )
+    def test_integer_fields_must_be_whole_numbers(self, field, value):
+        fields = {"scale": 0.1, "zero_point": 3, "bits": 8, "signed": False, field: value}
+        with pytest.raises(InvalidArgument, match=f"{field} must be a whole number"):
+            QuantParams(**fields)
+
+    def test_per_channel_zero_points_must_be_whole_numbers(self):
+        for zps in ([3, 0.5], [3, False], [3, "4"]):
+            with pytest.raises(InvalidArgument, match="zero_point must be a whole number"):
+                QuantParams([0.1, 0.2], zps, 8, False, axis=0)
+
+    def test_whole_floats_are_stored_as_ints(self):
+        p = QuantParams(0.1, 3.0, 8.0, False)
+        assert (p.bits, p.zero_point) == (8, 3) and type(p.bits) is int and type(p.zero_point) is int
+        c = QuantParams([0.1, 0.2], np.array([3.0, 4.0]), np.int64(8), False, axis=1.0)
+        assert c.zero_point.dtype == np.int64 and type(c.axis) is int and type(c.bits) is int
 
     def test_constant_nonzero_value_representable(self):
         for c in (5.0, -3.25):
@@ -258,11 +296,6 @@ class TestFoldBatchnorm:
         bn = BNParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         with pytest.raises(ShapeError):
             fold_batchnorm(np.zeros((3, 4)), np.zeros(3), bn)
-
-    def test_tensor_in_tensor_out(self):
-        bn = BNParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
-        wf, bf = fold_batchnorm(Tensor.from_array(np.ones((2, 2))), Tensor.from_array(np.zeros(2)), bn)
-        assert isinstance(wf, Tensor) and isinstance(bf, Tensor)
 
 
 class TestBNParams:
