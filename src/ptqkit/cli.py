@@ -32,7 +32,7 @@ from .report import CalibrationReport, HookReport
 from .search import DEFAULT_PERCENTILE, SearchSpace, mse_grid_search, percentile_calibrate
 from .tensor import Tensor
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import error_stats, whole
+from .uniform import error_stats, real, whole
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
@@ -79,18 +79,13 @@ def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
 
 
 def _number(convert, key: str, default, *sources: dict):
-    """`key` from the first source that has it (else `default`), as a float,
-    or as a whole number (`uniform.whole`) when `convert` is int. No number is
-    made from a bool (`int(True) == 1`)."""
+    """`key` from the first source that has it (else `default`), as a float
+    (`uniform.real`), or as a whole number (`uniform.whole`) when `convert` is
+    int. No number is made from a bool (`int(True) == 1`) or a string."""
     value = next((src[key] for src in sources if key in src), default)
     if convert is int:
         return whole(key, value, -math.inf, math.inf)
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidArgument(f"{key} must be a number, got {value!r}") from None
+    return real(key, value)
 
 
 def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):

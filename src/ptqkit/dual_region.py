@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .search import SearchSpace, first_min, mse_grid_search, sq_error
+from .search import SearchSpace, _fake_into, first_min, mse_grid_search, sq_error
 from .tensor import TensorLike, _as_f64
-from .uniform import TINY, whole
+from .uniform import TINY, real, whole
 
 KINDS = ("softmax", "gelu")
 
@@ -53,6 +53,7 @@ class DualRegionParams:
         if self.kind not in KINDS:
             raise InvalidArgument(f"kind must be one of {KINDS}")
         object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
+        object.__setattr__(self, "scale_r2", real("scale_r2", self.scale_r2))
         if not (math.isfinite(self.scale_r2) and self.scale_r2 > 0):
             raise InvalidArgument(f"scale_r2 must be finite and positive, got {self.scale_r2}")
         object.__setattr__(self, "shift_m", whole("shift_m", self.shift_m, 0, 1074))  # 2.0**-1075 == 0
@@ -187,10 +188,7 @@ def _reconstruct_into(
     r1 = -p.scale_r1 if p.kind == "gelu" else p.scale_r1
     # region holds only 0 and 1; mode="clip" spares take() its buffered bounds check
     np.take(np.array([r1, p.scale_r2]), region, out=scale, mode="clip")
-    np.divide(num, scale, out=out)
-    np.rint(out, out=out)
-    np.clip(out, 0, p.value_max, out=out)
-    return np.multiply(out, scale, out=out)
+    return _fake_into(num, scale, 0, p.value_max, out)
 
 
 def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
@@ -207,7 +205,7 @@ def calibrate_dual_region(
     kind: str,
     bits: int,
     grad: TensorLike | None = None,
-    space: SearchSpace | None = None,
+    space: SearchSpace = SearchSpace(),
     full_range: bool = True,
 ) -> DualRegionParams:
     """Search the region scales against a calibration set.
@@ -233,7 +231,6 @@ def calibrate_dual_region(
     g = None if grad is None else _as_f64(grad)
     if g is not None and g.shape != arr.shape:
         raise ShapeError(f"grad shape {g.shape} does not match samples {arr.shape}")
-    space = space or SearchSpace()
     num = _numerator(arr, kind)
     scale = np.empty_like(arr)
     recon = np.empty_like(arr)

@@ -165,7 +165,7 @@ def quantizer_from_dict(d: dict):
             bits=d["bits"],
             groups=groups,
             max_iters=d["max_iters"],
-            mad_fallbacks=tuple(d.get("mad_fallbacks", ())),
+            mad_fallbacks=d.get("mad_fallbacks", ()),
         )
     raise FormatError(f"unknown quantizer kind {kind!r}")
 

@@ -85,11 +85,13 @@ class GroupedQuantParams:
     bits: int
     groups: tuple[QuantGroup, ...]
     max_iters: int
-    mad_fallbacks: tuple[int, ...] = ()
+    mad_fallbacks: tuple[int, ...] = ()  # iterations whose MAD was 0, each in [0, max_iters)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
         object.__setattr__(self, "max_iters", whole("max_iters", self.max_iters, 0, math.inf))
+        fallbacks = tuple(whole("mad_fallbacks", i, 0, self.max_iters - 1) for i in self.mad_fallbacks)
+        object.__setattr__(self, "mad_fallbacks", fallbacks)
         if not self.groups:
             raise InvalidArgument("at least one group required")
         if not all(
@@ -123,7 +125,7 @@ def calibrate_grouped(
     bits: int,
     strategy: ThresholdStrategy | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
-    space: SearchSpace | None = None,
+    space: SearchSpace = SearchSpace(),
 ) -> GroupedQuantParams:
     """Iterative inlier/outlier partition with per-group grid search.
 

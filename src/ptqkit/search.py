@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, channel_slices, percentile
-from .uniform import QuantParams, fake_quant_array, make_params, quant_range
+# unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
+from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
 
 T = TypeVar("T")
 
@@ -85,6 +86,17 @@ def sq_error(
     return float(mean) if axis is None else mean
 
 
+def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
+    """clip(rint(num / scale), lo, hi) * scale into `out`, the reconstruction
+    every search scores. With a zero point z folded into the bounds (lo =
+    q_min - z, hi = q_max - z) it is `fake_quant_array` up to the sign of a
+    zero, as clip(r + z, q_min, q_max) - z is clip(r, lo, hi) for whole r."""
+    np.divide(num, scale, out=out)
+    np.rint(out, out=out)
+    np.clip(out, lo, hi, out=out)
+    return np.multiply(out, scale, out=out)
+
+
 def params_from_scale(
     scale: float,
     data_min: float,
@@ -105,7 +117,7 @@ def params_from_scale(
 
 
 def _row_search(
-    rows: np.ndarray, bits: int, scheme: str, signed: bool, space: SearchSpace | None
+    rows: np.ndarray, bits: int, scheme: str, signed: bool, space: SearchSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scales, zero_points) minimizing the MSE of each row of a
     (rows, elements) float64 array over a grid bracketing its `make_params`
@@ -116,7 +128,7 @@ def _row_search(
     full = [make_params(a, b, bits, scheme, signed) for a, b in zip(lo.tolist(), hi.tolist())]
     scales = np.array([p.scale for p in full], dtype=np.float64)
     zero_points = np.array([p.zero_point for p in full], dtype=np.int64)
-    candidates = (space or SearchSpace()).scale_candidates(scales)
+    candidates = space.scale_candidates(scales)
     q_min, q_max = quant_range(bits, signed)
     if scheme == "symmetric":
         cand_zps = np.zeros_like(candidates)
@@ -125,16 +137,10 @@ def _row_search(
     degenerate = (lo == hi) & ((lo == 0.0) | (scheme == "asymmetric"))
     best = np.where(degenerate, -np.inf, np.inf)  # no score beats a degenerate row's -inf
     winner = np.full(len(rows), -1)
-    # fake_quant_array with the zero point folded into the clip bounds: for whole r,
-    # clip(r + z, q_min, q_max) - z is clip(r, q_min - z, q_max - z) up to a zero's sign
     lower, upper = q_min - cand_zps, q_max - cand_zps
     buf = np.empty_like(rows)
     for j in range(candidates.shape[1]):
-        scale = candidates[:, j : j + 1]
-        np.divide(rows, scale, out=buf)
-        np.rint(buf, out=buf)
-        np.clip(buf, lower[:, j : j + 1], upper[:, j : j + 1], out=buf)
-        np.multiply(buf, scale, out=buf)
+        _fake_into(rows, candidates[:, j, None], lower[:, j, None], upper[:, j, None], buf)
         score = sq_error(rows, buf, axis=1)
         better = score < best
         best[better], winner[better] = score[better], j
@@ -149,7 +155,7 @@ def mse_grid_search(
     bits: int,
     scheme: str = "symmetric",
     signed: bool = False,
-    space: SearchSpace | None = None,
+    space: SearchSpace = SearchSpace(),
 ) -> QuantParams:
     """Pick the candidate scale minimizing fake-quantization MSE.
 
@@ -206,7 +212,7 @@ def alternating_matmul_search(
     b: TensorLike,
     grad: TensorLike | None = None,
     bits: int = 8,
-    space: SearchSpace | None = None,
+    space: SearchSpace = SearchSpace(),
     rounds: int = DEFAULT_ROUNDS,
 ) -> MatmulScaleSearchResult:
     """Coordinate-descent search for the operand scales of a matrix product.
@@ -219,59 +225,44 @@ def alternating_matmul_search(
     """
     if rounds < 1:
         raise InvalidArgument("rounds must be >= 1")
-    arr_a = _as_f64(a)
-    arr_b = _as_f64(b)
-    space = space or SearchSpace()
+    ops = (_as_f64(a), _as_f64(b))
     try:
-        out_fp = np.matmul(arr_a, arr_b)
+        out_fp = np.matmul(*ops)
     except ValueError as exc:
         raise ShapeError(f"operands are not matmul-compatible: {exc}") from None
     g = None if grad is None else _as_f64(grad)
     if g is not None and g.shape != out_fp.shape:
         raise ShapeError(f"grad shape {g.shape} does not match output {out_fp.shape}")
-
-    absmax_a = float(np.max(np.abs(arr_a)))
-    absmax_b = float(np.max(np.abs(arr_b)))
-    denom = 2**bits - 1
-    signed_a = bool(arr_a.min() < 0)
-    signed_b = bool(arr_b.min() < 0)
-    if absmax_a == 0.0 or absmax_b == 0.0:
+    absmax = [float(np.max(np.abs(x))) for x in ops]
+    if 0.0 in absmax:
         identity = QuantParams(scale=1.0, zero_point=0, bits=bits, signed=True)
         return MatmulScaleSearchResult(identity, identity, ())
 
-    def qp(scale: float, signed: bool) -> QuantParams:
-        return QuantParams(scale=scale, zero_point=0, bits=bits, signed=signed)
-
+    signed = [bool(x.min() < 0) for x in ops]
+    bounds = [quant_range(bits, s) for s in signed]
     # Candidate grids bracket the operand's full-range scale in its actual
     # integer format (signed payloads have q_max = 2^(b-1) - 1); for
     # unsigned operands this is the [alpha, beta] * absmax / (2^b - 1) grid.
-    cand_a = space.scale_candidates(absmax_a / quant_range(bits, signed_a)[1])
-    cand_b = space.scale_candidates(absmax_b / quant_range(bits, signed_b)[1])
-    scale_a = absmax_a / denom
-    scale_b = absmax_b / denom
+    grids = [space.scale_candidates(m / q_max).tolist() for m, (_, q_max) in zip(absmax, bounds)]
+    scales = [m / (2**bits - 1) for m in absmax]
+    # fq[i] holds operand i fake-quantized at scales[i], or at the candidate
+    # scored while its own half-step runs
+    fq = [_fake_into(x, s, *lh, np.empty_like(x)) for x, s, lh in zip(ops, scales, bounds)]
     history: list[float] = []
     for _ in range(rounds):
-        fq_b = fake_quant_array(arr_b, qp(scale_b, signed_b))
-        best, score = first_min(
-            cand_a.tolist(),
-            lambda s: sq_error(out_fp, np.matmul(fake_quant_array(arr_a, qp(s, signed_a)), fq_b), g),
-        )
-        if best is not None:  # else keep the previous scale
-            scale_a = best
-        history.append(score)
-        fq_a = fake_quant_array(arr_a, qp(scale_a, signed_a))
-        best, score = first_min(
-            cand_b.tolist(),
-            lambda s: sq_error(out_fp, np.matmul(fq_a, fake_quant_array(arr_b, qp(s, signed_b))), g),
-        )
-        if best is not None:
-            scale_b = best
-        history.append(score)
-    return MatmulScaleSearchResult(
-        params_a=qp(scale_a, signed_a),
-        params_b=qp(scale_b, signed_b),
-        metric_history=tuple(history),
-    )
+        for i in (0, 1):  # fix the other operand, search this one
+
+            def score(s: float) -> float:
+                _fake_into(ops[i], s, *bounds[i], fq[i])
+                return sq_error(out_fp, np.matmul(*fq), g)
+
+            best, value = first_min(grids[i], score)
+            if best is not None:  # else keep the previous scale
+                scales[i] = best
+            history.append(value)
+            _fake_into(ops[i], scales[i], *bounds[i], fq[i])
+    result = (QuantParams(scale=s, zero_point=0, bits=bits, signed=sg) for s, sg in zip(scales, signed))
+    return MatmulScaleSearchResult(*result, metric_history=tuple(history))
 
 
 def channelwise_params(
@@ -280,7 +271,7 @@ def channelwise_params(
     axis: int = 0,
     scheme: str = "symmetric",
     signed: bool = True,
-    space: SearchSpace | None = None,
+    space: SearchSpace = SearchSpace(),
 ) -> QuantParams:
     """Per-channel parameters along `axis`: the row search over the channel
     slices, each row equal to `mse_grid_search` on its slice."""

@@ -33,6 +33,16 @@ def whole(name: str, value, lo: float, hi: float) -> int:
     return int(value)
 
 
+def real(name: str, value) -> float:
+    """`value` as a float. A bool, a string (even "0.5") or an int past float64 is an error."""
+    try:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise TypeError
+        return float(value)
+    except (TypeError, OverflowError):
+        raise InvalidArgument(f"{name} must be a number, got {value!r}") from None
+
+
 def quant_range(bits: int, signed: bool) -> tuple[int, int]:
     if signed:
         return -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
@@ -45,7 +55,8 @@ class QuantParams:
 
     Per-tensor parameters are scalars; per-channel parameters are 1-D arrays
     along `axis`. Symmetric quantizers carry zero_point == 0. `bits`, `axis`
-    and every zero point must be whole numbers (see `whole`).
+    and every zero point must be whole numbers (see `whole`), every scale a
+    number (see `real`).
     """
 
     scale: float | np.ndarray
@@ -63,7 +74,7 @@ class QuantParams:
         object.__setattr__(self, "signed", bool(self.signed))
         q_min, q_max = quant_range(self.bits, self.signed)
         if self.per_channel:
-            scale = np.asarray(self.scale, dtype=np.float64).reshape(-1)
+            scale = np.array([real("scale", s) for s in np.asarray(self.scale, dtype=object).reshape(-1)])
             zps = np.asarray(self.zero_point, dtype=object).reshape(-1)  # elements as given
             zp = np.array([whole("zero_point", z, q_min, q_max) for z in zps], dtype=np.int64)
             if scale.size != zp.size:
@@ -75,7 +86,7 @@ class QuantParams:
             object.__setattr__(self, "scale", scale)
             object.__setattr__(self, "zero_point", zp)
         else:
-            scale = float(self.scale)
+            scale = real("scale", self.scale)
             if not (math.isfinite(scale) and scale > 0):
                 raise InvalidArgument(f"scale must be finite and positive, got {scale}")
             object.__setattr__(self, "scale", scale)

@@ -149,7 +149,7 @@ class TestCalibrateQuantizeEvaluate:
         [
             ("bits", "eight"), ("alpha", "small"), ("beta", [1.2]), ("n_candidates", "many"),
             ("n_candidates", None), ("n_candidates", 2.5), ("n_candidates", True), ("alpha", False),
-            ("n_candidates", 1e12),
+            ("n_candidates", 1e12), ("alpha", "0.5"), ("beta", "1.2"), ("alpha", 10**400),
         ],
     )
     def test_non_numeric_config_value_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, key, value):
@@ -471,6 +471,19 @@ class TestParamsFileRules:
         assert code == 1
         assert err.startswith("error: malformed quantizer entry") and err.count("\n") == 1
         assert f"{key} must be a whole number" in err
+
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("uniform", "scale", "0.02"), ("channels", "scale", ["0.02", "0.5"]), ("channels", "scale", [0.02, "0.5"]),
+            ("uniform", "scale", True), ("gelu", "scale_r2", "0.05"), ("softmax", "scale_r2", True),
+        ],
+    )
+    def test_string_or_bool_float_field_is_one_line(self, tmp_path, capsys, dump, name, key, value):
+        code, _, err = self._quantize(capsys, tmp_path, dump, {**ENTRIES[name], key: value})
+        assert code == 1
+        assert err.startswith("error: malformed quantizer entry") and err.count("\n") == 1
+        assert f"{key} must be a number" in err
 
     @pytest.mark.parametrize("name", sorted(ENTRIES))
     def test_whole_float_fields_apply_like_ints(self, tmp_path, capsys, dump, name):

@@ -235,6 +235,8 @@ class TestParamFile:
             ("hooks", "feat", "bits", 8.5), ("hooks", "feat", "zero_point", 100.7),
             ("weights", "w", "zero_point", [0, 0.5]), ("hooks", "softmax", "shift_m", 4.5),
             ("hooks", "text", "max_iters", 3.5), ("hooks", "text", "bits", "8"), ("hooks", "feat", "axis", True),
+            # max_iters = 3: a MAD fallback names iteration 0, 1 or 2
+            *[("hooks", "text", "mad_fallbacks", v) for v in ("ab", [7, -1, 2.5], [3], [-1], [2.5], [True], ["1"])],
         ],
     )
     def test_fractional_integer_field_is_a_format_error(self, tmp_path, section, entry, key, value):
@@ -245,6 +247,17 @@ class TestParamFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=f"{key} must be a whole number"):
             parse_params(path)
+
+    def test_mad_fallbacks_are_stored_as_ints(self, tmp_path):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        payload["hooks"]["text"]["mad_fallbacks"] = [0.0, 2.0]
+        path.write_text(json.dumps(payload))
+        fallbacks = parse_params(path).hooks["text"].mad_fallbacks
+        assert fallbacks == (0, 2) and all(type(i) is int for i in fallbacks)
+        with pytest.raises(InvalidArgument, match="mad_fallbacks"):
+            GroupedQuantParams(8, self._doc().hooks["text"].groups, max_iters=1, mad_fallbacks=(1,))
 
     def test_whole_float_fields_parse_as_ints(self, tmp_path):
         path = tmp_path / "p.json"
@@ -272,7 +285,7 @@ class TestParamFile:
         path.write_text(json.dumps(payload))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # older numpy only warns when it makes a scalar of a size-1 array
-            with pytest.raises(FormatError, match="TypeError"):
+            with pytest.raises(FormatError, match=r"InvalidArgument: scale must be a number, got \["):
                 parse_params(path)
 
     def test_calibrated_grouped_roundtrip(self, tmp_path):

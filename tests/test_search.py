@@ -17,8 +17,8 @@ from ptqkit import (
     percentile_calibrate,
     sq_error,
 )
-from ptqkit.search import MAX_CANDIDATES, first_min, params_from_scale
-from ptqkit.uniform import QuantParams, fake_quant_array
+from ptqkit.search import MAX_CANDIDATES, _fake_into, first_min, params_from_scale
+from ptqkit.uniform import QuantParams, fake_quant_array, quant_range
 
 
 def brute_force_best(arr, bits, scheme, signed, space):
@@ -275,22 +275,52 @@ class TestSqError:
             calibrate_dual_region(np.linspace(-1, 1, 12), "gelu", 8, grad=np.ones(13))
 
 
+class TestFakeInto:
+    """The reconstruction every search scores is `fake_quant_array` with the
+    zero point folded into the clip bounds."""
+
+    def test_equals_fake_quant_array(self):
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            bits = int(rng.integers(2, 17))
+            scheme = ("symmetric", "asymmetric")[seed % 2]
+            signed = bool(seed // 2 % 2)
+            x = rng.standard_normal(int(rng.integers(1, 65))) * 10.0 ** rng.uniform(-3, 3)
+            x += rng.uniform(-1, 1) * np.abs(x).max() * (scheme == "asymmetric")
+            x[rng.random(x.size) < 0.2] = 0.0  # exact zeros
+            full = make_params(float(x.min()), float(x.max()), bits, scheme, signed)
+            scale = full.scale * rng.uniform(0.01, 1.5)  # off the full-range scale
+            p = params_from_scale(scale, float(x.min()), bits, scheme, signed)
+            q_min, q_max = quant_range(bits, signed)
+            out = np.empty_like(x)
+            got = _fake_into(x, scale, q_min - p.zero_point, q_max - p.zero_point, out)
+            assert got is out
+            assert np.array_equal(got, fake_quant_array(x, p))
+
+
 class TestAlternatingSearch:
     @pytest.mark.parametrize("bits", [4, 8])
     @pytest.mark.parametrize("with_grad", [False, True])
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_matches_the_hand_written_loops(self, bits, with_grad, rounds):
+        """Small operands, then batched ones of the pipeline's attention
+        shapes (q @ k_t and softmax @ v over 32 inputs), some unsigned and
+        some ReLU'd, so that they hold exact zeros."""
         space = SearchSpace(0.2, 1.2, 16)
-        for seed in range(6):
-            rng = np.random.default_rng([seed, bits])
-            a = rng.standard_normal((6, 8))
-            b = rng.standard_normal((8, 5))
-            if seed % 2:
-                a = np.abs(a)  # an unsigned operand
-            grad = rng.standard_normal((6, 5)) if with_grad else None
-            res = alternating_matmul_search(a, b, grad=grad, bits=bits, space=space, rounds=rounds)
-            got = (res.params_a, res.params_b, res.metric_history)
-            assert got == alternating_oracle(a, b, grad, bits, space, rounds)
+        for shape_a, shape_b in [((6, 8), (8, 5)), ((32, 8, 16), (32, 16, 8)), ((32, 8, 8), (32, 8, 16))]:
+            for seed in range(8):
+                rng = np.random.default_rng([seed, bits])
+                a = rng.standard_normal(shape_a)
+                b = rng.standard_normal(shape_b)
+                if seed % 2:
+                    a = np.abs(a)  # an unsigned operand
+                if seed >= 6:
+                    b = np.maximum(b, 0.0)
+                    assert (b == 0.0).any()
+                grad = rng.standard_normal(np.matmul(a, b).shape) if with_grad else None
+                res = alternating_matmul_search(a, b, grad=grad, bits=bits, space=space, rounds=rounds)
+                got = (res.params_a, res.params_b, res.metric_history)
+                assert got == alternating_oracle(a, b, grad, bits, space, rounds)
 
     def test_single_candidate_trivial(self):
         rng = np.random.default_rng(2)
@@ -357,7 +387,7 @@ class TestChannelwiseParams:
         assert np.asarray(p.scale).shape == (6,)
 
     @staticmethod
-    def assert_each_channel_is_its_own_search(w, bits, axis, scheme, signed, space=None):
+    def assert_each_channel_is_its_own_search(w, bits, axis, scheme, signed, space=SearchSpace()):
         p = channelwise_params(w, bits, axis, scheme, signed, space)
         for i in range(w.shape[axis]):
             expect = mse_grid_search(np.take(w, i, axis=axis), bits, scheme, signed, space)
