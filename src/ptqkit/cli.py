@@ -43,7 +43,7 @@ SHARED_KEYS = {"bits", "alpha", "beta", "n_candidates", "percentile", "strategy"
 CONFIG_KEYS = SHARED_KEYS | {"seed", "hooks"}
 HOOK_KEYS = {  # by the hook's kind
     "uniform": SHARED_KEYS | {"kind", "method", "scheme", "signed"},
-    "dual_region": SHARED_KEYS | {"kind", "region", "full_range"},
+    "dual_region": SHARED_KEYS | {"kind", "region"},
     "outlier_groups": SHARED_KEYS | {"kind"},
 }
 
@@ -116,10 +116,7 @@ def _calibrate_hook(stacked: np.ndarray, spec: dict, cfg: dict):
         region = spec.get("region")
         if region not in ("softmax", "gelu"):
             raise QuantizationError("dual_region hooks need region: softmax|gelu")
-        full_range = spec.get("full_range", True)
-        if not isinstance(full_range, bool):
-            raise InvalidArgument(f"full_range must be true or false, got {full_range!r}")
-        return calibrate_dual_region(stacked, region, bits, space=space, full_range=full_range)
+        return calibrate_dual_region(stacked, region, bits, space=space)
     default = ThresholdStrategy()  # outlier_groups, the one kind left
     strategy = ThresholdStrategy(
         kind=spec.get("strategy", cfg.get("strategy", default.kind)),

@@ -26,16 +26,10 @@ from .uniform import TINY, real, whole
 KINDS = ("softmax", "gelu")
 
 
-def softmax_r2_scale(bits: int, full_range: bool = True) -> float:
-    """Coarse-region scale for softmax data.
-
-    full_range (default) spans [0, 1] exactly with the (b-1)-bit payload:
-    1 / (2^(b-1) - 1). The narrow compatibility mode uses 1 / (2^b - 1),
-    which caps R2 reconstructions near 0.5.
-    """
-    if full_range:
-        return 1.0 / (2 ** (bits - 1) - 1)
-    return 1.0 / (2**bits - 1)
+def softmax_r2_scale(bits: int) -> float:
+    """Coarse-region scale for softmax data: 1 / (2^(b-1) - 1) spans [0, 1]
+    exactly with the (b-1)-bit payload."""
+    return 1.0 / (2 ** (bits - 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -57,6 +51,9 @@ class DualRegionParams:
         if not (math.isfinite(self.scale_r2) and self.scale_r2 > 0):
             raise InvalidArgument(f"scale_r2 must be finite and positive, got {self.scale_r2}")
         object.__setattr__(self, "shift_m", whole("shift_m", self.shift_m, 0, 1074))  # 2.0**-1075 == 0
+        if not isinstance(self.fallback_uniform, (bool, np.bool_)):
+            raise InvalidArgument(f"fallback_uniform must be a bool, got {self.fallback_uniform!r}")
+        object.__setattr__(self, "fallback_uniform", bool(self.fallback_uniform))
         if self.scale_r1 < TINY:
             raise InvalidArgument(f"scale_r1 = scale_r2 * 2^-shift_m is subnormal: {self.scale_r1!r}")
         if self.kind == "softmax" and self.shift_m < 1:
@@ -206,7 +203,6 @@ def calibrate_dual_region(
     bits: int,
     grad: TensorLike | None = None,
     space: SearchSpace = SearchSpace(),
-    full_range: bool = True,
 ) -> DualRegionParams:
     """Search the region scales against a calibration set.
 
@@ -239,16 +235,16 @@ def calibrate_dual_region(
         return sq_error(arr, _reconstruct_into(num, region, params, scale, recon), g)
 
     if kind == "softmax":
-        scale_r2 = softmax_r2_scale(bits, full_range)
-        candidates = (
+        scale_r2 = softmax_r2_scale(bits)
+        candidates = [
             DualRegionParams(kind, bits, scale_r2, m)
             for m in range(1, bits + 1)
             if 2 ** (bits - 1) * scale_r2 * 2.0**-m < 1.0  # R1 boundary inside (0, 1)
-        )
-        best, _ = first_min(candidates, lambda p: candidate_score(p, _regions(arr, p)))
-        if best is None:
+        ]
+        k = first_min([candidate_score(p, _regions(arr, p)) for p in candidates])
+        if k < 0:
             raise InvalidArgument(f"no admissible shift exponent for bits={bits}")
-        return best
+        return candidates[k]
 
     negatives = arr[arr < 0.0]
     vmax = 2 ** (bits - 1) - 1
@@ -273,9 +269,8 @@ def calibrate_dual_region(
     # candidates bracket the full-range scale of the (b-1)-bit payload; below
     # cover_min no shift keeps R1 covering the negative range
     scales = space.scale_candidates(pos_max / vmax).tolist()
-    best, _ = first_min(
-        (snapped(s) for s in scales if s >= cover_min), lambda p: candidate_score(p, region)
-    )
-    if best is None:
+    candidates = [snapped(s) for s in scales if s >= cover_min]
+    k = first_min([candidate_score(p, region) for p in candidates])
+    if k < 0:
         return DualRegionParams(kind, bits, scale_r1_init, 0)
-    return best
+    return candidates[k]

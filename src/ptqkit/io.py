@@ -29,7 +29,7 @@ from .errors import FormatError, InvalidArgument, QuantizationError
 from .outlier_groups import GroupedQuantParams, QuantGroup
 from .report import CalibrationReport, json_float
 from .tensor import MAX_RANK, Tensor, TensorLike, as_tensor
-from .uniform import QuantParams
+from .uniform import QuantParams, real
 
 MAGIC = b"PTQ4"
 VERSION = 1
@@ -144,6 +144,14 @@ def quantizer_to_dict(params) -> dict:
     raise InvalidArgument(f"cannot serialize {type(params).__name__}")
 
 
+def _upper(value) -> float:
+    """A group threshold: a positive number, or the "inf" the writer emits."""
+    upper = math.inf if value == "inf" else real("upper", value)
+    if not upper > 0:
+        raise InvalidArgument(f'upper must be a positive number or "inf", got {value!r}')
+    return upper
+
+
 def quantizer_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "uniform":  # QuantParams makes arrays of per-channel lists
@@ -158,7 +166,7 @@ def quantizer_from_dict(d: dict):
         )
     if kind == "outlier_groups":
         groups = tuple(
-            QuantGroup(upper=float(g["upper"]), params=quantizer_from_dict(g["params"]))
+            QuantGroup(upper=_upper(g["upper"]), params=quantizer_from_dict(g["params"]))
             for g in d["groups"]
         )
         return GroupedQuantParams(

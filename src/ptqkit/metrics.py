@@ -27,13 +27,6 @@ def _as_mask(values: TensorLike) -> np.ndarray:
     return arr.astype(bool)
 
 
-def _pair_iou(pred: np.ndarray, gt: np.ndarray) -> float:
-    union = int(np.logical_or(pred, gt).sum())
-    if union == 0:
-        return 1.0  # both masks empty: treated as a perfect match
-    return float(np.logical_and(pred, gt).sum() / union)
-
-
 def mask_metrics(
     pred_masks: Sequence[TensorLike],
     gt_masks: Sequence[TensorLike],
@@ -41,17 +34,16 @@ def mask_metrics(
     """Overall IoU (set level), mean per-pair IoU, and precision@X for X in PRECISION_LEVELS."""
     if len(pred_masks) != len(gt_masks) or not pred_masks:
         raise InvalidArgument("need one or more prediction/ground-truth pairs")
-    inter_total = 0
-    union_total = 0
-    ious = []
+    inters, unions = [], []
     for pred_raw, gt_raw in zip(pred_masks, gt_masks):
         pred = _as_mask(pred_raw)
         gt = _as_mask(gt_raw)
         if pred.shape != gt.shape:
             raise ShapeError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-        inter_total += int(np.logical_and(pred, gt).sum())
-        union_total += int(np.logical_or(pred, gt).sum())
-        ious.append(_pair_iou(pred, gt))
-    oiou = 1.0 if union_total == 0 else inter_total / union_total
+        inters.append(int(np.logical_and(pred, gt).sum()))
+        unions.append(int(np.logical_or(pred, gt).sum()))
+    # a pair of empty masks (union 0) is a perfect match
+    ious = [1.0 if u == 0 else i / u for i, u in zip(inters, unions)]
+    oiou = 1.0 if sum(unions) == 0 else sum(inters) / sum(unions)
     prec = {x: float(np.mean([iou >= x for iou in ious])) for x in PRECISION_LEVELS}
     return MaskMetrics(oiou=float(oiou), miou=float(np.mean(ious)), prec_at=prec)

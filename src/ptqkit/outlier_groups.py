@@ -85,12 +85,14 @@ class GroupedQuantParams:
     bits: int
     groups: tuple[QuantGroup, ...]
     max_iters: int
-    mad_fallbacks: tuple[int, ...] = ()  # iterations whose MAD was 0, each in [0, max_iters)
+    mad_fallbacks: tuple[int, ...] = ()  # increasing iterations whose MAD was 0, in [0, max_iters)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
         object.__setattr__(self, "max_iters", whole("max_iters", self.max_iters, 0, math.inf))
         fallbacks = tuple(whole("mad_fallbacks", i, 0, self.max_iters - 1) for i in self.mad_fallbacks)
+        if any(b <= a for a, b in zip(fallbacks, fallbacks[1:])):
+            raise InvalidArgument(f"mad_fallbacks must strictly increase, got {list(fallbacks)}")
         object.__setattr__(self, "mad_fallbacks", fallbacks)
         if not self.groups:
             raise InvalidArgument("at least one group required")

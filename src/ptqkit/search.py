@@ -9,7 +9,6 @@ matrix product. Every search scores its candidates with `sq_error` and keeps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -18,27 +17,22 @@ from .tensor import TensorLike, _as_f64, channel_slices, percentile
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
 
-T = TypeVar("T")
-
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
 MAX_CANDIDATES = 10_000  # SearchSpace.n_candidates bound: the grid is allocated from it
 
 
-def first_min(candidates: Iterable[T], score: Callable[[T], float]) -> tuple[T | None, float]:
-    """The lowest-scoring candidate and its score, reading `candidates` once.
+def first_min(scores) -> np.integer | np.ndarray:
+    """Index of the lowest score along the last axis of `scores`.
 
-    A candidate wins only on a strictly lower score, so the first of equal
-    scores wins and a NaN score never wins. `(None, inf)` means no candidate
-    scored below inf; each caller decides what to fall back to.
+    The first of equal scores wins and a NaN never wins. -1 means no score
+    is below inf (an empty axis included); each caller decides what to fall
+    back to. A 1-D `scores` gives one index, a 2-D one an index per row.
     """
-    best = None
-    best_score = np.inf
-    for cand in candidates:
-        value = score(cand)
-        if value < best_score:
-            best, best_score = cand, value
-    return best, best_score
+    scores = np.asarray(scores, dtype=np.float64)
+    ok = scores < np.inf
+    k = np.argmin(np.where(ok, scores, np.inf), axis=-1) if scores.shape[-1] else 0
+    return np.where(ok.any(axis=-1), k, -1)[()]
 
 
 @dataclass(frozen=True)
@@ -121,9 +115,10 @@ def _row_search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scales, zero_points) minimizing the MSE of each row of a
     (rows, elements) float64 array over a grid bracketing its `make_params`
-    scale, with `first_min`'s policy: the first of equal scores wins, a NaN
-    never wins, and a degenerate row (all zero, or constant under the
-    asymmetric scheme) or one with no score below inf keeps those parameters."""
+    scale. Each candidate column fills one column of a (rows, n_candidates)
+    score array and `first_min` picks every row's winner; a degenerate row
+    (all zero, or constant under the asymmetric scheme) or one with no score
+    below inf keeps those parameters."""
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     full = [make_params(a, b, bits, scheme, signed) for a, b in zip(lo.tolist(), hi.tolist())]
     scales = np.array([p.scale for p in full], dtype=np.float64)
@@ -134,16 +129,14 @@ def _row_search(
         cand_zps = np.zeros_like(candidates)
     else:  # params_from_scale's zero-point, for every candidate at once
         cand_zps = np.clip(np.rint(q_min - lo[:, None] / candidates), q_min, q_max)
-    degenerate = (lo == hi) & ((lo == 0.0) | (scheme == "asymmetric"))
-    best = np.where(degenerate, -np.inf, np.inf)  # no score beats a degenerate row's -inf
-    winner = np.full(len(rows), -1)
     lower, upper = q_min - cand_zps, q_max - cand_zps
     buf = np.empty_like(rows)
+    scores = np.empty(candidates.shape)
     for j in range(candidates.shape[1]):
         _fake_into(rows, candidates[:, j, None], lower[:, j, None], upper[:, j, None], buf)
-        score = sq_error(rows, buf, axis=1)
-        better = score < best
-        best[better], winner[better] = score[better], j
+        scores[:, j] = sq_error(rows, buf, axis=1)
+    degenerate = (lo == hi) & ((lo == 0.0) | (scheme == "asymmetric"))
+    winner = np.where(degenerate, -1, first_min(scores))
     won = np.flatnonzero(winner >= 0)
     scales[won] = candidates[won, winner[won]]
     zero_points[won] = cand_zps[won, winner[won]]
@@ -251,15 +244,14 @@ def alternating_matmul_search(
     history: list[float] = []
     for _ in range(rounds):
         for i in (0, 1):  # fix the other operand, search this one
-
-            def score(s: float) -> float:
+            scores = np.empty(len(grids[i]))
+            for j, s in enumerate(grids[i]):
                 _fake_into(ops[i], s, *bounds[i], fq[i])
-                return sq_error(out_fp, np.matmul(*fq), g)
-
-            best, value = first_min(grids[i], score)
-            if best is not None:  # else keep the previous scale
-                scales[i] = best
-            history.append(value)
+                scores[j] = sq_error(out_fp, np.matmul(*fq), g)
+            k = first_min(scores)
+            if k >= 0:  # else keep the previous scale
+                scales[i] = grids[i][k]
+            history.append(float(scores[k]) if k >= 0 else np.inf)
             _fake_into(ops[i], scales[i], *bounds[i], fq[i])
     result = (QuantParams(scale=s, zero_point=0, bits=bits, signed=sg) for s, sg in zip(scales, signed))
     return MatmulScaleSearchResult(*result, metric_history=tuple(history))

@@ -166,7 +166,10 @@ class TestCalibrateQuantizeEvaluate:
 
     @pytest.mark.parametrize(
         "hook,key",
-        [(None, "alhpa"), (None, "kind"), ("feat", "n_candidtes"), ("feat", "region"), ("text", "scheme")],
+        [
+            (None, "alhpa"), (None, "kind"), ("feat", "n_candidtes"), ("feat", "region"), ("text", "scheme"),
+            ("post_softmax", "full_range"),
+        ],
     )
     def test_unknown_key_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, hook, key):
         cfg = json.loads(config_path.read_text())
@@ -263,23 +266,6 @@ class TestCalibrateQuantizeEvaluate:
             assert code == 0
             texts.append(params.read_bytes())
         assert texts[0] != texts[1] == texts[2]
-
-    @pytest.mark.parametrize("full_range,scale_r2", [(True, 1 / 127), (False, 1 / 255), ("no", None)])
-    def test_full_range_must_be_a_bool(self, tmp_path, capsys, dumps_dir, config_path, full_range, scale_r2):
-        cfg = json.loads(config_path.read_text())
-        cfg["hooks"] = {"post_softmax": {"kind": "dual_region", "region": "softmax", "full_range": full_range}}
-        config_path.write_text(json.dumps(cfg))
-        params = tmp_path / "p.json"
-        code, _, err = run_cli(
-            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params)
-        )
-        if scale_r2 is None:
-            assert code == 1
-            assert err.startswith("error:") and err.count("\n") == 1
-            assert "full_range" in err
-        else:
-            assert code == 0
-            assert json.loads(params.read_text())["hooks"]["post_softmax"]["scale_r2"] == scale_r2
 
     def test_quantize_needs_hook_when_ambiguous(self, tmp_path, capsys, dumps_dir, config_path):
         params = tmp_path / "params.json"

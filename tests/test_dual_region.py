@@ -26,8 +26,8 @@ from ptqkit.search import SearchSpace
 from ptqkit.uniform import fake_quant_array
 
 
-def softmax_params(bits=8, m=5, full_range=True):
-    return DualRegionParams("softmax", bits, softmax_r2_scale(bits, full_range), m)
+def softmax_params(bits=8, m=5):
+    return DualRegionParams("softmax", bits, softmax_r2_scale(bits), m)
 
 
 class TestParams:
@@ -58,9 +58,11 @@ class TestParams:
             DualRegionParams("gelu", 8, 1e-300, 40)
         assert DualRegionParams("gelu", 8.0, 1e-300, 20.0).shift_m == 20
 
-    def test_narrow_compat_scale(self):
-        assert softmax_r2_scale(8, full_range=False) == pytest.approx(1.0 / 255.0)
-        assert softmax_r2_scale(8, full_range=True) == pytest.approx(1.0 / 127.0)
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_fallback_uniform_must_be_a_bool(self, value):
+        with pytest.raises(InvalidArgument, match="fallback_uniform must be a bool"):
+            DualRegionParams("gelu", 8, 0.05, 2, fallback_uniform=value)
+        assert DualRegionParams("gelu", 8, 0.05, 2, fallback_uniform=np.True_).fallback_uniform is True
 
 
 class TestRegionAssignment:
@@ -213,11 +215,6 @@ class TestCalibration:
         b = calibrate_dual_region(t, "softmax", 8)
         assert a == b
 
-    def test_narrow_compat_mode_coarse_scale(self):
-        t = synth("softmax", (16, 16), seed=1)
-        p = calibrate_dual_region(t, "softmax", 8, full_range=False)
-        assert p.scale_r2 == pytest.approx(1.0 / 255.0)
-
 
 def codec_roundtrip(x, p):
     return decode_tensor(encode_tensor(x, p), p)
@@ -228,7 +225,8 @@ def params_and_values(draw):
     kind = draw(st.sampled_from(["softmax", "gelu"]))
     bits = draw(st.integers(2, 16))
     if kind == "softmax":
-        scale_r2 = softmax_r2_scale(bits, draw(st.booleans()))
+        # the calibrated coarse scale, or the narrower 1 / (2^b - 1) a params file may carry
+        scale_r2 = 1.0 / (2 ** draw(st.sampled_from([bits - 1, bits])) - 1)
         # the smallest shift >= 1 whose R1 boundary lies below 1
         m_min = next(m for m in range(1, bits + 2) if 2 ** (bits - 1) * scale_r2 * 2.0**-m < 1.0)
         m = draw(st.integers(m_min, m_min + 4))

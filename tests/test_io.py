@@ -214,6 +214,39 @@ class TestParamFile:
         with pytest.raises(FormatError, match="signed"):
             parse_params(path)
 
+    @pytest.mark.parametrize("value", ["no", "true", 1, None])
+    def test_non_bool_fallback_uniform_is_a_format_error(self, tmp_path, value):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        payload["hooks"]["softmax"]["fallback_uniform"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="fallback_uniform must be a bool"):
+            parse_params(path)
+
+    @pytest.mark.parametrize("value", ["1.5", "-inf", "Infinity", "nan", True, None, [1.5], -1.5, 0.0, float("nan")])
+    def test_group_upper_is_a_positive_number_or_inf(self, tmp_path, value):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        payload["hooks"]["text"]["groups"][0]["upper"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="upper must be a"):
+            parse_params(path)
+        payload["hooks"]["text"]["groups"][0]["upper"] = 2  # a whole number reads as a float
+        path.write_text(json.dumps(payload))
+        assert parse_params(path).hooks["text"].groups[0].upper == 2.0
+
+    @pytest.mark.parametrize("value", [[2, 0, 2], [1, 1], [2, 0]])
+    def test_mad_fallbacks_must_strictly_increase(self, tmp_path, value):
+        path = tmp_path / "p.json"
+        emit_params(self._doc(), path)
+        payload = json.loads(path.read_text())
+        payload["hooks"]["text"]["mad_fallbacks"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="mad_fallbacks must strictly increase"):
+            parse_params(path)
+
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
     @pytest.mark.parametrize(
         "section,entry,key",
@@ -352,6 +385,14 @@ class TestMaskMetrics:
     def test_empty_vs_nonempty_is_zero(self):
         got = mask_metrics([np.zeros(4)], [np.asarray([1.0, 0, 0, 0])])
         assert got.miou == 0.0
+
+    def test_overall_iou_pools_the_pairs(self):
+        pred = [np.asarray([1, 1, 0, 0.0]), np.zeros(4), np.asarray([1, 0, 1, 0.0])]
+        gt = [np.asarray([1, 0, 0, 0.0]), np.zeros(4), np.asarray([0, 1, 1, 1.0])]  # IoU 1/2, 1, 1/4
+        got = mask_metrics(pred, gt)
+        assert got.oiou == 2 / 6
+        assert got.miou == np.mean([0.5, 1.0, 0.25])
+        assert got.prec_at == {0.5: 2 / 3, 0.7: 1 / 3, 0.9: 1 / 3}
 
     def test_nonbinary_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -75,27 +75,31 @@ def alternating_oracle(a, b, grad, bits, space, rounds):
 
 class TestFirstMin:
     def test_first_of_equal_scores_wins(self):
-        assert first_min(["a", "b", "c", "d"], {"a": 2.0, "b": 1.0, "c": 1.0, "d": 3.0}.get) == ("b", 1.0)
+        assert first_min([2.0, 1.0, 1.0, 3.0]) == 1
 
     @pytest.mark.parametrize("scores", [[np.nan, 2.0, 1.0], [3.0, np.nan, 1.0], [np.nan, np.nan, 1.0]])
     def test_nan_never_wins(self, scores):
-        assert first_min(range(3), scores.__getitem__) == (2, 1.0)
+        assert first_min(scores) == 2
 
     @pytest.mark.parametrize("scores", [[], [np.inf], [np.inf, np.nan, np.inf]])
-    def test_nothing_below_inf_is_none(self, scores):
-        assert first_min(range(len(scores)), scores.__getitem__) == (None, np.inf)
+    def test_nothing_below_inf_is_minus_one(self, scores):
+        assert first_min(scores) == -1
 
-    def test_reads_a_generator_once_and_scores_each_candidate_once(self):
-        scored = []
+    def test_each_row_of_a_2d_array_is_its_own_search(self):
+        def strictly_lower_wins(scores):  # the policy as a loop
+            best, winner = np.inf, -1
+            for k, value in enumerate(scores):
+                if value < best:
+                    best, winner = value, k
+            return winner
 
-        def score(c):
-            scored.append(c)
-            return abs(c - 2)
-
-        gen = (c for c in range(5))
-        assert first_min(gen, score) == (2, 0)
-        assert scored == [0, 1, 2, 3, 4]
-        assert next(gen, None) is None
+        rows = np.random.default_rng(0).integers(0, 4, (64, 6)).astype(np.float64)
+        rows[rows == 3] = np.nan
+        rows[::5] = np.inf  # no score below inf
+        rows[1::7, 2] = -np.inf
+        winners = first_min(rows).tolist()
+        assert winners == [first_min(row) for row in rows] == [strictly_lower_wins(row) for row in rows]
+        assert -1 in winners
 
 
 class TestSearchSpace:
