@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .search import SearchSpace, _fake_into, first_min, mse_grid_search, sq_error
+from .search import SearchSpace, _bin_scores, _fake_into, _near_winners, _sorted_sums, first_min
+from .search import mse_grid_search, sq_error
 from .tensor import TensorLike, _as_f64
 from .uniform import TINY, real, whole
 
@@ -61,9 +62,7 @@ class DualRegionParams:
             # boundary and re-encode in R1, so codes are not stable
             raise InvalidArgument("softmax shift_m must be >= 1")
         if self.kind == "softmax" and not 0.0 < self.boundary < 1.0:
-            raise InvalidArgument(
-                f"softmax region boundary {self.boundary} must lie in (0, 1)"
-            )
+            raise InvalidArgument(f"softmax region boundary {self.boundary} must lie in (0, 1)")
 
     @property
     def scale_r1(self) -> float:
@@ -192,9 +191,7 @@ def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     """Encode-then-decode reconstruction, shape preserved."""
     arr = _as_f64(x)
     scale = np.empty_like(arr)
-    return _reconstruct_into(
-        _numerator(arr, p.kind), _regions(arr, p), p, scale, np.empty_like(arr)
-    )
+    return _reconstruct_into(_numerator(arr, p.kind), _regions(arr, p), p, scale, np.empty_like(arr))
 
 
 def calibrate_dual_region(
@@ -227,13 +224,6 @@ def calibrate_dual_region(
     g = None if grad is None else _as_f64(grad)
     if g is not None and g.shape != arr.shape:
         raise ShapeError(f"grad shape {g.shape} does not match samples {arr.shape}")
-    num = _numerator(arr, kind)
-    scale = np.empty_like(arr)
-    recon = np.empty_like(arr)
-
-    def candidate_score(params: DualRegionParams, region: np.ndarray) -> float:
-        return sq_error(arr, _reconstruct_into(num, region, params, scale, recon), g)
-
     if kind == "softmax":
         scale_r2 = softmax_r2_scale(bits)
         candidates = [
@@ -241,7 +231,7 @@ def calibrate_dual_region(
             for m in range(1, bits + 1)
             if 2 ** (bits - 1) * scale_r2 * 2.0**-m < 1.0  # R1 boundary inside (0, 1)
         ]
-        k = first_min([candidate_score(p, _regions(arr, p)) for p in candidates])
+        k = first_min(_direct_scores(arr, g, kind, bits, candidates))
         if k < 0:
             raise InvalidArgument(f"no admissible shift exponent for bits={bits}")
         return candidates[k]
@@ -257,7 +247,6 @@ def calibrate_dual_region(
     pos_max = float(max(arr.max(), 0.0))
     if pos_max == 0.0:
         return DualRegionParams(kind, bits, scale_r1_init, 0)
-    region = (arr >= 0.0).astype(np.intp)  # the GeLU split does not move with the scales
 
     def snapped(scale_r2: float) -> DualRegionParams:
         """`scale_r2` with the nearest shift that keeps R1 covering the negatives."""
@@ -270,7 +259,42 @@ def calibrate_dual_region(
     # cover_min no shift keeps R1 covering the negative range
     scales = space.scale_candidates(pos_max / vmax).tolist()
     candidates = [snapped(s) for s in scales if s >= cover_min]
-    k = first_min([candidate_score(p, region) for p in candidates])
+    k = first_min(_direct_scores(arr, g, kind, bits, candidates))
     if k < 0:
         return DualRegionParams(kind, bits, scale_r1_init, 0)
     return candidates[k]
+
+
+def _direct_scores(arr: np.ndarray, g, kind: str, bits: int, candidates: list) -> np.ndarray:
+    """`sq_error` of every candidate `search._near_winners` keeps (2^(b-1)
+    levels in each of two regions), inf for the rest. The sorted copies
+    are freed before the reconstruction buffers are allocated."""
+    binned = lambda: _region_scores(arr, g, candidates)  # noqa: E731
+    keep = _near_winners(binned, arr.size, len(candidates), bits, g is not None)
+    num, scale, recon = _numerator(arr, kind), np.empty_like(arr), np.empty_like(arr)
+    scores, region = np.full(len(candidates), np.inf), None
+    for j in np.flatnonzero(keep):
+        p = candidates[j]
+        if region is None or p.kind == "softmax":  # the GeLU split does not move with the scales
+            region = _regions(arr, p)
+        scores[j] = sq_error(arr, _reconstruct_into(num, region, p, scale, recon), g)
+    return scores
+
+
+def _region_scores(arr: np.ndarray, g, candidates: list) -> tuple[np.ndarray, np.ndarray]:
+    """`search._bin_scores` of one kind's candidates, R1 plus R2: both are
+    runs of the sorted samples. GeLU's R1 is x < 0 at the levels -vmax..0;
+    softmax cuts at each boundary, and an R1 sample down to -1e-6 codes to
+    level 0 unless |x| / scale_r1 > 1/2, which makes the bound inf."""
+    sums = _sorted_sums(arr, g)
+    xs, vmax = sums[0], candidates[0].value_max
+    r1, r2 = np.array([[p.scale_r1, p.scale_r2] for p in candidates]).T
+    if candidates[0].kind == "gelu":
+        cut = np.searchsorted(xs, 0.0)
+        low = _bin_scores(sums, 0, cut, r1, -vmax, 0)
+    else:
+        cut = np.searchsorted(xs, [p.boundary for p in candidates])
+        low = _bin_scores(sums, 0, cut, r1, 0, vmax)
+        low[1][-xs[0] / r1 > 0.5] = np.inf
+    high = _bin_scores(sums, cut, arr.size, r2, 0, vmax)
+    return low[0] + high[0], low[1] + high[1]

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import InvalidArgument
-from .tensor import Tensor
+from .tensor import MAX_RANK, Tensor
 
 KINDS = ("softmax", "gelu", "outlier")
 
@@ -34,8 +34,10 @@ def synth(kind: str, shape: tuple[int, ...], seed: int) -> Tensor:
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}")
     shape = tuple(int(d) for d in shape)
-    if not shape or any(d <= 0 for d in shape):
-        raise InvalidArgument(f"shape must have positive dimensions, got {shape}")
+    if not 0 < len(shape) <= MAX_RANK or any(d <= 0 for d in shape):
+        raise InvalidArgument(f"shape must have 1 to {MAX_RANK} positive dimensions, got {shape}")
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise InvalidArgument(f"shape {shape} has more elements than one array can hold")
     rng = np.random.default_rng(seed)
     if kind == "softmax":
         logits = rng.standard_normal(shape) / TEMPERATURE

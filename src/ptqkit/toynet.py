@@ -26,37 +26,16 @@ from scipy.special import erf
 from .dual_region import DualRegionParams, calibrate_dual_region
 from .errors import InvalidArgument, ShapeError
 from .generate import _gelu
-from .outlier_groups import (
-    DEFAULT_MAX_ITERS,
-    GroupedQuantParams,
-    ThresholdStrategy,
-    calibrate_grouped,
-)
+from .outlier_groups import DEFAULT_MAX_ITERS, GroupedQuantParams, ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
-from .search import (
-    DEFAULT_ROUNDS,
-    SearchSpace,
-    alternating_matmul_search,
-    channelwise_params,
-    mse_grid_search,
-)
+from .search import DEFAULT_ROUNDS, SearchSpace, alternating_matmul_search, channelwise_params, mse_grid_search
 from .tensor import TensorLike, _as_f64
 from .uniform import BNParams, QuantParams, error_stats, fold_batchnorm, make_params
 
 # Hook names in forward order. `attn.scores` and `attn.out` anchor the
 # matmul gradient dumps and are never themselves quantized.
-HOOKS = (
-    "attn.q",
-    "attn.k_t",
-    "attn.scores",
-    "attn.softmax",
-    "attn.v",
-    "attn.out",
-    "mlp.gelu",
-    "text.out",
-    "fusion.out",
-    "decoder.pre_bn",
-)
+HOOKS = ("attn.q", "attn.k_t", "attn.scores", "attn.softmax", "attn.v", "attn.out",
+         "mlp.gelu", "text.out", "fusion.out", "decoder.pre_bn")
 
 QUANTIZED_HOOKS = tuple(h for h in HOOKS if h not in ("attn.scores", "attn.out"))
 

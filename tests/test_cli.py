@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptqkit import MODULES, SearchSpace, Tensor, ThresholdStrategy, read_code_dump, read_dump, write_dump
 from ptqkit.cli import build_parser, main
-from ptqkit.outlier_groups import DEFAULT_MAX_ITERS
+from ptqkit.io import read_code_dump, read_dump, write_dump
+from ptqkit.outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy
+from ptqkit.search import SearchSpace
+from ptqkit.tensor import Tensor
+from ptqkit.toynet import MODULES
 
 
 def run_cli(capsys, *args):
@@ -33,6 +36,21 @@ class TestSynthCommand:
         code, _, err = run_cli(capsys, "synth", "--kind", "gelu", "--shape", "abc", "--out", str(tmp_path / "x"))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "100000x100000x100000",  # 7 PiB: numpy refuses it before allocating
+            "99999999999999999999x2",
+            "9223372036854775807x2",
+            "x".join(["1"] * 67),
+            "1x1x1x1x1",
+        ],
+    )
+    def test_shape_no_array_can_hold_is_one_line(self, tmp_path, capsys, shape):
+        code, _, err = run_cli(capsys, "synth", "--kind", "gelu", "--shape", shape, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestCalibrateQuantizeEvaluate:
@@ -316,7 +334,7 @@ class TestPipelineCommand:
             "--params-out", str(params),
         )
         assert code == 0
-        from ptqkit import parse_params
+        from ptqkit.io import parse_params
 
         doc = parse_params(params)
         assert "attn.softmax" in doc.hooks

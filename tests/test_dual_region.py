@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptqkit import (
+from ptqkit import dual_region
+from ptqkit.dual_region import (
     DualRegionCode,
     DualRegionParams,
-    InvalidArgument,
+    _region_scores,
     assign_region,
     calibrate_dual_region,
     decode_tensor,
@@ -16,14 +17,15 @@ from ptqkit import (
     dual_region_quantize,
     encode_tensor,
     fake_dual_region,
-    mse_grid_search,
     pack_code,
     softmax_r2_scale,
-    synth,
     unpack_code,
 )
-from ptqkit.search import SearchSpace
+from ptqkit.errors import InvalidArgument
+from ptqkit.generate import synth
+from ptqkit.search import SearchSpace, mse_grid_search, sq_error
 from ptqkit.uniform import fake_quant_array
+from test_search import sorted_scoring
 
 
 def softmax_params(bits=8, m=5):
@@ -349,3 +351,111 @@ class TestCalibrationOracle:
     def test_bits_validated(self, bits):
         with pytest.raises(InvalidArgument):
             calibrate_dual_region(np.array([0.1, 0.9]), "softmax", bits)
+
+
+def outcome(search, *args, **kwargs):
+    """The search's result, or the type and message of what it raised."""
+    try:
+        return search(*args, **kwargs)
+    except InvalidArgument as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def adversarial_calibrations(draw):
+    """(samples, kind, bits, grad, space): repeated values and tied scores,
+    samples on the bin edges (k+1/2)s of either region, a dynamic range of
+    1e-150 to 1e150 and squared errors that overflow (GeLU), equal
+    samples, softmax samples down to -1e-6, and zero gradients."""
+    kind = draw(st.sampled_from(["gelu", "softmax"]))
+    bits = draw(st.integers(2, 10 if kind == "gelu" else 12))
+    alpha = draw(st.floats(0.01, 0.9))
+    space = SearchSpace(alpha, alpha + draw(st.floats(0.05, 1.0)), draw(st.integers(2, 40)))
+    data = draw(st.sampled_from(["repeated", "edges", "wide", "equal", "overflow", "normal"]))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vmax = 2 ** (bits - 1) - 1
+    half_codes = rng.integers(0, vmax + 1, n) + 0.5
+    if kind == "softmax":
+        if data == "edges":
+            arr = half_codes * softmax_r2_scale(bits) * 2.0 ** -rng.integers(0, bits + 1, n)
+        elif data == "repeated":
+            arr = rng.choice([-1e-6, 0.0, 1e-3, 0.25, 1.0], n)
+        elif data == "equal":
+            arr = np.full(n, draw(st.sampled_from([-1e-6, -0.0, 0.3, 1.0])))
+        else:
+            arr = rng.dirichlet(np.full(n, 0.3)) - 1e-6 * (rng.random(n) < 0.2)
+        arr = np.clip(arr, -1e-6, 1.0)
+    else:
+        if data == "edges":
+            neg, pos = draw(st.floats(0.01, 1.0)), draw(st.floats(0.1, 10.0))
+            grid = space.scale_candidates(pos / vmax)[rng.integers(space.n_candidates, size=n)]
+            shifted = grid * 2.0 ** -rng.integers(0, bits + 3, n) * rng.choice([-1.0, 1.0], n)
+            arr = np.concatenate([[-neg, pos], np.clip(half_codes * shifted, -neg, pos)])
+        elif data == "repeated":
+            arr = rng.integers(-3, 4, n) * draw(st.sampled_from([1e-3, 0.37, 1e5]))
+        elif data == "wide":
+            arr = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+        elif data == "equal":
+            arr = np.repeat([-0.25, draw(st.sampled_from([0.0, 0.25, 3.0]))], n)
+        elif data == "overflow":
+            arr = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(150, 300, n)
+        else:
+            arr = rng.standard_normal(n)
+        arr[0] = -abs(arr[0]) or -1.0  # a GeLU search needs a negative sample
+    weights = draw(st.sampled_from([None, "zero", "normal", "sparse"]))
+    grad = None if weights is None else rng.standard_normal(arr.shape)
+    if weights == "zero":
+        grad[:] = 0.0
+    elif weights == "sparse":
+        grad[rng.random(arr.shape) < 0.7] = 0.0
+    return arr, kind, bits, grad, space
+
+
+class TestSortedScoring:
+    """Both kinds of search score candidates from sorted prefix sums and
+    rescore directly only those its error bounds cannot rule out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_calibrations())
+    def test_pruned_winner_equals_reference(self, case):
+        arr, kind, bits, grad, space = case
+        with sorted_scoring():
+            got = outcome(calibrate_dual_region, arr, kind, bits, grad=grad, space=space)
+            assert got == outcome(reference_calibrate_dual_region, arr, kind, bits, grad, space)
+        with sorted_scoring(pays=False):
+            assert got == outcome(calibrate_dual_region, arr, kind, bits, grad=grad, space=space)
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_calibrations(), st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    def test_every_score_lies_within_its_bound(self, case, shifts):
+        arr, kind, bits, grad, space = case
+        if kind == "softmax":
+            inside = [m for m in range(1, bits + 1) if 2 ** (bits - 1) * softmax_r2_scale(bits) * 2.0**-m < 1.0]
+            candidates = [softmax_params(bits, m) for m in inside]
+        else:
+            grid = space.scale_candidates(np.abs(arr).max() / (2 ** (bits - 1) - 1))
+            candidates = [DualRegionParams(kind, bits, s, m) for s in grid for m in shifts]
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            approx, bound = _region_scores(arr, grad, candidates)
+            direct = np.array([sq_error(arr, fake_dual_region(arr, p), grad) for p in candidates])
+        assert np.all(bound >= 0)
+        finite = np.isfinite(bound)
+        if kind == "gelu":  # only data near the float64 limit has no bound
+            assert finite.all() or np.abs(arr).max() > 1e150
+        assert np.all(np.abs(approx - direct * arr.size)[finite] <= bound[finite])
+
+    def test_softmax_negatives_coded_off_zero_rescore_the_candidate(self):
+        # |x| / scale_r1 > 1/2 at 12 bits and m = 12: R1 codes -1e-6 to 8
+        arr = np.array([-1e-6, 0.0, 0.5, 1.0])
+        candidates = [softmax_params(12, m) for m in (1, 12)]
+        _, bound = _region_scores(arr, None, candidates)
+        assert np.isfinite(bound[0]) and bound[1] == np.inf
+
+    def test_gelu_search_rescores_only_near_winners(self, monkeypatch):
+        calls = []
+        real = dual_region._reconstruct_into
+        monkeypatch.setattr(dual_region, "_reconstruct_into", lambda *args: calls.append(1) or real(*args))
+        arr = synth("gelu", (256, 3072), seed=0).array
+        calibrate_dual_region(arr, "gelu", 8)
+        assert 1 <= len(calls) <= 5

@@ -5,27 +5,22 @@ import warnings
 import numpy as np
 import pytest
 
-from ptqkit import (
-    DualRegionParams,
-    FormatError,
-    GroupedQuantParams,
-    InvalidArgument,
+from ptqkit.dual_region import DualRegionParams
+from ptqkit.errors import FormatError, InvalidArgument, QuantizationError
+from ptqkit.generate import synth
+from ptqkit.io import (
     ParamDoc,
-    QuantGroup,
-    QuantizationError,
-    QuantParams,
-    Tensor,
-    calibrate_grouped,
     emit_params,
-    make_params,
-    mask_metrics,
     parse_params,
     read_code_dump,
     read_dump,
-    synth,
     write_code_dump,
     write_dump,
 )
+from ptqkit.metrics import mask_metrics
+from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup, calibrate_grouped
+from ptqkit.tensor import Tensor
+from ptqkit.uniform import QuantParams, make_params
 
 
 class TestDumpFormat:

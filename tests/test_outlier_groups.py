@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptqkit import (
-    DualRegionParams,
-    EmptyInput,
+from ptqkit.dual_region import DualRegionParams
+from ptqkit.errors import EmptyInput, InvalidArgument
+from ptqkit.generate import synth
+from ptqkit.outlier_groups import (
     GroupedQuantParams,
-    InvalidArgument,
     QuantGroup,
-    QuantParams,
     ThresholdStrategy,
+    _threshold_info,
     calibrate_grouped,
     fake_grouped,
     group_index,
     grouped_dequantize,
     grouped_quantize,
-    make_params,
-    synth,
 )
-from ptqkit.outlier_groups import _threshold_info
-from ptqkit.uniform import fake_quant_array
+from ptqkit.uniform import QuantParams, fake_quant_array, make_params
 
 
 def threshold_of(values, strategy):

@@ -1,24 +1,30 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ptqkit import (
-    EmptyInput,
-    InvalidArgument,
+from ptqkit import search
+from ptqkit.dual_region import calibrate_dual_region
+from ptqkit.errors import EmptyInput, InvalidArgument, ShapeError
+from ptqkit.generate import synth
+from ptqkit.search import (
+    MAX_CANDIDATES,
     SearchSpace,
-    ShapeError,
+    _bin_scores,
+    _fake_into,
+    _sorted_sums,
     alternating_matmul_search,
-    calibrate_dual_region,
     channelwise_params,
-    make_params,
+    first_min,
     mse_grid_search,
+    params_from_scale,
     percentile_calibrate,
     sq_error,
 )
-from ptqkit.search import MAX_CANDIDATES, _fake_into, first_min, params_from_scale
-from ptqkit.uniform import QuantParams, fake_quant_array, quant_range
+from ptqkit.uniform import QuantParams, fake_quant_array, make_params, quant_range
 
 
 def brute_force_best(arr, bits, scheme, signed, space):
@@ -182,6 +188,100 @@ class TestMseGridSearch:
         with np.errstate(over="ignore", invalid="ignore"):
             p = mse_grid_search(arr, 8, scheme)
         assert p == make_params(-1e300, 1e300, 8, scheme)
+
+
+@contextlib.contextmanager
+def sorted_scoring(pays=True):
+    """Prune every one-row and dual-region search, whatever it costs, or
+    (pays=False) none: then every candidate is scored directly."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_sorting_pays", lambda n, candidates, *rest: pays and candidates > 0)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            yield
+
+
+@st.composite
+def adversarial_rows(draw):
+    """(values, bits, scheme, signed, space): repeated values and tied
+    scores, values on the bin edges (k+1/2)s of grid candidates, a dynamic
+    range of 1e-150 to 1e150, all-equal rows, values whose squared error
+    overflows, and plain normals."""
+    bits = draw(st.integers(2, 8))
+    scheme = draw(st.sampled_from(["symmetric", "asymmetric"]))
+    signed = draw(st.booleans())
+    alpha = draw(st.floats(0.01, 0.9))
+    space = SearchSpace(alpha, alpha + draw(st.floats(0.05, 1.0)), draw(st.integers(2, 60)))
+    kind = draw(st.sampled_from(["repeated", "edges", "wide", "equal", "overflow", "normal"]))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "repeated":
+        arr = rng.integers(-3, 4, n) * draw(st.sampled_from([1e-3, 0.37, 1.0, 1e5]))
+    elif kind == "edges":
+        m = draw(st.floats(0.01, 100.0))
+        grid = space.scale_candidates(make_params(-m, m, bits, scheme, signed).scale)
+        on_edges = (rng.integers(-(2**bits), 2**bits, n) + 0.5) * grid[rng.integers(grid.size, size=n)]
+        arr = np.concatenate([[-m, m], np.clip(on_edges, -m, m)])  # the ends fix the grid
+    elif kind == "wide":
+        arr = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+    elif kind == "equal":
+        arr = np.full(n, draw(st.sampled_from([0.0, -0.75, 3.0, 1e-300, 1e150])))
+    elif kind == "overflow":
+        arr = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(150, 300, n)
+    else:
+        arr = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    return arr, bits, scheme, signed, space
+
+
+class TestSortedScoring:
+    """The one-row search scores candidates from sorted prefix sums and
+    rescores directly only those its error bounds cannot rule out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_rows())
+    def test_pruned_winner_equals_bruteforce_oracle(self, case):
+        arr, _, scheme, _, _ = case
+        with sorted_scoring():
+            got = mse_grid_search(*case)
+            expect = brute_force_best(*case)
+        with sorted_scoring(pays=False):
+            assert got == mse_grid_search(*case)
+        # the oracle has no closed form for zero and (asymmetric) constant rows
+        if arr.min() != arr.max() or (scheme == "symmetric" and arr.max() != 0.0):
+            assert got == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_rows())
+    def test_every_score_lies_within_its_bound(self, case):
+        arr, bits, scheme, signed, space = case
+        full = make_params(float(arr.min()), float(arr.max()), bits, scheme, signed)
+        grid = space.scale_candidates(full.scale)
+        params = [params_from_scale(float(s), float(arr.min()), bits, scheme, signed) for s in grid]
+        lo = np.array([p.q_min - p.zero_point for p in params])
+        hi = np.array([p.q_max - p.zero_point for p in params])
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            approx, bound = _bin_scores(_sorted_sums(arr), 0, arr.size, grid, lo, hi)
+            direct = np.array([sq_error(arr, _fake_into(arr, s, a, b, np.empty_like(arr))) for s, a, b in zip(grid, lo, hi)])
+        assert np.all(bound >= 0)
+        finite = np.isfinite(bound)
+        assert finite.all() or np.abs(arr).max() > 1e150  # only data near the float64 limit has no bound
+        assert np.all(np.abs(approx - direct * arr.size)[finite] <= bound[finite])
+
+    def test_only_near_winners_are_rescored(self, monkeypatch):
+        calls = []
+        real = search._fake_into
+        monkeypatch.setattr(search, "_fake_into", lambda *args: calls.append(1) or real(*args))
+        arr = synth("outlier", (256, 768), seed=0).array
+        for scheme in ("symmetric", "asymmetric"):
+            calls.clear()
+            mse_grid_search(arr, 8, scheme)
+            assert 1 <= len(calls) <= 5
+
+    def test_channel_rows_score_every_candidate(self, monkeypatch):
+        calls = []
+        real = search._fake_into
+        monkeypatch.setattr(search, "_fake_into", lambda *args: calls.append(1) or real(*args))
+        channelwise_params(np.random.default_rng(0).standard_normal((4, 4096)), 8)
+        assert len(calls) == SearchSpace().n_candidates
 
 
 class TestPercentileCalibrate:

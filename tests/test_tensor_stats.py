@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptqkit import (
-    EmptyInput,
-    InvalidArgument,
-    Tensor,
-    percentile,
-)
-from ptqkit.tensor import channel_slices
+from ptqkit.errors import EmptyInput, InvalidArgument
+from ptqkit.tensor import Tensor, channel_slices, percentile
 
 
 class TestTensorContainer:

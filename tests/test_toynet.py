@@ -4,24 +4,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptqkit import (
-    InvalidArgument,
+from ptqkit import toynet
+from ptqkit.dual_region import fake_dual_region
+from ptqkit.errors import InvalidArgument, ShapeError
+from ptqkit.outlier_groups import fake_grouped
+from ptqkit.search import mse_grid_search
+from ptqkit.toynet import (
+    HOOKS,
     PipelineConfig,
+    QUANTIZED_HOOKS,
     QuantPlan,
-    ShapeError,
     ToyNetWeights,
+    _minmax_params,
     backward_collect,
-    fold_batchnorm,
     forward,
     run_pipeline,
     seeded_inputs,
 )
-from ptqkit import toynet
-from ptqkit.toynet import HOOKS, QUANTIZED_HOOKS, _minmax_params
-from ptqkit.dual_region import fake_dual_region
-from ptqkit.outlier_groups import fake_grouped
-from ptqkit.search import mse_grid_search
-from ptqkit.uniform import error_stats, fake_quant_array
+from ptqkit.uniform import error_stats, fake_quant_array, fold_batchnorm
 
 DATA = Path(__file__).parent / "data"
 

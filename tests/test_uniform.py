@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptqkit import (
+from ptqkit.errors import InvalidArgument, ShapeError
+from ptqkit.uniform import (
     BNParams,
-    InvalidArgument,
     QuantParams,
-    ShapeError,
+    TINY,
     dequantize,
+    error_stats,
+    fake_quant_array,
     fold_batchnorm,
     make_params,
     quantize,
 )
-from ptqkit.uniform import TINY, error_stats, fake_quant_array
 
 
 def channel_params(ranges, bits, scheme="asymmetric", signed=False):
