@@ -30,7 +30,7 @@ from .outlier_groups import DEFAULT_MAX_ITERS, GroupedQuantParams, ThresholdStra
 from .report import CalibrationReport, HookReport
 from .search import DEFAULT_ROUNDS, SearchSpace, alternating_matmul_search, channelwise_params, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import BNParams, QuantParams, error_stats, fold_batchnorm, make_params
+from .uniform import BNParams, QuantParams, error_stats, fold_batchnorm, make_params, whole
 
 # Hook names in forward order. `attn.scores` and `attn.out` anchor the
 # matmul gradient dumps and are never themselves quantized.
@@ -71,18 +71,19 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
 
 
+def _windows(img: np.ndarray) -> np.ndarray:
+    """The 3x3 windows of (..., C, H, W) zero-padded by 1: (..., C, H, W, 3, 3)."""
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(1, 1), (1, 1)])
+    return sliding_window_view(padded, (3, 3), axis=(-2, -1))
+
+
 def _conv2d(img: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 conv, stride 1, zero padding 1. img: (C,H,W), w: (O,C,3,3)."""
-    padded = np.pad(img, ((0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
-    return np.einsum("chwuv,ocuv->ohw", windows, w) + b[:, None, None]
+    """3x3 conv, stride 1, zero padding 1. img: (..., C, H, W), w: (O, C, 3, 3)."""
+    return np.einsum("...chwuv,ocuv->...ohw", _windows(img), w) + b[:, None, None]
 
 
 def _conv2d_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
-    padded = np.pad(dout, ((0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
-    flipped = w[:, :, ::-1, ::-1]
-    return np.einsum("ohwuv,ocuv->chw", windows, flipped)
+    return np.einsum("...ohwuv,ocuv->...chw", _windows(dout), w[:, :, ::-1, ::-1])
 
 
 def _bn_apply(pre: np.ndarray, bn: BNParams) -> np.ndarray:
@@ -123,13 +124,14 @@ class ToyNetWeights:
 
     # The fixed architecture: (seq, dim) inputs, the MLP width, the decoder
     # channels and the (H, W) they reshape the 8x16 fused features to, the
-    # softmax sharpening, and the text block's outlier columns.
+    # softmax sharpening (and the score scale it gives), and the text block's outlier columns.
     seq = 8
     dim = 16
     hidden = 32
     conv_channels = 4
     conv_hw = (4, 8)
     attn_temperature = 0.25
+    inv_temp = 1.0 / (math.sqrt(dim) * attn_temperature)
     outlier_count = 2
     outlier_range = (20.0, 50.0)
 
@@ -173,7 +175,7 @@ class ToyNetWeights:
 
 @dataclass
 class ActivationTrace:
-    """Hooked activations, plus the gradients and output `backward_collect` adds."""
+    """Hooked activations and the output of a forward, plus the gradients `backward_collect` adds."""
 
     activations: dict[str, np.ndarray] = field(default_factory=dict)
     gradients: dict[str, np.ndarray] = field(default_factory=dict)
@@ -184,9 +186,7 @@ class ActivationTrace:
 class QuantPlan:
     """Calibrated quantizers per hook and per weight, plus the folded conv."""
 
-    hooks: dict[str, QuantParams | DualRegionParams | GroupedQuantParams] = field(
-        default_factory=dict
-    )
+    hooks: dict[str, QuantParams | DualRegionParams | GroupedQuantParams] = field(default_factory=dict)
     weight_params: dict[str, QuantParams] = field(default_factory=dict)
     folded_conv: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -241,13 +241,25 @@ class PipelineConfig:
         }
 
 
+def _fake_hook(quantizer, value: np.ndarray) -> np.ndarray:
+    """`quantizer.fake(value)` on a hook value with leading batch axes.
+
+    Per-channel hook params count their axis in one input's layout, as the
+    decoder hook's axis 0 of (C, H, W) does. On a stack those channels sit at
+    axis -3, so they move to the front for the fake and back after it."""
+    if getattr(quantizer, "per_channel", False):
+        return np.moveaxis(quantizer.fake(np.moveaxis(value, -3, 0)), 0, -3)
+    return quantizer.fake(value)
+
+
 def forward(
     x: TensorLike,
     w: ToyNetWeights,
     plan: QuantPlan | None = None,
     overrides: Mapping[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ActivationTrace]:
-    """One deterministic forward pass.
+    """One deterministic forward pass over a (..., seq, dim) input, whose
+    leading axes stack inputs that never mix.
 
     plan=None runs the full-precision reference (batch-norm applied
     explicitly); with a plan, weights and hooked activations are
@@ -257,29 +269,27 @@ def forward(
     downstream use, which is what the finite-difference oracle needs.
     """
     x = _as_f64(x)
-    if x.shape != (w.seq, w.dim):
-        raise ShapeError(f"input shape {x.shape} != ({w.seq}, {w.dim})")
+    if x.shape[-2:] != (w.seq, w.dim):
+        raise ShapeError(f"input shape {x.shape} does not end in ({w.seq}, {w.dim})")
+    plan = plan or QuantPlan()
     overrides = overrides or {}
     trace = ActivationTrace()
 
     def hook(name: str, value: np.ndarray) -> np.ndarray:
         if name in overrides:
             value = np.asarray(overrides[name], dtype=np.float64)
-        if plan is not None and name in plan.hooks:
-            value = plan.hooks[name].fake(value)
+        if name in plan.hooks:
+            value = _fake_hook(plan.hooks[name], value)
         trace.activations[name] = value
         return value
 
     def weight(name: str, value: np.ndarray) -> np.ndarray:
-        if plan is not None and name in plan.weight_params:
-            return plan.weight_params[name].fake(value)
-        return value
+        return plan.weight_params[name].fake(value) if name in plan.weight_params else value
 
     q = hook("attn.q", x @ weight("attn.w_q", w.w_q))
-    k_t = hook("attn.k_t", (x @ weight("attn.w_k", w.w_k)).T)
+    k_t = hook("attn.k_t", (x @ weight("attn.w_k", w.w_k)).swapaxes(-1, -2))
     v = hook("attn.v", x @ weight("attn.w_v", w.w_v))
-    inv_temp = 1.0 / (math.sqrt(w.dim) * w.attn_temperature)
-    scores = hook("attn.scores", (q @ k_t) * inv_temp)
+    scores = hook("attn.scores", (q @ k_t) * w.inv_temp)
     p = hook("attn.softmax", _softmax(scores))
     attn_out = hook("attn.out", p @ v)
     y = x + attn_out
@@ -289,58 +299,53 @@ def forward(
 
     t_out = hook("text.out", x @ weight("text.w", w.w_text) + w.b_text)
 
-    f_in = np.concatenate([v_out, t_out], axis=1)
+    f_in = np.concatenate([v_out, t_out], axis=-1)
     f = hook("fusion.out", f_in @ weight("fusion.w", w.w_fuse) + w.b_fuse)
 
-    img = f.reshape(w.conv_channels, *w.conv_hw)
-    if plan is not None and plan.folded_conv is not None:
+    img = f.reshape(*f.shape[:-2], w.conv_channels, *w.conv_hw)
+    if plan.folded_conv is not None:
         cw, cb = plan.folded_conv
         z = _conv2d(img, weight("decoder.conv_w", cw), cb)
     else:
         z = _bn_apply(_conv2d(img, weight("decoder.conv_w", w.conv_w), w.conv_b), w.bn)
-    out = np.maximum(hook("decoder.pre_bn", z), 0.0)
-    return out, trace
+    trace.output = np.maximum(hook("decoder.pre_bn", z), 0.0)
+    return trace.output, trace
 
 
 def backward_collect(x: TensorLike, w: ToyNetWeights) -> ActivationTrace:
-    """Full-precision forward (its output kept on the trace) plus analytic gradients at every hook.
+    """Full-precision forward plus analytic gradients at every hook.
 
     The proxy loss is the sum of the final output, so the gradient at the
     decoder hook (the normalized pre-activation) is the ReLU mask.
     Gradients treat each hooked activation as a free variable.
     """
     x = _as_f64(x)
-    out, trace = forward(x, w, plan=None)
-    trace.output = out
+    trace = forward(x, w)[1]
     acts = trace.activations
 
     dz = (acts["decoder.pre_bn"] > 0.0).astype(np.float64)
     trace.gradients["decoder.pre_bn"] = dz
     inv = w.bn.gamma / np.sqrt(w.bn.running_var + w.bn.eps)
-    d_f = _conv2d_input_grad(dz * inv[:, None, None], w.conv_w).reshape(w.seq, w.dim)
+    d_f = _conv2d_input_grad(dz * inv[:, None, None], w.conv_w).reshape(x.shape)
     trace.gradients["fusion.out"] = d_f
     d_fin = d_f @ w.w_fuse.T
-    d_vout = d_fin[:, : w.dim]
-    d_tout = d_fin[:, w.dim :]
-    trace.gradients["text.out"] = d_tout
+    d_vout = d_fin[..., : w.dim]
+    trace.gradients["text.out"] = d_fin[..., w.dim :]
 
     d_g = d_vout @ w.w_mlp2.T
     trace.gradients["mlp.gelu"] = d_g
-    y = x + acts["attn.out"]
-    h1 = y @ w.w_mlp1 + w.b_mlp1
+    h1 = (x + acts["attn.out"]) @ w.w_mlp1 + w.b_mlp1
     d_y = d_vout + (d_g * _gelu_grad(h1)) @ w.w_mlp1.T
     trace.gradients["attn.out"] = d_y
 
     p = acts["attn.softmax"]
-    v = acts["attn.v"]
-    d_p = d_y @ v.T
+    d_p = d_y @ acts["attn.v"].swapaxes(-1, -2)
     trace.gradients["attn.softmax"] = d_p
-    trace.gradients["attn.v"] = p.T @ d_y
+    trace.gradients["attn.v"] = p.swapaxes(-1, -2) @ d_y
     d_scores = _softmax_backward(p, d_p)
     trace.gradients["attn.scores"] = d_scores
-    inv_temp = 1.0 / (math.sqrt(w.dim) * w.attn_temperature)
-    trace.gradients["attn.q"] = (d_scores @ acts["attn.k_t"].T) * inv_temp
-    trace.gradients["attn.k_t"] = (acts["attn.q"].T @ d_scores) * inv_temp
+    trace.gradients["attn.q"] = (d_scores @ acts["attn.k_t"].swapaxes(-1, -2)) * w.inv_temp
+    trace.gradients["attn.k_t"] = (acts["attn.q"].swapaxes(-1, -2) @ d_scores) * w.inv_temp
     return trace
 
 
@@ -352,9 +357,7 @@ def _minmax_params(arr: np.ndarray, bits: int) -> QuantParams:
     """
     lo = float(arr.min())
     hi = float(arr.max())
-    if lo >= 0.0:
-        return make_params(lo, hi, bits, "symmetric", signed=False)
-    return make_params(lo, hi, bits, "asymmetric", signed=False)
+    return make_params(lo, hi, bits, "symmetric" if lo >= 0.0 else "asymmetric", signed=False)
 
 
 def run_pipeline(
@@ -364,8 +367,8 @@ def run_pipeline(
 ) -> tuple[QuantPlan, CalibrationReport]:
     """Calibrate every quantizer in the plan and report reconstruction error.
 
-    Step 1 runs full-precision forwards over the calibration inputs and
-    collects activations, proxy-loss gradients and the reference outputs.
+    Step 1 runs one full-precision `backward_collect` over the stacked inputs
+    for the activations, proxy-loss gradients and reference outputs.
     Step 2 dispatches per module: region quantizers and the alternating
     matmul scale search for the attention block, iterative outlier grouping
     for the text block, grid-searched uniform scales (or plain min/max in
@@ -374,16 +377,19 @@ def run_pipeline(
     """
     if len(calib_inputs) < 1:
         raise InvalidArgument("at least one calibration input required")
-    traces = [backward_collect(x, w) for x in calib_inputs]
-    acts = {h: np.stack([t.activations[h] for t in traces]) for h in HOOKS}
+    try:
+        xs = _as_f64(calib_inputs)
+    except ValueError as exc:  # inputs of different shapes
+        raise ShapeError(f"calibration inputs do not stack into one array: {exc}") from None
+    if xs.shape[1:] != (w.seq, w.dim):
+        raise ShapeError(f"calibration inputs stack to {xs.shape}, not (N, {w.seq}, {w.dim})")
+    fp = backward_collect(xs, w)
+    acts = fp.activations
     # the "mse" metric weights no candidate by a gradient
-    grads = {h: np.stack([t.gradients[h] for t in traces]) for h in HOOKS if cfg.metric == "hessian"}
-
-    plan = QuantPlan()
+    grads = fp.gradients if cfg.metric == "hessian" else {}
 
     # Decoder: fold BN first; weight calibration sees the folded kernel.
-    folded_w, folded_b = fold_batchnorm(w.conv_w, w.conv_b, w.bn)
-    plan.folded_conv = (folded_w, folded_b)
+    plan = QuantPlan(folded_conv=fold_batchnorm(w.conv_w, w.conv_b, w.bn))
 
     weight_arrays = {
         "attn.w_q": w.w_q,
@@ -393,7 +399,7 @@ def run_pipeline(
         "mlp.w2": w.w_mlp2,
         "text.w": w.w_text,
         "fusion.w": w.w_fuse,
-        "decoder.conv_w": folded_w,
+        "decoder.conv_w": plan.folded_conv[0],
     }
     for name, arr in weight_arrays.items():
         if cfg.mode_of(name) == RTN:
@@ -435,32 +441,26 @@ def run_pipeline(
         plan.hooks["text.out"] = calibrate_grouped(acts["text.out"], a_bits)
 
     if cfg.fusion != RTN:
-        plan.hooks["fusion.out"] = mse_grid_search(
-            acts["fusion.out"], a_bits, "asymmetric", False
-        )
+        plan.hooks["fusion.out"] = mse_grid_search(acts["fusion.out"], a_bits, "asymmetric", False)
 
     if cfg.decoder != RTN:
-        # calibrate channel-first so the stored axis matches the (C, H, W)
-        # activation layout seen at inference time
+        # calibrate channel-first so the stored axis is 0 of one input's
+        # (C, H, W), the layout `_fake_hook` applies it in
         plan.hooks["decoder.pre_bn"] = channelwise_params(
-            acts["decoder.pre_bn"].transpose(1, 0, 2, 3),
-            a_bits,
-            axis=0,
-            scheme="asymmetric",
-            signed=False,
+            np.moveaxis(acts["decoder.pre_bn"], -3, 0), a_bits, axis=0, scheme="asymmetric", signed=False
         )
 
-    hook_reports: dict[str, HookReport] = {}
-    for hookname, quantizer in plan.hooks.items():
-        recon = np.stack([quantizer.fake(d) for d in acts[hookname]])
-        hook_reports[hookname] = HookReport(*error_stats(acts[hookname], recon))
+    hook_reports = {
+        name: HookReport(*error_stats(acts[name], _fake_hook(quantizer, acts[name])))
+        for name, quantizer in plan.hooks.items()
+    }
     weight_reports = {
         name: HookReport(*error_stats(arr, plan.weight_params[name].fake(arr)))
         for name, arr in weight_arrays.items()
     }
 
     # (mse, sqnr_db, cosine) of each input's quantized output against its traced one
-    out = [error_stats(t.output, forward(x, w, plan=plan)[0]) for x, t in zip(calib_inputs, traces)]
+    out = [error_stats(a, b) for a, b in zip(fp.output, forward(xs, w, plan=plan)[0])]
 
     report = CalibrationReport(
         hooks=hook_reports,
@@ -475,17 +475,16 @@ def run_pipeline(
     return plan, report
 
 
-def seeded_inputs(seed: int, count: int, seq: int, dim: int) -> list[np.ndarray]:
-    """Deterministic calibration inputs drawn from a seed-derived stream.
+def seeded_inputs(seed: int, count: int, seq: int, dim: int) -> np.ndarray:
+    """(count, seq, dim) deterministic calibration inputs from a seed-derived stream.
 
     Roughly half the token rows are scaled down, mixing near-uniform
     attention rows (weak tokens) with sharply peaked ones, which is the
     row structure the post-softmax quantizers are designed around.
     """
     rng = np.random.default_rng([seed, 1])
-    inputs = []
-    for _ in range(count):
-        x = rng.standard_normal((seq, dim))
+    xs = np.empty((whole("count", count, 0, math.inf), seq, dim))
+    for x in xs:
+        rng.standard_normal(out=x)
         x[rng.random(seq) < 0.5] *= 0.15
-        inputs.append(x)
-    return inputs
+    return xs

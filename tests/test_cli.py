@@ -349,6 +349,12 @@ class TestPipelineCommand:
         assert rep["config"]["a_bits"] == 8
         assert "output_mse_mean" in rep["totals"]
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_calibration_inputs_is_one_line(self, capsys, count):
+        code, out, err = run_cli(capsys, "pipeline", "--seed", "0", "--preset", "W8A8", "--calib-count", count)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_malformed_params_entry_is_one_line(self, tmp_path, capsys):
         dump = tmp_path / "x.dump"
         write_dump(Tensor.from_array(np.linspace(-1.0, 1.0, 16)), dump)
