@@ -4,7 +4,8 @@ Every file the CLI writes is a deterministic function of its arguments, so
 the pipeline reports and parameter files, the calibrate outputs and the
 quantize dumps are pinned here byte for byte. The module ablation (every
 combination of round-to-nearest and dedicated treatment per module, plus
-the MSE-metric variant) is pinned by the sha256 of the same bytes. A change that alters any of
+the MSE-metric variant) is pinned by the sha256 of the same bytes, and so are
+the pipeline outputs of the other presets and seeds. A change that alters any of
 them on purpose regenerates the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -134,6 +135,22 @@ def _ablation(work: Path) -> dict[str, bytes]:
     return {"golden_ablation_seed0.json": (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()}
 
 
+# preset -> seeds pinned by hash (seed 0 of W8A8 and W4A4 is pinned by bytes above)
+PRESET_SEEDS = {"W8A8": (1, 2, 3), "W6A6": (0,), "W4A8": (0,), "W4A4": (1, 2, 3)}
+
+
+def _presets(work: Path) -> dict[str, bytes]:
+    """sha256 of the pipeline report and params bytes of each preset and seed."""
+    runs = {}
+    for preset, seeds in PRESET_SEEDS.items():
+        for seed in seeds:
+            report = work / f"presets.{preset}.{seed}.report.json"
+            params = work / f"presets.{preset}.{seed}.params.json"
+            _cli("pipeline", "--seed", seed, "--preset", preset, "--out", report, "--params-out", params)
+            runs[f"{preset},seed={seed}"] = {"report_sha256": _sha256(report), "params_sha256": _sha256(params)}
+    return {"golden_pipeline_presets.json": (json.dumps(runs, indent=2, sort_keys=True) + "\n").encode()}
+
+
 def generate(work: Path) -> dict[str, bytes]:
     """Fixture file name -> bytes, produced by the CLI under `work`."""
     files = {}
@@ -141,6 +158,7 @@ def generate(work: Path) -> dict[str, bytes]:
         files.update(_pipeline(work, preset))
     files.update(_calibrate_quantize(work))
     files.update(_ablation(work))
+    files.update(_presets(work))
     return files
 
 
@@ -160,6 +178,7 @@ def generated(tmp_path_factory):
         "golden_calibrate_seed0_report.json",
         "golden_quantize_seed0.json",
         "golden_ablation_seed0.json",
+        "golden_pipeline_presets.json",
     ],
 )
 def test_bytes_match_golden(generated, name):
