@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, channel_slices, percentile
@@ -21,6 +22,7 @@ DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
 MAX_CANDIDATES = 10_000  # SearchSpace.n_candidates bound: the grid is allocated from it
 U = 2.0**-53  # float64 unit roundoff
+CHUNK_ELEMS = 2**15  # float64 elements of one `_chunks` buffer: the candidates scored at once
 BIN_CELLS = 2**11  # `_bin_scores` cells per chunk; 2**15 raised pipeline peak RSS by 3 MB
 
 
@@ -71,13 +73,34 @@ def sq_error(
     Hessian-guided metric; `grad=None` makes it the plain MSE. The error is
     computed in place: `approx` is overwritten, `reference` and `grad` are
     only read. Callers check that `grad` has the reference's shape.
-    `axis=1` gives one mean per row (the row search's scores).
+    `axis` set to all but the first gives one mean per candidate of a
+    `_chunks` run.
     """
     diff = np.subtract(approx, reference, out=approx)
     if grad is not None:
         np.multiply(diff, grad, out=diff)
     mean = np.square(diff, out=diff).mean(axis=axis)
     return float(mean) if axis is None else mean
+
+
+def _run_length(size: int) -> int:
+    """Candidates per `_chunks` run when each needs `size` buffer elements."""
+    return max(1, CHUNK_ELEMS // size)
+
+
+def _chunks(candidates: np.ndarray, *likes: np.ndarray):
+    """The `candidates` (indices) in runs, each with a (run, *like.shape)
+    view of one float64 buffer per `like`, every candidate of it laid out
+    as `np.empty_like(like)`: each product and sum then runs as it would on
+    one candidate. A run fills at most CHUNK_ELEMS elements of the largest
+    buffer, or holds one candidate."""
+    step = _run_length(max(x.size for x in likes))
+    n = min(step, candidates.size)
+    layouts = [np.empty_like(x, dtype=np.float64) for x in likes]
+    bufs = [as_strided(np.empty(n * x.size), (n, *x.shape), (x.nbytes, *x.strides)) for x in layouts]
+    for j in range(0, candidates.size, step):
+        run = candidates[j : j + step]
+        yield run, *(b[: run.size] for b in bufs)
 
 
 def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
@@ -91,14 +114,18 @@ def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, scale, out=out)
 
 
-def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool) -> bool:
+def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1) -> bool:
     """Whether sorting n elements and scoring 2^bits levels per candidate
-    beats scoring each directly. In passes over n (4 ns an element, 2 CPUs): a
-    direct score n + 5000, the sort 5n (15n with an argsort for weights), a
-    (candidate, level) cell 25, and about two rescored. Sorted/direct time,
-    100 candidates, one row of normals: 0.34 (8 bits) and 1.9 (12 bits) on
-    65,536, 0.56 (12 bits) on 262,144; weighted 4-8 candidate softmax 1.3-3.2."""
-    return (candidates - 2) * (n + 5000) > (15 if weighted else 5) * n + (25 * candidates << bits)
+    beats scoring each directly, `per_call` candidates to a call. In passes
+    over n (4 ns an element, 2 CPUs): a direct score n plus 5000 a call,
+    shared by the call's candidates; the sort 5n (15n with an argsort for
+    weights), a (candidate, level) cell 25, and about two rescored.
+    Sorted/direct time, 100 candidates, one asymmetric row of normals, a
+    `_chunks` run a call: 2.1 and 1.8 (8 bits) on 2,048 and 4,096; 1.3 on
+    8,192, where the model still sorts; 0.74 on 16,384 and 0.31 on 65,536;
+    1.9 (12 bits) on 65,536 and 0.62 on 262,144. Weighted 4-8 candidate
+    softmax, a candidate a call: 1.3-3.2."""
+    return (candidates - 2) * (n + 5000 / per_call) > (15 if weighted else 5) * n + (25 * candidates << bits)
 
 
 def _gamma(n: int) -> float:
@@ -176,13 +203,13 @@ def _bin_scores(sums: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np
     return approx, np.where(np.isfinite(z), bound, np.inf)
 
 
-def _near_winners(scores, n: int, candidates: int, bits: int, weighted: bool) -> np.ndarray:
+def _near_winners(scores, n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1) -> np.ndarray:
     """Mask of the candidates whose direct score may be the lowest. Where
     `_sorting_pays`, `scores()` gives `_bin_scores`' (A, B) over all n
     elements; with b = argmin(A), a candidate with A_j > A_b + B_b + B_j
     scores above b directly, so it cannot win `first_min`, ties included.
     Otherwise, or where anything is not finite, every candidate is kept."""
-    if _sorting_pays(n, candidates, bits, weighted):
+    if _sorting_pays(n, candidates, bits, weighted, per_call):
         approx, bound = scores()
         if np.isfinite(approx).all() and np.isfinite(bound).all():
             b = np.argmin(approx)
@@ -214,11 +241,12 @@ def _row_search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scales, zero_points) minimizing the MSE of each row of a
     (rows, elements) float64 array over a grid bracketing its `make_params`
-    scale. Each candidate column fills one column of a (rows, n_candidates)
-    score array and `first_min` picks every row's winner; a degenerate row
-    (all zero, or constant under the asymmetric scheme) or one with no score
-    below inf keeps those parameters. One row scores only its
-    `_near_winners` directly, the rest inf, where `_sorting_pays`."""
+    scale. Each `_chunks` run of candidates fills a (run, rows, elements)
+    buffer and its columns of a (rows, n_candidates) score array, and
+    `first_min` picks every row's winner; a degenerate row (all zero, or
+    constant under the asymmetric scheme) or one with no score below inf
+    keeps those parameters. One row scores only its `_near_winners`
+    directly, the rest inf, where `_sorting_pays`."""
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     full = [make_params(a, b, bits, scheme, signed) for a, b in zip(lo.tolist(), hi.tolist())]
     scales = np.array([p.scale for p in full], dtype=np.float64)
@@ -231,18 +259,19 @@ def _row_search(
         cand_zps = np.clip(np.rint(q_min - lo[:, None] / candidates), q_min, q_max)
     lower, upper = q_min - cand_zps, q_max - cand_zps
     keep = np.ones(candidates.shape[1], dtype=bool)
-    # Channel rows keep the full column loop: the pipeline's rows hold 16-36 elements, fewer
+    # Channel rows score every candidate: the pipeline's rows hold 16-36 elements, fewer
     # than 8 bits' 256 levels. A 16x16 weight: 1.7 ms, or 30 ms as 16 sorted one-row searches.
     if rows.shape[0] == 1:
         def binned():
             return _bin_scores(_sorted_sums(rows), 0, rows.size, candidates[0], lower[0], upper[0])
 
-        keep = _near_winners(binned, rows.size, candidates.size, bits, False)
-    buf = np.empty_like(rows)
+        keep = _near_winners(binned, rows.size, candidates.size, bits, False, _run_length(rows.size))
+    # (candidate, row, 1) columns, so that a run of them broadcasts against the rows
+    by_candidate = [v.T[:, :, None] for v in (candidates, lower, upper)]
     scores = np.full(candidates.shape, np.inf)
-    for j in np.flatnonzero(keep):
-        _fake_into(rows, candidates[:, j, None], lower[:, j, None], upper[:, j, None], buf)
-        scores[:, j] = sq_error(rows, buf, axis=1)
+    for run, buf in _chunks(np.flatnonzero(keep), rows):
+        _fake_into(rows, *(v[run] for v in by_candidate), buf)
+        scores[:, run] = sq_error(rows, buf, axis=2).T
     degenerate = (lo == hi) & ((lo == 0.0) | (scheme == "asymmetric"))
     winner = np.where(degenerate, -1, first_min(scores))
     won = np.flatnonzero(winner >= 0)
@@ -322,7 +351,9 @@ def alternating_matmul_search(
     one operand's scale and picks the other from its candidate grid by
     minimizing the gradient-weighted output perturbation (plain output MSE
     when grad is None). Grids stay fixed across rounds, so the recorded
-    metric never increases after the first half-step.
+    metric never increases after the first half-step. Once a half-step after
+    the first keeps its operand's scale, every later one repeats one of the
+    last two: the search stops and repeats their metrics in turn.
     """
     if rounds < 1:
         raise InvalidArgument("rounds must be >= 1")
@@ -331,6 +362,8 @@ def alternating_matmul_search(
         out_fp = np.matmul(*ops)
     except ValueError as exc:
         raise ShapeError(f"operands are not matmul-compatible: {exc}") from None
+    if out_fp.ndim == 0:
+        raise ShapeError("operands are both vectors: their product is a scalar, not a matrix")
     g = None if grad is None else _as_f64(grad)
     if g is not None and g.shape != out_fp.shape:
         raise ShapeError(f"grad shape {g.shape} does not match output {out_fp.shape}")
@@ -344,23 +377,38 @@ def alternating_matmul_search(
     # Candidate grids bracket the operand's full-range scale in its actual
     # integer format (signed payloads have q_max = 2^(b-1) - 1); for
     # unsigned operands this is the [alpha, beta] * absmax / (2^b - 1) grid.
-    grids = [space.scale_candidates(m / q_max).tolist() for m, (_, q_max) in zip(absmax, bounds)]
+    grids = [space.scale_candidates(m / q_max) for m, (_, q_max) in zip(absmax, bounds)]
     scales = [m / (2**bits - 1) for m in absmax]
-    # fq[i] holds operand i fake-quantized at scales[i], or at the candidate
-    # scored while its own half-step runs
-    fq = [_fake_into(x, s, *lh, np.empty_like(x)) for x, s, lh in zip(ops, scales, bounds)]
+    # Both operands as matrices of the product's batch rank (a vector gets
+    # the unit axis matmul gives it), so that a leading candidate axis
+    # broadcasts against the other operand and each candidate's product is
+    # the same per-matrix BLAS call as the product of the operands.
+    mats = [np.atleast_2d(ops[0]), ops[1].reshape(-1, 1) if ops[1].ndim == 1 else ops[1]]
+    rank = max(m.ndim for m in mats)
+    mats = [m.reshape((1,) * (rank - m.ndim) + m.shape) for m in mats]
+    # fq[i] holds operand i fake-quantized at scales[i]
+    fq = [_fake_into(x, s, *lh, np.empty_like(x)) for x, s, lh in zip(mats, scales, bounds)]
+    ref = out_fp.reshape(np.matmul(*fq).shape)  # with the padded unit axes
+    g = None if g is None else g.reshape(ref.shape)
+    columns = [grid.reshape((-1,) + (1,) * rank) for grid in grids]  # broadcast over a run's operands
     history: list[float] = []
-    for _ in range(rounds):
-        for i in (0, 1):  # fix the other operand, search this one
-            scores = np.empty(len(grids[i]))
-            for j, s in enumerate(grids[i]):
-                _fake_into(ops[i], s, *bounds[i], fq[i])
-                scores[j] = sq_error(out_fp, np.matmul(*fq), g)
-            k = first_min(scores)
-            if k >= 0:  # else keep the previous scale
-                scales[i] = grids[i][k]
-            history.append(float(scores[k]) if k >= 0 else np.inf)
-            _fake_into(ops[i], scales[i], *bounds[i], fq[i])
+    for h in range(2 * rounds):
+        i = h % 2  # fix the other operand, search this one
+        scores = np.empty(grids[i].size)
+        for run, cand, out in _chunks(np.arange(grids[i].size), mats[i], ref):
+            _fake_into(mats[i], columns[i][run], *bounds[i], cand)
+            np.matmul(*((cand, fq[1]) if i == 0 else (fq[0], cand)), out=out)
+            scores[run] = sq_error(ref, out, g, axis=tuple(range(1, rank + 1)))
+        k = first_min(scores)
+        history.append(float(scores[k]) if k >= 0 else np.inf)
+        if k < 0:  # keep the previous scale
+            continue
+        if h >= 1 and grids[i][k] == scales[i]:
+            break  # a fixed point: each later half-step repeats one of the last two
+        scales[i] = float(grids[i][k])
+        _fake_into(mats[i], scales[i], *bounds[i], fq[i])
+    last_two = history[-2:]
+    history += [last_two[j % 2] for j in range(2 * rounds - len(history))]
     result = (QuantParams(scale=s, zero_point=0, bits=bits, signed=sg) for s, sg in zip(scales, signed))
     return MatmulScaleSearchResult(*result, metric_history=tuple(history))
 

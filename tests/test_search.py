@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ptqkit import search
+from ptqkit import search, toynet
 from ptqkit.dual_region import calibrate_dual_region
 from ptqkit.errors import EmptyInput, InvalidArgument, ShapeError
 from ptqkit.generate import synth
 from ptqkit.search import (
+    DEFAULT_ROUNDS,
     MAX_CANDIDATES,
     SearchSpace,
     _bin_scores,
@@ -77,6 +78,15 @@ def alternating_oracle(a, b, grad, bits, space, rounds):
                 scale_b = float(cand)
         history.append(best)
     return qp(scale_a, signed_a), qp(scale_b, signed_b), tuple(history)
+
+
+def count_scored(monkeypatch) -> list:
+    """Record the candidates each `search.sq_error` call scores: the
+    leading axis of its reconstruction."""
+    scored = []
+    real = search.sq_error
+    monkeypatch.setattr(search, "sq_error", lambda ref, approx, *rest, **kw: scored.append(len(approx)) or real(ref, approx, *rest, **kw))
+    return scored
 
 
 class TestFirstMin:
@@ -277,11 +287,9 @@ class TestSortedScoring:
             assert 1 <= len(calls) <= 5
 
     def test_channel_rows_score_every_candidate(self, monkeypatch):
-        calls = []
-        real = search._fake_into
-        monkeypatch.setattr(search, "_fake_into", lambda *args: calls.append(1) or real(*args))
+        scored = count_scored(monkeypatch)
         channelwise_params(np.random.default_rng(0).standard_normal((4, 4096)), 8)
-        assert len(calls) == SearchSpace().n_candidates
+        assert sum(scored) == SearchSpace().n_candidates
 
 
 class TestPercentileCalibrate:
@@ -481,6 +489,65 @@ class TestAlternatingSearch:
         assert res.params_a.scale > 0 and res.params_b.scale > 0
         assert len(res.metric_history) == 4
 
+    def test_two_vectors_raise_shape_error(self):
+        with pytest.raises(ShapeError, match="scalar"):
+            alternating_matmul_search(np.ones(16), np.ones(16))
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    @pytest.mark.parametrize(
+        "shape_a,shape_b",
+        [
+            ((6, 8), (8, 5)),
+            ((3, 8, 16), (16, 4)),  # the candidate axis leads a batch axis of one operand only
+            ((16,), (16, 8)),  # vector @ matrix and matrix @ vector: one BLAS gemv per candidate
+            ((8, 16), (16,)),
+            ((32, 8, 16), (32, 16, 8)),  # the pipeline's q @ k_t and softmax @ v
+            ((32, 8, 8), (32, 8, 16)),
+        ],
+    )
+    def test_chunked_search_and_stop_match_the_hand_written_loops(self, shape_a, shape_b, with_grad, monkeypatch):
+        """Every round count from 1 to 6, on operands of mixed rank, some
+        unsigned, some transposed views (as the pipeline's k_t is); the
+        grid of 20 leaves a partial last run on the pipeline's shapes."""
+        space = SearchSpace(0.2, 1.2, 20)
+        products = count_scored(monkeypatch)
+        stopped = 0
+        for rounds in range(1, 7):
+            for seed in range(4):
+                rng = np.random.default_rng([seed, rounds])
+                a = rng.standard_normal(shape_a)
+                b = rng.standard_normal(shape_b[::-1]).T if seed == 2 else rng.standard_normal(shape_b)
+                if seed % 2:
+                    a = np.abs(a)
+                grad = rng.standard_normal(np.matmul(a, b).shape) if with_grad else None
+                products.clear()
+                res = alternating_matmul_search(a, b, grad=grad, bits=4 + 4 * (seed % 2), space=space, rounds=rounds)
+                got = (res.params_a, res.params_b, res.metric_history)
+                assert got == alternating_oracle(a, b, grad, 4 + 4 * (seed % 2), space, rounds)
+                stopped += sum(products) < 2 * rounds * space.n_candidates
+        assert stopped > 0
+
+    def test_stop_fires_on_the_pipeline_searches(self, monkeypatch):
+        """The four attention searches of the seed-0 W8A8 and W4A4 pipelines
+        score fewer candidate products than every half-step of every round
+        would, with the oracle's result."""
+        calls = []
+        real_search = toynet.alternating_matmul_search
+        monkeypatch.setattr(toynet, "alternating_matmul_search", lambda *a, **k: calls.append((a, k)) or real_search(*a, **k))
+        weights = toynet.ToyNetWeights.seeded(0)
+        inputs = toynet.seeded_inputs(0, 32, weights.seq, weights.dim)
+        for preset in ("W8A8", "W4A4"):
+            toynet.run_pipeline(inputs, weights, toynet.PipelineConfig.from_preset(preset, seed=0))
+        assert len(calls) == 4
+        products = count_scored(monkeypatch)
+        space = SearchSpace()
+        for (a, b), kwargs in calls:
+            products.clear()
+            res = alternating_matmul_search(a, b, **kwargs)
+            assert sum(products) < 2 * DEFAULT_ROUNDS * space.n_candidates
+            expect = alternating_oracle(a, b, kwargs["grad"], kwargs["bits"], space, DEFAULT_ROUNDS)
+            assert (res.params_a, res.params_b, res.metric_history) == expect
+
 
 class TestChannelwiseParams:
     def test_per_channel_lengths(self):
@@ -563,3 +630,33 @@ class TestChannelwiseParams:
         err_mm = float(np.mean((w - fake_quant_array(w, mm)) ** 2))
         err_ms = float(np.mean((w - fake_quant_array(w, ms)) ** 2))
         assert err_ms <= err_mm
+
+
+class TestChunkBudget:
+    """A run of candidates scores each one as it would alone: the chunk
+    budget moves no parameter and no history entry."""
+
+    @staticmethod
+    def searches():
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((4, 700))  # runs of 11 candidates at the default budget, the last holds 1
+        row = rng.standard_normal(1500) + 0.3  # runs of 21, the last holds 16
+        q, k_t = rng.standard_normal((32, 8, 16)), np.swapaxes(rng.standard_normal((32, 8, 16)), -1, -2)  # runs of 8, then 4
+        grad = rng.standard_normal((32, 8, 8))
+        got = []
+        with sorted_scoring(pays=False):  # the one-row search scores every candidate directly
+            for scheme, signed in (("symmetric", True), ("asymmetric", False)):
+                for bits in (4, 8):
+                    p = channelwise_params(w, bits, 0, scheme, signed)
+                    got.append((np.asarray(p.scale).tobytes(), np.asarray(p.zero_point).tobytes()))
+                    got.append(mse_grid_search(row, bits, scheme, signed))
+        for g in (None, grad):
+            res = alternating_matmul_search(q, k_t, grad=g, bits=8, rounds=4)
+            got.append((res.params_a, res.params_b, res.metric_history))
+        return got
+
+    @pytest.mark.parametrize("budget", [1, 2**30])
+    def test_budget_changes_no_result(self, budget, monkeypatch):
+        expect = self.searches()
+        monkeypatch.setattr(search, "CHUNK_ELEMS", budget)
+        assert self.searches() == expect
