@@ -73,8 +73,8 @@ def sq_error(
     Hessian-guided metric; `grad=None` makes it the plain MSE. The error is
     computed in place: `approx` is overwritten, `reference` and `grad` are
     only read. Callers check that `grad` has the reference's shape.
-    `axis` set to all but the first gives one mean per candidate of a
-    `_chunks` run.
+    With `axis`, a `_chunks` run gets one mean per candidate (the
+    alternating search) or per candidate and row (the row search).
     """
     diff = np.subtract(approx, reference, out=approx)
     if grad is not None:
