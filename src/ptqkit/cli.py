@@ -138,7 +138,8 @@ def _check_keys(where: str, entry: dict, allowed: set) -> None:
 def _cmd_calibrate(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
+        json.dumps(cfg, allow_nan=False)  # the report echoes it: inf and NaN fail here, not after calibrating
+    except (ValueError, RecursionError) as exc:  # undecodable text, bad or too deep JSON, inf or NaN
         raise QuantizationError(f"malformed config: {exc}") from None
     hooks_cfg = cfg.get("hooks") if isinstance(cfg, dict) else None
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:

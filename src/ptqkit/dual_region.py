@@ -22,7 +22,7 @@ from .errors import InvalidArgument, ShapeError
 from .search import SearchSpace, _bin_scores, _fake_into, _near_winners, _sorted_sums, first_min
 from .search import mse_grid_search, sq_error
 from .tensor import TensorLike, _as_f64
-from .uniform import TINY, real, whole
+from .uniform import BITS, TINY, real, whole
 
 KINDS = ("softmax", "gelu")
 
@@ -47,7 +47,7 @@ class DualRegionParams:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidArgument(f"kind must be one of {KINDS}")
-        object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
+        object.__setattr__(self, "bits", whole("bits", self.bits, *BITS))
         object.__setattr__(self, "scale_r2", real("scale_r2", self.scale_r2))
         if not (math.isfinite(self.scale_r2) and self.scale_r2 > 0):
             raise InvalidArgument(f"scale_r2 must be finite and positive, got {self.scale_r2}")
@@ -216,8 +216,7 @@ def calibrate_dual_region(
     """
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}")
-    if not 2 <= bits <= 16:
-        raise InvalidArgument(f"bits must be in [2, 16], got {bits}")
+    bits = whole("bits", bits, *BITS)
     arr = _as_f64(samples)
     if kind == "softmax" and (arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6):
         raise InvalidArgument("softmax samples must lie in [0, 1]")
@@ -258,7 +257,7 @@ def calibrate_dual_region(
     # candidates bracket the full-range scale of the (b-1)-bit payload; below
     # cover_min no shift keeps R1 covering the negative range
     scales = space.scale_candidates(pos_max / vmax).tolist()
-    candidates = [snapped(s) for s in scales if s >= cover_min]
+    candidates = [snapped(s) for s in scales if cover_min <= s < math.inf]
     k = first_min(_direct_scores(arr, g, kind, bits, candidates))
     if k < 0:
         return DualRegionParams(kind, bits, scale_r1_init, 0)

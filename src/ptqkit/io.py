@@ -205,7 +205,7 @@ def emit_params(doc: ParamDoc, path) -> None:
 def parse_params(path) -> ParamDoc:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable text, bad JSON or too deeply nested
         raise FormatError(f"malformed parameter file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
         raise FormatError("not a ptqkit parameter file")

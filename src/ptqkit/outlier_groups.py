@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .search import SearchSpace, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import QuantParams, dequantize_array, fake_quant_array, quantize_array, whole
+from .uniform import BITS, QuantParams, dequantize_array, fake_quant_array, quantize_array, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -88,7 +88,7 @@ class GroupedQuantParams:
     mad_fallbacks: tuple[int, ...] = ()  # increasing iterations whose MAD was 0, in [0, max_iters)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
+        object.__setattr__(self, "bits", whole("bits", self.bits, *BITS))
         object.__setattr__(self, "max_iters", whole("max_iters", self.max_iters, 0, math.inf))
         fallbacks = tuple(whole("mad_fallbacks", i, 0, self.max_iters - 1) for i in self.mad_fallbacks)
         if any(b <= a for a, b in zip(fallbacks, fallbacks[1:])):
@@ -183,26 +183,25 @@ def grouped_dequantize(group: int, code: int, p: GroupedQuantParams) -> float:
     return float(dequantize_array(np.asarray([code]), p.groups[group].params)[0])
 
 
-def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (group indices, codes) for a tensor."""
-    arr = _as_f64(x).reshape(-1)
-    idx = np.searchsorted(p.thresholds, np.abs(arr), side="left")
-    codes = np.empty(arr.shape, dtype=np.int32)
+def _by_group(arr: np.ndarray, p: GroupedQuantParams, codec, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(group index, `codec` of the element under its group's params) per
+    element of the flattened `arr`: the vectorized group_index."""
+    flat = arr.reshape(-1)
+    idx, out = np.searchsorted(p.thresholds, np.abs(flat), side="left"), np.empty(flat.size, dtype)
     for gi, group in enumerate(p.groups):
         mask = idx == gi
         if mask.any():
-            codes[mask] = quantize_array(arr[mask], group.params)
+            out[mask] = codec(flat[mask], group.params)
+    return idx, out
+
+
+def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (group indices, codes) for a tensor."""
+    idx, codes = _by_group(_as_f64(x), p, quantize_array, np.int32)
     return idx.astype(np.int32), codes
 
 
 def fake_grouped(x: TensorLike, p: GroupedQuantParams) -> np.ndarray:
     """Group-wise quantize-then-dequantize reconstruction, shape preserved."""
     arr = _as_f64(x)
-    flat = arr.reshape(-1)
-    idx = np.searchsorted(p.thresholds, np.abs(flat), side="left")
-    out = np.empty_like(flat)
-    for gi, group in enumerate(p.groups):
-        mask = idx == gi
-        if mask.any():
-            out[mask] = fake_quant_array(flat[mask], group.params)
-    return out.reshape(arr.shape)
+    return _by_group(arr, p, fake_quant_array, np.float64)[1].reshape(arr.shape)

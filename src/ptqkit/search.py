@@ -17,6 +17,7 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, channel_slices, percentile
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
+from .uniform import full_range, zero_point
 
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
@@ -53,8 +54,8 @@ class SearchSpace:
     n_candidates: int = 100
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < self.beta:
-            raise InvalidArgument(f"need 0 < alpha < beta, got {self.alpha}, {self.beta}")
+        if not 0 < self.alpha < self.beta < np.inf:
+            raise InvalidArgument(f"need 0 < alpha < beta < inf, got {self.alpha}, {self.beta}")
         if not 1 <= self.n_candidates <= MAX_CANDIDATES:
             raise InvalidArgument(f"n_candidates must be in [1, {MAX_CANDIDATES}], got {self.n_candidates}")
 
@@ -240,23 +241,19 @@ def _row_search(
     rows: np.ndarray, bits: int, scheme: str, signed: bool, space: SearchSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scales, zero_points) minimizing the MSE of each row of a
-    (rows, elements) float64 array over a grid bracketing its `make_params`
-    scale. Each `_chunks` run of candidates fills a (run, rows, elements)
-    buffer and its columns of a (rows, n_candidates) score array, and
-    `first_min` picks every row's winner; a degenerate row (all zero, or
-    constant under the asymmetric scheme) or one with no score below inf
-    keeps those parameters. One row scores only its `_near_winners`
-    directly, the rest inf, where `_sorting_pays`."""
+    (rows, elements) float64 array over a grid bracketing its `full_range`
+    scale, each candidate with its `zero_point`. Each `_chunks` run of
+    candidates fills a (run, rows, elements) buffer and its columns of a
+    (rows, n_candidates) score array, and `first_min` picks every row's
+    winner; a degenerate row (all zero, or constant under the asymmetric
+    scheme) or one with no score below inf keeps the full-range parameters.
+    One row scores only its `_near_winners` directly, the rest inf, where
+    `_sorting_pays`."""
     lo, hi = rows.min(axis=1), rows.max(axis=1)
-    full = [make_params(a, b, bits, scheme, signed) for a, b in zip(lo.tolist(), hi.tolist())]
-    scales = np.array([p.scale for p in full], dtype=np.float64)
-    zero_points = np.array([p.zero_point for p in full], dtype=np.int64)
+    scales, zero_points = full_range(lo, hi, bits, scheme, signed)
     candidates = space.scale_candidates(scales)
+    cand_zps = zero_point(lo[:, None], candidates, bits, scheme, signed)
     q_min, q_max = quant_range(bits, signed)
-    if scheme == "symmetric":
-        cand_zps = np.zeros_like(candidates)
-    else:  # params_from_scale's zero-point, for every candidate at once
-        cand_zps = np.clip(np.rint(q_min - lo[:, None] / candidates), q_min, q_max)
     lower, upper = q_min - cand_zps, q_max - cand_zps
     keep = np.ones(candidates.shape[1], dtype=bool)
     # Channel rows score every candidate: the pipeline's rows hold 16-36 elements, fewer
@@ -320,9 +317,7 @@ def percentile_calibrate(
     if scheme == "symmetric":
         clip = percentile(np.abs(arr), p)
         return make_params(-clip, clip, bits, "symmetric", signed)
-    lo = percentile(arr, 100.0 - p)
-    hi = percentile(arr, p)
-    return make_params(lo, hi, bits, "asymmetric", signed)
+    return make_params(percentile(arr, 100.0 - p), percentile(arr, p), bits, scheme, signed)
 
 
 @dataclass(frozen=True)
@@ -374,10 +369,8 @@ def alternating_matmul_search(
 
     signed = [bool(x.min() < 0) for x in ops]
     bounds = [quant_range(bits, s) for s in signed]
-    # Candidate grids bracket the operand's full-range scale in its actual
-    # integer format (signed payloads have q_max = 2^(b-1) - 1); for
-    # unsigned operands this is the [alpha, beta] * absmax / (2^b - 1) grid.
-    grids = [space.scale_candidates(m / q_max) for m, (_, q_max) in zip(absmax, bounds)]
+    # grids bracket each operand's symmetric full-range scale in its own integer format
+    grids = [space.scale_candidates(full_range(-m, m, bits, "symmetric", s)[0]) for m, s in zip(absmax, signed)]
     scales = [m / (2**bits - 1) for m in absmax]
     # Both operands as matrices of the product's batch rank (a vector gets
     # the unit axis matmul gives it), so that a leading candidate axis

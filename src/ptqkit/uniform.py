@@ -17,7 +17,8 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import Tensor, TensorLike, as_tensor
 
 SCHEMES = ("symmetric", "asymmetric")
-TINY = np.finfo(np.float64).tiny  # the smallest normal float64, make_params' least scale
+BITS = (2, 16)  # the bit widths every quantizer accepts
+TINY = np.finfo(np.float64).tiny  # the smallest normal float64, full_range's least scale
 
 
 def whole(name: str, value, lo: float, hi: float) -> int:
@@ -66,7 +67,7 @@ class QuantParams:
     axis: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", whole("bits", self.bits, 2, 16))
+        object.__setattr__(self, "bits", whole("bits", self.bits, *BITS))
         if self.axis is not None:
             object.__setattr__(self, "axis", whole("axis", self.axis, 0, math.inf))
         if not isinstance(self.signed, (bool, np.bool_)):
@@ -160,38 +161,44 @@ class BNParams:
 
 
 def make_params(
-    min_val: float,
-    max_val: float,
-    bits: int,
-    scheme: str = "asymmetric",
-    signed: bool = False,
+    min_val: float, max_val: float, bits: int, scheme: str = "asymmetric", signed: bool = False
 ) -> QuantParams:
-    """Derive scale/zero-point from an observed [min, max] clipping range.
-
-    Asymmetric: s = (max - min) / (q_max - q_min), z = round(q_min - min/s)
-    clamped into range. Symmetric: s = absmax / q_max, z = 0. A fully
-    degenerate range (max == min == 0) returns the sentinel scale 1.0; a range
-    so narrow that s is subnormal (below TINY) is an InvalidArgument.
-    """
-    if scheme not in SCHEMES:
-        raise InvalidArgument(f"scheme must be one of {SCHEMES}")
+    """Derive scale/zero-point from an observed [min, max] clipping range: `full_range` of one range."""
     if min_val > max_val:
         raise InvalidArgument(f"min {min_val} exceeds max {max_val}")
+    scale, zp = full_range(min_val, max_val, bits, scheme, signed)
+    return QuantParams(scale=float(scale), zero_point=float(zp), bits=bits, signed=signed)
+
+
+def full_range(lo, hi, bits: int, scheme: str, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, zero point) float64 arrays, 0-d for scalars, of the full-range quantizer of each range
+    [lo, hi], lo <= hi. A repeated value anchors the asymmetric scale on its magnitude; an all-zero
+    range gets the sentinel scale 1.0 and zero point 0; a subnormal scale (below TINY) is an error."""
+    bits = whole("bits", bits, *BITS)
+    if scheme not in SCHEMES:
+        raise InvalidArgument(f"scheme must be one of {SCHEMES}")
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     q_min, q_max = quant_range(bits, signed)
-    absmax = max(abs(min_val), abs(max_val))
-    if absmax == 0.0:
-        return QuantParams(scale=1.0, zero_point=0, bits=bits, signed=signed)
+    absmax = np.maximum(np.abs(lo), np.abs(hi))
     if scheme == "symmetric":
         scale = absmax / q_max
-    elif max_val == min_val:
-        # single repeated value: anchor the scale on its magnitude
-        scale = absmax / max(abs(q_min), q_max)
     else:
-        scale = (max_val - min_val) / (q_max - q_min)
-    if scale < TINY:
-        raise InvalidArgument(f"range [{min_val!r}, {max_val!r}] gives the subnormal scale {scale!r}")
-    zp = 0 if scheme == "symmetric" else int(np.clip(np.rint(q_min - min_val / scale), q_min, q_max))
-    return QuantParams(scale=scale, zero_point=zp, bits=bits, signed=signed)
+        scale = np.where(lo == hi, absmax / max(-q_min, q_max), (hi - lo) / (q_max - q_min))
+    zero = absmax == 0.0
+    scale = np.where(zero, 1.0, scale)
+    for i in np.flatnonzero(scale < TINY)[:1]:  # the first subnormal scale
+        lo_i, hi_i, s_i = lo.item(i), hi.item(i), scale.item(i)
+        raise InvalidArgument(f"range [{lo_i!r}, {hi_i!r}] gives the subnormal scale {s_i!r}")
+    return scale, np.where(zero, 0.0, zero_point(lo, scale, bits, scheme, signed))
+
+
+def zero_point(lo, scale, bits: int, scheme: str, signed: bool) -> np.ndarray:
+    """Zero points, whole float64s, that map each minimum `lo` near q_min at
+    its `scale` (broadcast); 0 under the symmetric scheme."""
+    q_min, q_max = quant_range(bits, signed)
+    if scheme == "symmetric":
+        return np.zeros(np.broadcast_shapes(np.shape(lo), np.shape(scale)))
+    return np.clip(np.rint(q_min - lo / scale), q_min, q_max)
 
 
 def _broadcast(values: np.ndarray, rank: int, axis: int) -> np.ndarray:

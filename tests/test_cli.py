@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqkit.cli import build_parser, main
+from ptqkit.generate import synth
 from ptqkit.io import read_code_dump, read_dump, write_dump
 from ptqkit.outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy
 from ptqkit.search import SearchSpace
@@ -113,14 +114,16 @@ class TestCalibrateQuantizeEvaluate:
         )
         assert code == 1 and "error:" in err
 
-    def test_calibrate_malformed_config(self, tmp_path, capsys, dumps_dir):
+    @pytest.mark.parametrize("text", [b"{oops", b'{"hooks": "\xff"}', b"[" * 100_000 + b"]" * 100_000])
+    def test_calibrate_malformed_config(self, tmp_path, capsys, dumps_dir, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
+        bad.write_bytes(text)
         code, _, err = run_cli(
             capsys, "calibrate", "--config", str(bad), "--dumps", str(dumps_dir),
             "--out", str(tmp_path / "p.json"),
         )
-        assert code == 1 and "error:" in err
+        assert code == 1
+        assert err.startswith("error: malformed config") and err.count("\n") == 1
 
     def test_quantize_then_evaluate(self, tmp_path, capsys, dumps_dir, config_path):
         params = tmp_path / "params.json"
@@ -181,6 +184,40 @@ class TestCalibrateQuantizeEvaluate:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "hook,spec,key,literal,expect",
+        [
+            ("feat", {}, "bits", "0", "bits must be a whole number"),
+            ("feat", {"scheme": "symmetric", "signed": True}, "bits", "0", "bits must be a whole number"),
+            ("feat", {"scheme": "symmetric", "signed": True}, "bits", "1", "bits must be a whole number"),
+            ("feat", {}, "bits", "100000", "bits must be a whole number"),
+            ("feat", {"method": "percentile"}, "bits", "1", "bits must be a whole number"),
+            ("text", {}, "bits", "100000", "bits must be a whole number"),
+            ("post_softmax", {}, "bits", "17", "bits must be a whole number"),
+            (None, {}, "seed", "1e309", "not JSON compliant"),
+            (None, {}, "seed", "[-Infinity]", "not JSON compliant"),
+            (None, {}, "beta", "1e309", "not JSON compliant"),
+            ("feat", {}, "beta", "NaN", "not JSON compliant"),
+            ("text", {}, "mad_multiplier", "Infinity", "not JSON compliant"),
+        ],
+    )
+    def test_out_of_domain_config_value_is_one_line(
+        self, tmp_path, capsys, dumps_dir, config_path, hook, spec, key, literal, expect
+    ):
+        """Bit widths outside [2, 16] and numbers JSON cannot echo (inf, NaN)
+        are one line, for every hook kind and calibration method."""
+        cfg = json.loads(config_path.read_text())
+        cfg["hooks"]["feat"].update(spec)
+        (cfg if hook is None else cfg["hooks"][hook])[key] = "VALUE"
+        config_path.write_text(json.dumps(cfg).replace('"VALUE"', literal))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir),
+            "--out", str(tmp_path / "p.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert expect in err
 
     @pytest.mark.parametrize(
         "hook,key",
@@ -522,31 +559,52 @@ ODD_VALUES = (1.5, 100.7, 8.0, -3, 0, 10**30, 10**400, True, None, "8", "x", [],
 
 
 @st.composite
-def _mutated_entry(draw):
-    """A valid params entry with one to three fields replaced (by an odd value
-    or another kind's entry) or deleted, at any depth."""
-    entry = json.loads(json.dumps(draw(st.sampled_from(sorted(ENTRIES.items())))[1]))
+def _mutated(draw, base, pool, frozen=()):
+    """`base` (a JSON document) with one to three fields replaced (by a value
+    of `pool`) or deleted, at any depth. Fields named in `frozen` stay."""
+    doc = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 3))):
         slots = []
 
         def walk(node):
             items = node.items() if isinstance(node, dict) else enumerate(node)
             for key, value in items:
-                if key not in ("mad_fallbacks", "fallback_uniform"):  # stored, never applied
+                if key not in frozen:
                     slots.append((node, key))
                     if isinstance(value, (dict, list)):
                         walk(value)
 
-        walk(entry)
+        walk(doc)
         if not slots:
             break
         node, key = draw(st.sampled_from(slots))
         if isinstance(node, dict) and draw(st.integers(0, 3)) == 0:  # delete one time in four
             del node[key]
         else:
-            pool = ODD_VALUES + tuple(ENTRIES.values())
             node[key] = json.loads(json.dumps(draw(st.sampled_from(pool))))
-    return entry
+    return doc
+
+
+def _mutated_entry():
+    """A valid params entry, mutated by `_mutated` (odd values or other kinds' entries)."""
+    return st.sampled_from(sorted(ENTRIES.items())).flatmap(
+        lambda item: _mutated(item[1], ODD_VALUES + tuple(ENTRIES.values()), ("mad_fallbacks", "fallback_uniform"))
+    )  # the frozen fields are stored, never applied
+
+
+CONFIG = {  # a hook of every kind and method, one dump each; calibrated in name order, uniform first
+    "seed": 0, "bits": 8, "alpha": 0.01, "beta": 1.2, "n_candidates": 20,
+    "hooks": {
+        "a_mse": {"kind": "uniform", "scheme": "symmetric", "signed": True, "bits": 6},
+        "b_pct": {"kind": "uniform", "method": "percentile", "percentile": 99.0},
+        "c_groups": {"kind": "outlier_groups", "strategy": "median_mad", "max_iters": 2, "bits": 4},
+        "d_gelu": {"kind": "dual_region", "region": "gelu", "beta": 1.5},
+        "e_softmax": {"kind": "dual_region", "region": "softmax"},
+    },
+}
+CONFIG_VALUES = (  # numbers outside each field's domain, JSON's inf and NaN, and other kinds' hooks
+    0, 1, 2, 17, 100000, -3, 1.5, 1e300, 10**400, float("inf"), float("nan"), None, "x", [], {}
+) + tuple(CONFIG["hooks"].values())
 
 
 @st.composite
@@ -564,13 +622,17 @@ def _mutated_dump(draw, valid, header=16):
 
 
 class TestMalformedInputs:
-    """Malformed dumps and params files through quantize and evaluate: exit 0,
-    or exit 1 with one stderr line, never a traceback."""
+    """Malformed dumps and params files through quantize and evaluate, and
+    malformed configs through calibrate: exit 0, or exit 1 with one stderr
+    line, never a traceback."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
         workdir = tmp_path_factory.mktemp("malformed")
         _write_sample_dump(workdir / "valid.dump")
+        (workdir / "hooks").mkdir()
+        for hook, kind in (("a_mse", "outlier"), ("b_pct", "gelu"), ("c_groups", "outlier"), ("d_gelu", "gelu"), ("e_softmax", "softmax")):
+            write_dump(synth(kind, (8, 16), 0), workdir / "hooks" / f"{hook}.dump")
         return workdir
 
     @staticmethod
@@ -590,6 +652,16 @@ class TestMalformedInputs:
         )
         assert _one_line_or_success(code, err), (entry, code, err)
         assert code == 1 or _all_whole(entry), entry
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_configs(self, workdir, data):
+        config = workdir / "config.json"
+        config.write_text(json.dumps(data.draw(_mutated(CONFIG, CONFIG_VALUES))))
+        code, err = self._run(
+            "calibrate", "--config", str(config), "--dumps", str(workdir / "hooks"), "--out", str(workdir / "p.json")
+        )
+        assert _one_line_or_success(code, err), (config.read_text(), code, err)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -205,6 +205,15 @@ class TestCalibration:
         assert 2**7 * p.scale_r1 >= abs(float(t.array.min()))
         assert p.scale_r1 == p.scale_r2 * 2.0**-p.shift_m
 
+    def test_gelu_grid_past_float64_skips_infinite_scales(self):
+        """A grid whose top overflows to inf holds no finite scale (numpy's
+        linspace makes it NaN and inf), so the initial fine scale is kept."""
+        x = np.linspace(-1.0, 1.0, 64)
+        x[-1] = 3e38
+        with np.errstate(invalid="ignore"):
+            p = calibrate_dual_region(x, "gelu", 8, space=SearchSpace(beta=1e300))
+        assert p == DualRegionParams("gelu", 8, 1.0 / 127, 0)
+
     def test_gelu_without_negatives_falls_back(self):
         samples = np.abs(np.random.default_rng(0).normal(1.0, 0.2, 256))
         p = calibrate_dual_region(samples, "gelu", 8)

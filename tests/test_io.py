@@ -162,9 +162,10 @@ class TestParamFile:
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(FormatError):
-            parse_params(path)
+        for text in (b"{not json", b'{"format": "\xff"}', b"[" * 100_000 + b"]" * 100_000):
+            path.write_bytes(text)
+            with pytest.raises(FormatError):
+                parse_params(path)
         path.write_text('{"format": "something-else"}')
         with pytest.raises(FormatError):
             parse_params(path)

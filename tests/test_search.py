@@ -126,6 +126,9 @@ class TestSearchSpace:
             SearchSpace(alpha=-0.1, beta=1.0)
         with pytest.raises(InvalidArgument):
             SearchSpace(n_candidates=0)
+        for alpha, beta in ((0.01, np.inf), (np.inf, np.inf), (0.01, np.nan), (np.nan, 1.2)):
+            with pytest.raises(InvalidArgument, match="alpha < beta < inf"):
+                SearchSpace(alpha, beta)
 
     def test_candidate_count_is_bounded(self):
         assert SearchSpace(n_candidates=MAX_CANDIDATES).n_candidates == MAX_CANDIDATES
@@ -316,6 +319,8 @@ class TestPercentileCalibrate:
             percentile_calibrate(np.ones(4), 8, 0.0)
         with pytest.raises(InvalidArgument):
             percentile_calibrate(np.ones(4), 8, 100.5)
+        with pytest.raises(InvalidArgument, match="scheme"):  # not run as asymmetric
+            percentile_calibrate(np.ones(4), 8, 99.0, "asymetric")
 
 
 @pytest.mark.parametrize("calibrate", [mse_grid_search, channelwise_params, percentile_calibrate])
@@ -489,6 +494,12 @@ class TestAlternatingSearch:
         assert res.params_a.scale > 0 and res.params_b.scale > 0
         assert len(res.metric_history) == 4
 
+    @pytest.mark.parametrize("bits", [0, 1, 17])
+    def test_bits_outside_the_domain_are_invalid(self, bits):
+        a = np.array([[-1.0, 2.0], [0.5, 3.0]])
+        with pytest.raises(InvalidArgument, match="bits must be a whole number"):
+            alternating_matmul_search(a, a, bits=bits)
+
     def test_two_vectors_raise_shape_error(self):
         with pytest.raises(ShapeError, match="scalar"):
             alternating_matmul_search(np.ones(16), np.ones(16))
@@ -556,6 +567,15 @@ class TestChannelwiseParams:
         p = channelwise_params(w, 8, axis=0)
         assert p.per_channel and p.axis == 0
         assert np.asarray(p.scale).shape == (6,)
+
+    def test_builds_one_quant_params(self, monkeypatch):
+        """The row search works on arrays of ranges: the result is the only
+        QuantParams a 16-row search constructs."""
+        built = []
+        check = QuantParams.__post_init__
+        monkeypatch.setattr(QuantParams, "__post_init__", lambda p: (built.append(p), check(p)))
+        channelwise_params(np.random.default_rng(3).standard_normal((16, 8)), 8, axis=0, scheme="asymmetric")
+        assert len(built) == 1
 
     @staticmethod
     def assert_each_channel_is_its_own_search(w, bits, axis, scheme, signed, space=SearchSpace()):

@@ -14,7 +14,9 @@ from ptqkit.uniform import (
     error_stats,
     fake_quant_array,
     fold_batchnorm,
+    full_range,
     make_params,
+    quant_range,
     quantize,
 )
 
@@ -25,7 +27,64 @@ def channel_params(ranges, bits, scheme="asymmetric", signed=False):
     return QuantParams([p.scale for p in per], [p.zero_point for p in per], bits, signed, axis=0)
 
 
+def scalar_rule(lo, hi, bits, scheme, signed):
+    """The full-range rule on one range in Python floats: (scale, zero point)."""
+    q_min, q_max = quant_range(bits, signed)
+    absmax = max(abs(lo), abs(hi))
+    if absmax == 0.0:
+        return 1.0, 0
+    if scheme == "symmetric":
+        return absmax / q_max, 0
+    scale = absmax / max(-q_min, q_max) if lo == hi else (hi - lo) / (q_max - q_min)
+    return scale, int(np.clip(np.rint(q_min - lo / scale), q_min, q_max))
+
+
+RANGES = st.one_of(  # all-zero, constant and general ranges; tiny spans give subnormal scales
+    st.just((0.0, 0.0)),
+    st.floats(-1e6, 1e6).map(lambda c: (c, c)),
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(lambda r: tuple(sorted(r))),
+)
+
+
 class TestMakeParams:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ranges=st.lists(RANGES, min_size=1, max_size=6),
+        bits=st.integers(2, 16),
+        scheme=st.sampled_from(["symmetric", "asymmetric"]),
+        signed=st.booleans(),
+    )
+    def test_array_rule_equals_make_params(self, ranges, bits, scheme, signed):
+        """`full_range` over an array of ranges is `make_params` on each, and
+        that is the scalar rule; a subnormal scale fails on the first such range."""
+        expect, first_error = [], None
+        for lo, hi in ranges:
+            try:
+                p = make_params(lo, hi, bits, scheme, signed)
+            except InvalidArgument as exc:
+                first_error = first_error or str(exc)
+                continue
+            assert (p.scale, p.zero_point) == scalar_rule(lo, hi, bits, scheme, signed)
+            expect.append((p.scale, p.zero_point))
+        lo, hi = np.array(ranges).T
+        if first_error:
+            with pytest.raises(InvalidArgument) as exc:
+                full_range(lo, hi, bits, scheme, signed)
+            assert str(exc.value) == first_error
+        else:
+            scale, zp = full_range(lo, hi, bits, scheme, signed)
+            assert list(zip(scale.tolist(), zp.tolist())) == expect
+
+    def test_signed_asymmetric_zero_range_keeps_zero_point_zero(self):
+        scale, zp = full_range(np.zeros(3), np.array([0.0, 1.0, 0.0]), 8, "asymmetric", signed=True)
+        assert scale.tolist() == [1.0, 1 / 255, 1.0] and zp.tolist() == [0, -128, 0]
+
+    @pytest.mark.parametrize("bits", [0, 1, 17, 100000, 8.5])
+    def test_bits_checked_before_any_division(self, bits):
+        for scheme, signed in (("asymmetric", False), ("symmetric", True)):
+            with pytest.raises(InvalidArgument, match="bits must be a whole number"):
+                make_params(-1.0, 2.0, bits, scheme, signed)
+
     def test_asymmetric_unit_range(self):
         p = make_params(0.0, 1.0, 8, "asymmetric", signed=False)
         assert p.scale == pytest.approx(1.0 / 255.0)
