@@ -163,9 +163,10 @@ def _cmd_calibrate(args) -> int:
         reports[hook] = HookReport(*error_stats(stacked, recon))
     pio.emit_params(doc, args.out)
     report = CalibrationReport(hooks=reports, config=cfg, seed=cfg.get("seed"))
+    text = pio.report_to_text(report)
     if args.report:
-        pio.write_report(report, args.report)
-    print(pio.report_to_text(report), end="")
+        Path(args.report).write_text(text)
+    print(text, end="")
     return 0
 
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .search import SearchSpace, _bin_scores, _fake_into, _near_winners, _sorted_sums, first_min
-from .search import mse_grid_search, sq_error
+from .search import SearchSpace, _bin_scores, _fake_into, _near_winners, _sorted_sums, first_min, sq_error
 from .tensor import TensorLike, _as_f64
 from .uniform import BITS, TINY, real, whole
 
@@ -76,6 +75,11 @@ class DualRegionParams:
     def boundary(self) -> float:
         """Softmax R1/R2 split point: 2^(b-1) * scale_r1."""
         return 2 ** (self.bits - 1) * self.scale_r1
+
+    @property
+    def split(self) -> float:
+        """The least value R2 holds: the boundary for softmax, 0 for GeLU."""
+        return self.boundary if self.kind == "softmax" else 0.0
 
     def fake(self, arr: TensorLike) -> np.ndarray:
         """Encode-then-decode reconstruction of `arr`, shape preserved."""
@@ -134,8 +138,7 @@ def unpack_code(word: int, bits: int) -> DualRegionCode:
 
 def _regions(arr: np.ndarray, p: DualRegionParams) -> np.ndarray:
     """Region index per element (0 = R1, 1 = R2), the vectorized assign_region."""
-    split = p.boundary if p.kind == "softmax" else 0.0
-    return (arr >= split).astype(np.intp)
+    return (arr >= p.split).astype(np.intp)
 
 
 def encode_tensor(x: TensorLike, p: DualRegionParams) -> np.ndarray:
@@ -211,8 +214,9 @@ def calibrate_dual_region(
     GeLU: the fine scale starts just covering the observed negative range,
     the coarse scale is searched over a linear grid built from the positive
     maximum, and the shift is snapped to the nearest power of two that keeps
-    the negative range covered. Calibration sets without negatives fall back
-    to a single-region uniform quantizer, flagged via fallback_uniform.
+    the negative range covered. Calibration sets without negatives leave R1
+    empty: every candidate gets shift 0, the search is a uniform one over the
+    (b-1)-bit payload, and the result is flagged via fallback_uniform.
     """
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}")
@@ -235,33 +239,27 @@ def calibrate_dual_region(
             raise InvalidArgument(f"no admissible shift exponent for bits={bits}")
         return candidates[k]
 
-    negatives = arr[arr < 0.0]
     vmax = 2 ** (bits - 1) - 1
-    if negatives.size == 0:
-        uniform = mse_grid_search(arr, bits - 1, scheme="symmetric", signed=False, space=space)
-        return DualRegionParams(kind, bits, uniform.scale, 0, fallback_uniform=True)
-    neg_absmax = float(np.max(np.abs(negatives)))
+    neg_absmax, pos_max = float(max(0.0, -arr.min())), float(max(arr.max(), 0.0))  # -0.0 is no negative
+    uniform = neg_absmax == 0.0  # R1 stays empty
     scale_r1_init = neg_absmax / vmax
     cover_min = neg_absmax / 2 ** (bits - 1)
-    pos_max = float(max(arr.max(), 0.0))
-    if pos_max == 0.0:
-        return DualRegionParams(kind, bits, scale_r1_init, 0)
+    # kept when no candidate wins: R1 covers the negatives, else the full range (1.0 if all zero)
+    initial = DualRegionParams(kind, bits, (pos_max / vmax or 1.0) if uniform else scale_r1_init, 0, uniform)
 
     def snapped(scale_r2: float) -> DualRegionParams:
         """`scale_r2` with the nearest shift that keeps R1 covering the negatives."""
-        m = max(0, int(round(math.log2(scale_r2 / scale_r1_init))))
+        m = 0 if uniform else max(0, int(round(math.log2(scale_r2 / scale_r1_init))))
         while m > 0 and scale_r2 * 2.0**-m * 2 ** (bits - 1) < neg_absmax:
             m -= 1
-        return DualRegionParams(kind, bits, scale_r2, m)
+        return DualRegionParams(kind, bits, scale_r2, m, uniform)
 
     # candidates bracket the full-range scale of the (b-1)-bit payload; below
     # cover_min no shift keeps R1 covering the negative range
     scales = space.scale_candidates(pos_max / vmax).tolist()
-    candidates = [snapped(s) for s in scales if cover_min <= s < math.inf]
+    candidates = [snapped(s) for s in scales if 0.0 < s < math.inf and s >= cover_min]
     k = first_min(_direct_scores(arr, g, kind, bits, candidates))
-    if k < 0:
-        return DualRegionParams(kind, bits, scale_r1_init, 0)
-    return candidates[k]
+    return candidates[k] if k >= 0 else initial
 
 
 def _direct_scores(arr: np.ndarray, g, kind: str, bits: int, candidates: list) -> np.ndarray:
@@ -271,28 +269,27 @@ def _direct_scores(arr: np.ndarray, g, kind: str, bits: int, candidates: list) -
     binned = lambda: _region_scores(arr, g, candidates)  # noqa: E731
     keep = _near_winners(binned, arr.size, len(candidates), bits, g is not None)
     num, scale, recon = _numerator(arr, kind), np.empty_like(arr), np.empty_like(arr)
-    scores, region = np.full(len(candidates), np.inf), None
+    scores, split = np.full(len(candidates), np.inf), None
     for j in np.flatnonzero(keep):
         p = candidates[j]
-        if region is None or p.kind == "softmax":  # the GeLU split does not move with the scales
-            region = _regions(arr, p)
+        if p.split != split:  # the GeLU split does not move with the scales
+            split, region = p.split, _regions(arr, p)
         scores[j] = sq_error(arr, _reconstruct_into(num, region, p, scale, recon), g)
     return scores
 
 
 def _region_scores(arr: np.ndarray, g, candidates: list) -> tuple[np.ndarray, np.ndarray]:
     """`search._bin_scores` of one kind's candidates, R1 plus R2: both are
-    runs of the sorted samples. GeLU's R1 is x < 0 at the levels -vmax..0;
-    softmax cuts at each boundary, and an R1 sample down to -1e-6 codes to
+    runs of the sorted samples, cut at each candidate's `split`. GeLU's R1
+    is at the levels -vmax..0; a softmax R1 sample down to -1e-6 codes to
     level 0 unless |x| / scale_r1 > 1/2, which makes the bound inf."""
     sums = _sorted_sums(arr, g)
     xs, vmax = sums[0], candidates[0].value_max
     r1, r2 = np.array([[p.scale_r1, p.scale_r2] for p in candidates]).T
+    cut = np.searchsorted(xs, [p.split for p in candidates])
     if candidates[0].kind == "gelu":
-        cut = np.searchsorted(xs, 0.0)
         low = _bin_scores(sums, 0, cut, r1, -vmax, 0)
     else:
-        cut = np.searchsorted(xs, [p.boundary for p in candidates])
         low = _bin_scores(sums, 0, cut, r1, 0, vmax)
         low[1][-xs[0] / r1 > 0.5] = np.inf
     high = _bin_scores(sums, cut, arr.size, r2, 0, vmax)

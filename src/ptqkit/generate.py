@@ -22,6 +22,11 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def synth(kind: str, shape: tuple[int, ...], seed: int) -> Tensor:
     """Generate one seeded tensor of the requested activation shape.
 
@@ -40,10 +45,7 @@ def synth(kind: str, shape: tuple[int, ...], seed: int) -> Tensor:
         raise InvalidArgument(f"shape {shape} has more elements than one array can hold")
     rng = np.random.default_rng(seed)
     if kind == "softmax":
-        logits = rng.standard_normal(shape) / TEMPERATURE
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return Tensor.from_array(e / e.sum(axis=-1, keepdims=True))
+        return Tensor.from_array(_softmax(rng.standard_normal(shape) / TEMPERATURE))
     if kind == "gelu":
         return Tensor.from_array(_gelu(rng.normal(0.0, GELU_STD, shape)))
     values = rng.standard_normal(shape)

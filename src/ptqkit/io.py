@@ -221,7 +221,3 @@ def parse_params(path) -> ParamDoc:
 
 def report_to_text(report: CalibrationReport) -> str:
     return _dumps_json(report.to_dict())
-
-
-def write_report(report: CalibrationReport, path) -> None:
-    Path(path).write_text(report_to_text(report))

@@ -61,8 +61,10 @@ class SearchSpace:
 
     def scale_candidates(self, full_scale: float | np.ndarray) -> np.ndarray:
         """Grid bracketing each full-range scale by [alpha, beta], along the
-        last axis: an array of scales gives one grid per row."""
-        return np.linspace(self.alpha * full_scale, self.beta * full_scale, self.n_candidates, axis=-1)
+        last axis: an array of scales gives one grid per row. A grid whose top
+        passes the float64 maximum holds NaN and inf, which the searches skip."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linspace(self.alpha * full_scale, self.beta * full_scale, self.n_candidates, axis=-1)
 
 
 def sq_error(
@@ -252,6 +254,8 @@ def _row_search(
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     scales, zero_points = full_range(lo, hi, bits, scheme, signed)
     candidates = space.scale_candidates(scales)
+    skip = ~np.isfinite(candidates)  # scored at the full-range scale, then never won
+    np.copyto(candidates, scales[:, None], where=skip)
     cand_zps = zero_point(lo[:, None], candidates, bits, scheme, signed)
     q_min, q_max = quant_range(bits, signed)
     lower, upper = q_min - cand_zps, q_max - cand_zps
@@ -269,6 +273,7 @@ def _row_search(
     for run, buf in _chunks(np.flatnonzero(keep), rows):
         _fake_into(rows, *(v[run] for v in by_candidate), buf)
         scores[:, run] = sq_error(rows, buf, axis=2).T
+    scores[skip] = np.inf
     degenerate = (lo == hi) & ((lo == 0.0) | (scheme == "asymmetric"))
     winner = np.where(degenerate, -1, first_min(scores))
     won = np.flatnonzero(winner >= 0)
@@ -387,8 +392,8 @@ def alternating_matmul_search(
     history: list[float] = []
     for h in range(2 * rounds):
         i = h % 2  # fix the other operand, search this one
-        scores = np.empty(grids[i].size)
-        for run, cand, out in _chunks(np.arange(grids[i].size), mats[i], ref):
+        scores = np.full(grids[i].size, np.inf)
+        for run, cand, out in _chunks(np.flatnonzero(np.isfinite(grids[i])), mats[i], ref):
             _fake_into(mats[i], columns[i][run], *bounds[i], cand)
             np.matmul(*((cand, fq[1]) if i == 0 else (fq[0], cand)), out=out)
             scores[run] = sq_error(ref, out, g, axis=tuple(range(1, rank + 1)))

@@ -25,7 +25,7 @@ from scipy.special import erf
 
 from .dual_region import DualRegionParams, calibrate_dual_region
 from .errors import InvalidArgument, ShapeError
-from .generate import _gelu
+from .generate import _gelu, _softmax
 from .outlier_groups import DEFAULT_MAX_ITERS, GroupedQuantParams, ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
 from .search import DEFAULT_ROUNDS, SearchSpace, alternating_matmul_search, channelwise_params, mse_grid_search
@@ -61,12 +61,6 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * phi
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
 
@@ -87,8 +81,7 @@ def _conv2d_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _bn_apply(pre: np.ndarray, bn: BNParams) -> np.ndarray:
-    inv = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-    return (pre - bn.running_mean[:, None, None]) * inv[:, None, None] + bn.beta[:, None, None]
+    return (pre - bn.running_mean[:, None, None]) * bn.multiplier[:, None, None] + bn.beta[:, None, None]
 
 
 def _tempered_fusion(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -325,8 +318,7 @@ def backward_collect(x: TensorLike, w: ToyNetWeights) -> ActivationTrace:
 
     dz = (acts["decoder.pre_bn"] > 0.0).astype(np.float64)
     trace.gradients["decoder.pre_bn"] = dz
-    inv = w.bn.gamma / np.sqrt(w.bn.running_var + w.bn.eps)
-    d_f = _conv2d_input_grad(dz * inv[:, None, None], w.conv_w).reshape(x.shape)
+    d_f = _conv2d_input_grad(dz * w.bn.multiplier[:, None, None], w.conv_w).reshape(x.shape)
     trace.gradients["fusion.out"] = d_f
     d_fin = d_f @ w.w_fuse.T
     d_vout = d_fin[..., : w.dim]

@@ -159,6 +159,11 @@ class BNParams:
     def channels(self) -> int:
         return int(self.gamma.size)
 
+    @property
+    def multiplier(self) -> np.ndarray:
+        """The per-channel factor BN applies after subtracting the running mean."""
+        return self.gamma / np.sqrt(self.running_var + self.eps)
+
 
 def make_params(
     min_val: float, max_val: float, bits: int, scheme: str = "asymmetric", signed: bool = False
@@ -295,7 +300,7 @@ def fold_batchnorm(weight: np.ndarray, bias: np.ndarray, bn: BNParams):
         raise ShapeError(
             f"channel mismatch: weight {w.shape[0]}, bias {b.size}, bn {bn.channels}"
         )
-    factor = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+    factor = bn.multiplier
     w_folded = w * factor.reshape((-1,) + (1,) * (w.ndim - 1))
     b_folded = (b - bn.running_mean) * factor + bn.beta
     return w_folded, b_folded

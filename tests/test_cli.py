@@ -219,6 +219,36 @@ class TestCalibrateQuantizeEvaluate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert expect in err
 
+    def test_grid_past_float64_is_silent(self, tmp_path, capsys):
+        d = tmp_path / "dumps"
+        d.mkdir()
+        x = np.linspace(-1.0, 1.0, 64)
+        x[-1] = 3e38
+        for hook in ("u", "g"):
+            write_dump(Tensor.from_array(x.astype(np.float32)), d / f"{hook}.dump")
+        cfg = tmp_path / "cfg.json"
+        hooks = {"u": {}, "g": {"kind": "dual_region", "region": "gelu"}}
+        cfg.write_text(json.dumps({"beta": 1e300, "hooks": hooks}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                capsys, "calibrate", "--config", str(cfg), "--dumps", str(d), "--out", str(tmp_path / "p.json")
+            )
+        assert (code, err) == (0, "")
+
+    def test_two_bit_gelu_hook_without_negatives(self, tmp_path, capsys):
+        d = tmp_path / "dumps"
+        d.mkdir()
+        write_dump(Tensor.from_array(np.linspace(0.0, 1.0, 64)), d / "g.dump")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hooks": {"g": {"kind": "dual_region", "region": "gelu", "bits": 2}}}))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(cfg), "--dumps", str(d), "--out", str(tmp_path / "p.json")
+        )
+        assert (code, err) == (0, "")
+        entry = json.loads((tmp_path / "p.json").read_text())["hooks"]["g"]
+        assert entry["shift_m"] == 0 and entry["fallback_uniform"] is True
+
     @pytest.mark.parametrize(
         "hook,key",
         [

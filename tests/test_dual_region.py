@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,7 +211,8 @@ class TestCalibration:
         linspace makes it NaN and inf), so the initial fine scale is kept."""
         x = np.linspace(-1.0, 1.0, 64)
         x[-1] = 3e38
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the grid's overflow is no RuntimeWarning
             p = calibrate_dual_region(x, "gelu", 8, space=SearchSpace(beta=1e300))
         assert p == DualRegionParams("gelu", 8, 1.0 / 127, 0)
 
@@ -219,6 +221,17 @@ class TestCalibration:
         p = calibrate_dual_region(samples, "gelu", 8)
         assert p.fallback_uniform
         assert p.shift_m == 0
+
+    def test_two_bit_gelu_without_negatives(self):
+        # a 1-bit payload: R2 codes 0 and 1 at the searched scale
+        p = calibrate_dual_region(np.linspace(0.0, 1.0, 16), "gelu", 2)
+        assert p.shift_m == 0 and p.fallback_uniform
+
+    @pytest.mark.parametrize("x", [[-1e-320, 1.0], [0.0, 1e-310]])
+    def test_gelu_subnormal_initial_scale_is_invalid(self, x):
+        # the initial parameters' scale is subnormal; the first was an OverflowError in log2
+        with pytest.raises(InvalidArgument, match="subnormal"):
+            calibrate_dual_region(np.array(x), "gelu", 8)
 
     def test_deterministic(self):
         t = synth("softmax", (16, 16), seed=9)
@@ -360,6 +373,60 @@ class TestCalibrationOracle:
     def test_bits_validated(self, bits):
         with pytest.raises(InvalidArgument):
             calibrate_dual_region(np.array([0.1, 0.9]), "softmax", bits)
+
+
+@st.composite
+def nonnegative_samples(draw):
+    """(samples, bits, space): no negatives (-0.0 included), some all zero,
+    constant or of few distinct values, over a wide dynamic range."""
+    bits = draw(st.integers(3, 16))
+    alpha = draw(st.floats(0.001, 0.9))
+    space = SearchSpace(alpha, alpha + draw(st.floats(0.01, 2.0)), draw(st.integers(1, 120)))
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = draw(st.sampled_from(["zero", "constant", "repeated", "wide", "normal"]))
+    if data == "zero":
+        arr = rng.choice([-0.0, 0.0], n)
+    elif data == "constant":
+        arr = np.full(n, draw(st.floats(1e-100, 1e100)))
+    elif data == "repeated":
+        arr = rng.integers(0, 5, n) * draw(st.sampled_from([1e-3, 0.37, 1e5]))
+    elif data == "wide":
+        arr = 10.0 ** rng.uniform(-150, 150, n)
+    else:
+        arr = np.abs(rng.standard_normal(n))
+    arr[rng.random(n) < 0.1] = -0.0
+    return arr, bits, space
+
+
+class TestGeluWithoutNegatives:
+    """Without negatives R1 stays empty: the GeLU search is the uniform
+    search of the (b-1)-bit payload."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonnegative_samples())
+    def test_scale_equals_the_payload_search(self, case):
+        arr, bits, space = case
+        p = calibrate_dual_region(arr, "gelu", bits, space=space)
+        want = mse_grid_search(arr, bits - 1, "symmetric", signed=False, space=space)
+        assert (p.shift_m, p.fallback_uniform) == (0, True)
+        assert p.scale_r2.hex() == float(want.scale).hex()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_winner_scores_lowest_on_the_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        arr = np.abs(rng.standard_normal(200)) * rng.uniform(0.1, 10.0)
+        grad = rng.standard_normal(arr.shape) * (rng.random(arr.shape) < 0.8)
+        bits, space = int(rng.integers(3, 9)), SearchSpace(0.05, 1.3, 50)
+        p = calibrate_dual_region(arr, "gelu", bits, grad=grad, space=space)
+        best, best_score = None, math.inf
+        for s in space.scale_candidates(arr.max() / (2 ** (bits - 1) - 1)):
+            cand = DualRegionParams("gelu", bits, float(s), 0, fallback_uniform=True)
+            score = sq_error(arr, fake_dual_region(arr, cand), grad)
+            if score < best_score:
+                best, best_score = cand, score
+        assert p == best
+        assert sq_error(arr, fake_dual_region(arr, p), grad) == best_score
 
 
 def outcome(search, *args, **kwargs):

@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ class TestMseGridSearch:
     def test_all_zero_degenerate(self):
         p = mse_grid_search(np.zeros(16), 8, "symmetric")
         assert p.scale == 1.0
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_grid_past_float64_is_skipped_without_a_warning(self, scheme):
+        arr = np.linspace(-1.0, 1.0, 64)
+        arr[-1] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = mse_grid_search(arr, 8, scheme, space=SearchSpace(beta=1e300))
+            rows = channelwise_params(np.stack([arr, arr / 1e300]), 8, 0, scheme, False, SearchSpace(beta=1e300))
+        assert p == make_params(-1.0, 3e38, 8, scheme)
+        assert rows.scale[0] == p.scale and rows.zero_point[0] == p.zero_point
+        assert rows.scale[1] == mse_grid_search(arr / 1e300, 8, scheme, space=SearchSpace(beta=1e300)).scale
 
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
     def test_no_finite_score_returns_full_range(self, scheme):
@@ -499,6 +512,16 @@ class TestAlternatingSearch:
         a = np.array([[-1.0, 2.0], [0.5, 3.0]])
         with pytest.raises(InvalidArgument, match="bits must be a whole number"):
             alternating_matmul_search(a, a, bits=bits)
+
+    def test_grid_past_float64_is_skipped_without_a_warning(self):
+        # a's grid tops out at 1e300 * 1e100 / 127: every half-step that searches a scores inf
+        a, b = np.ones((4, 4)), np.ones((4, 4))
+        a[0, 0] = 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = alternating_matmul_search(a, b, space=SearchSpace(beta=1e300))
+        assert res.params_a.scale == 1e100 / 255
+        assert res.metric_history[0::2] == (np.inf,) * 3 and np.isfinite(res.metric_history[1::2]).all()
 
     def test_two_vectors_raise_shape_error(self):
         with pytest.raises(ShapeError, match="scalar"):
