@@ -183,10 +183,10 @@ def _cmd_quantize(args) -> int:
         raise QuantizationError(f"--hook required; file defines {sorted(hooks)}")
     t = pio.read_dump(getattr(args, "in"))
     arr = t.array.astype(np.float64)
-    recon = params.fake(arr)
+    codes, recon = params.encode(arr)
     pio.write_dump(Tensor.from_array(recon.astype(np.float32)), args.out)
     codes_path = args.codes or f"{args.out}.codes"
-    pio.write_code_dump(params.encode(arr), codes_path)
+    pio.write_code_dump(codes, codes_path)
     print(f"wrote {args.out} and {codes_path}")
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .search import SearchSpace, _bin_scores, _fake_into, _near_winners, _sorted_sums, first_min, sq_error
+from .search import SearchSpace, _bin_scores, _codes_into, _near_winners, _sorted_sums, first_min, sq_error
 from .tensor import TensorLike, _as_f64
 from .uniform import BITS, TINY, real, whole
 
@@ -85,9 +85,14 @@ class DualRegionParams:
         """Encode-then-decode reconstruction of `arr`, shape preserved."""
         return fake_dual_region(arr, self)
 
-    def encode(self, arr: TensorLike) -> np.ndarray:
-        """Packed b-bit words of `arr`, shape preserved."""
-        return encode_tensor(arr, self)
+    def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
+        """(words, reconstruction) of `arr` from one coding pass, shape preserved: `encode_tensor`'s
+        words, packed from the payloads (finite where a huge scale_r2 overflows), and `fake`'s values."""
+        arr = _as_f64(arr)
+        region, scale = _regions(arr, self), np.empty_like(arr)
+        payload = _payloads_into(_numerator(arr, self.kind), region, self, scale, np.empty_like(arr))
+        words = np.multiply(region, 2 ** (self.bits - 1), dtype=np.int32) + payload.astype(np.int32)
+        return words, np.multiply(payload, scale, out=payload)
 
 
 @dataclass(frozen=True)
@@ -174,20 +179,20 @@ def _numerator(arr: np.ndarray, kind: str) -> np.ndarray:
     return np.abs(arr) if kind == "softmax" else arr + 0.0
 
 
-def _reconstruct_into(
-    num: np.ndarray, region: np.ndarray, p: DualRegionParams, scale: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """decode_tensor(encode_tensor(x)) computed in float64 into `out`.
-
-    `num` is `_numerator(x)`, `region` is `_regions(x)` and `scale` is a
-    work buffer of x's shape. GeLU's R1 scale is -scale_r1: dividing a negative
-    element by it gives the stored magnitude and multiplying the code by it
-    restores the sign, so no int words are built.
-    """
+def _payloads_into(num, region, p: DualRegionParams, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The float payload of every element into `out` and its signed region scale into `scale`,
+    buffers of x's shape (`num` is `_numerator(x)`, `region` is `_regions(x)`). GeLU's R1 scale
+    is -scale_r1: dividing a negative element by it gives the stored magnitude and multiplying
+    the payload by it restores the sign."""
     r1 = -p.scale_r1 if p.kind == "gelu" else p.scale_r1
     # region holds only 0 and 1; mode="clip" spares take() its buffered bounds check
     np.take(np.array([r1, p.scale_r2]), region, out=scale, mode="clip")
-    return _fake_into(num, scale, 0, p.value_max, out)
+    return _codes_into(num, scale, 0, p.value_max, out)
+
+
+def _reconstruct_into(num, region, p: DualRegionParams, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """decode_tensor(encode_tensor(x)) in float64 into `out`: no int words are built."""
+    return np.multiply(_payloads_into(num, region, p, scale, out), scale, out=out)
 
 
 def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:

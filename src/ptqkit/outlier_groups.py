@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .search import SearchSpace, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import BITS, QuantParams, dequantize_array, fake_quant_array, quantize_array, whole
+from .uniform import BITS, QuantParams, dequantize_array, quantize_array, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -117,9 +117,11 @@ class GroupedQuantParams:
         """Group-wise reconstruction of `arr`, shape preserved."""
         return fake_grouped(arr, self)
 
-    def encode(self, arr: TensorLike) -> np.ndarray:
-        """A (2, n) array: group indices over codes of the flattened `arr`."""
-        return np.stack(encode_grouped(arr, self))
+    def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, reconstruction) of `arr` from one coding pass: a (2, n) array of
+        group indices over codes of the flattened `arr`, and `fake`'s values."""
+        idx, codes, recon = _by_group(_as_f64(arr), self)
+        return np.stack((idx, codes)), recon
 
 
 def calibrate_grouped(
@@ -183,25 +185,25 @@ def grouped_dequantize(group: int, code: int, p: GroupedQuantParams) -> float:
     return float(dequantize_array(np.asarray([code]), p.groups[group].params)[0])
 
 
-def _by_group(arr: np.ndarray, p: GroupedQuantParams, codec, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(group index, `codec` of the element under its group's params) per
-    element of the flattened `arr`: the vectorized group_index."""
+def _by_group(arr: np.ndarray, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(group index, code), int32 per element of the flattened `arr` (the vectorized group_index),
+    and the reconstruction in `arr`'s shape: each group's elements coded once and dequantized."""
     flat = arr.reshape(-1)
-    idx, out = np.searchsorted(p.thresholds, np.abs(flat), side="left"), np.empty(flat.size, dtype)
+    idx = np.searchsorted(p.thresholds, np.abs(flat), side="left").astype(np.int32)
+    codes, recon = np.empty(flat.size, np.int32), np.empty(flat.size)
     for gi, group in enumerate(p.groups):
         mask = idx == gi
         if mask.any():
-            out[mask] = codec(flat[mask], group.params)
-    return idx, out
+            group_codes = quantize_array(flat[mask], group.params)
+            codes[mask], recon[mask] = group_codes, dequantize_array(group_codes, group.params)
+    return idx, codes, recon.reshape(arr.shape)
 
 
 def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (group indices, codes) for a tensor."""
-    idx, codes = _by_group(_as_f64(x), p, quantize_array, np.int32)
-    return idx.astype(np.int32), codes
+    return _by_group(_as_f64(x), p)[:2]
 
 
 def fake_grouped(x: TensorLike, p: GroupedQuantParams) -> np.ndarray:
     """Group-wise quantize-then-dequantize reconstruction, shape preserved."""
-    arr = _as_f64(x)
-    return _by_group(arr, p, fake_quant_array, np.float64)[1].reshape(arr.shape)
+    return _by_group(_as_f64(x), p)[2]

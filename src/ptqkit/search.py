@@ -106,15 +106,18 @@ def _chunks(candidates: np.ndarray, *likes: np.ndarray):
         yield run, *(b[: run.size] for b in bufs)
 
 
-def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
-    """clip(rint(num / scale), lo, hi) * scale into `out`, the reconstruction
-    every search scores. With a zero point z folded into the bounds (lo =
-    q_min - z, hi = q_max - z) it is `fake_quant_array` up to the sign of a
-    zero, as clip(r + z, q_min, q_max) - z is clip(r, lo, hi) for whole r."""
+def _codes_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
+    """The float codes clip(rint(num / scale), lo, hi) into `out`."""
     np.divide(num, scale, out=out)
-    np.rint(out, out=out)
-    np.clip(out, lo, hi, out=out)
-    return np.multiply(out, scale, out=out)
+    return np.clip(np.rint(out, out=out), lo, hi, out=out)
+
+
+def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
+    """`_codes_into` times scale into `out`, the reconstruction every search
+    scores. With a zero point z folded into the bounds (lo = q_min - z,
+    hi = q_max - z) it is `fake_quant_array` up to the sign of a zero, as
+    clip(r + z, q_min, q_max) - z is clip(r, lo, hi) for whole r."""
+    return np.multiply(_codes_into(num, scale, lo, hi, out), scale, out=out)
 
 
 def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1) -> bool:

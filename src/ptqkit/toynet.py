@@ -108,7 +108,6 @@ class ToyNetWeights:
     w_text: np.ndarray
     b_text: np.ndarray
     outlier_cols: tuple[int, ...]
-    outlier_factors: tuple[float, ...]
     w_fuse: np.ndarray
     b_fuse: np.ndarray
     conv_w: np.ndarray
@@ -136,8 +135,7 @@ class ToyNetWeights:
         w_text = rng.normal(0.0, s, (dim, dim))
         b_text = rng.normal(0.0, 0.05, dim)
         cols = tuple(int(c) for c in rng.choice(dim, size=cls.outlier_count, replace=False))
-        factors = tuple(float(f) for f in rng.uniform(*cls.outlier_range, size=cls.outlier_count))
-        for col, factor in zip(cols, factors):
+        for col, factor in zip(cols, rng.uniform(*cls.outlier_range, size=cls.outlier_count)):
             w_text[:, col] *= factor
             b_text[col] *= factor
         return cls(
@@ -151,7 +149,6 @@ class ToyNetWeights:
             w_text=w_text,
             b_text=b_text,
             outlier_cols=cols,
-            outlier_factors=factors,
             w_fuse=_tempered_fusion(rng, dim),
             b_fuse=rng.normal(0.0, 0.05, dim),
             conv_w=rng.normal(0.0, 1.0 / 6.0, (conv_channels, conv_channels, 3, 3)),

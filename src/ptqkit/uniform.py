@@ -109,9 +109,10 @@ class QuantParams:
         """Quantize-then-dequantize reconstruction of `arr`."""
         return fake_quant_array(arr, self)
 
-    def encode(self, arr: np.ndarray) -> np.ndarray:
-        """Integer codes of `arr`, shape preserved."""
-        return quantize_array(arr, self)
+    def encode(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(int32 codes, reconstruction) of `arr` from one pass, shape preserved, as `fake` makes them."""
+        codes = quantize_array(arr, self)
+        return codes, dequantize_array(codes, self)
 
 
 @dataclass(frozen=True)
@@ -206,24 +207,16 @@ def zero_point(lo, scale, bits: int, scheme: str, signed: bool) -> np.ndarray:
     return np.clip(np.rint(q_min - lo / scale), q_min, q_max)
 
 
-def _broadcast(values: np.ndarray, rank: int, axis: int) -> np.ndarray:
-    shape = [1] * rank
-    shape[axis] = -1
-    return np.asarray(values).reshape(shape)
-
-
 def _scale_zp(arr: np.ndarray, p: QuantParams) -> tuple[np.ndarray, np.ndarray]:
     if not p.per_channel:
         return np.float64(p.scale), np.float64(p.zero_point)
     axis = p.axis
     if not 0 <= axis < arr.ndim:
         raise ShapeError(f"per-channel axis {axis} out of range for rank {arr.ndim}")
-    n = np.asarray(p.scale).size
-    if arr.shape[axis] != n:
-        raise ShapeError(f"axis {axis} has {arr.shape[axis]} slices, params carry {n}")
-    scale = _broadcast(np.asarray(p.scale, dtype=np.float64), arr.ndim, axis)
-    zp = _broadcast(np.asarray(p.zero_point, dtype=np.float64), arr.ndim, axis)
-    return scale, zp
+    if arr.shape[axis] != p.scale.size:
+        raise ShapeError(f"axis {axis} has {arr.shape[axis]} slices, params carry {p.scale.size}")
+    shape = (-1,) + (1,) * (arr.ndim - 1 - axis)  # broadcasts against the trailing axes
+    return p.scale.reshape(shape), p.zero_point.astype(np.float64).reshape(shape)
 
 
 def quantize_array(arr: np.ndarray, p: QuantParams) -> np.ndarray:
@@ -262,14 +255,13 @@ def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float
     Zero reconstruction error reports sqnr_db as +inf; cosine of two zero
     vectors is defined as 1.0, and 0.0 when exactly one side is zero.
     """
-    a = np.asarray(reference, dtype=np.float64).reshape(-1)
-    b = np.asarray(approx, dtype=np.float64).reshape(-1)
+    a, b = np.asarray(reference, dtype=np.float64), np.asarray(approx, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    err = a - b
-    mse = float(np.mean(err**2))
+    a, b = a.reshape(-1), b.reshape(-1)
     signal = float(np.sum(a**2))
-    noise = float(np.sum(err**2))
+    noise = float(np.sum((a - b) ** 2))
+    mse = noise / a.size  # np.mean's sum and divide, so the same bits
     if noise == 0.0:
         sqnr = math.inf
     elif signal == 0.0:

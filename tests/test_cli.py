@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptqkit import dual_region, outlier_groups, uniform
 from ptqkit.cli import build_parser, main
+from ptqkit.dual_region import DualRegionParams
 from ptqkit.generate import synth
-from ptqkit.io import read_code_dump, read_dump, write_dump
-from ptqkit.outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy
+from ptqkit.io import ParamDoc, emit_params, read_code_dump, read_dump, write_dump
+from ptqkit.outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy, calibrate_grouped
 from ptqkit.search import SearchSpace
 from ptqkit.tensor import Tensor
 from ptqkit.toynet import MODULES
+from ptqkit.uniform import QuantParams
 
 
 def run_cli(capsys, *args):
@@ -150,6 +153,16 @@ class TestCalibrateQuantizeEvaluate:
         metrics = json.loads(out)
         assert metrics["mse"] == 0.0
         assert metrics["sqnr_db"] == "inf"
+
+    def test_evaluate_same_values_in_another_shape_is_one_line(self, tmp_path, capsys):
+        # a 4x8 and an 8x4 dump of one row-major sequence: equal once flattened
+        values = np.linspace(-1.0, 1.0, 32)
+        a, b = tmp_path / "a.dump", tmp_path / "b.dump"
+        write_dump(Tensor.from_array(values.reshape(4, 8)), a)
+        write_dump(Tensor.from_array(values.reshape(8, 4)), b)
+        code, out, err = run_cli(capsys, "evaluate", "--a", str(a), "--b", str(b))
+        assert code == 1 and out == ""
+        assert err == "error: shape mismatch: (4, 8) vs (8, 4)\n"
 
     def test_mixed_shape_dumps_are_one_line(self, tmp_path, capsys, config_path):
         d = tmp_path / "mixed"
@@ -360,6 +373,58 @@ class TestCalibrateQuantizeEvaluate:
             "--in", str(dumps_dir / "feat__000.dump"), "--out", str(tmp_path / "o.dump"),
         )
         assert code == 1 and "--hook" in err
+
+
+class TestQuantizeCodesOnce:
+    """`ptqkit quantize` codes each element once: one `encode` call gives the
+    code dump and the reconstruction, which still equal the codecs' own."""
+
+    @pytest.fixture()
+    def dump(self, tmp_path):
+        path = tmp_path / "x.dump"
+        write_dump(synth("gelu", (16, 32), 0), path)
+        return path
+
+    @staticmethod
+    def counted(monkeypatch, module, name) -> list:
+        calls, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    def quantize(self, tmp_path, capsys, dump, params):
+        emit_params(ParamDoc(hooks={"h": params}), tmp_path / "p.json")
+        out = tmp_path / "r.dump"
+        code, _, err = run_cli(capsys, "quantize", "--params", str(tmp_path / "p.json"), "--in", str(dump), "--out", str(out))
+        assert code == 0, err
+        return read_dump(out).array, read_code_dump(f"{out}.codes")
+
+    def test_uniform_hook_quantizes_once(self, tmp_path, capsys, dump, monkeypatch):
+        params = QuantParams(scale=0.01, zero_point=17, bits=8, signed=False)
+        calls = self.counted(monkeypatch, uniform, "quantize_array")
+        recon, codes = self.quantize(tmp_path, capsys, dump, params)
+        assert len(calls) == 1  # 2 when quantize called fake and then encode
+        x = read_dump(dump).array.astype(np.float64)
+        assert np.array_equal(codes, uniform.quantize_array(x, params))
+        assert recon.tobytes() == params.fake(x).astype(np.float32).tobytes()
+
+    def test_dual_region_hook_never_calls_fake(self, tmp_path, capsys, dump, monkeypatch):
+        params = DualRegionParams("gelu", 8, 0.02, 3)
+        fakes = self.counted(monkeypatch, dual_region, "fake_dual_region")
+        encodes = self.counted(monkeypatch, dual_region, "encode_tensor")
+        recon, codes = self.quantize(tmp_path, capsys, dump, params)
+        assert len(fakes) == len(encodes) == 0  # 1 each when quantize called fake and then encode
+        x = read_dump(dump).array.astype(np.float64)
+        assert np.array_equal(codes, dual_region.encode_tensor(x, params))
+        assert recon.tobytes() == dual_region.fake_dual_region(x, params).astype(np.float32).tobytes()
+
+    def test_grouped_hook_assigns_groups_once(self, tmp_path, capsys, dump, monkeypatch):
+        x = read_dump(dump).array.astype(np.float64)
+        params = calibrate_grouped(x, 6)
+        calls = self.counted(monkeypatch, outlier_groups, "_by_group")
+        recon, codes = self.quantize(tmp_path, capsys, dump, params)
+        assert len(calls) == 1  # 2 when quantize called fake and then encode
+        assert np.array_equal(codes, np.stack(outlier_groups.encode_grouped(x, params)))
+        assert recon.tobytes() == outlier_groups.fake_grouped(x, params).astype(np.float32).tobytes()
 
 
 class TestEvaluateMasks:

@@ -298,8 +298,8 @@ class TestFloatDomainReconstruction:
         # both zero-payload words decode to 0, so only those may switch region
         p, x = case
         with np.errstate(over="ignore"):
-            words = p.encode(x)
-        again = p.encode(decode_tensor(words, p))
+            words = p.encode(x)[0]
+        again = p.encode(decode_tensor(words, p))[0]
         nonzero = (words & (2 ** (p.bits - 1) - 1)) != 0
         assert np.array_equal(again[nonzero], words[nonzero])
 

@@ -85,7 +85,7 @@ class TestPartition:
     def test_all_inliers(self):
         p = calibrate_grouped([1.0, 2.0, 3.0], 8, ThresholdStrategy("mean_division", mean_multiplier=10.0))
         assert len(p.groups) == 1
-        assert p.encode([1.0, 2.0, 3.0])[0].tolist() == [0, 0, 0]
+        assert p.encode([1.0, 2.0, 3.0])[0][0].tolist() == [0, 0, 0]
 
     def test_absolute_split(self):
         # mean |x| is 10.1 / 3, so tau = 0.3 * mean ~ 1.01 keeps only 0.1 inside
@@ -93,7 +93,7 @@ class TestPartition:
         p = calibrate_grouped(values, 8, ThresholdStrategy("mean_division", mean_multiplier=0.3))
         assert len(p.groups) == 2
         assert p.groups[0].upper == pytest.approx(0.3 * 10.1 / 3)
-        assert p.encode(values)[0].tolist() == [1, 0, 1]
+        assert p.encode(values)[0][0].tolist() == [1, 0, 1]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -102,7 +102,7 @@ class TestPartition:
         values = rng.standard_normal(73)
         multiplier = float(rng.uniform(0.5, 2.0))
         p = calibrate_grouped(values, 8, ThresholdStrategy("mean_division", mean_multiplier=multiplier))
-        idx = p.encode(values)[0]
+        idx = p.encode(values)[0][0]
         assert idx.size == values.size
         parts = [values[idx == gi] for gi in range(len(p.groups))]
         assert sorted(np.concatenate(parts).tolist()) == sorted(values.tolist())
@@ -289,7 +289,7 @@ class TestCodec:
         rng = np.random.default_rng(seed)
         params = calibrate_grouped(synth("outlier", (16, 32), seed=seed), int(rng.integers(2, 9)))
         x = rng.standard_normal(96) * rng.uniform(1.0, 60.0)
-        groups, codes = params.encode(x)
+        groups, codes = params.encode(x)[0]
         got = [grouped_dequantize(int(g), int(c), params) for g, c in zip(groups, codes)]
         assert np.array(got).tobytes() == params.fake(x).tobytes()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqkit.errors import InvalidArgument, ShapeError
+from ptqkit.generate import synth
 from ptqkit.uniform import (
     BNParams,
     QuantParams,
@@ -316,6 +317,27 @@ class TestQuantError:
         mse, _, _ = error_stats(x, fake_quant_array(x, p))
         model = p.scale**2 / 12.0
         assert model / 2 <= mse <= model * 2
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 300))
+    def test_mse_has_the_bits_of_np_mean(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, cols)) * rng.uniform(1e-3, 1e3)
+        b = a + rng.standard_normal((rows, cols)) * rng.uniform(1e-6, 1.0)
+        mse, _, _ = error_stats(a, b)
+        assert np.float64(mse).tobytes() == np.mean((a - b) ** 2).tobytes()
+
+    def test_mse_has_the_bits_of_np_mean_on_a_gelu_dump(self):
+        a = synth("gelu", (256, 3072), 0).array.astype(np.float64)
+        b = fake_quant_array(a, make_params(float(a.min()), float(a.max()), 4))
+        mse, _, _ = error_stats(a, b)
+        assert np.float64(mse).tobytes() == np.mean((a - b) ** 2).tobytes()
+
+    def test_same_values_in_another_shape_is_a_shape_error(self):
+        values = np.arange(32.0)
+        with pytest.raises(ShapeError, match=r"\(4, 8\) vs \(8, 4\)"):
+            error_stats(values.reshape(4, 8), values.reshape(8, 4))
 
 
 class TestFoldBatchnorm:
