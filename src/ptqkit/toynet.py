@@ -21,11 +21,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 from .dual_region import DualRegionParams, calibrate_dual_region
 from .errors import InvalidArgument, ShapeError
-from .generate import _gelu, _softmax
+from .generate import _gelu, _softmax, erf
 from .outlier_groups import DEFAULT_MAX_ITERS, GroupedQuantParams, ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
 from .search import DEFAULT_ROUNDS, SearchSpace, alternating_matmul_search, channelwise_params, mse_grid_search

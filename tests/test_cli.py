@@ -2,14 +2,20 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptqkit
 from ptqkit import dual_region, outlier_groups, uniform
 from ptqkit.cli import build_parser, main
 from ptqkit.dual_region import DualRegionParams
@@ -539,6 +545,40 @@ class TestPipelineCommand:
         with pytest.raises(SystemExit) as exc:
             main(["pipeline", "--frobnicate"])
         assert exc.value.code != 0
+
+
+# Imports the CLI and runs the subcommands that compute erf, then names any
+# scipy module they loaded.
+NO_SCIPY_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from pathlib import Path
+    from ptqkit.cli import main
+
+    work = Path(sys.argv[1])
+    (work / "dumps").mkdir()
+    gelu = str(work / "dumps" / "g.dump")
+    config = work / "config.json"
+    config.write_text(json.dumps({"hooks": {"g": {"kind": "dual_region", "region": "gelu"}}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--kind", "gelu", "--shape", "64x48", "--out", gelu]) == 0
+        assert main(["calibrate", "--config", str(config), "--dumps", str(work / "dumps"),
+                     "--out", str(work / "p.json")]) == 0
+        assert main(["pipeline", "--preset", "W8A8", "--calib-count", "2"]) == 0
+    print(sorted(name for name in sys.modules if name.startswith("scipy")))
+    """
+)
+
+
+class TestNoScipy:
+    def test_subcommands_load_no_scipy(self, tmp_path):
+        src = str(Path(ptqkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def _params_file(path, entry):

@@ -287,10 +287,11 @@ class TestSortedScoring:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             approx, bound = _bin_scores(_sorted_sums(arr), 0, arr.size, grid, lo, hi)
             direct = np.array([sq_error(arr, _fake_into(arr, s, a, b, np.empty_like(arr))) for s, a, b in zip(grid, lo, hi)])
+            gap = np.abs(approx - direct * arr.size)
         assert np.all(bound >= 0)
         finite = np.isfinite(bound)
         assert finite.all() or np.abs(arr).max() > 1e150  # only data near the float64 limit has no bound
-        assert np.all(np.abs(approx - direct * arr.size)[finite] <= bound[finite])
+        assert np.all(gap[finite] <= bound[finite])
 
     def test_only_near_winners_are_rescored(self, monkeypatch):
         calls = []
