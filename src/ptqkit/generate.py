@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .tensor import MAX_RANK, Tensor
+from .uniform import whole
 
 KINDS = ("softmax", "gelu", "outlier")
 
@@ -101,7 +102,7 @@ def synth(kind: str, shape: tuple[int, ...], seed: int) -> Tensor:
         raise InvalidArgument(f"shape must have 1 to {MAX_RANK} positive dimensions, got {shape}")
     if math.prod(shape) > np.iinfo(np.intp).max // 8:
         raise InvalidArgument(f"shape {shape} has more elements than one array can hold")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole("seed", seed, 0, math.inf))
     if kind == "softmax":
         return Tensor.from_array(_softmax(rng.standard_normal(shape) / TEMPERATURE))
     if kind == "gelu":

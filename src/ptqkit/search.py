@@ -17,7 +17,7 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, channel_slices, percentile
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
-from .uniform import full_range, zero_point
+from .uniform import full_range, whole, zero_point
 
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
@@ -56,8 +56,7 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if not 0 < self.alpha < self.beta < np.inf:
             raise InvalidArgument(f"need 0 < alpha < beta < inf, got {self.alpha}, {self.beta}")
-        if not 1 <= self.n_candidates <= MAX_CANDIDATES:
-            raise InvalidArgument(f"n_candidates must be in [1, {MAX_CANDIDATES}], got {self.n_candidates}")
+        object.__setattr__(self, "n_candidates", whole("n_candidates", self.n_candidates, 1, MAX_CANDIDATES))
 
     def scale_candidates(self, full_scale: float | np.ndarray) -> np.ndarray:
         """Grid bracketing each full-range scale by [alpha, beta], along the
@@ -79,11 +78,16 @@ def sq_error(
     With `axis`, a `_chunks` run gets one mean per candidate (the
     alternating search) or per candidate and row (the row search).
     """
+    mean = _sq_terms(reference, approx, grad).mean(axis=axis)
+    return float(mean) if axis is None else mean
+
+
+def _sq_terms(reference: np.ndarray, approx: np.ndarray, grad: np.ndarray | None) -> np.ndarray:
+    """The terms (grad * (approx - reference))^2 that `sq_error` averages, in `approx`."""
     diff = np.subtract(approx, reference, out=approx)
     if grad is not None:
         np.multiply(diff, grad, out=diff)
-    mean = np.square(diff, out=diff).mean(axis=axis)
-    return float(mean) if axis is None else mean
+    return np.square(diff, out=diff)
 
 
 def _run_length(size: int) -> int:
@@ -357,9 +361,17 @@ def alternating_matmul_search(
     metric never increases after the first half-step. Once a half-step after
     the first keeps its operand's scale, every later one repeats one of the
     last two: the search stops and repeats their metrics in turn.
+
+    When both operands lead with one batch axis of N > 1 inputs, a half-step
+    sums each candidate's terms over the ceil(N/3) inputs the current pair
+    errs most on, m of the n output elements, scores the candidate of lowest
+    partial sum P in full (the bound U), and drops every candidate whose P is
+    above n U (1 + 2 gamma_{n+m+4}) + n 2^-1070, NaN or inf, while that limit
+    is below 2^1020. P sums non-negative terms the full score sums bit for bit
+    (the same BLAS calls and elementwise ops), so those score above U. The
+    rest are scored as without pruning: result and history keep their bits.
     """
-    if rounds < 1:
-        raise InvalidArgument("rounds must be >= 1")
+    rounds = whole("rounds", rounds, 1, np.inf)
     ops = (_as_f64(a), _as_f64(b))
     try:
         out_fp = np.matmul(*ops)
@@ -392,14 +404,43 @@ def alternating_matmul_search(
     ref = out_fp.reshape(np.matmul(*fq).shape)  # with the padded unit axes
     g = None if g is None else g.reshape(ref.shape)
     columns = [grid.reshape((-1,) + (1,) * rank) for grid in grids]  # broadcast over a run's operands
+    axes, n = tuple(range(1, rank + 1)), ref.size
+    batch = mats[0].shape[0] if rank > 2 and mats[0].shape[0] == mats[1].shape[0] else 1
+    heavy = -(-batch // 3)  # the inputs a partial sum covers
+
+    def products(i, todo, x, fixed, like):
+        """Each `_chunks` run of `todo` and its candidates (from x) times `fixed`."""
+        for run, cand, out in _chunks(todo, x, like):
+            _fake_into(x, columns[i][run], *bounds[i], cand)
+            yield run, np.matmul(*((cand, fixed) if i == 0 else (fixed, cand)), out=out)
+
+    def score(i, todo, scores):
+        for run, out in products(i, todo, mats[i], fq[1 - i], ref):
+            scores[run] = sq_error(ref, out, g, axis=axes)
+
+    def prune(i, todo, scores):
+        """`todo` less the candidate of lowest partial sum, scored here, and
+        every candidate whose partial sum proves it scores above that one."""
+        pick = np.argsort(_sq_terms(ref, np.matmul(*fq), g).sum(axis=axes[:-1]))[-heavy:]
+        # copies in each matrix's layout, so that its products are the same BLAS calls
+        x, fixed, sub = (np.take(v, pick, axis=0, out=np.empty_like(v[:heavy])) for v in (mats[i], fq[1 - i], ref))
+        sub_g, part = None if g is None else g[pick], np.full(scores.size, np.inf)
+        for run, out in products(i, todo, x, fixed, sub):
+            part[run] = _sq_terms(sub, out, sub_g).sum(axis=axes)
+        k = first_min(part)
+        if k < 0:
+            return todo
+        score(i, np.array([k]), scores)
+        limit = scores[k] * n * (1 + 2 * _gamma(n + sub.size + 4)) + n * 2.0**-1070
+        keep = (part <= limit) | ~(limit < 2.0**1020)
+        return todo[keep[todo] & (todo != k)]
+
     history: list[float] = []
     for h in range(2 * rounds):
         i = h % 2  # fix the other operand, search this one
         scores = np.full(grids[i].size, np.inf)
-        for run, cand, out in _chunks(np.flatnonzero(np.isfinite(grids[i])), mats[i], ref):
-            _fake_into(mats[i], columns[i][run], *bounds[i], cand)
-            np.matmul(*((cand, fq[1]) if i == 0 else (fq[0], cand)), out=out)
-            scores[run] = sq_error(ref, out, g, axis=tuple(range(1, rank + 1)))
+        todo = np.flatnonzero(np.isfinite(grids[i]))
+        score(i, prune(i, todo, scores) if heavy < batch else todo, scores)
         k = first_min(scores)
         history.append(float(scores[k]) if k >= 0 else np.inf)
         if k < 0:  # keep the previous scale

@@ -128,7 +128,7 @@ class ToyNetWeights:
 
     @classmethod
     def seeded(cls, seed: int) -> "ToyNetWeights":
-        rng = np.random.default_rng([seed, 0])
+        rng = np.random.default_rng([whole("seed", seed, 0, math.inf), 0])
         dim, hidden, conv_channels = cls.dim, cls.hidden, cls.conv_channels
         s = 1.0 / math.sqrt(dim)
         w_text = rng.normal(0.0, s, (dim, dim))
@@ -470,7 +470,7 @@ def seeded_inputs(seed: int, count: int, seq: int, dim: int) -> np.ndarray:
     attention rows (weak tokens) with sharply peaked ones, which is the
     row structure the post-softmax quantizers are designed around.
     """
-    rng = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([whole("seed", seed, 0, math.inf), 1])
     xs = np.empty((whole("count", count, 0, math.inf), seq, dim))
     for x in xs:
         rng.standard_normal(out=x)

@@ -62,6 +62,12 @@ class TestSynthCommand:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_negative_seed_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.dump"
+        code, _, err = run_cli(capsys, "synth", "--kind", "gelu", "--shape", "4x4", "--seed", "-3", "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert err == "error: seed must be a whole number in [0, inf], got -3\n"
+
 
 class TestCalibrateQuantizeEvaluate:
     @pytest.fixture()
@@ -492,6 +498,11 @@ class TestPipelineCommand:
         code, out, err = run_cli(capsys, "pipeline", "--seed", "0", "--preset", "W8A8", "--calib-count", count)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_negative_seed_is_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "pipeline", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: seed must be a whole number in [0, inf], got -1\n"
 
     def test_malformed_params_entry_is_one_line(self, tmp_path, capsys):
         dump = tmp_path / "x.dump"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -135,6 +135,13 @@ class TestSearchSpace:
         assert SearchSpace(n_candidates=MAX_CANDIDATES).n_candidates == MAX_CANDIDATES
         for n in (MAX_CANDIDATES + 1, 10**12):
             with pytest.raises(InvalidArgument, match="n_candidates"):
+                SearchSpace(n_candidates=n)
+
+    def test_candidate_count_is_a_whole_number(self):
+        space = SearchSpace(n_candidates=3.0)
+        assert type(space.n_candidates) is int and space.scale_candidates(1.0).size == 3
+        for n in (True, np.True_, 2.5, "3"):
+            with pytest.raises(InvalidArgument, match="n_candidates must be a whole number"):
                 SearchSpace(n_candidates=n)
 
 
@@ -429,6 +436,45 @@ class TestFakeInto:
             assert np.array_equal(got, fake_quant_array(x, p))
 
 
+@st.composite
+def batched_searches(draw):
+    """(a, b, grad, bits, space, rounds) over a batch of 2-40 inputs: small
+    whole numbers (tied scores) or normals, some inputs scaled down (so that
+    the ranking of inputs matters), some weighted up or to zero by the
+    gradient, unsigned or ReLU'd operands, and inputs whose errors square
+    past the float64 maximum."""
+    n, rows, inner, cols = draw(st.integers(2, 40)), *(draw(st.integers(1, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a, b = (rng.integers(-3, 4, shape).astype(np.float64) for shape in ((n, rows, inner), (n, inner, cols)))
+    else:
+        a, b = rng.standard_normal((n, rows, inner)), rng.standard_normal((n, inner, cols))
+    for x in (a, b):
+        x *= draw(st.sampled_from([1.0, 0.5, 1e-3, 1e-9])) ** (rng.random((n, 1, 1)) < draw(st.floats(0, 1)))
+    if draw(st.booleans()):
+        a *= 10.0 ** (draw(st.integers(100, 307)) * (rng.random((n, 1, 1)) < 0.2))
+    if draw(st.booleans()):
+        a = np.abs(a)
+    if draw(st.booleans()):
+        b = np.maximum(b, 0.0)
+    grad = None
+    if draw(st.booleans()):
+        grad = rng.standard_normal((n, rows, cols))
+        grad *= draw(st.sampled_from([0.0, 1e3])) ** (rng.random((n, 1, 1)) < draw(st.floats(0, 1)))
+    alpha = draw(st.floats(0.01, 0.9))
+    space = SearchSpace(alpha, alpha + draw(st.floats(0.05, 3.0)), draw(st.integers(1, 40)))
+    return a, b, grad, draw(st.integers(2, 8)), space, draw(st.integers(1, 4))
+
+
+def tie_with_the_bound(weight):
+    """A search over three 1x1 inputs on which grid scales 1.0, 1.25 and
+    1.5 tie. 1.25, the bound candidate, has no error on input 1, the
+    heaviest, and 1.0, the winner, has all its error there: its partial sum
+    is n times the bound's score, and with `weight` 0.7 rounds above it."""
+    a, grad = np.array([3.0, 2.5, 0.75]), weight * np.array([1.0, 1.0, 0.0])
+    return a.reshape(3, 1, 1), np.ones((3, 1, 1)), grad.reshape(3, 1, 1), 2, SearchSpace(0.25, 2.25, 9), 1
+
+
 class TestAlternatingSearch:
     @pytest.mark.parametrize("bits", [4, 8])
     @pytest.mark.parametrize("with_grad", [False, True])
@@ -514,6 +560,13 @@ class TestAlternatingSearch:
         with pytest.raises(InvalidArgument, match="bits must be a whole number"):
             alternating_matmul_search(a, a, bits=bits)
 
+    def test_rounds_is_a_whole_number(self):
+        a = np.array([[-1.0, 2.0], [0.5, 3.0]])
+        assert alternating_matmul_search(a, a, rounds=2.0) == alternating_matmul_search(a, a, rounds=2)
+        for rounds in (1.5, True, 0, "2"):
+            with pytest.raises(InvalidArgument, match="rounds must be a whole number"):
+                alternating_matmul_search(a, a, rounds=rounds)
+
     def test_grid_past_float64_is_skipped_without_a_warning(self):
         # a's grid tops out at 1e300 * 1e100 / 127: every half-step that searches a scores inf
         a, b = np.ones((4, 4)), np.ones((4, 4))
@@ -562,10 +615,10 @@ class TestAlternatingSearch:
                 stopped += sum(products) < 2 * rounds * space.n_candidates
         assert stopped > 0
 
-    def test_stop_fires_on_the_pipeline_searches(self, monkeypatch):
-        """The four attention searches of the seed-0 W8A8 and W4A4 pipelines
-        score fewer candidate products than every half-step of every round
-        would, with the oracle's result."""
+    @staticmethod
+    def pipeline_searches(monkeypatch) -> list:
+        """The (args, kwargs) of the four attention searches of the seed-0
+        W8A8 and W4A4 pipelines."""
         calls = []
         real_search = toynet.alternating_matmul_search
         monkeypatch.setattr(toynet, "alternating_matmul_search", lambda *a, **k: calls.append((a, k)) or real_search(*a, **k))
@@ -574,6 +627,13 @@ class TestAlternatingSearch:
         for preset in ("W8A8", "W4A4"):
             toynet.run_pipeline(inputs, weights, toynet.PipelineConfig.from_preset(preset, seed=0))
         assert len(calls) == 4
+        return calls
+
+    def test_stop_fires_on_the_pipeline_searches(self, monkeypatch):
+        """The four attention searches of the seed-0 W8A8 and W4A4 pipelines
+        score fewer candidate products than every half-step of every round
+        would, with the oracle's result."""
+        calls = self.pipeline_searches(monkeypatch)
         products = count_scored(monkeypatch)
         space = SearchSpace()
         for (a, b), kwargs in calls:
@@ -582,6 +642,35 @@ class TestAlternatingSearch:
             assert sum(products) < 2 * DEFAULT_ROUNDS * space.n_candidates
             expect = alternating_oracle(a, b, kwargs["grad"], kwargs["bits"], space, DEFAULT_ROUNDS)
             assert (res.params_a, res.params_b, res.metric_history) == expect
+
+    def test_pruning_fires_on_the_pipeline_searches(self, monkeypatch):
+        """The four pipeline searches score in full at most a third of the
+        candidates they score without pruning (an infinite rounding margin
+        keeps every candidate), with the oracle's result both ways."""
+        calls = self.pipeline_searches(monkeypatch)
+        products = count_scored(monkeypatch)
+        counts = []
+        for gamma in (search._gamma, lambda n: np.inf):
+            monkeypatch.setattr(search, "_gamma", gamma)
+            products.clear()
+            for (a, b), kwargs in calls:
+                res = alternating_matmul_search(a, b, **kwargs)
+                expect = alternating_oracle(a, b, kwargs["grad"], kwargs["bits"], SearchSpace(), DEFAULT_ROUNDS)
+                assert (res.params_a, res.params_b, res.metric_history) == expect
+            counts.append(sum(products))
+        pruned, unpruned = counts
+        assert unpruned % SearchSpace().n_candidates == 0 and 3 * pruned <= unpruned
+
+    @settings(max_examples=300, deadline=None)
+    @given(batched_searches())
+    @example(tie_with_the_bound(1.0))
+    @example(tie_with_the_bound(0.7))
+    def test_pruned_search_equals_the_oracle(self, case):
+        a, b, grad, bits, space, rounds = case
+        with np.errstate(all="ignore"):
+            res = alternating_matmul_search(a, b, grad=grad, bits=bits, space=space, rounds=rounds)
+            expect = alternating_oracle(a, b, grad, bits, space, rounds)
+        assert (res.params_a, res.params_b, res.metric_history) == expect
 
 
 class TestChannelwiseParams:

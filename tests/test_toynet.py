@@ -7,6 +7,7 @@ import pytest
 from ptqkit import toynet
 from ptqkit.dual_region import fake_dual_region
 from ptqkit.errors import InvalidArgument, ShapeError
+from ptqkit.generate import synth
 from ptqkit.outlier_groups import fake_grouped
 from ptqkit.search import mse_grid_search
 from ptqkit.toynet import (
@@ -69,6 +70,13 @@ class TestForward:
         b = ToyNetWeights.seeded(123)
         assert np.array_equal(a.w_text, b.w_text)
         assert a.outlier_cols == b.outlier_cols
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seed_is_a_whole_number_from_zero(self, seed):
+        for make in (ToyNetWeights.seeded, lambda s: seeded_inputs(s, 2, 8, 16), lambda s: synth("gelu", (4, 4), s)):
+            with pytest.raises(InvalidArgument, match="seed must be a whole number"):
+                make(seed)
+        assert np.array_equal(seeded_inputs(3.0, 2, 8, 16), seeded_inputs(3, 2, 8, 16))
 
     def test_outlier_columns_visible(self, weights, calib):
         _, trace = forward(calib[0], weights)
