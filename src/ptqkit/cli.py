@@ -29,10 +29,9 @@ from .generate import synth
 from .metrics import mask_metrics
 from .outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
-from .search import DEFAULT_PERCENTILE, SearchSpace, mse_grid_search, percentile_calibrate
-from .tensor import Tensor
+from .search import CHUNK_ELEMS, DEFAULT_PERCENTILE, SearchSpace, mse_grid_search, percentile_calibrate
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import error_stats, real, whole
+from .uniform import QuantParams, error_stats, real, whole
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
@@ -181,14 +180,30 @@ def _cmd_quantize(args) -> int:
         params = next(iter(hooks.values()))
     else:
         raise QuantizationError(f"--hook required; file defines {sorted(hooks)}")
-    t = pio.read_dump(getattr(args, "in"))
-    arr = t.array.astype(np.float64)
-    codes, recon = params.encode(arr)
-    pio.write_dump(Tensor.from_array(recon.astype(np.float32)), args.out)
+    codes, recon = _encode_blocks(params, pio.read_dump(getattr(args, "in")).array)
+    pio.write_dump(recon, args.out)
     codes_path = args.codes or f"{args.out}.codes"
     pio.write_code_dump(codes, codes_path)
     print(f"wrote {args.out} and {codes_path}")
     return 0
+
+
+def _encode_blocks(params, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`params.encode` of the float32 `arr` in float64: the codes and the float32 reconstruction,
+    coded CHUNK_ELEMS elements of the flattened `arr` at a time so every temporary stays in cache.
+    Every codec codes each element alone, so the bytes are those of one whole-array call, which
+    a per-channel quantizer (it needs the axes) and a dump of one block still make."""
+    if arr.size <= CHUNK_ELEMS or isinstance(params, QuantParams) and params.per_channel:
+        codes, recon = params.encode(arr.astype(np.float64))
+        return codes, recon.astype(np.float32)
+    flat, recon, codes = arr.reshape(-1), np.empty(arr.size, np.float32), None
+    for j in range(0, arr.size, CHUNK_ELEMS):
+        block = slice(j, j + CHUNK_ELEMS)
+        block_codes, recon[block] = params.encode(flat[block].astype(np.float64))
+        if codes is None:  # a grouped quantizer's codes lead with its (group, code) axis
+            codes = np.empty((*block_codes.shape[:-1], arr.size), np.int32)
+        codes[..., block] = block_codes
+    return (codes if codes.ndim > 1 else codes.reshape(arr.shape)), recon.reshape(arr.shape)
 
 
 def _mask_pairs(a: Path, b: Path) -> tuple[list, list]:

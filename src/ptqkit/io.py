@@ -80,10 +80,13 @@ def _read_payload(fh, dims: tuple[int, ...], np_dtype) -> np.ndarray:
 
 
 def write_dump(t: TensorLike, path) -> None:
-    tensor = as_tensor(t)
+    """`t` as a float32 dump from its own buffer: an array gets a Tensor's checks, not its copy."""
+    arr = np.asarray(t.array if isinstance(t, Tensor) else t, dtype=np.float32)
+    if arr.ndim > MAX_RANK or arr.size == 0 or not np.isfinite(arr).all():
+        as_tensor(arr)  # raises the Tensor's error
     with open(path, "wb") as fh:
-        _write_header(fh, DTYPE_FLOAT32, tensor.shape)
-        fh.write(tensor.array.astype("<f4").tobytes())
+        _write_header(fh, DTYPE_FLOAT32, arr.shape)
+        fh.write(np.ascontiguousarray(arr, "<f4"))
 
 
 def read_dump(path) -> Tensor:
@@ -100,7 +103,7 @@ def write_code_dump(codes: np.ndarray, path) -> None:
         raise InvalidArgument(f"rank {arr.ndim} exceeds supported maximum {MAX_RANK}")
     with open(path, "wb") as fh:
         _write_header(fh, DTYPE_INT32, arr.shape)
-        fh.write(arr.astype("<i4").tobytes())
+        fh.write(np.ascontiguousarray(arr, "<i4"))
 
 
 def read_code_dump(path) -> np.ndarray:

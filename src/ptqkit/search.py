@@ -84,10 +84,11 @@ def sq_error(
 
 def _sq_terms(reference: np.ndarray, approx: np.ndarray, grad: np.ndarray | None) -> np.ndarray:
     """The terms (grad * (approx - reference))^2 that `sq_error` averages, in `approx`."""
-    diff = np.subtract(approx, reference, out=approx)
-    if grad is not None:
-        np.multiply(diff, grad, out=diff)
-    return np.square(diff, out=diff)
+    with np.errstate(over="ignore"):  # a term past the float64 maximum is inf, which no search picks
+        diff = np.subtract(approx, reference, out=approx)
+        if grad is not None:
+            np.multiply(diff, grad, out=diff)
+        return np.square(diff, out=diff)
 
 
 def _run_length(size: int) -> int:

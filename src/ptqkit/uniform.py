@@ -259,8 +259,9 @@ def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
-    signal = float(np.sum(a**2))
-    noise = float(np.sum((a - b) ** 2))
+    buf = np.square(a)  # the one full-size temporary: a**2, then (a - b)**2
+    signal = float(np.sum(buf))
+    noise = float(np.sum(np.square(np.subtract(a, b, out=buf), out=buf)))
     mse = noise / a.size  # np.mean's sum and divide, so the same bits
     if noise == 0.0:
         sqnr = math.inf

@@ -2,10 +2,12 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -20,9 +22,9 @@ from ptqkit import dual_region, outlier_groups, uniform
 from ptqkit.cli import build_parser, main
 from ptqkit.dual_region import DualRegionParams
 from ptqkit.generate import synth
-from ptqkit.io import ParamDoc, emit_params, read_code_dump, read_dump, write_dump
+from ptqkit.io import ParamDoc, emit_params, parse_params, read_code_dump, read_dump, write_dump
 from ptqkit.outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy, calibrate_grouped
-from ptqkit.search import SearchSpace
+from ptqkit.search import CHUNK_ELEMS, SearchSpace
 from ptqkit.tensor import Tensor
 from ptqkit.toynet import MODULES
 from ptqkit.uniform import QuantParams
@@ -439,6 +441,114 @@ class TestQuantizeCodesOnce:
         assert recon.tobytes() == outlier_groups.fake_grouped(x, params).astype(np.float32).tobytes()
 
 
+class TestQuantizeBlocks:
+    """`ptqkit quantize` codes a dump CHUNK_ELEMS elements at a time and writes
+    the bytes of one whole-array `encode`, the float32 cast of its reconstruction."""
+
+    SIZES = [CHUNK_ELEMS, CHUNK_ELEMS + 1, 3 * CHUNK_ELEMS + 7]
+    SOFTMAX = DualRegionParams("softmax", 8, 2.0**-7, 3)  # its split, 2^7 * 2^-10 = 0.125, is a float32
+
+    @classmethod
+    def params(cls, name: str):
+        if name == "uniform":
+            return QuantParams(scale=0.01, zero_point=17, bits=8, signed=False)
+        if name == "gelu":
+            return DualRegionParams("gelu", 6, 0.03, 2)
+        if name == "softmax":
+            return cls.SOFTMAX
+        # calibrated groups, their thresholds rounded to float32 so that a dump can hold them
+        p = calibrate_grouped(synth("outlier", (64, 64), 1).array, 6)
+        groups = tuple(outlier_groups.QuantGroup(float(np.float32(g.upper)), g.params) for g in p.groups)
+        return outlier_groups.GroupedQuantParams(p.bits, groups, p.max_iters, p.mad_fallbacks)
+
+    @staticmethod
+    def edges(params) -> list:
+        """Where a codec's cases meet: zero, and the region split or every finite group threshold."""
+        if isinstance(params, DualRegionParams):
+            return [0.0, params.split]
+        return [0.0] + [g.upper for g in getattr(params, "groups", ())[:-1]]
+
+    @classmethod
+    def edge_dump(cls, kind: str, n: int, params) -> np.ndarray:
+        """n float32 values of `kind` with -0.0 and every edge, each with its float32 neighbours and
+        on both signs, spread over the array and its block edges."""
+        x = synth(kind, (n,), n).array.copy()
+        near = np.float32(cls.edges(params))[:, None] + np.zeros(3, np.float32)
+        near[:, 0], near[:, 2] = np.nextafter(near[:, 1], -np.inf), np.nextafter(near[:, 1], np.inf)
+        special = np.concatenate([near.ravel(), -near.ravel(), [-0.0]]).astype(np.float32)
+        blocks = np.arange(CHUNK_ELEMS, n, CHUNK_ELEMS)
+        at = np.unique(np.concatenate([np.linspace(0, n - 1, 97).astype(int), blocks - 1, blocks, [n - 1]]))
+        x[at] = np.resize(special, at.size)
+        return x
+
+    def quantize(self, tmp_path, capsys, x, params, hook="h"):
+        dump, out = tmp_path / "x.dump", tmp_path / "r.dump"
+        write_dump(Tensor.from_array(x), dump)
+        if params is not None:
+            emit_params(ParamDoc(hooks={hook: params}), tmp_path / "p.json")
+        code, _, err = run_cli(
+            capsys, "quantize", "--params", str(tmp_path / "p.json"), "--hook", hook, "--in", str(dump), "--out", str(out)
+        )
+        assert code == 0, err
+        return read_dump(out), read_code_dump(f"{out}.codes")
+
+    def assert_whole_array_bytes(self, got, params, x):
+        recon, codes = got
+        want_codes, want_recon = params.encode(x.astype(np.float64))
+        assert recon.shape == x.shape and recon.array.tobytes() == want_recon.astype(np.float32).tobytes()
+        assert codes.shape == want_codes.shape and codes.tobytes() == want_codes.astype(np.int32).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize(
+        "name, kind",
+        [("uniform", "outlier"), ("softmax", "softmax"), ("gelu", "gelu"), ("grouped", "outlier")],
+    )
+    def test_blocks_write_the_bytes_of_one_encode(self, tmp_path, capsys, name, kind, n):
+        params = self.params(name)
+        x = self.edge_dump(kind, n, params)
+        for edge in self.edges(params):  # a float32 the dump holds, with its float32 neighbours
+            assert (x == edge).any() and (x == np.nextafter(np.float32(edge), 1)).any()
+        assert (np.signbit(x) & (x == 0)).any()
+        self.assert_whole_array_bytes(self.quantize(tmp_path, capsys, x, params), params, x)
+
+    @pytest.mark.parametrize("shape", [(256, 128), (3, 10923), (2, 3, 16385)])  # 2^15, 2^15 + 1, 3 * 2^15 + 6
+    def test_dump_of_several_axes_keeps_its_shape(self, tmp_path, capsys, shape):
+        x = self.edge_dump("softmax", math.prod(shape), self.SOFTMAX).reshape(shape)
+        got = self.quantize(tmp_path, capsys, x, self.SOFTMAX)
+        assert got[0].shape == got[1].shape == x.shape
+        self.assert_whole_array_bytes(got, self.SOFTMAX, x)
+
+    def test_per_channel_hook_from_a_pipeline_file(self, tmp_path, capsys):
+        params_path = tmp_path / "p.json"
+        code, _, err = run_cli(capsys, "pipeline", "--calib-count", "4", "--params-out", str(params_path))
+        assert code == 0, err
+        params = parse_params(params_path).hooks["decoder.pre_bn"]
+        assert params.per_channel and params.axis == 0
+        x = synth("gelu", (params.scale.size, 9001), 0).array  # 4 channels: 36,004 elements, over one block
+        assert x.size > CHUNK_ELEMS
+        got = self.quantize(tmp_path, capsys, x, None, hook="decoder.pre_bn")
+        self.assert_whole_array_bytes(got, params, x)
+
+    def test_traced_peak_of_a_gelu_dump(self, tmp_path):
+        """The blocks keep every float64 temporary in cache: the traced peak of quantizing a
+        256x3072 GeLU dump is its float32 input, reconstruction and codes (4 bytes an element
+        each) plus the blocks, about 3.5 x 4 bytes an element (11.1 MB); the bound allows 4.5 x 4.
+        Coding the whole array at once (float64 copy, numerator, regions, scales, payloads,
+        word temporaries) peaked at about 11 x 4 bytes an element (34.7 MB)."""
+        dump, out = tmp_path / "x.dump", tmp_path / "r.dump"
+        write_dump(synth("gelu", (256, 3072), 0), dump)
+        emit_params(ParamDoc(hooks={"h": DualRegionParams("gelu", 8, 0.02, 3)}), tmp_path / "p.json")
+        argv = ["quantize", "--params", str(tmp_path / "p.json"), "--in", str(dump), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.1f} MB"
+
+
 class TestEvaluateMasks:
     def test_mask_directories(self, tmp_path, capsys):
         a = tmp_path / "a"
@@ -478,8 +588,6 @@ class TestPipelineCommand:
             "--params-out", str(params),
         )
         assert code == 0
-        from ptqkit.io import parse_params
-
         doc = parse_params(params)
         assert "attn.softmax" in doc.hooks
         assert "text.out" in doc.hooks

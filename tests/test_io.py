@@ -89,6 +89,30 @@ class TestDumpFormat:
         back = read_code_dump(path)
         assert np.array_equal(back, codes)
 
+    def test_arrays_are_written_without_a_copy_in_the_staged_bytes(self, tmp_path):
+        """An array, a transposed view or a Tensor writes the row-major little-endian bytes the
+        staged `astype(...).tobytes()` copies wrote, after the same header."""
+        x = np.random.default_rng(0).standard_normal((6, 5)).astype(np.float32)
+        codes = np.arange(-15, 15, dtype=np.int32).reshape(5, 6)
+        for values in (x, x.T, x.astype(np.float64), Tensor.from_array(x)):
+            write_dump(values, tmp_path / "x.dump")
+            want = np.asarray(getattr(values, "array", values), dtype="<f4")
+            header = b"PTQ4" + bytes([1, 0, 0, 2]) + b"".join(d.to_bytes(4, "little") for d in want.shape)
+            assert (tmp_path / "x.dump").read_bytes() == header + want.tobytes()
+        for values in (codes, codes.T):
+            write_code_dump(values, tmp_path / "c.dump")
+            header = b"PTQ4" + bytes([1, 0, 1, 2]) + b"".join(d.to_bytes(4, "little") for d in values.shape)
+            assert (tmp_path / "c.dump").read_bytes() == header + values.astype("<i4").tobytes()
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [([1.0, np.nan], "NaN or Inf"), (np.zeros((0, 3)), "no elements"), (np.ones((1,) * 5), "rank 5 exceeds")],
+    )
+    def test_array_gets_the_checks_of_a_tensor(self, tmp_path, values, error):
+        with pytest.raises(QuantizationError, match=error):
+            write_dump(values, tmp_path / "x.dump")
+        assert not (tmp_path / "x.dump").exists()
+
     def test_code_and_float_dumps_not_interchangeable(self, tmp_path):
         path = tmp_path / "c.dump"
         write_code_dump(np.asarray([1, 2], dtype=np.int32), path)

@@ -765,6 +765,38 @@ class TestChannelwiseParams:
         assert err_ms <= err_mm
 
 
+class TestOverflowingErrorIsSilent:
+    """Data whose squared error passes the float64 maximum scores inf and
+    prints no warning: every search then keeps its starting parameters."""
+
+    X = np.linspace(-1.0, 1.0, 64) * 1e200
+
+    def test_mse_grid_search(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = mse_grid_search(self.X, 8)
+        assert p == make_params(-1e200, 1e200, 8, "symmetric")
+
+    def test_channelwise_params(self):
+        rows = self.X.reshape(4, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = channelwise_params(rows, 8, axis=0)
+        full = [make_params(float(r.min()), float(r.max()), 8, "symmetric", True) for r in rows]
+        assert p.scale.tolist() == [q.scale for q in full] and p.zero_point.tolist() == [0] * 4
+
+    def test_alternating_matmul_search(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((4, 4, 4)), rng.standard_normal((4, 4, 4))
+        a[1] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = alternating_matmul_search(a, b)
+        assert res.metric_history == (np.inf,) * len(res.metric_history)
+        start = [QuantParams(float(np.abs(x).max()) / 255, 0, 8, True) for x in (a, b)]  # the starting scales
+        assert [res.params_a, res.params_b] == start
+
+
 class TestChunkBudget:
     """A run of candidates scores each one as it would alone: the chunk
     budget moves no parameter and no history entry."""

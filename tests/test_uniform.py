@@ -334,6 +334,19 @@ class TestQuantError:
         mse, _, _ = error_stats(a, b)
         assert np.float64(mse).tobytes() == np.mean((a - b) ** 2).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 786_432))
+    def test_one_buffer_gives_the_bits_of_the_temporaries(self, seed, n):
+        """error_stats squares into one reused buffer: a**2, a - b and (a - b)**2 as temporaries
+        gave the same sums, so every statistic keeps its bits up to a 256x3072 dump's size."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
+        b = a + rng.standard_normal(n) * rng.uniform(1e-6, 1.0)
+        signal, noise = float(np.sum(a**2)), float(np.sum((a - b) ** 2))
+        norms = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+        want = (noise / n, 10.0 * math.log10(signal / noise), float(np.dot(a, b) / norms))
+        assert np.float64(error_stats(a, b)).tobytes() == np.float64(want).tobytes()
+
     def test_same_values_in_another_shape_is_a_shape_error(self):
         values = np.arange(32.0)
         with pytest.raises(ShapeError, match=r"\(4, 8\) vs \(8, 4\)"):
