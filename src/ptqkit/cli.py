@@ -31,7 +31,7 @@ from .outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy, calibrate_grou
 from .report import CalibrationReport, HookReport
 from .search import CHUNK_ELEMS, DEFAULT_PERCENTILE, SearchSpace, mse_grid_search, percentile_calibrate
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import QuantParams, error_stats, real, whole
+from .uniform import error_stats, real, whole
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
@@ -191,9 +191,9 @@ def _cmd_quantize(args) -> int:
 def _encode_blocks(params, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`params.encode` of the float32 `arr` in float64: the codes and the float32 reconstruction,
     coded CHUNK_ELEMS elements of the flattened `arr` at a time so every temporary stays in cache.
-    Every codec codes each element alone, so the bytes are those of one whole-array call, which
-    a per-channel quantizer (it needs the axes) and a dump of one block still make."""
-    if arr.size <= CHUNK_ELEMS or isinstance(params, QuantParams) and params.per_channel:
+    Every per-tensor codec codes each element alone, so the bytes are those of one whole-array
+    call, which a per-channel quantizer (it needs the axes) still makes."""
+    if getattr(params, "per_channel", False):
         codes, recon = params.encode(arr.astype(np.float64))
         return codes, recon.astype(np.float32)
     flat, recon, codes = arr.reshape(-1), np.empty(arr.size, np.float32), None

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .search import SearchSpace, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import BITS, QuantParams, dequantize_array, quantize_array, whole
+from .uniform import BITS, QuantParams, _code, dequantize_array, quantize_array, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -120,8 +120,7 @@ class GroupedQuantParams:
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
         """(codes, reconstruction) of `arr` from one coding pass: a (2, n) array of
         group indices over codes of the flattened `arr`, and `fake`'s values."""
-        idx, codes, recon = _by_group(_as_f64(arr), self)
-        return np.stack((idx, codes)), recon
+        return _by_group(_as_f64(arr), self)
 
 
 def calibrate_grouped(
@@ -185,25 +184,23 @@ def grouped_dequantize(group: int, code: int, p: GroupedQuantParams) -> float:
     return float(dequantize_array(np.asarray([code]), p.groups[group].params)[0])
 
 
-def _by_group(arr: np.ndarray, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(group index, code), int32 per element of the flattened `arr` (the vectorized group_index),
-    and the reconstruction in `arr`'s shape: each group's elements coded once and dequantized."""
+def _by_group(arr: np.ndarray, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 group indices (the vectorized group_index) over the codes of the flattened `arr`, and
+    the reconstruction (code - z) * s in `arr`'s shape, each element coded at its group's parameters."""
     flat = arr.reshape(-1)
     idx = np.searchsorted(p.thresholds, np.abs(flat), side="left").astype(np.int32)
-    codes, recon = np.empty(flat.size, np.int32), np.empty(flat.size)
-    for gi, group in enumerate(p.groups):
-        mask = idx == gi
-        if mask.any():
-            group_codes = quantize_array(flat[mask], group.params)
-            codes[mask], recon[mask] = group_codes, dequantize_array(group_codes, group.params)
-    return idx, codes, recon.reshape(arr.shape)
+    tables = np.array([(g.params.scale, g.params.zero_point, g.params.q_min, g.params.q_max) for g in p.groups]).T
+    # a parameter all groups share stays a scalar; mode="clip" skips a bounds check the inf threshold makes moot
+    scale, zp, q_min, q_max = (np.take(t, idx, mode="clip") if len(set(t)) > 1 else t[0] for t in tables)
+    codes = _code(flat, scale, zp, q_min, q_max)
+    return np.stack((idx, codes)), ((codes - zp) * scale).reshape(arr.shape)
 
 
 def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (group indices, codes) for a tensor."""
-    return _by_group(_as_f64(x), p)[:2]
+    return tuple(_by_group(_as_f64(x), p)[0])
 
 
 def fake_grouped(x: TensorLike, p: GroupedQuantParams) -> np.ndarray:
     """Group-wise quantize-then-dequantize reconstruction, shape preserved."""
-    return _by_group(_as_f64(x), p)[2]
+    return _by_group(_as_f64(x), p)[1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .tensor import Tensor, TensorLike, as_tensor
+from .tensor import Tensor, TensorLike, _as_f64, as_tensor
 
 SCHEMES = ("symmetric", "asymmetric")
 BITS = (2, 16)  # the bit widths every quantizer accepts
@@ -105,13 +105,13 @@ class QuantParams:
     def q_max(self) -> int:
         return quant_range(self.bits, self.signed)[1]
 
-    def fake(self, arr: np.ndarray) -> np.ndarray:
+    def fake(self, arr: TensorLike) -> np.ndarray:
         """Quantize-then-dequantize reconstruction of `arr`."""
-        return fake_quant_array(arr, self)
+        return fake_quant_array(_as_f64(arr), self)
 
-    def encode(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
         """(int32 codes, reconstruction) of `arr` from one pass, shape preserved, as `fake` makes them."""
-        codes = quantize_array(arr, self)
+        codes = quantize_array(_as_f64(arr), self)
         return codes, dequantize_array(codes, self)
 
 
@@ -219,12 +219,15 @@ def _scale_zp(arr: np.ndarray, p: QuantParams) -> tuple[np.ndarray, np.ndarray]:
     return p.scale.reshape(shape), p.zero_point.astype(np.float64).reshape(shape)
 
 
+def _code(arr: np.ndarray, scale, zp, q_min, q_max) -> np.ndarray:
+    """The uniform code step: clip(rint(arr / scale) + zp, q_min, q_max) as int32, parameters broadcast."""
+    return np.clip(np.rint(arr / scale) + zp, q_min, q_max).astype(np.int32)
+
+
 def quantize_array(arr: np.ndarray, p: QuantParams) -> np.ndarray:
     """Integer codes for a float array (int32, clamped to [q_min, q_max])."""
     arr = np.asarray(arr, dtype=np.float64)
-    scale, zp = _scale_zp(arr, p)
-    codes = np.rint(arr / scale) + zp
-    return np.clip(codes, p.q_min, p.q_max).astype(np.int32)
+    return _code(arr, *_scale_zp(arr, p), p.q_min, p.q_max)
 
 
 def dequantize_array(codes: np.ndarray, p: QuantParams) -> np.ndarray:

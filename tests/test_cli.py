@@ -443,9 +443,10 @@ class TestQuantizeCodesOnce:
 
 class TestQuantizeBlocks:
     """`ptqkit quantize` codes a dump CHUNK_ELEMS elements at a time and writes
-    the bytes of one whole-array `encode`, the float32 cast of its reconstruction."""
+    the bytes of one whole-array `encode`, the float32 cast of its reconstruction.
+    A dump of at most one block is one pass of the same loop."""
 
-    SIZES = [CHUNK_ELEMS, CHUNK_ELEMS + 1, 3 * CHUNK_ELEMS + 7]
+    SIZES = [97, 1000, CHUNK_ELEMS, CHUNK_ELEMS + 1, 3 * CHUNK_ELEMS + 7]
     SOFTMAX = DualRegionParams("softmax", 8, 2.0**-7, 3)  # its split, 2^7 * 2^-10 = 0.125, is a float32
 
     @classmethod

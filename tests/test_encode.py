@@ -5,18 +5,20 @@ bit (compared as int64 views, so -0.0 against 0.0 is a difference)."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqkit.dual_region import DualRegionParams, encode_tensor
-from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup, grouped_quantize
+from ptqkit.errors import EmptyInput, InvalidArgument
+from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup, grouped_dequantize, grouped_quantize
 from ptqkit.uniform import QuantParams, quant_range, quantize_array
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def check_encode(p, x, codec) -> None:
-    """`p.encode(x)` against `codec(x)`'s codes and `p.fake(x)`'s values."""
+def check_encode(p, x, codec) -> np.ndarray:
+    """`p.encode(x)` against `codec(x)`'s codes and `p.fake(x)`'s values; returns the values."""
     with np.errstate(over="ignore"):  # a huge value or scale overflows the same way on both sides
         codes, recon = p.encode(x)
         want_codes, fake = codec(x), p.fake(x)
@@ -24,6 +26,7 @@ def check_encode(p, x, codec) -> None:
     assert codes.shape == want_codes.shape and np.array_equal(codes, want_codes)
     assert recon.shape == fake.shape == x.shape
     assert np.array_equal(recon.view(np.int64), fake.view(np.int64))
+    return recon
 
 
 def values(draw, special: list, lo: float, hi: float, shape: tuple) -> np.ndarray:
@@ -76,12 +79,13 @@ def dual_region_cases(draw):
 @st.composite
 def grouped_cases(draw):
     bits = draw(st.integers(2, 16))
-    q_min, q_max = quant_range(bits, False)
     uppers = sorted(set(draw(st.lists(st.floats(1e-3, 1e3), max_size=3)))) + [math.inf]
-    groups = tuple(
-        QuantGroup(upper, QuantParams(draw(st.floats(1e-4, 10.0)), draw(st.integers(q_min, q_max)), bits, False))
-        for upper in uppers
-    )
+    signs = [draw(st.booleans()) for _ in uppers]  # signed and unsigned groups may mix
+    params = [
+        QuantParams(draw(st.floats(1e-4, 10.0)), draw(st.integers(*quant_range(bits, signed))), bits, signed)
+        for signed in signs
+    ]
+    groups = tuple(QuantGroup(upper, q) for upper, q in zip(uppers, params))
     p = GroupedQuantParams(bits, groups, max_iters=len(groups) - 1)
     edges = [e for u in uppers[:-1] for e in (u, -u, math.nextafter(u, math.inf), -math.nextafter(u, math.inf))]
     shape = draw(st.sampled_from([(9,), (4, 6)]))
@@ -111,7 +115,12 @@ class TestEncodeIsOneCodingPass:
     @given(grouped_cases())
     def test_grouped(self, case):
         p, x = case
-        check_encode(p, x, scalar_grouped_codes(p))
+        recon = check_encode(p, x, scalar_grouped_codes(p))
+        with np.errstate(over="ignore"):
+            groups, codes = scalar_grouped_codes(p)(x)
+        # the scalar decoder of the scalar codes, an oracle that shares no code with `_by_group`
+        decoded = np.array([grouped_dequantize(int(g), int(c), p) for g, c in zip(groups, codes)])
+        assert np.array_equal(recon.view(np.int64), decoded.reshape(x.shape).view(np.int64))
 
     def test_dual_region_words_come_from_the_payloads(self):
         # payload 2 at scale 1e308 reconstructs to inf; the word still packs payload 2
@@ -121,3 +130,21 @@ class TestEncodeIsOneCodingPass:
             words, recon = p.encode(x)
         assert words.tolist() == encode_tensor(x, p).tolist() == [130, 2, 129, 128]
         assert np.isinf(recon[:2]).all() and recon[2] == 1e308 and recon[3] == 0.0
+
+
+@pytest.mark.parametrize(
+    "bad, error", [([math.nan, 1.0], InvalidArgument), ([math.inf], InvalidArgument), ([], EmptyInput)]
+)
+@pytest.mark.parametrize(
+    "p",
+    [
+        QuantParams(0.1, 0, 8, False),
+        DualRegionParams("gelu", 8, 0.05, 2),
+        GroupedQuantParams(8, (QuantGroup(math.inf, QuantParams(0.1, 0, 8, False)),), max_iters=1),
+    ],
+    ids=["uniform", "dual_region", "grouped"],
+)
+def test_every_kind_rejects_a_non_finite_or_empty_input_alike(p, bad, error):
+    for method in (p.fake, p.encode):
+        with pytest.raises(error):
+            method(np.array(bad))

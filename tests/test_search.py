@@ -45,6 +45,9 @@ def brute_force_best(arr, bits, scheme, signed, space):
 def alternating_oracle(a, b, grad, bits, space, rounds):
     """Independent copy of the alternating search with both half-steps as
     explicit argmin loops: (params_a, params_b, history)."""
+    if not (a.any() and b.any()):  # an all-zero operand has no scale grid: identity params, no rounds
+        identity = QuantParams(scale=1.0, zero_point=0, bits=bits, signed=True)
+        return identity, identity, ()
     out_fp = a @ b
     g = 1.0 if grad is None else grad
     signed_a, signed_b = bool(a.min() < 0), bool(b.min() < 0)
