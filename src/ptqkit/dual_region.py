@@ -7,8 +7,9 @@ align them with a shift instead of a multiply.
 
 Softmax regions: R1 = [0, 2^(b-1) * scale_r1), R2 = [0, 2^(b-1) * scale_r2],
 values below the R1 boundary go to R1 (the overlap resolves to the finer
-scale). GeLU regions split at zero: negatives store magnitudes in R1,
-non-negatives (including 0) go to R2.
+scale). Softmax codes max(x, 0): a negative value, which softmax never
+makes, is coded as 0. GeLU regions split at zero: negatives store
+magnitudes in R1, non-negatives (including 0) go to R2.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def assign_region(x: float, p: DualRegionParams) -> int:
 def dual_region_quantize(x: float, p: DualRegionParams) -> DualRegionCode:
     region = assign_region(x, p)
     scale = p.scale_r1 if region == 0 else p.scale_r2
-    value = int(np.clip(np.rint(abs(x) / scale), 0, p.value_max))
+    magnitude = max(x, 0.0) if p.kind == "softmax" else abs(x)
+    value = int(np.clip(np.rint(magnitude / scale), 0, p.value_max))
     return DualRegionCode(region=region, value=value)
 
 
@@ -151,7 +153,8 @@ def encode_tensor(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     arr = _as_f64(x)
     region = _regions(arr, p)
     scale = np.where(region == 1, p.scale_r2, p.scale_r1)
-    value = np.clip(np.rint(np.abs(arr) / scale), 0, p.value_max).astype(np.int32)
+    magnitude = np.maximum(arr, 0.0) if p.kind == "softmax" else np.abs(arr)
+    value = np.clip(np.rint(magnitude / scale), 0, p.value_max).astype(np.int32)
     return (region * 2 ** (p.bits - 1) + value).astype(np.int32)
 
 
@@ -172,11 +175,12 @@ def decode_tensor(words: np.ndarray, p: DualRegionParams) -> np.ndarray:
 def _numerator(arr: np.ndarray, kind: str) -> np.ndarray:
     """What `_reconstruct_into` divides by the region scale.
 
-    Softmax codes store |x|. GeLU's R1 scale carries the sign instead, so
-    x itself is divided; adding 0.0 turns -0.0 (an R2 element) into +0.0,
-    as the codec's abs() does.
+    Softmax codes store max(x, 0). GeLU's R1 scale carries the sign
+    instead, so x itself is divided. Adding 0.0 first turns -0.0 into +0.0,
+    whichever zero np.maximum returns, so it codes and rebuilds as +0.0.
     """
-    return np.abs(arr) if kind == "softmax" else arr + 0.0
+    num = arr + 0.0
+    return np.maximum(num, 0.0, out=num) if kind == "softmax" else num
 
 
 def _payloads_into(num, region, p: DualRegionParams, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -286,16 +290,12 @@ def _direct_scores(arr: np.ndarray, g, kind: str, bits: int, candidates: list) -
 def _region_scores(arr: np.ndarray, g, candidates: list) -> tuple[np.ndarray, np.ndarray]:
     """`search._bin_scores` of one kind's candidates, R1 plus R2: both are
     runs of the sorted samples, cut at each candidate's `split`. GeLU's R1
-    is at the levels -vmax..0; a softmax R1 sample down to -1e-6 codes to
-    level 0 unless |x| / scale_r1 > 1/2, which makes the bound inf."""
+    is at the levels -vmax..0, softmax's at 0..vmax."""
     sums = _sorted_sums(arr, g)
     xs, vmax = sums[0], candidates[0].value_max
     r1, r2 = np.array([[p.scale_r1, p.scale_r2] for p in candidates]).T
     cut = np.searchsorted(xs, [p.split for p in candidates])
-    if candidates[0].kind == "gelu":
-        low = _bin_scores(sums, 0, cut, r1, -vmax, 0)
-    else:
-        low = _bin_scores(sums, 0, cut, r1, 0, vmax)
-        low[1][-xs[0] / r1 > 0.5] = np.inf
+    lo = -vmax if candidates[0].kind == "gelu" else 0
+    low = _bin_scores(sums, 0, cut, r1, lo, lo + vmax)
     high = _bin_scores(sums, cut, arr.size, r2, 0, vmax)
     return low[0] + high[0], low[1] + high[1]

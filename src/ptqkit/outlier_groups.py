@@ -42,7 +42,7 @@ class ThresholdStrategy:
 
     def __post_init__(self) -> None:
         if self.kind not in STRATEGY_KINDS:
-            raise InvalidArgument(f"kind must be one of {STRATEGY_KINDS}")
+            raise InvalidArgument(f"strategy must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if not 0.0 < self.confidence_level < 1.0:
             raise InvalidArgument("confidence_level must be in (0, 1)")
         if not (math.isfinite(self.mean_multiplier) and self.mean_multiplier > 0.0):

@@ -164,9 +164,11 @@ class ToyNetWeights:
 
 @dataclass
 class ActivationTrace:
-    """Hooked activations and the output of a forward, plus the gradients `backward_collect` adds."""
+    """Hooked activations, the weights and the output of a forward, plus the gradients
+    `backward_collect` adds."""
 
     activations: dict[str, np.ndarray] = field(default_factory=dict)
+    weights: dict[str, np.ndarray] = field(default_factory=dict)
     gradients: dict[str, np.ndarray] = field(default_factory=dict)
     output: np.ndarray | None = None
 
@@ -273,7 +275,10 @@ def forward(
         return value
 
     def weight(name: str, value: np.ndarray) -> np.ndarray:
-        return plan.weight_params[name].fake(value) if name in plan.weight_params else value
+        if name in plan.weight_params:
+            value = plan.weight_params[name].fake(value)
+        trace.weights[name] = value
+        return value
 
     q = hook("attn.q", x @ weight("attn.w_q", w.w_q))
     k_t = hook("attn.k_t", (x @ weight("attn.w_k", w.w_k)).swapaxes(-1, -2))
@@ -379,16 +384,8 @@ def run_pipeline(
     # Decoder: fold BN first; weight calibration sees the folded kernel.
     plan = QuantPlan(folded_conv=fold_batchnorm(w.conv_w, w.conv_b, w.bn))
 
-    weight_arrays = {
-        "attn.w_q": w.w_q,
-        "attn.w_k": w.w_k,
-        "attn.w_v": w.w_v,
-        "mlp.w1": w.w_mlp1,
-        "mlp.w2": w.w_mlp2,
-        "text.w": w.w_text,
-        "fusion.w": w.w_fuse,
-        "decoder.conv_w": plan.folded_conv[0],
-    }
+    # every weight `forward` traced, with the decoder kernel folded as the plan's forward uses it
+    weight_arrays = {**fp.weights, "decoder.conv_w": plan.folded_conv[0]}
     for name, arr in weight_arrays.items():
         if cfg.mode_of(name) == RTN:
             lo, hi = float(arr.min()), float(arr.max())

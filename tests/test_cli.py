@@ -308,6 +308,28 @@ class TestCalibrateQuantizeEvaluate:
         assert code == 1
         assert err == f"error: unknown quantizer kind {kind!r}\n"
 
+    @pytest.mark.parametrize(
+        "entry,setting",
+        [
+            ({"alpha": "x"}, "alpha"),
+            ({"kind": "dual_region", "region": "relu"}, "region"),
+            ({"method": "median"}, "method"),
+            ({"kind": "outlier_groups", "strategy": "bogus"}, "strategy"),
+        ],
+    )
+    def test_every_setting_is_checked_before_any_dump_is_read(self, tmp_path, capsys, entry, setting):
+        """Hook "a" sorts first and has no dump; the error is "b"'s setting all the same."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {"a": {"kind": "uniform"}, "b": entry}}))
+        (tmp_path / "dumps").mkdir()
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config), "--dumps", str(tmp_path / "dumps"),
+            "--out", str(tmp_path / "p.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert setting in err and "dump" not in err
+
     def test_whole_float_count_is_an_int(self, tmp_path, capsys, dumps_dir, config_path):
         texts = []
         for n in (3, 3.0):
@@ -387,6 +409,16 @@ class TestCalibrateQuantizeEvaluate:
             "--in", str(dumps_dir / "feat__000.dump"), "--out", str(tmp_path / "o.dump"),
         )
         assert code == 1 and "--hook" in err
+
+    def test_quantize_hook_not_in_the_file_is_one_line(self, tmp_path, capsys, dumps_dir, config_path):
+        params = tmp_path / "params.json"
+        run_cli(capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params))
+        code, _, err = run_cli(
+            capsys, "quantize", "--params", str(params), "--hook", "attn",
+            "--in", str(dumps_dir / "feat__000.dump"), "--out", str(tmp_path / "o.dump"),
+        )
+        assert code == 1
+        assert err == "error: hook 'attn' not in parameter file\n"
 
 
 class TestQuantizeCodesOnce:
@@ -566,6 +598,58 @@ class TestEvaluateMasks:
         assert metrics["miou"] == pytest.approx(0.7)
         assert metrics["prec_at"]["0.5"] == 1.0
         assert metrics["prec_at"]["0.7"] == 0.5
+
+    def test_mask_files(self, tmp_path, capsys):
+        write_dump(Tensor.from_array([1.0, 1, 1, 1, 0]), tmp_path / "a.dump")
+        write_dump(Tensor.from_array([0.0, 1, 1, 1, 1]), tmp_path / "b.dump")
+        code, out, _ = run_cli(
+            capsys, "evaluate", "--a", str(tmp_path / "a.dump"), "--b", str(tmp_path / "b.dump"), "--masks"
+        )
+        assert code == 0
+        assert json.loads(out) == {"oiou": 0.6, "miou": 0.6, "prec_at": {"0.5": 1.0, "0.7": 0.0, "0.9": 0.0}}
+
+    @pytest.mark.parametrize(
+        "b_names,message",
+        [
+            (None, "mask inputs must both be files or both directories"),
+            (["m1.dump"], "mask directories must hold matching *.dump files"),
+            ([], "mask directories must hold matching *.dump files"),
+        ],
+    )
+    def test_unpaired_mask_inputs_are_one_line(self, tmp_path, capsys, b_names, message):
+        a = tmp_path / "a"
+        a.mkdir()
+        write_dump(Tensor.from_array([1.0, 0.0]), a / "m0.dump")
+        if b_names is None:  # a file against a directory
+            b = a / "m0.dump"
+        else:
+            b = tmp_path / "b"
+            b.mkdir()
+            for name in b_names:
+                write_dump(Tensor.from_array([1.0, 0.0]), b / name)
+        code, _, err = run_cli(capsys, "evaluate", "--a", str(a), "--b", str(b), "--masks")
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+
+class TestEvaluateZeroDumps:
+    """`evaluate`'s SQNR and cosine where one side or both are all zero."""
+
+    @pytest.mark.parametrize(
+        "a,b,sqnr,cosine",
+        [
+            ([0.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.5, 0.0], "-inf", 0.0),
+            ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], "inf", 1.0),
+            ([1.0, -2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], 0.0, 0.0),
+        ],
+    )
+    def test_zero_sides(self, tmp_path, capsys, a, b, sqnr, cosine):
+        write_dump(Tensor.from_array(a), tmp_path / "a.dump")
+        write_dump(Tensor.from_array(b), tmp_path / "b.dump")
+        code, out, _ = run_cli(capsys, "evaluate", "--a", str(tmp_path / "a.dump"), "--b", str(tmp_path / "b.dump"))
+        assert code == 0
+        mse = sum((x - y) ** 2 for x, y in zip(a, b)) / len(a)
+        assert json.loads(out) == {"mse": mse, "sqnr_db": sqnr, "cosine": cosine}
 
 
 class TestPipelineCommand:
@@ -797,6 +881,37 @@ class TestParamsFileRules:
             assert code == 0
             outputs.append((tmp_path / "r.dump").read_bytes() + (tmp_path / "r.dump.codes").read_bytes())
         assert floats and outputs[0] == outputs[1]
+
+    def test_another_version_is_one_line(self, tmp_path, capsys, dump):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"format": "ptqkit-params", "version": 2, "hooks": {"h": UNIFORM}}))
+        code, _, err = run_cli(
+            capsys, "quantize", "--params", str(params), "--in", str(dump), "--out", str(tmp_path / "r.dump")
+        )
+        assert code == 1
+        assert err == "error: unsupported parameter file version 2\n"
+
+    @pytest.mark.parametrize("scale_r2,boundary", [(1 / 64, 1.0), (0.05, 3.2)])
+    def test_softmax_boundary_of_one_or_more_is_one_line(self, tmp_path, capsys, dump, scale_r2, boundary):
+        # boundary = 2^(bits-1) * scale_r2 * 2^-shift_m
+        code, _, err = self._quantize(capsys, tmp_path, dump, {**SOFTMAX, "scale_r2": scale_r2, "shift_m": 1})
+        assert code == 1
+        assert err == (
+            "error: malformed quantizer entry: InvalidArgument: "
+            f"softmax region boundary {boundary} must lie in (0, 1)\n"
+        )
+
+    def test_dump_with_a_zero_dimension_is_one_line(self, tmp_path, capsys, dump):
+        bad = tmp_path / "empty.dump"
+        bad.write_bytes(dump.read_bytes()[:8] + (2).to_bytes(4, "little") + (0).to_bytes(4, "little"))
+        for argv in (
+            ["evaluate", "--a", str(bad), "--b", str(dump)],
+            ["quantize", "--params", str(_params_file(tmp_path / "p.json", UNIFORM)), "--in", str(bad),
+             "--out", str(tmp_path / "r.dump")],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert err == "error: zero-sized dimension in (2, 0)\n"
 
     @pytest.mark.parametrize(
         "group", [GELU, GROUPED, CHANNELS, {**UNIFORM, "bits": 4, "signed": True, "zero_point": 0}]

@@ -102,6 +102,16 @@ class TestScalarCodec:
         assert (code.region, code.value) == (0, 0)
         assert dual_region_dequantize(code, p) == 0.0
 
+    def test_softmax_codes_negatives_as_zero(self):
+        """Softmax codes max(x, 0): every negative input, and -0.0, is word 0 and +0.0."""
+        p = DualRegionParams("softmax", 8, softmax_r2_scale(8), 3)
+        x = np.array([-0.3, -0.01, -1e-300, -0.0])
+        words, recon = p.encode(x)
+        assert words.tolist() == encode_tensor(x, p).tolist() == [0, 0, 0, 0]
+        assert [dual_region_quantize(float(v), p) for v in x] == [DualRegionCode(0, 0)] * 4
+        for got in (recon, p.fake(x), decode_tensor(words, p)):
+            assert got.tobytes() == np.zeros(4).tobytes()  # +0.0, not -0.0
+
     def test_gelu_full_scale_negative(self):
         scale_r1 = 0.17 / 127.0
         g = DualRegionParams("gelu", 8, scale_r1 * 2.0**4, 4)
@@ -517,16 +527,19 @@ class TestSortedScoring:
             direct = np.array([sq_error(arr, fake_dual_region(arr, p), grad) for p in candidates])
         assert np.all(bound >= 0)
         finite = np.isfinite(bound)
-        if kind == "gelu":  # only data near the float64 limit has no bound
-            assert finite.all() or np.abs(arr).max() > 1e150
+        assert finite.all() or np.abs(arr).max() > 1e150  # only data near the float64 limit has no bound
         assert np.all(np.abs(approx - direct * arr.size)[finite] <= bound[finite])
 
-    def test_softmax_negatives_coded_off_zero_rescore_the_candidate(self):
-        # |x| / scale_r1 > 1/2 at 12 bits and m = 12: R1 codes -1e-6 to 8
+    def test_softmax_negatives_fall_in_level_zero(self):
+        # at 12 bits and m = 12, -1e-6 / scale_r1 is about -8: it is coded as 0 all the same, so
+        # its error is (1e-6)^2 for either candidate and both scores have a finite bound
         arr = np.array([-1e-6, 0.0, 0.5, 1.0])
         candidates = [softmax_params(12, m) for m in (1, 12)]
-        _, bound = _region_scores(arr, None, candidates)
-        assert np.isfinite(bound[0]) and bound[1] == np.inf
+        approx, bound = _region_scores(arr, None, candidates)
+        direct = np.array([sq_error(arr, fake_dual_region(arr, p)) for p in candidates])
+        assert np.isfinite(bound).all()
+        assert np.all(np.abs(approx - direct * arr.size) <= bound)
+        assert [p.fake(arr)[0] for p in candidates] == [0.0, 0.0]
 
     def test_gelu_search_rescores_only_near_winners(self, monkeypatch):
         calls = []

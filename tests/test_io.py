@@ -116,8 +116,11 @@ class TestDumpFormat:
     def test_code_and_float_dumps_not_interchangeable(self, tmp_path):
         path = tmp_path / "c.dump"
         write_code_dump(np.asarray([1, 2], dtype=np.int32), path)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="expected a float32 dump"):
             read_dump(path)
+        write_dump(Tensor.from_array([1.0, 2.0]), path)
+        with pytest.raises(FormatError, match="expected an int32 code dump"):
+            read_code_dump(path)
 
 
 def _mutations(node):

@@ -268,6 +268,23 @@ def adversarial_rows(draw):
     return arr, bits, scheme, signed, space
 
 
+def prefix_sums_reverse_a_near_tie():
+    """(values, t): a row on which a 3-bit signed symmetric search over
+    SearchSpace(0.75, 1.5, 2) has the grid {t, 2t}, t = 1 + 3 * 2^-40, and
+    the sums A rank the loser first by more than the bound's other terms.
+
+    Both scales code the 20,000 values -4t exactly. The 2,000 values y, one
+    ulp above the bin edge 2.5t, code to 3t at scale t and to 2t at scale 2t:
+    t is nearer by an ulp and wins directly. The prefix sum of the sorted
+    values runs from -80,000 to -75,000, where floats are 2^-36 apart, and
+    2.5t = 2.5 + 0.46875 * 2^-36: each y adds 2.5 to it, below the edge, so A
+    ranks 2t first by 2.7e-8. The cumsum term of B covers that; the rest of
+    the two bounds sums to 8.5e-9, and pruning on A alone keeps only 2t."""
+    t = 1.0 + 3 * 2.0**-40
+    y = np.nextafter(2.5 * t, 3.0)
+    return np.concatenate([np.full(20_000, -4.0 * t), np.full(2_000, y)]), t
+
+
 class TestSortedScoring:
     """The one-row search scores candidates from sorted prefix sums and
     rescores directly only those its error bounds cannot rule out."""
@@ -302,6 +319,14 @@ class TestSortedScoring:
         finite = np.isfinite(bound)
         assert finite.all() or np.abs(arr).max() > 1e150  # only data near the float64 limit has no bound
         assert np.all(gap[finite] <= bound[finite])
+
+    def test_a_near_tie_that_the_prefix_sums_reverse_keeps_its_winner(self):
+        arr, t = prefix_sums_reverse_a_near_tie()
+        case = (arr, 3, "symmetric", True, SearchSpace(0.75, 1.5, 2))
+        approx, bound = _bin_scores(_sorted_sums(arr), 0, arr.size, np.array([t, 2 * t]), -4.0, 3.0)
+        assert 1e-8 < approx[0] - approx[1] < bound.min()
+        with sorted_scoring():
+            assert mse_grid_search(*case).scale == brute_force_best(*case).scale == t
 
     def test_only_near_winners_are_rescored(self, monkeypatch):
         calls = []
