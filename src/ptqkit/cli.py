@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -29,24 +28,19 @@ from .errors import InvalidArgument, QuantizationError, ShapeError
 from .generate import KINDS as SYNTH_KINDS
 from .generate import synth
 from .metrics import mask_metrics
-from .outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy, calibrate_grouped
+from .outlier_groups import ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
-from .search import CHUNK_ELEMS, DEFAULT_PERCENTILE, SearchSpace, mse_grid_search, percentile_calibrate
+from .search import CHUNK_ELEMS, SearchSpace, mse_grid_search, percentile_calibrate
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import error_stats, real, whole
+from .uniform import error_stats
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
-# The keys a calibrate config may set. The shared settings may sit at the top
-# level or in a hook's entry, which is read first (see `_calibrator`).
+# The keys a calibrate config may set at its top level: the shared settings, each
+# a default for every hook entry that does not set it (see `_calibrator`), then seed and hooks.
 SHARED_KEYS = {"bits", "alpha", "beta", "n_candidates", "percentile", "strategy",
                "mad_multiplier", "mean_multiplier", "confidence_level", "max_iters"}
 CONFIG_KEYS = SHARED_KEYS | {"seed", "hooks"}
-HOOK_KEYS = {  # by the hook's kind
-    "uniform": SHARED_KEYS | {"kind", "method", "scheme", "signed"},
-    "dual_region": SHARED_KEYS | {"kind", "region"},
-    "outlier_groups": SHARED_KEYS | {"kind"},
-}
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -79,60 +73,52 @@ def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
     return np.stack([s.array.astype(np.float64) for s in samples])
 
 
-def _number(convert, key: str, default, *sources: dict):
-    """`key` from the first source that has it (else `default`), as a float
-    (`uniform.real`), or as a whole number (`uniform.whole`) when `convert` is
-    int. No number is made from a bool (`int(True) == 1`) or a string."""
-    value = next((src[key] for src in sources if key in src), default)
-    if convert is int:
-        return whole(key, value, -math.inf, math.inf)
-    return real(key, value)
-
-
 def _calibrator(hook: str, spec, cfg: dict):
     """The calibrator that `hook`'s entry `spec` asks for, with every setting bound: it takes
-    only the stacked samples. The entry must be an object of a known kind with its kind's keys.
+    only the stacked samples. The entry must be an object of a known kind.
 
-    Every number, and the outlier-group strategy, is read from the entry
-    first, then from the config; unset settings take the calibrators'
-    defaults.
+    A setting is read from the entry first, then, if shared, from the config; one that neither
+    sets takes the calibrator's default. An entry key that the calibrator does not read is an
+    error. The bound calibrator runs once on one zero: its checks run before any dump is read.
     """
     if not isinstance(spec, dict):
         raise InvalidArgument(f"hook {hook!r} must map to an object, got {spec!r}")
-    kind = spec.get("kind", "uniform")
-    if kind not in tuple(HOOK_KEYS):  # compared, not hashed: a list is no TypeError
-        raise QuantizationError(f"unknown quantizer kind {kind!r}")
-    _check_keys(f"hook {hook!r}", spec, HOOK_KEYS[kind])
-    bits = _number(int, "bits", DEFAULT_BITS, spec, cfg)
-    space = SearchSpace(
-        _number(float, "alpha", SearchSpace.alpha, spec, cfg),
-        _number(float, "beta", SearchSpace.beta, spec, cfg),
-        _number(int, "n_candidates", SearchSpace.n_candidates, spec, cfg),
-    )
+    given = {**{k: v for k, v in cfg.items() if k in SHARED_KEYS}, **spec}  # the entry's own win
+    read = set()
+
+    def settings(*keys: str, **names: str) -> dict:
+        """Those of `keys` that are given, under the calibrator's `names` for them."""
+        read.update(keys)
+        return {names.get(k, k): given[k] for k in keys if k in given}
+
+    setting = lambda key, default: settings(key).get(key, default)  # noqa: E731
+    space = lambda: SearchSpace(**settings("alpha", "beta", "n_candidates"))  # noqa: E731
+    kind, bits = setting("kind", "uniform"), setting("bits", DEFAULT_BITS)
     if kind == "uniform":
-        method = spec.get("method", "mse")
-        scheme = spec.get("scheme", "asymmetric")
-        signed = spec.get("signed", False)
+        method = setting("method", "mse")
+        uniform = dict(bits=bits, scheme=setting("scheme", "asymmetric"), signed=setting("signed", False))
         if method == "mse":
-            return partial(mse_grid_search, bits=bits, scheme=scheme, signed=signed, space=space)
-        if method == "percentile":
-            p = _number(float, "percentile", DEFAULT_PERCENTILE, spec, cfg)
-            return partial(percentile_calibrate, bits=bits, p=p, scheme=scheme, signed=signed)
-        raise QuantizationError(f"unknown uniform method {method!r}")
-    if kind == "dual_region":
-        region = spec.get("region")
+            calibrate = partial(mse_grid_search, **uniform, space=space())
+        elif method == "percentile":
+            calibrate = partial(percentile_calibrate, **uniform, **settings("percentile", percentile="p"))
+        else:
+            raise QuantizationError(f"unknown uniform method {method!r}")
+    elif kind == "dual_region":
+        region = setting("region", None)
         if region not in REGIONS:
             raise QuantizationError(f"dual_region hooks need region: {'|'.join(REGIONS)}")
-        return partial(calibrate_dual_region, kind=region, bits=bits, space=space)
-    default = ThresholdStrategy()  # outlier_groups, the one kind left
-    strategy = ThresholdStrategy(
-        kind=spec.get("strategy", cfg.get("strategy", default.kind)),
-        mad_multiplier=_number(float, "mad_multiplier", default.mad_multiplier, spec, cfg),
-        mean_multiplier=_number(float, "mean_multiplier", default.mean_multiplier, spec, cfg),
-        confidence_level=_number(float, "confidence_level", default.confidence_level, spec, cfg),
-    )
-    max_iters = _number(int, "max_iters", DEFAULT_MAX_ITERS, spec, cfg)
-    return partial(calibrate_grouped, bits=bits, strategy=strategy, max_iters=max_iters, space=space)
+        calibrate = partial(calibrate_dual_region, kind=region, bits=bits)
+        if region == "gelu":  # the softmax search has no grid
+            calibrate = partial(calibrate, space=space())
+    elif kind == "outlier_groups":
+        strategy = ThresholdStrategy(**settings("strategy", "mad_multiplier", "mean_multiplier", "confidence_level",
+                                                strategy="kind"))
+        calibrate = partial(calibrate_grouped, bits=bits, strategy=strategy, space=space(), **settings("max_iters"))
+    else:
+        raise QuantizationError(f"unknown quantizer kind {kind!r}")
+    _check_keys(f"hook {hook!r}", spec, read)
+    calibrate(np.zeros(1))  # the calibrator checks its settings, before any dump is read
+    return calibrate
 
 
 def _check_keys(where: str, entry: dict, allowed: set) -> None:
@@ -152,7 +138,6 @@ def _cmd_calibrate(args) -> int:
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:
         raise QuantizationError("config must define a non-empty 'hooks' mapping")
     _check_keys("the config", cfg, CONFIG_KEYS)
-    # every entry is checked and bound before the first dump is read
     calibrators = {hook: _calibrator(hook, spec, cfg) for hook, spec in sorted(hooks_cfg.items())}
     dumps_dir = Path(args.dumps)
     doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", DEFAULT_BITS)})

@@ -219,7 +219,8 @@ def calibrate_dual_region(
     per sample, of the samples' shape) when given.
 
     Softmax: the coarse scale is fixed to span the full [0, 1] range and the
-    shift exponent m is searched over {1..bits} (smallest m wins ties).
+    shift exponent m is searched over {1..bits} (smallest m wins ties), with
+    no `space`; if no shift scores below inf (every error overflows), it fails.
     GeLU: the fine scale starts just covering the observed negative range,
     the coarse scale is searched over a linear grid built from the positive
     maximum, and the shift is snapped to the nearest power of two that keeps
@@ -245,7 +246,7 @@ def calibrate_dual_region(
         ]
         k = first_min(_direct_scores(arr, g, kind, bits, candidates))
         if k < 0:
-            raise InvalidArgument(f"no admissible shift exponent for bits={bits}")
+            raise InvalidArgument(f"no shift exponent scored below inf for bits={bits}: every error overflowed")
         return candidates[k]
 
     vmax = 2 ** (bits - 1) - 1

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .search import SearchSpace, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import BITS, QuantParams, _code, dequantize_array, quantize_array, whole
+from .uniform import BITS, QuantParams, _code, dequantize_array, quantize_array, real, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -33,6 +33,7 @@ class ThresholdStrategy:
     mean_3sd: mu + 3*sigma. mean_division: mean_multiplier * mu.
     median_mad: median + mad_multiplier * MAD. confidence: two-sided Gaussian
     interval bound at confidence_level. none: a single all-covering group.
+    The three multipliers must be numbers (see `uniform.real`: no bool or string).
     """
 
     kind: str = "mean_3sd"
@@ -41,6 +42,8 @@ class ThresholdStrategy:
     confidence_level: float = 0.99
 
     def __post_init__(self) -> None:
+        for name in ("mad_multiplier", "mean_multiplier", "confidence_level"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if self.kind not in STRATEGY_KINDS:
             raise InvalidArgument(f"strategy must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if not 0.0 < self.confidence_level < 1.0:
@@ -136,10 +139,10 @@ def calibrate_grouped(
     falls back to mean_3sd for that iteration and is recorded), searches
     asymmetric uniform parameters for the inliers, and continues on the
     outliers. The residual after the iteration cap, or after a threshold
-    that leaves no inliers, becomes the final, unbounded group.
+    that leaves no inliers, becomes the final, unbounded group. `max_iters`
+    must be a whole number from 1 (see `uniform.whole`: 2.0 is 2).
     """
-    if max_iters < 1:
-        raise InvalidArgument("max_iters must be >= 1")
+    max_iters = whole("max_iters", max_iters, 1, math.inf)
     strategy = strategy or ThresholdStrategy()
     current = _as_f64(samples).reshape(-1)
 

@@ -17,7 +17,7 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, channel_slices, percentile
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
-from .uniform import full_range, whole, zero_point
+from .uniform import BITS, full_range, real, whole, zero_point
 
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
@@ -47,6 +47,8 @@ class SearchSpace:
     M is the calibrated tensor's absolute maximum and b the bit-width.
     A single-candidate space (n_candidates == 1) degenerates to the lower
     endpoint, which is occasionally useful in tests and tie-break checks.
+    `alpha` and `beta` must be numbers (see `uniform.real`: no bool or
+    string), `n_candidates` a whole number (see `uniform.whole`).
     """
 
     alpha: float = 0.01
@@ -54,6 +56,8 @@ class SearchSpace:
     n_candidates: int = 100
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", real("alpha", self.alpha))
+        object.__setattr__(self, "beta", real("beta", self.beta))
         if not 0 < self.alpha < self.beta < np.inf:
             raise InvalidArgument(f"need 0 < alpha < beta < inf, got {self.alpha}, {self.beta}")
         object.__setattr__(self, "n_candidates", whole("n_candidates", self.n_candidates, 1, MAX_CANDIDATES))
@@ -259,6 +263,7 @@ def _row_search(
     scheme) or one with no score below inf keeps the full-range parameters.
     One row scores only its `_near_winners` directly, the rest inf, where
     `_sorting_pays`."""
+    bits = whole("bits", bits, *BITS)
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     scales, zero_points = full_range(lo, hi, bits, scheme, signed)
     candidates = space.scale_candidates(scales)
@@ -322,8 +327,10 @@ def percentile_calibrate(
 
     Symmetric uses percentile(|x|, p); asymmetric uses the
     (percentile(x, 100-p), percentile(x, p)) window. p == 100 reproduces
-    plain min/max calibration bit-exactly.
+    plain min/max calibration bit-exactly. `p` must be a number (see
+    `uniform.real`: no bool or string).
     """
+    p = real("percentile", p)
     if not 0.0 < p <= 100.0:
         raise InvalidArgument(f"percentile must be in (0, 100], got {p}")
     arr = _as_f64(samples)

@@ -315,6 +315,13 @@ class TestCalibrateQuantizeEvaluate:
             ({"kind": "dual_region", "region": "relu"}, "region"),
             ({"method": "median"}, "method"),
             ({"kind": "outlier_groups", "strategy": "bogus"}, "strategy"),
+            ({"bits": 40}, "bits"),
+            ({"scheme": "bogus"}, "scheme"),
+            ({"signed": "yes"}, "signed"),
+            ({"method": "percentile", "percentile": -5}, "percentile"),
+            ({"kind": "outlier_groups", "max_iters": 0}, "max_iters"),
+            ({"kind": "outlier_groups", "max_iters": "3"}, "max_iters"),
+            ({"kind": "outlier_groups", "confidence_level": 1.5}, "confidence_level"),
         ],
     )
     def test_every_setting_is_checked_before_any_dump_is_read(self, tmp_path, capsys, entry, setting):
@@ -329,6 +336,33 @@ class TestCalibrateQuantizeEvaluate:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert setting in err and "dump" not in err
+
+    @pytest.mark.parametrize(
+        "entry,key",
+        [
+            ({"kind": "uniform"}, "strategy"),
+            ({"kind": "uniform", "method": "mse"}, "percentile"),
+            ({"kind": "uniform", "method": "percentile"}, "alpha"),
+            ({"kind": "uniform", "method": "percentile"}, "n_candidates"),
+            ({"kind": "dual_region", "region": "softmax"}, "alpha"),
+            ({"kind": "dual_region", "region": "softmax"}, "max_iters"),
+            ({"kind": "dual_region", "region": "gelu"}, "max_iters"),
+            ({"kind": "dual_region", "region": "gelu"}, "mad_multiplier"),
+            ({"kind": "outlier_groups"}, "percentile"),
+        ],
+    )
+    def test_a_key_the_calibrator_does_not_read_is_unknown(self, tmp_path, capsys, entry, key):
+        d = tmp_path / "dumps"
+        d.mkdir()
+        write_dump(synth(entry.get("region", "gelu"), (8, 16), 0), d / "h.dump")
+        value = {"strategy": "none", "percentile": 99.0, "alpha": 0.5, "n_candidates": 10, "max_iters": 2,
+                 "mad_multiplier": 2.0}[key]  # each valid where it is read
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {"h": {**entry, key: value}}}))
+        params = tmp_path / "p.json"
+        code, _, err = run_cli(capsys, "calibrate", "--config", str(config), "--dumps", str(d), "--out", str(params))
+        assert (code, err) == (1, f"error: unknown key {key!r} in hook 'h'\n")
+        assert not params.exists()
 
     def test_whole_float_count_is_an_int(self, tmp_path, capsys, dumps_dir, config_path):
         texts = []
@@ -383,13 +417,14 @@ class TestCalibrateQuantizeEvaluate:
         [("n_candidates", 40, {}), ("beta", 1.0, {}), ("mean_multiplier", 1.5, {"strategy": "mean_division"})],
     )
     def test_hook_setting_equals_config_setting(self, tmp_path, capsys, dumps_dir, config_path, key, value, spec):
+        readers = ("text",) if spec else ("feat", "text")  # the hooks whose calibrator reads `key` and `spec`
         base = json.loads(config_path.read_text())
         base.pop(key, None)
-        for hook_spec in base["hooks"].values():
-            hook_spec.update(spec)
+        for hook in readers:
+            base["hooks"][hook].update(spec)
         at_hook = json.loads(json.dumps(base))
-        for hook_spec in at_hook["hooks"].values():
-            hook_spec[key] = value
+        for hook in readers:
+            at_hook["hooks"][hook][key] = value
         texts = []
         for i, doc in enumerate((base, {**base, key: value}, at_hook)):
             config_path.write_text(json.dumps(doc))
@@ -630,6 +665,14 @@ class TestEvaluateMasks:
         code, _, err = run_cli(capsys, "evaluate", "--a", str(a), "--b", str(b), "--masks")
         assert code == 1
         assert err == f"error: {message}\n"
+
+    def test_masks_of_different_shapes_are_one_line(self, tmp_path, capsys):
+        write_dump(Tensor.from_array([1.0, 0.0, 1.0, 1.0]), tmp_path / "a.dump")
+        write_dump(Tensor.from_array([[1.0, 0.0], [1.0, 1.0]]), tmp_path / "b.dump")
+        code, _, err = run_cli(
+            capsys, "evaluate", "--a", str(tmp_path / "a.dump"), "--b", str(tmp_path / "b.dump"), "--masks"
+        )
+        assert (code, err) == (1, "error: mask shapes differ: (4,) vs (2, 2)\n")
 
 
 class TestEvaluateZeroDumps:
@@ -912,6 +955,20 @@ class TestParamsFileRules:
             code, _, err = run_cli(capsys, *argv)
             assert code == 1
             assert err == "error: zero-sized dimension in (2, 0)\n"
+
+    def test_dump_of_rank_five_is_one_line(self, tmp_path, capsys, dump):
+        bad = tmp_path / "rank5.dump"  # magic, version and dtype of a valid dump, then rank 5 of unit dims
+        bad.write_bytes(dump.read_bytes()[:7] + bytes([5]) + (1).to_bytes(4, "little") * 5 + bytes(4))
+        code, _, err = run_cli(capsys, "evaluate", "--a", str(bad), "--b", str(dump))
+        assert (code, err) == (1, "error: rank 5 exceeds supported maximum 4\n")
+
+    def test_grouped_entry_without_groups_is_one_line(self, tmp_path, capsys, dump):
+        code, _, err = self._quantize(capsys, tmp_path, dump, {**GROUPED, "groups": []})
+        assert (code, err) == (1, "error: malformed quantizer entry: InvalidArgument: at least one group required\n")
+
+    def test_per_channel_axis_past_the_dump_rank_is_one_line(self, tmp_path, capsys, dump):
+        code, _, err = self._quantize(capsys, tmp_path, dump, {**CHANNELS, "axis": 2})
+        assert (code, err) == (1, "error: per-channel axis 2 out of range for rank 2\n")
 
     @pytest.mark.parametrize(
         "group", [GELU, GROUPED, CHANNELS, {**UNIFORM, "bits": 4, "signed": True, "zero_point": 0}]

@@ -146,6 +146,11 @@ class TestPacking:
         with pytest.raises(InvalidArgument):
             unpack_code(256, 8)
 
+    @pytest.mark.parametrize("word", [-1, 256])
+    def test_decode_rejects_words_past_the_bits(self, word):
+        with pytest.raises(InvalidArgument, match="^words do not fit in 8 bits$"):
+            decode_tensor(np.array([0, word]), softmax_params())
+
     def test_vectorized_matches_scalar(self):
         p = softmax_params()
         rng = np.random.default_rng(4)
@@ -201,6 +206,20 @@ class TestCalibration:
     def test_softmax_range_validated(self):
         with pytest.raises(InvalidArgument):
             calibrate_dual_region(np.array([0.0, 1.5]), "softmax", 8)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidArgument, match=r"^kind must be one of \('softmax', 'gelu'\)$"):
+            calibrate_dual_region(np.array([0.0, 0.5]), "relu", 8)
+
+    def test_softmax_search_whose_errors_all_overflow(self):
+        """m = bits is always admissible; a huge `grad` makes every weighted
+        error inf, so no shift wins. GeLU keeps its initial parameters then."""
+        x = synth("softmax", (8, 16), 0).array
+        with pytest.raises(InvalidArgument, match="^no shift exponent scored below inf for bits=8: every error"):
+            calibrate_dual_region(x, "softmax", 8, grad=np.full(x.shape, 1e200))
+        g = synth("gelu", (8, 16), 0).array.astype(np.float64)
+        p = calibrate_dual_region(g, "gelu", 8, grad=np.full(g.shape, 1e200))
+        assert p == DualRegionParams("gelu", 8, -g.min() / 127, 0)
 
     def test_mixture_beats_uniform_grid(self):
         t = synth("softmax", (32, 32), seed=0)

@@ -10,6 +10,7 @@ from ptqkit.errors import FormatError, InvalidArgument, QuantizationError
 from ptqkit.generate import synth
 from ptqkit.io import (
     ParamDoc,
+    quantizer_to_dict,
     emit_params,
     parse_params,
     read_code_dump,
@@ -54,6 +55,11 @@ class TestDumpFormat:
         path.write_bytes(raw[:-4])
         with pytest.raises(FormatError):
             read_dump(path)
+
+    def test_code_dump_of_rank_five_rejected(self, tmp_path):
+        with pytest.raises(InvalidArgument, match="^rank 5 exceeds supported maximum 4$"):
+            write_code_dump(np.zeros((1,) * 5, dtype=np.int32), tmp_path / "c.codes")
+        assert not (tmp_path / "c.codes").exists()
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "t.dump"
@@ -142,6 +148,10 @@ def _mutations(node):
 
 
 class TestParamFile:
+    def test_unknown_quantizer_type_rejected(self):
+        with pytest.raises(InvalidArgument, match="^cannot serialize Tensor$"):
+            quantizer_to_dict(Tensor.from_array([1.0]))
+
     def _doc(self):
         grouped = GroupedQuantParams(
             bits=8,
@@ -416,6 +426,11 @@ class TestMaskMetrics:
         assert got.oiou == 2 / 6
         assert got.miou == np.mean([0.5, 1.0, 0.25])
         assert got.prec_at == {0.5: 2 / 3, 0.7: 1 / 3, 0.9: 1 / 3}
+
+    @pytest.mark.parametrize("preds,gts", [([], []), ([np.zeros(2)], []), ([np.zeros(2)], [np.zeros(2)] * 2)])
+    def test_needs_paired_masks(self, preds, gts):
+        with pytest.raises(InvalidArgument, match="^need one or more prediction/ground-truth pairs$"):
+            mask_metrics(preds, gts)
 
     def test_nonbinary_rejected(self):
         with pytest.raises(InvalidArgument):

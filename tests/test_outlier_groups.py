@@ -49,6 +49,17 @@ class TestThreshold:
         tau = threshold_of([1, 2, 3], ThresholdStrategy("mean_division"))
         assert tau == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("field", ["mad_multiplier", "mean_multiplier", "confidence_level"])
+    @pytest.mark.parametrize("value", ["x", "0.5", True, None])
+    def test_multipliers_are_numbers(self, field, value):
+        with pytest.raises(InvalidArgument, match=f"^{field} must be a number, got {value!r}$"):
+            ThresholdStrategy(**{field: value})
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_confidence_level_is_inside_zero_one(self, level):
+        with pytest.raises(InvalidArgument, match=r"^confidence_level must be in \(0, 1\)$"):
+            ThresholdStrategy("confidence", confidence_level=level)
+
     def test_confidence_matches_gaussian_quantile(self):
         from statistics import NormalDist
 
@@ -168,6 +179,16 @@ class TestCalibration:
         assert params.groups[0].upper == pytest.approx(expected_tau)
         assert group_index(40.0, params) >= 1
         assert group_index(50.0, params) >= 1
+
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.5, "3", True])
+    def test_max_iters_is_a_whole_number_from_one(self, max_iters):
+        with pytest.raises(InvalidArgument, match=r"^max_iters must be a whole number in \[1, inf\], got "):
+            calibrate_grouped(np.arange(8.0), 8, max_iters=max_iters)
+
+    def test_whole_float_max_iters_is_an_int(self):
+        data = synth("outlier", (16, 32), 0).array
+        got = calibrate_grouped(data, 8, max_iters=2.0)
+        assert got == calibrate_grouped(data, 8, max_iters=2) and type(got.max_iters) is int
 
     def test_tight_data_single_group(self):
         rng = np.random.default_rng(3)

@@ -134,6 +134,15 @@ class TestSearchSpace:
             with pytest.raises(InvalidArgument, match="alpha < beta < inf"):
                 SearchSpace(alpha, beta)
 
+    @pytest.mark.parametrize("field,value", [("alpha", "x"), ("alpha", "0.5"), ("beta", True), ("beta", [1.2])])
+    def test_bounds_are_numbers(self, field, value):
+        with pytest.raises(InvalidArgument, match=f"^{field} must be a number, got "):
+            SearchSpace(**{field: value})
+
+    def test_whole_bounds_are_floats(self):
+        space = SearchSpace(alpha=np.float32(0.5), beta=2)
+        assert (type(space.alpha), type(space.beta)) == (float, float) and space == SearchSpace(0.5, 2.0)
+
     def test_candidate_count_is_bounded(self):
         assert SearchSpace(n_candidates=MAX_CANDIDATES).n_candidates == MAX_CANDIDATES
         for n in (MAX_CANDIDATES + 1, 10**12):
@@ -149,6 +158,12 @@ class TestSearchSpace:
 
 
 class TestMseGridSearch:
+    def test_whole_float_bits_is_an_int(self):
+        arr = synth("gelu", (4, 64), 0).array
+        assert mse_grid_search(arr, 6.0, "asymmetric") == mse_grid_search(arr, 6, "asymmetric")
+        got, want = channelwise_params(arr, 6.0), channelwise_params(arr, 6)
+        assert np.array_equal(got.scale, want.scale) and np.array_equal(got.zero_point, want.zero_point)
+
     def test_single_candidate_returned(self):
         arr = np.linspace(-1, 1, 50)
         space = SearchSpace(0.5, 1.0, 1)
@@ -370,6 +385,11 @@ class TestPercentileCalibrate:
             percentile_calibrate(np.ones(4), 8, 100.5)
         with pytest.raises(InvalidArgument, match="scheme"):  # not run as asymmetric
             percentile_calibrate(np.ones(4), 8, 99.0, "asymetric")
+
+    @pytest.mark.parametrize("p", ["x", "99", True, None])
+    def test_percentile_is_a_number(self, p):
+        with pytest.raises(InvalidArgument, match="^percentile must be a number, got "):
+            percentile_calibrate(np.ones(4), 8, p=p)
 
 
 @pytest.mark.parametrize("calibrate", [mse_grid_search, channelwise_params, percentile_calibrate])

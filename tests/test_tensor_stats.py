@@ -30,6 +30,14 @@ class TestTensorContainer:
         with pytest.raises(InvalidArgument):
             Tensor.from_array(np.zeros((1, 1, 1, 1, 1)))
 
+    def test_rejects_negative_dim(self):
+        with pytest.raises(InvalidArgument, match=r"^dimensions must be positive, got \(-1, -2\)$"):
+            Tensor(shape=(-1, -2), data=np.zeros(2, dtype=np.float32))
+
+    def test_rejects_empty_data_of_rank_zero(self):
+        with pytest.raises(EmptyInput, match="^tensor has no elements$"):
+            Tensor(shape=(), data=np.zeros(0, dtype=np.float32))
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
             Tensor.from_array(np.zeros(0))

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,18 @@ def w8a8(weights, calib):
 
 
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"visual": "search"}, "visual mode 'search' not in ('rtn', 'dual_region')"),
+            ({"decoder": None}, "decoder mode None not in ('rtn', 'search')"),
+            ({"metric": "l1"}, "metric 'l1'"),
+        ],
+    )
+    def test_config_rejects_unknown_modes(self, fields, message):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**fields)
+
     def test_every_quantized_hook_parameterized(self, w8a8):
         plan, report = w8a8
         assert set(plan.hooks) == set(QUANTIZED_HOOKS)

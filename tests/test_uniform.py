@@ -10,6 +10,7 @@ from ptqkit.generate import synth
 from ptqkit.uniform import (
     BNParams,
     QuantParams,
+    QuantizedTensor,
     TINY,
     dequantize,
     error_stats,
@@ -178,6 +179,15 @@ class TestQuantizeDequantize:
         p = make_params(0.0, 1.0, 8, "asymmetric", signed=False)
         q = quantize([0.0, 0.5, 1.0], p)
         assert q.codes.tolist() == [0, 128, 255]
+
+    def test_quantized_tensor_needs_one_code_per_element(self):
+        with pytest.raises(ShapeError, match="^code count does not match shape$"):
+            QuantizedTensor(shape=(2, 2), codes=np.zeros(3), params=make_params(0.0, 1.0, 8))
+
+    @pytest.mark.parametrize("code", [-1, 256])
+    def test_quantized_tensor_codes_lie_in_range(self, code):
+        with pytest.raises(InvalidArgument, match=r"^codes outside \[q_min, q_max\]$"):
+            QuantizedTensor(shape=(2,), codes=[0, code], params=make_params(0.0, 1.0, 8))
 
     def test_half_to_even(self):
         p = QuantParams(scale=1.0, zero_point=0, bits=8, signed=True)
@@ -397,6 +407,12 @@ class TestBNParams:
     def test_negative_var_rejected(self):
         with pytest.raises(InvalidArgument):
             BNParams(np.ones(1), np.zeros(1), np.zeros(1), np.asarray([-0.1]))
+
+    @pytest.mark.parametrize("field", ["beta", "running_mean", "running_var"])
+    def test_lengths_must_agree(self, field):
+        fields = {"gamma": np.ones(2), "beta": np.zeros(2), "running_mean": np.zeros(2), "running_var": np.ones(2)}
+        with pytest.raises(ShapeError, match="^batch-norm parameter lengths differ$"):
+            BNParams(**{**fields, field: np.ones(3)})
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(InvalidArgument):
