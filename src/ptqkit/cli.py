@@ -138,15 +138,22 @@ def _cmd_calibrate(args) -> int:
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:
         raise QuantizationError("config must define a non-empty 'hooks' mapping")
     _check_keys("the config", cfg, CONFIG_KEYS)
-    calibrators = {hook: _calibrator(hook, spec, cfg) for hook, spec in sorted(hooks_cfg.items())}
     dumps_dir = Path(args.dumps)
     doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", DEFAULT_BITS)})
     reports: dict[str, HookReport] = {}
-    for hook, calibrate in calibrators.items():
-        stacked = _collect_samples(dumps_dir, hook)
-        params = doc.hooks[hook] = calibrate(stacked)
-        recon = params.fake(stacked)  # kept to the next hook's: freed at once, calibrate ran 12% slower (2 CPUs)
-        reports[hook] = HookReport(*error_stats(stacked, recon))
+    try:  # every calibrator checks its settings before any dump is read
+        calibrators = {}
+        for hook, spec in sorted(hooks_cfg.items()):
+            calibrators[hook] = _calibrator(hook, spec, cfg)
+        for hook, calibrate in calibrators.items():
+            stacked = _collect_samples(dumps_dir, hook)
+            params = doc.hooks[hook] = calibrate(stacked)
+            recon = params.fake(stacked)  # kept to the next hook's: freed at once, calibrate ran 12% slower (2 CPUs)
+            reports[hook] = HookReport(*error_stats(stacked, recon))
+    except QuantizationError as exc:  # one line that names the hook first, unless it names it already
+        if f"hook {hook!r}" in str(exc):
+            raise
+        raise type(exc)(f"hook {hook!r}: {exc}") from None
     pio.emit_params(doc, args.out)
     report = CalibrationReport(hooks=reports, config=cfg, seed=cfg.get("seed"))
     text = pio.report_to_text(report)

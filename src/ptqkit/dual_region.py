@@ -46,7 +46,7 @@ class DualRegionParams:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise InvalidArgument(f"kind must be one of {KINDS}")
+            raise InvalidArgument(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "bits", whole("bits", self.bits, *BITS))
         object.__setattr__(self, "scale_r2", real("scale_r2", self.scale_r2))
         if not (math.isfinite(self.scale_r2) and self.scale_r2 > 0):
@@ -229,7 +229,7 @@ def calibrate_dual_region(
     (b-1)-bit payload, and the result is flagged via fallback_uniform.
     """
     if kind not in KINDS:
-        raise InvalidArgument(f"kind must be one of {KINDS}")
+        raise InvalidArgument(f"kind must be one of {KINDS}, got {kind!r}")
     bits = whole("bits", bits, *BITS)
     arr = _as_f64(samples)
     if kind == "softmax" and (arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6):

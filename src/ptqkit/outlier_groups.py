@@ -47,7 +47,7 @@ class ThresholdStrategy:
         if self.kind not in STRATEGY_KINDS:
             raise InvalidArgument(f"strategy must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if not 0.0 < self.confidence_level < 1.0:
-            raise InvalidArgument("confidence_level must be in (0, 1)")
+            raise InvalidArgument(f"confidence_level must be in (0, 1), got {self.confidence_level}")
         if not (math.isfinite(self.mean_multiplier) and self.mean_multiplier > 0.0):
             raise InvalidArgument(f"need a finite mean_multiplier > 0, got {self.mean_multiplier}")
         if not (math.isfinite(self.mad_multiplier) and self.mad_multiplier >= 0.0):

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgument, ShapeError
-from .tensor import TensorLike, _as_f64, channel_slices, percentile
+from .tensor import TensorLike, _as_f64, channel_slices
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
 from .uniform import BITS, full_range, real, whole, zero_point
@@ -335,9 +335,10 @@ def percentile_calibrate(
         raise InvalidArgument(f"percentile must be in (0, 100], got {p}")
     arr = _as_f64(samples)
     if scheme == "symmetric":
-        clip = percentile(np.abs(arr), p)
+        clip = float(np.percentile(np.abs(arr), p))
         return make_params(-clip, clip, bits, "symmetric", signed)
-    return make_params(percentile(arr, 100.0 - p), percentile(arr, p), bits, scheme, signed)
+    lo, hi = np.percentile(arr, [100.0 - p, p])
+    return make_params(float(lo), float(hi), bits, scheme, signed)
 
 
 @dataclass(frozen=True)

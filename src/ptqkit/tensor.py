@@ -1,7 +1,7 @@
-"""Minimal dense tensor container and the statistics used by calibration.
+"""Minimal dense tensor container, input checks and the per-channel slices calibration uses.
 
-Values are stored flat in row-major order as float32; statistics are
-accumulated in float64. Everything here is a pure function over immutable
+Values are stored flat in row-major order as float32; calibration reads
+them in float64. Everything here is a pure function over immutable
 inputs and safe to call concurrently.
 """
 
@@ -80,17 +80,9 @@ def _as_f64(values: TensorLike) -> np.ndarray:
     return arr
 
 
-def percentile(t: TensorLike, p: float) -> float:
-    """p-th percentile with linear interpolation between closest ranks."""
-    if not 0.0 <= p <= 100.0:
-        raise InvalidArgument(f"percentile must be in [0, 100], got {p}")
-    arr = _as_f64(t).reshape(-1)
-    return float(np.percentile(arr, p, method="linear"))
-
-
 def channel_slices(t: TensorLike, axis: int) -> np.ndarray:
-    """float64 values as (channels, elements): row i is slice i along `axis`."""
+    """float64 values as (channels, elements): row i is slice i along `axis`, negative from the end."""
     arr = _as_f64(t)
-    if not 0 <= axis < arr.ndim:
+    if not -arr.ndim <= axis < arr.ndim:
         raise InvalidArgument(f"axis {axis} out of range for rank {arr.ndim}")
     return np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)

@@ -232,17 +232,6 @@ class PipelineConfig:
         }
 
 
-def _fake_hook(quantizer, value: np.ndarray) -> np.ndarray:
-    """`quantizer.fake(value)` on a hook value with leading batch axes.
-
-    Per-channel hook params count their axis in one input's layout, as the
-    decoder hook's axis 0 of (C, H, W) does. On a stack those channels sit at
-    axis -3, so they move to the front for the fake and back after it."""
-    if getattr(quantizer, "per_channel", False):
-        return np.moveaxis(quantizer.fake(np.moveaxis(value, -3, 0)), 0, -3)
-    return quantizer.fake(value)
-
-
 def forward(
     x: TensorLike,
     w: ToyNetWeights,
@@ -270,7 +259,7 @@ def forward(
         if name in overrides:
             value = np.asarray(overrides[name], dtype=np.float64)
         if name in plan.hooks:
-            value = _fake_hook(plan.hooks[name], value)
+            value = plan.hooks[name].fake(value)
         trace.activations[name] = value
         return value
 
@@ -429,14 +418,12 @@ def run_pipeline(
         plan.hooks["fusion.out"] = mse_grid_search(acts["fusion.out"], a_bits, "asymmetric", False)
 
     if cfg.decoder != RTN:
-        # calibrate channel-first so the stored axis is 0 of one input's
-        # (C, H, W), the layout `_fake_hook` applies it in
         plan.hooks["decoder.pre_bn"] = channelwise_params(
-            np.moveaxis(acts["decoder.pre_bn"], -3, 0), a_bits, axis=0, scheme="asymmetric", signed=False
+            acts["decoder.pre_bn"], a_bits, axis=-3, scheme="asymmetric", signed=False
         )
 
     hook_reports = {
-        name: HookReport(*error_stats(acts[name], _fake_hook(quantizer, acts[name])))
+        name: HookReport(*error_stats(acts[name], quantizer.fake(acts[name])))
         for name, quantizer in plan.hooks.items()
     }
     weight_reports = {

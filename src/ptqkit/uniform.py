@@ -55,9 +55,10 @@ class QuantParams:
     """Scale/zero-point pair for one uniform quantizer.
 
     Per-tensor parameters are scalars; per-channel parameters are 1-D arrays
-    along `axis`. Symmetric quantizers carry zero_point == 0. `bits`, `axis`
-    and every zero point must be whole numbers (see `whole`), every scale a
-    number (see `real`).
+    along `axis`, which counts from the end when negative, as numpy's axes do:
+    axis -3 is the channel axis of one (C, H, W) input and of any stack of them.
+    Symmetric quantizers carry zero_point == 0. `bits`, `axis` and every zero
+    point must be whole numbers (see `whole`), every scale a number (see `real`).
     """
 
     scale: float | np.ndarray
@@ -69,7 +70,7 @@ class QuantParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", whole("bits", self.bits, *BITS))
         if self.axis is not None:
-            object.__setattr__(self, "axis", whole("axis", self.axis, 0, math.inf))
+            object.__setattr__(self, "axis", whole("axis", self.axis, -math.inf, math.inf))
         if not isinstance(self.signed, (bool, np.bool_)):
             raise InvalidArgument(f"signed must be a bool, got {self.signed!r}")
         object.__setattr__(self, "signed", bool(self.signed))
@@ -182,7 +183,7 @@ def full_range(lo, hi, bits: int, scheme: str, signed: bool) -> tuple[np.ndarray
     range gets the sentinel scale 1.0 and zero point 0; a subnormal scale (below TINY) is an error."""
     bits = whole("bits", bits, *BITS)
     if scheme not in SCHEMES:
-        raise InvalidArgument(f"scheme must be one of {SCHEMES}")
+        raise InvalidArgument(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     q_min, q_max = quant_range(bits, signed)
     absmax = np.maximum(np.abs(lo), np.abs(hi))
@@ -211,11 +212,11 @@ def _scale_zp(arr: np.ndarray, p: QuantParams) -> tuple[np.ndarray, np.ndarray]:
     if not p.per_channel:
         return np.float64(p.scale), np.float64(p.zero_point)
     axis = p.axis
-    if not 0 <= axis < arr.ndim:
+    if not -arr.ndim <= axis < arr.ndim:
         raise ShapeError(f"per-channel axis {axis} out of range for rank {arr.ndim}")
     if arr.shape[axis] != p.scale.size:
         raise ShapeError(f"axis {axis} has {arr.shape[axis]} slices, params carry {p.scale.size}")
-    shape = (-1,) + (1,) * (arr.ndim - 1 - axis)  # broadcasts against the trailing axes
+    shape = (-1,) + (1,) * (arr.ndim - 1 - axis % arr.ndim)  # broadcasts against the trailing axes
     return p.scale.reshape(shape), p.zero_point.astype(np.float64).reshape(shape)
 
 

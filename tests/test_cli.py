@@ -26,7 +26,7 @@ from ptqkit.io import ParamDoc, emit_params, parse_params, read_code_dump, read_
 from ptqkit.outlier_groups import DEFAULT_MAX_ITERS, ThresholdStrategy, calibrate_grouped
 from ptqkit.search import CHUNK_ELEMS, SearchSpace
 from ptqkit.tensor import Tensor
-from ptqkit.toynet import MODULES
+from ptqkit.toynet import MODULES, QUANTIZED_HOOKS, ToyNetWeights, forward, seeded_inputs
 from ptqkit.uniform import QuantParams
 
 
@@ -306,7 +306,7 @@ class TestCalibrateQuantizeEvaluate:
             "--out", str(tmp_path / "p.json"),
         )
         assert code == 1
-        assert err == f"error: unknown quantizer kind {kind!r}\n"
+        assert err == f"error: hook 'feat': unknown quantizer kind {kind!r}\n"
 
     @pytest.mark.parametrize(
         "entry,setting",
@@ -336,6 +336,36 @@ class TestCalibrateQuantizeEvaluate:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert setting in err and "dump" not in err
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"scheme": "bogus"}, "scheme must be one of ('symmetric', 'asymmetric'), got 'bogus'"),
+            ({"kind": "outlier_groups", "confidence_level": 1.5}, "confidence_level must be in (0, 1), got 1.5"),
+            ({"kind": "dual_region", "region": "softmax"}, "softmax samples must lie in [0, 1]"),
+            ({"kind": "dual_region"}, "dual_region hooks need region: softmax|gelu"),
+        ],
+    )
+    def test_a_hook_error_names_the_hook(self, tmp_path, capsys, entry, message):
+        """Hook "a" calibrates; "b"'s error, from its settings or from calibrating its GeLU dump, names "b"."""
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        for hook in "ab":
+            write_dump(synth("gelu", (64, 32), 0), dumps / f"{hook}.dump")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {"a": {}, "b": entry}}))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config), "--dumps", str(dumps), "--out", str(tmp_path / "p.json")
+        )
+        assert (code, err) == (1, f"error: hook 'b': {message}\n")
+
+    def test_a_message_that_names_the_hook_names_it_once(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {"a": {}}}))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config), "--dumps", str(tmp_path), "--out", str(tmp_path / "p.json")
+        )
+        assert (code, err) == (1, f"error: no dump files for hook 'a' in {tmp_path}\n")
 
     @pytest.mark.parametrize(
         "entry,key",
@@ -591,11 +621,33 @@ class TestQuantizeBlocks:
         code, _, err = run_cli(capsys, "pipeline", "--calib-count", "4", "--params-out", str(params_path))
         assert code == 0, err
         params = parse_params(params_path).hooks["decoder.pre_bn"]
-        assert params.per_channel and params.axis == 0
-        x = synth("gelu", (params.scale.size, 9001), 0).array  # 4 channels: 36,004 elements, over one block
+        assert params.per_channel and params.axis == -3
+        x = synth("gelu", (params.scale.size, 1, 9001), 0).array  # 4 channels: 36,004 elements, over one block
         assert x.size > CHUNK_ELEMS
         got = self.quantize(tmp_path, capsys, x, None, hook="decoder.pre_bn")
         self.assert_whole_array_bytes(got, params, x)
+
+    @pytest.mark.parametrize("count", [4, 3])
+    def test_every_pipeline_hook_codes_a_stack_as_its_inputs_alone(self, tmp_path, capsys, count):
+        """A dump stacking `count` inputs' activations of a hook codes each input as a dump of that
+        input alone does, for every hook of a pipeline parameter file. The decoder hook's channels
+        sit at axis -3 of one (C, H, W) input and of a stack alike."""
+        params_path = tmp_path / "p.json"
+        code, _, err = run_cli(capsys, "pipeline", "--calib-count", "4", "--params-out", str(params_path))
+        assert code == 0, err
+        hooks = parse_params(params_path).hooks
+        assert sorted(hooks) == sorted(QUANTIZED_HOOKS)
+        weights = ToyNetWeights.seeded(0)
+        acts = forward(seeded_inputs(1, count, weights.seq, weights.dim), weights)[1].activations
+        for hook in hooks:
+            stack = acts[hook].astype(np.float32)
+            recon, codes = self.quantize(tmp_path, capsys, stack, None, hook=hook)
+            for i, x in enumerate(stack):
+                recon_i, codes_i = self.quantize(tmp_path, capsys, x, None, hook=hook)
+                assert recon.array[i].tobytes() == recon_i.array.tobytes(), (hook, i)
+                # a grouped quantizer's codes lead with its (group, code) axis
+                row, alone = codes.reshape(-1, count, x.size)[:, i], codes_i.reshape(-1, x.size)
+                assert row.shape == alone.shape and row.tobytes() == alone.tobytes(), (hook, i)
 
     def test_traced_peak_of_a_gelu_dump(self, tmp_path):
         """The blocks keep every float64 temporary in cache: the traced peak of quantizing a
@@ -967,8 +1019,9 @@ class TestParamsFileRules:
         assert (code, err) == (1, "error: malformed quantizer entry: InvalidArgument: at least one group required\n")
 
     def test_per_channel_axis_past_the_dump_rank_is_one_line(self, tmp_path, capsys, dump):
-        code, _, err = self._quantize(capsys, tmp_path, dump, {**CHANNELS, "axis": 2})
-        assert (code, err) == (1, "error: per-channel axis 2 out of range for rank 2\n")
+        for axis in (2, -3):  # from the front or from the end
+            code, _, err = self._quantize(capsys, tmp_path, dump, {**CHANNELS, "axis": axis})
+            assert (code, err) == (1, f"error: per-channel axis {axis} out of range for rank 2\n")
 
     @pytest.mark.parametrize(
         "group", [GELU, GROUPED, CHANNELS, {**UNIFORM, "bits": 4, "signed": True, "zero_point": 0}]

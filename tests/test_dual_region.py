@@ -208,7 +208,7 @@ class TestCalibration:
             calibrate_dual_region(np.array([0.0, 1.5]), "softmax", 8)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidArgument, match=r"^kind must be one of \('softmax', 'gelu'\)$"):
+        with pytest.raises(InvalidArgument, match=r"^kind must be one of \('softmax', 'gelu'\), got 'relu'$"):
             calibrate_dual_region(np.array([0.0, 0.5]), "relu", 8)
 
     def test_softmax_search_whose_errors_all_overflow(self):

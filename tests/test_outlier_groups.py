@@ -57,7 +57,7 @@ class TestThreshold:
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
     def test_confidence_level_is_inside_zero_one(self, level):
-        with pytest.raises(InvalidArgument, match=r"^confidence_level must be in \(0, 1\)$"):
+        with pytest.raises(InvalidArgument, match=rf"^confidence_level must be in \(0, 1\), got {level}$"):
             ThresholdStrategy("confidence", confidence_level=level)
 
     def test_confidence_matches_gaussian_quantile(self):

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ptqkit.errors import EmptyInput, InvalidArgument
-from ptqkit.tensor import Tensor, channel_slices, percentile
+from ptqkit.tensor import Tensor, channel_slices
 
 
 class TestTensorContainer:
@@ -48,30 +46,6 @@ class TestTensorContainer:
             t.data[0] = 5.0
 
 
-class TestPercentile:
-    def test_endpoints(self):
-        assert percentile([1, 2, 3, 4], 100) == 4.0
-        assert percentile([1, 2, 3, 4], 0) == 1.0
-
-    def test_linear_interpolation(self):
-        # oracle: sorted ranks with linear interpolation
-        assert percentile([1, 2, 3, 4], 50) == 2.5
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidArgument):
-            percentile([1.0], 101.0)
-        with pytest.raises(InvalidArgument):
-            percentile([1.0], -0.5)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_monotone_in_p(self, seed):
-        rng = np.random.default_rng(seed)
-        t = rng.standard_normal(41)
-        values = [percentile(t, p) for p in np.linspace(0, 100, 21)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-
 class TestChannelSlices:
     def test_rows_are_slices_along_axis(self):
         t = np.arange(24.0).reshape(2, 3, 4)
@@ -90,5 +64,11 @@ class TestChannelSlices:
                 assert row.tolist() == expect
 
     def test_axis_out_of_range(self):
-        with pytest.raises(InvalidArgument):
-            channel_slices([[1.0]], 2)
+        for axis in (2, -3, -100):
+            with pytest.raises(InvalidArgument, match=f"^axis {axis} out of range for rank 2$"):
+                channel_slices([[1.0]], axis)
+
+    def test_negative_axis_counts_from_the_end(self):
+        t = np.arange(24.0).reshape(2, 3, 4)
+        for axis in (-3, -2, -1):
+            assert channel_slices(t, axis).tolist() == channel_slices(t, axis + 3).tolist()

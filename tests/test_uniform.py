@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ class TestMakeParams:
         "field,value",
         [
             ("bits", 8.5), ("bits", "8"), ("bits", True), ("zero_point", 100.7), ("zero_point", "3"),
-            ("zero_point", math.inf), ("axis", True), ("axis", -1), ("axis", 0.5),
+            ("zero_point", math.inf), ("axis", True), ("axis", -0.5), ("axis", 0.5),
         ],
     )
     def test_integer_fields_must_be_whole_numbers(self, field, value):
@@ -167,6 +168,7 @@ class TestMakeParams:
         assert (p.bits, p.zero_point) == (8, 3) and type(p.bits) is int and type(p.zero_point) is int
         c = QuantParams([0.1, 0.2], np.array([3.0, 4.0]), np.int64(8), False, axis=1.0)
         assert c.zero_point.dtype == np.int64 and type(c.axis) is int and type(c.bits) is int
+        assert QuantParams([0.1, 0.2], [3, 4], 8, False, axis=-3.0).axis == -3
 
     def test_constant_nonzero_value_representable(self):
         for c in (5.0, -3.25):
@@ -218,6 +220,42 @@ class TestQuantizeDequantize:
         p = channel_params([(0.0, 1.0), (0.0, 2.0)], 8)
         with pytest.raises(ShapeError):
             quantize(np.zeros((3, 2)), p)
+
+    @pytest.mark.parametrize("axis", [2, -3, -100])
+    def test_axis_past_the_rank(self, axis):
+        p = replace(channel_params([(0.0, 1.0), (0.0, 2.0)], 8), axis=axis)
+        with pytest.raises(ShapeError, match=f"^per-channel axis {axis} out of range for rank 2$"):
+            p.fake(np.zeros((2, 2)))
+
+    @given(
+        st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 3), st.integers(1, 3),
+        st.sampled_from(["symmetric", "asymmetric"]), st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_negative_axis_counts_from_the_end(self, seed, ndim, k, stack, scheme, signed):
+        """Axis k - ndim codes an array of rank ndim as axis k does, and codes every
+        array of a leading stack as it codes that array alone."""
+        k %= ndim
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(d) for d in rng.integers(1, 5, ndim))
+        xs = rng.standard_normal((stack, *shape)) * rng.uniform(0.01, 100.0)
+        rows = np.moveaxis(xs, k + 1, 0).reshape(shape[k], -1)
+        # clip ranges both narrower and wider than the data
+        ranges = [(float(r.min()) * f, float(r.max()) * f) for r, f in zip(rows, rng.uniform(0.5, 1.5, shape[k]))]
+        at_k = replace(channel_params(ranges, int(rng.integers(2, 17)), scheme, signed), axis=k)
+        from_end = replace(at_k, axis=k - ndim)
+
+        def coded(p, x):  # codes, reconstruction, fake
+            return (*p.encode(x), p.fake(x))
+
+        def same(a, b):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        stacked = coded(from_end, xs)
+        for i, x in enumerate(xs):
+            for got, at_axis_k, alone in zip(coded(from_end, x), coded(at_k, x), stacked):
+                same(got, at_axis_k)
+                same(alone[i], got)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
