@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .search import SearchSpace, _bin_scores, _codes_into, _near_winners, _sorted_sums, first_min, sq_error
+from .search import CHUNK_ELEMS, SearchSpace, _bin_scores, _codes_into, _near_winners, _sorted, _sq_terms, first_min
 from .tensor import TensorLike, _as_f64
 from .uniform import BITS, TINY, real, whole
 
@@ -199,11 +199,22 @@ def _reconstruct_into(num, region, p: DualRegionParams, scale: np.ndarray, out: 
     return np.multiply(_payloads_into(num, region, p, scale, out), scale, out=out)
 
 
+def _blocks_into(flat: np.ndarray, p: DualRegionParams, out: np.ndarray, score: bool = False, grad=None) -> np.ndarray:
+    """`fake_dual_region` of the 1-D `flat` into `out` (with `score`, its `sq_error` terms, weighted
+    by the 1-D `grad` if given), CHUNK_ELEMS elements at a time so that every temporary stays in
+    cache. Each element is coded alone: the bytes are those of a whole-array pass."""
+    for at in (slice(j, j + CHUNK_ELEMS) for j in range(0, flat.size, CHUNK_ELEMS)):
+        x, y = flat[at], out[at]
+        _reconstruct_into(_numerator(x, p.kind), _regions(x, p), p, np.empty_like(x), y)
+        if score:
+            _sq_terms(x, y, None if grad is None else grad[at])
+    return out
+
+
 def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     """Encode-then-decode reconstruction, shape preserved."""
     arr = _as_f64(x)
-    scale = np.empty_like(arr)
-    return _reconstruct_into(_numerator(arr, p.kind), _regions(arr, p), p, scale, np.empty_like(arr))
+    return _blocks_into(arr.reshape(-1), p, np.empty(arr.size)).reshape(arr.shape)
 
 
 def calibrate_dual_region(
@@ -244,7 +255,7 @@ def calibrate_dual_region(
             for m in range(1, bits + 1)
             if 2 ** (bits - 1) * scale_r2 * 2.0**-m < 1.0  # R1 boundary inside (0, 1)
         ]
-        k = first_min(_direct_scores(arr, g, kind, bits, candidates))
+        k = first_min(_direct_scores(arr, g, bits, candidates))
         if k < 0:
             raise InvalidArgument(f"no shift exponent scored below inf for bits={bits}: every error overflowed")
         return candidates[k]
@@ -268,23 +279,19 @@ def calibrate_dual_region(
     # cover_min no shift keeps R1 covering the negative range
     scales = space.scale_candidates(pos_max / vmax).tolist()
     candidates = [snapped(s) for s in scales if 0.0 < s < math.inf and s >= cover_min]
-    k = first_min(_direct_scores(arr, g, kind, bits, candidates))
+    k = first_min(_direct_scores(arr, g, bits, candidates))
     return candidates[k] if k >= 0 else initial
 
 
-def _direct_scores(arr: np.ndarray, g, kind: str, bits: int, candidates: list) -> np.ndarray:
-    """`sq_error` of every candidate `search._near_winners` keeps (2^(b-1)
-    levels in each of two regions), inf for the rest. The sorted copies
-    are freed before the reconstruction buffers are allocated."""
+def _direct_scores(arr: np.ndarray, g, bits: int, candidates: list) -> np.ndarray:
+    """`sq_error` of every candidate `search._near_winners` keeps (2^(b-1) levels in each of two regions),
+    inf for the rest: the mean of one buffer of `_blocks_into` terms, allocated after the sort is freed."""
     binned = lambda: _region_scores(arr, g, candidates)  # noqa: E731
-    keep = _near_winners(binned, arr.size, len(candidates), bits, g is not None)
-    num, scale, recon = _numerator(arr, kind), np.empty_like(arr), np.empty_like(arr)
-    scores, split = np.full(len(candidates), np.inf), None
+    keep = _near_winners(binned, arr.size, len(candidates), bits, g is not None, passes=2)
+    flat, grad, terms = arr.reshape(-1), None if g is None else g.reshape(-1), np.empty(arr.size)
+    scores = np.full(len(candidates), np.inf)
     for j in np.flatnonzero(keep):
-        p = candidates[j]
-        if p.split != split:  # the GeLU split does not move with the scales
-            split, region = p.split, _regions(arr, p)
-        scores[j] = sq_error(arr, _reconstruct_into(num, region, p, scale, recon), g)
+        scores[j] = _blocks_into(flat, candidates[j], terms, True, grad).mean()
     return scores
 
 
@@ -292,11 +299,11 @@ def _region_scores(arr: np.ndarray, g, candidates: list) -> tuple[np.ndarray, np
     """`search._bin_scores` of one kind's candidates, R1 plus R2: both are
     runs of the sorted samples, cut at each candidate's `split`. GeLU's R1
     is at the levels -vmax..0, softmax's at 0..vmax."""
-    sums = _sorted_sums(arr, g)
-    xs, vmax = sums[0], candidates[0].value_max
+    srt = _sorted(arr, g)
+    xs, vmax = srt[0], candidates[0].value_max
     r1, r2 = np.array([[p.scale_r1, p.scale_r2] for p in candidates]).T
     cut = np.searchsorted(xs, [p.split for p in candidates])
     lo = -vmax if candidates[0].kind == "gelu" else 0
-    low = _bin_scores(sums, 0, cut, r1, lo, lo + vmax)
-    high = _bin_scores(sums, cut, arr.size, r2, 0, vmax)
+    low = _bin_scores(srt, 0, cut, r1, lo, lo + vmax)
+    high = _bin_scores(srt, cut, arr.size, r2, 0, vmax)
     return low[0] + high[0], low[1] + high[1]

@@ -129,18 +129,20 @@ def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
     return np.multiply(_codes_into(num, scale, lo, hi, out), scale, out=out)
 
 
-def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1) -> bool:
+def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1, passes: int = 1) -> bool:
     """Whether sorting n elements and scoring 2^bits levels per candidate
     beats scoring each directly, `per_call` candidates to a call. In passes
-    over n (4 ns an element, 2 CPUs): a direct score n plus 5000 a call,
-    shared by the call's candidates; the sort 5n (15n with an argsort for
-    weights), a (candidate, level) cell 25, and about two rescored.
-    Sorted/direct time, 100 candidates, one asymmetric row of normals, a
-    `_chunks` run a call: 2.1 and 1.8 (8 bits) on 2,048 and 4,096; 1.3 on
-    8,192, where the model still sorts; 0.74 on 16,384 and 0.31 on 65,536;
-    1.9 (12 bits) on 65,536 and 0.62 on 262,144. Weighted 4-8 candidate
-    softmax, a candidate a call: 1.3-3.2."""
-    return (candidates - 2) * (n + 5000 / per_call) > (15 if weighted else 5) * n + (25 * candidates << bits)
+    over n (4 ns an element, 2 CPUs): a direct score `passes` n (2 for the
+    dual-region codec) plus 5000 a call, shared by the call's candidates;
+    the sort 5n (15n with an argsort for weights) plus 40,000, a (candidate,
+    level) cell 45, and about two rescored. Sorted/direct time, a row of 100
+    candidates, a `_chunks` run a call: 1.2, 0.8 (4 bits) on 512, 1,024; 1.3,
+    1.07, 0.67 (8 bits) on 8,192, 10,000, 16,384; 2.3, 0.8 (12 bits) on 65,536,
+    196,608. Dual region, 8 bits: 98 GeLU candidates, 0.9 on 2,048; 8 softmax
+    ones, 1.1 on 16,384 and 0.5 on 32,768, weighted 1.9 on 2,048; 4 bits, 4
+    softmax ones, 2.5 on 1,024 and 2.2 on 4,096."""
+    sort = (15 if weighted else 5) * n + 40_000 + (45 * candidates << bits)
+    return (candidates - 2) * (passes * n + 5000 / per_call) > sort
 
 
 def _gamma(n: int) -> float:
@@ -148,39 +150,35 @@ def _gamma(n: int) -> float:
     return n * U / (1 - n * U)
 
 
-def _sorted_sums(x: np.ndarray, grad: np.ndarray | None = None) -> tuple:
-    """(xs, p0, p1, p2, m1, wmax): `x` flattened and sorted, the prefix sums
-    [0, cumsum] of w, w*x and w*x*x (w = grad^2 in xs' order; without grad
-    w = 1 and p0 is None: counts are index differences), m1 = -min(p1)."""
+def _sorted(x: np.ndarray, grad: np.ndarray | None = None) -> tuple:
+    """(xs, w): `x` flattened and sorted, and w = grad^2 in that order (None without grad)."""
     flat = x.reshape(-1)
-    p0, p1, p2 = None, np.empty(flat.size + 1), np.empty(flat.size + 1)
     if grad is None:
-        xs = p1[1:] = np.sort(flat)
-    else:
-        order = np.argsort(flat)
-        xs, p0 = flat[order], np.empty(flat.size + 1)
-        np.square(np.take(grad.reshape(-1), order, out=p0[1:]), out=p0[1:])
-        np.multiply(p0[1:], xs, out=p1[1:])
-    np.multiply(p1[1:], xs, out=p2[1:])
-    wmax = 1.0 if p0 is None else float(p0[1:].max())
-    for p in (p for p in (p0, p1, p2) if p is not None):
-        p[0] = 0.0
-        np.cumsum(p[1:], out=p[1:])  # in place: no second array
-    return xs, p0, p1, p2, float(-p1.min()), wmax
+        return np.sort(flat), None
+    order = np.argsort(flat)
+    w = np.take(grad.reshape(-1), order)
+    return flat[order], np.square(w, out=w)
 
 
-def _bin_scores(sums: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _bin_scores(srt: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Sums A of w(fl(k*s) - x)^2 over xs[start:stop], k = clip(rint(x/s),
     lo, hi), one per candidate scale s, and bounds B >= |A - its share of n
-    * the direct score|, n = xs.size (a search's runs add up). `sums` is
-    `_sorted_sums`'; the rest are scalars or one value per candidate.
+    * the direct score|, n = xs.size (a search's runs add up). `srt` is
+    `_sorted`'s (xs, w); the rest are scalars or one value per candidate.
 
     Code k's bin is the run of xs that `searchsorted` cuts at (k+1/2)s, so
-    its sum is S2 - 2cS1 + c^2 S0: S are prefix differences and c = fl(k*s)
-    is what `_fake_into` rebuilds. With u = 2^-53, B covers
-    - the cumsums, each step off by gamma_1|P[i]|. P2 and P0 never fall and
-      |P1| <= max(|P1[b]|, m1) up to b, so a bin of n_k elements ending at
-      b_k adds gamma_1 n_k (P2[b_k] + 2|c|max(|P1[b_k]|, m1) + c^2 P0[b_k]);
+    its sum is S2 - 2cS1 + c^2 S0 (S2, S1, S0 sum w*x^2, w*x and w over it),
+    c = fl(k*s) as `_fake_into` rebuilds it. `reduceat` sums the terms over
+    the segments between all candidates' distinct cuts, and each S is a
+    difference of Q, one cumsum of the segment sums. With u = 2^-53, B covers
+    - the segment sums: a bin of n_k <= stop-start elements is a run of whole
+      segments, each summed in any order to within gamma_{n_k} of its sum of
+      |term|, and where c != 0 the bin's x all have k's sign: so at most
+      gamma_{stop-start} sum_k (S2 + |c|(|c|S0 + 2|S1|));
+    - the cumsum, each step off by gamma_1|Q[j]|. Q2 and Q0 never fall and
+      |Q1| <= max(|Q1[b]|, m1) up to b, m1 = -min(Q1), so a bin of m_k
+      segments ending at cut b_k adds gamma_1 m_k (Q2[b_k] + 2|c|max(|Q1[b_k]|,
+      m1) + c^2 Q0[b_k]), with no Q0 term without weights (counts are exact);
     - the products w, wx, wx^2 (gamma_3 sum w(|x|+|c|)^2, at most twice the
       magnitudes), each bin's arithmetic and the sum of the L bins:
       gamma_{L+11} sum_k (S2 + |c|(|c|S0 + 2|S1|));
@@ -193,38 +191,54 @@ def _bin_scores(sums: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np
     - the direct score's rounding and `_near_winners`' comparison:
       gamma_{n+8}(|A| + the rest).
     """
-    xs, p0, p1, p2, m1, wmax = sums
+    xs, w = srt
     scale = np.asarray(scale, dtype=np.float64)
     start, stop, lo, hi = (np.broadcast_to(v, scale.shape) for v in (start, stop, lo, hi))
     levels, size, kmax = int(hi[0] - lo[0]) + 1, stop - start, np.maximum(np.abs(lo), np.abs(hi))
-    step, approx = max(1, BIN_CELLS // levels), np.empty(scale.shape)
+    step, code = max(1, BIN_CELLS // levels), np.arange(levels)
+    chunks = [slice(j, j + step) for j in range(0, scale.size, step)]
+    idx = np.empty((scale.size, levels + 1), dtype=np.intp)  # every candidate's cuts
+    idx[:, 0], idx[:, -1] = start, stop
+    for at in chunks:
+        edges = np.searchsorted(xs, (lo[at, None] + (code[:-1] + 0.5)) * scale[at, None])
+        np.clip(edges, start[at, None], stop[at, None], out=idx[at, 1:-1])
+    mark, rank = np.zeros(xs.size + 1, dtype=bool), np.empty(xs.size + 1, dtype=np.int32)
+    mark[idx] = True  # the distinct cuts, and each cut's index among them: no sort
+    cut = np.flatnonzero(mark)
+    rank[cut] = np.arange(cut.size, dtype=np.int32)
+    pos, span, starts = rank[idx].astype(np.intp), slice(cut[0], cut[-1]), cut[:-1] - cut[0]
+    del mark, rank
+    x, q = xs[span], np.zeros((2 if w is None else 3, cut.size))  # Q1, Q2 and, with weights, Q0 at the cuts
+    terms = x if w is None else np.multiply(w[span], x)  # then w*x^2: one buffer besides xs and w
+    np.add.reduceat(terms, starts, out=q[0, 1:])
+    np.add.reduceat(np.square(x) if w is None else np.multiply(terms, x, out=terms), starts, out=q[1, 1:])
+    if w is not None:
+        np.add.reduceat(w[span], starts, out=q[2, 1:])
+    np.cumsum(q, axis=1, out=q)
+    m1, wmax, approx = float(-q[0].min()), 1.0 if w is None else float(w.max()), np.empty(scale.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         z = 4.0 * (size + levels) * (max(-xs[0], xs[-1]) + kmax * scale + 1.0) ** 2 * (wmax + 1.0)
         bound = 4 * U * (2 * kmax + 1) * scale**2 * size * wmax + 2.0**-1074 * z
-        for at in (slice(j, j + step) for j in range(0, scale.size, step)):
-            code, first, last = lo[at, None] + np.arange(levels), start[at, None], stop[at, None]
-            cut = np.clip(np.searchsorted(xs, (code[:, :-1] + 0.5) * scale[at, None]), first, last)
-            idx = np.concatenate([first, cut, last], axis=1)
-            q1, q2, n = p1[idx], p2[idx], np.diff(idx)
-            s1, s2, s0 = np.diff(q1), np.diff(q2), n if p0 is None else np.diff(p0[idx])
-            c = code * scale[at, None]
-            approx[at] = (s2 + c * (c * s0 - 2 * s1)).sum(axis=1)
-            c = np.abs(c)
-            drift = q2[:, 1:] + 2 * c * np.maximum(np.abs(q1[:, 1:]), m1)
-            drift += 0 if p0 is None else c * c * p0[idx[:, 1:]]
-            bound[at] += _gamma(2) * (n * drift).sum(axis=1)
-            bound[at] += _gamma(levels + 11) * (s2 + c * (c * s0 + 2 * np.abs(s1))).sum(axis=1)
+        for at in chunks:
+            q1, q2, *q0 = (r[pos[at]] for r in q)  # no Q0 without weights
+            s1, s2, s0 = np.diff(q1), np.diff(q2), np.diff(q0[0] if q0 else idx[at])
+            c = (lo[at, None] + code) * scale[at, None]
+            cc, cs1 = c * c, c * s1
+            approx[at] = (s2 + cc * s0 - 2 * cs1).sum(axis=1)
+            drift = q2[:, 1:] + 2 * np.abs(c) * np.maximum(np.abs(q1[:, 1:]), m1) + (cc * q0[0][:, 1:] if q0 else 0)
+            bound[at] += _gamma(2) * (np.diff(pos[at]) * drift).sum(axis=1)
+            bound[at] += (_gamma(levels + 11) + _gamma(size[at])) * (s2 + cc * s0 + 2 * np.abs(cs1)).sum(axis=1)
         bound += _gamma(xs.size + 8) * (np.abs(approx) + bound)
     return approx, np.where(np.isfinite(z), bound, np.inf)
 
 
-def _near_winners(scores, n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1) -> np.ndarray:
+def _near_winners(scores, n: int, candidates: int, bits: int, weighted: bool, per_call=1, passes=1) -> np.ndarray:
     """Mask of the candidates whose direct score may be the lowest. Where
     `_sorting_pays`, `scores()` gives `_bin_scores`' (A, B) over all n
     elements; with b = argmin(A), a candidate with A_j > A_b + B_b + B_j
     scores above b directly, so it cannot win `first_min`, ties included.
     Otherwise, or where anything is not finite, every candidate is kept."""
-    if _sorting_pays(n, candidates, bits, weighted, per_call):
+    if _sorting_pays(n, candidates, bits, weighted, per_call, passes):
         approx, bound = scores()
         if np.isfinite(approx).all() and np.isfinite(bound).all():
             b = np.argmin(approx)
@@ -277,7 +291,7 @@ def _row_search(
     # than 8 bits' 256 levels. A 16x16 weight: 1.7 ms, or 30 ms as 16 sorted one-row searches.
     if rows.shape[0] == 1:
         def binned():
-            return _bin_scores(_sorted_sums(rows), 0, rows.size, candidates[0], lower[0], upper[0])
+            return _bin_scores(_sorted(rows), 0, rows.size, candidates[0], lower[0], upper[0])
 
         keep = _near_winners(binned, rows.size, candidates.size, bits, False, _run_length(rows.size))
     # (candidate, row, 1) columns, so that a run of them broadcasts against the rows
@@ -325,14 +339,14 @@ def percentile_calibrate(
 ) -> QuantParams:
     """Clip at the p-th percentile and derive parameters from that range.
 
-    Symmetric uses percentile(|x|, p); asymmetric uses the
-    (percentile(x, 100-p), percentile(x, p)) window. p == 100 reproduces
-    plain min/max calibration bit-exactly. `p` must be a number (see
-    `uniform.real`: no bool or string).
+    Symmetric uses percentile(|x|, p), p in (0, 100]; asymmetric uses the
+    (percentile(x, 100-p), percentile(x, p)) window, p in (50, 100] (else it
+    is upside down or empty). p == 100 reproduces plain min/max calibration
+    bit-exactly. `p` must be a number (`uniform.real`: no bool or string).
     """
-    p = real("percentile", p)
-    if not 0.0 < p <= 100.0:
-        raise InvalidArgument(f"percentile must be in (0, 100], got {p}")
+    p, low = real("percentile", p), 50.0 if scheme == "asymmetric" else 0.0
+    if not low < p <= 100.0:
+        raise InvalidArgument(f"percentile must be in ({low:g}, 100] for the {scheme} scheme, got {p}")
     arr = _as_f64(samples)
     if scheme == "symmetric":
         clip = float(np.percentile(np.abs(arr), p))

@@ -319,6 +319,8 @@ class TestCalibrateQuantizeEvaluate:
             ({"scheme": "bogus"}, "scheme"),
             ({"signed": "yes"}, "signed"),
             ({"method": "percentile", "percentile": -5}, "percentile"),
+            ({"method": "percentile", "percentile": 30}, "percentile"),  # an upside-down window
+            ({"method": "percentile", "percentile": 50}, "percentile"),  # an empty one
             ({"kind": "outlier_groups", "max_iters": 0}, "max_iters"),
             ({"kind": "outlier_groups", "max_iters": "3"}, "max_iters"),
             ({"kind": "outlier_groups", "confidence_level": 1.5}, "confidence_level"),
@@ -344,6 +346,8 @@ class TestCalibrateQuantizeEvaluate:
             ({"kind": "outlier_groups", "confidence_level": 1.5}, "confidence_level must be in (0, 1), got 1.5"),
             ({"kind": "dual_region", "region": "softmax"}, "softmax samples must lie in [0, 1]"),
             ({"kind": "dual_region"}, "dual_region hooks need region: softmax|gelu"),
+            ({"method": "percentile", "percentile": 30},
+             "percentile must be in (50, 100] for the asymmetric scheme, got 30.0"),
         ],
     )
     def test_a_hook_error_names_the_hook(self, tmp_path, capsys, entry, message):

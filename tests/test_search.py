@@ -17,7 +17,7 @@ from ptqkit.search import (
     SearchSpace,
     _bin_scores,
     _fake_into,
-    _sorted_sums,
+    _sorted,
     alternating_matmul_search,
     channelwise_params,
     first_min,
@@ -283,26 +283,44 @@ def adversarial_rows(draw):
     return arr, bits, scheme, signed, space
 
 
-def prefix_sums_reverse_a_near_tie():
+def segment_sums_reverse_a_near_tie():
     """(values, t): a row on which a 3-bit signed symmetric search over
     SearchSpace(0.75, 1.5, 2) has the grid {t, 2t}, t = 1 + 3 * 2^-40, and
-    the sums A rank the loser first by more than the bound's other terms.
+    the sums A rank the loser first.
 
-    Both scales code the 20,000 values -4t exactly. The 2,000 values y, one
+    Both scales code the 40,000 values -4t exactly. The 1,000 values y, one
     ulp above the bin edge 2.5t, code to 3t at scale t and to 2t at scale 2t:
-    t is nearer by an ulp and wins directly. The prefix sum of the sorted
-    values runs from -80,000 to -75,000, where floats are 2^-36 apart, and
-    2.5t = 2.5 + 0.46875 * 2^-36: each y adds 2.5 to it, below the edge, so A
-    ranks 2t first by 2.7e-8. The cumsum term of B covers that; the rest of
-    the two bounds sums to 8.5e-9, and pruning on A alone keeps only 2t."""
+    t is nearer by an ulp and wins directly, by 8.9e-13 in the sums. The
+    distinct cuts are 0, 40,000 and 41,000, so the cumsum of the segment sums
+    of x takes one step, from -160,000 to -157,500, where floats are 2^-35
+    apart; it rounds the y segment's sum down by 1.1e-11. A's difference
+    moves by -2t times that, and A ranks 2t first by 2.2e-11."""
     t = 1.0 + 3 * 2.0**-40
     y = np.nextafter(2.5 * t, 3.0)
-    return np.concatenate([np.full(20_000, -4.0 * t), np.full(2_000, y)]), t
+    return np.concatenate([np.full(40_000, -4.0 * t), np.full(1_000, y)]), t
+
+
+def cumsum_reverses_a_weighted_near_tie():
+    """(values, grad): a weighted 10-bit signed symmetric search over the
+    scales {1, 2} (bounds -512..511) whose sums A rank the loser first by
+    more than all of B but its cumsum drift term.
+
+    2^16 zeros of weight 1 start the weight sum Q0 at 65,536, where floats
+    are 2^-36 apart. The 256 values y_j = 2j + 1/2 + 2^-20, each of weight
+    w = 9 * 2^-40, code to 2j + 1 at scale 1 and to 2j at scale 2: scale 1 is
+    nearer and wins directly, by 4e-15 in the sums. Each y_j is a segment of
+    its own, and each cumsum step adds 9/16 of an ulp to Q0, which rounds it
+    up by 7/16. S0 enters A times c^2, which differs by 4j + 1 between the
+    scales, so A ranks scale 2 first by 8.3e-7. The zeros code exactly and
+    add nothing to the other terms of B, which sum to 1.5e-7 over both."""
+    y = 2.0 * np.arange(256) + 0.5 + 2.0**-20
+    arr = np.concatenate([np.zeros(2**16), y])
+    return arr, np.concatenate([np.ones(2**16), np.full(y.size, 3 * 2.0**-20)])
 
 
 class TestSortedScoring:
-    """The one-row search scores candidates from sorted prefix sums and
-    rescores directly only those its error bounds cannot rule out."""
+    """The one-row search scores candidates from segment sums of the sorted
+    data and rescores directly only those its error bounds cannot rule out."""
 
     @settings(max_examples=300, deadline=None)
     @given(adversarial_rows())
@@ -327,7 +345,7 @@ class TestSortedScoring:
         lo = np.array([p.q_min - p.zero_point for p in params])
         hi = np.array([p.q_max - p.zero_point for p in params])
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            approx, bound = _bin_scores(_sorted_sums(arr), 0, arr.size, grid, lo, hi)
+            approx, bound = _bin_scores(_sorted(arr), 0, arr.size, grid, lo, hi)
             direct = np.array([sq_error(arr, _fake_into(arr, s, a, b, np.empty_like(arr))) for s, a, b in zip(grid, lo, hi)])
             gap = np.abs(approx - direct * arr.size)
         assert np.all(bound >= 0)
@@ -335,13 +353,24 @@ class TestSortedScoring:
         assert finite.all() or np.abs(arr).max() > 1e150  # only data near the float64 limit has no bound
         assert np.all(gap[finite] <= bound[finite])
 
-    def test_a_near_tie_that_the_prefix_sums_reverse_keeps_its_winner(self):
-        arr, t = prefix_sums_reverse_a_near_tie()
+    def test_a_near_tie_that_the_segment_sums_reverse_keeps_its_winner(self):
+        arr, t = segment_sums_reverse_a_near_tie()
         case = (arr, 3, "symmetric", True, SearchSpace(0.75, 1.5, 2))
-        approx, bound = _bin_scores(_sorted_sums(arr), 0, arr.size, np.array([t, 2 * t]), -4.0, 3.0)
-        assert 1e-8 < approx[0] - approx[1] < bound.min()
+        approx, bound = _bin_scores(_sorted(arr), 0, arr.size, np.array([t, 2 * t]), -4.0, 3.0)
+        assert 1e-11 < approx[0] - approx[1] < bound.min()
         with sorted_scoring():
             assert mse_grid_search(*case).scale == brute_force_best(*case).scale == t
+
+    def test_a_weighted_near_tie_that_the_cumsum_reverses_keeps_its_winner(self):
+        arr, grad = cumsum_reverses_a_weighted_near_tie()
+        scales, lo, hi = np.array([1.0, 2.0]), -512.0, 511.0
+        approx, bound = _bin_scores(_sorted(arr, grad), 0, arr.size, scales, lo, hi)
+        direct = np.array([sq_error(arr, _fake_into(arr, s, lo, hi, np.empty_like(arr)), grad) for s in scales])
+        assert direct[0] < direct[1] and approx[0] - approx[1] > 5e-7
+        with sorted_scoring():
+            keep = search._near_winners(lambda: (approx, bound), arr.size, scales.size, 10, True)
+        assert first_min(np.where(keep, direct, np.inf)) == first_min(direct) == 0
+        assert np.all(np.abs(approx - direct * arr.size) <= bound)
 
     def test_only_near_winners_are_rescored(self, monkeypatch):
         calls = []
@@ -385,6 +414,16 @@ class TestPercentileCalibrate:
             percentile_calibrate(np.ones(4), 8, 100.5)
         with pytest.raises(InvalidArgument, match="scheme"):  # not run as asymmetric
             percentile_calibrate(np.ones(4), 8, 99.0, "asymetric")
+
+    @pytest.mark.parametrize("p", [50.0, 30.0, 0.5])
+    def test_an_asymmetric_window_needs_p_above_50(self, p):
+        """Below 50 the window (percentile(100 - p), percentile(p)) is upside down, at 50 empty."""
+        arr = np.arange(10.0)
+        with pytest.raises(InvalidArgument, match=r"^percentile must be in \(50, 100\] for the asymmetric scheme, got "):
+            percentile_calibrate(arr, 8, p, "asymmetric")
+        assert percentile_calibrate(arr, 8, p, "symmetric") == make_params(
+            -np.percentile(arr, p), np.percentile(arr, p), 8, "symmetric"
+        )
 
     @pytest.mark.parametrize("p", ["x", "99", True, None])
     def test_percentile_is_a_number(self, p):
