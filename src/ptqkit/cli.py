@@ -32,7 +32,7 @@ from .outlier_groups import ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
 from .search import CHUNK_ELEMS, SearchSpace, mse_grid_search, percentile_calibrate
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import error_stats
+from .uniform import _error_stats, error_stats
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
@@ -66,11 +66,15 @@ def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
         files.insert(0, exact)
     if not files:
         raise QuantizationError(f"no dump files for hook {hook!r} in {dumps_dir}")
-    samples = [pio.read_dump(f) for f in files]
-    shapes = {s.shape for s in samples}
-    if len(shapes) > 1:
-        raise ShapeError(f"dumps for hook {hook!r} differ in shape: {sorted(shapes)}")
-    return np.stack([s.array for s in samples], dtype=np.float64)  # one float64 copy
+    for i, f in enumerate(files):  # one float64 copy, filled a dump at a time
+        arr = pio.read_dump(f).array
+        if i == 0:
+            stacked = np.empty((len(files), *arr.shape))
+        elif arr.shape != stacked.shape[1:]:
+            raise ShapeError(f"dumps for hook {hook!r} differ in shape: {sorted({stacked.shape[1:], arr.shape})}")
+        stacked[i] = arr
+        del arr  # freed before the next dump is read
+    return stacked
 
 
 def _calibrator(hook: str, spec, cfg: dict):
@@ -148,7 +152,7 @@ def _cmd_calibrate(args) -> int:
         for hook, calibrate in calibrators.items():
             stacked = _collect_samples(dumps_dir, hook)
             params = doc.hooks[hook] = calibrate(stacked)
-            reports[hook] = HookReport(*error_stats(stacked, params.fake(stacked)))
+            reports[hook] = HookReport(*_error_stats(stacked, params.fake(stacked)))
     except QuantizationError as exc:  # one line that names the hook first, unless it names it already
         if f"hook {hook!r}" in str(exc):
             raise

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,14 +70,21 @@ def _read_header(fh) -> tuple[int, tuple[int, ...]]:
     return dtype_tag, dims
 
 
-def _read_payload(fh, dims: tuple[int, ...], np_dtype) -> np.ndarray:
-    count = math.prod(dims) if dims else 1
-    payload = fh.read()
-    if len(payload) != 4 * count:
-        raise FormatError(
-            f"payload holds {len(payload)} bytes, dims {dims} require {4 * count}"
-        )
-    return np.frombuffer(payload, dtype=np_dtype).reshape(dims)
+def _read_payload(path, dtype_tag: int, np_dtype, what: str) -> np.ndarray:
+    """The payload of the dump at `path`, which must hold `what`, in a fresh array of its own: one
+    readinto, once the bytes left in the file match the dims, so a malformed header allocates nothing."""
+    with open(path, "rb") as fh:
+        tag, dims = _read_header(fh)
+        if tag != dtype_tag:
+            raise FormatError(f"expected {what}")
+        size = 4 * math.prod(dims)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
+            raise FormatError(f"payload holds {left} bytes, dims {dims} require {size}")
+        arr = np.empty(dims, np_dtype)
+        if fh.readinto(arr) != size:
+            raise FormatError("truncated file while reading payload")
+    return arr
 
 
 def write_dump(t: TensorLike, path) -> None:
@@ -90,11 +98,7 @@ def write_dump(t: TensorLike, path) -> None:
 
 
 def read_dump(path) -> Tensor:
-    with open(path, "rb") as fh:
-        dtype_tag, dims = _read_header(fh)
-        if dtype_tag != DTYPE_FLOAT32:
-            raise FormatError("expected a float32 dump")
-        return Tensor.from_array(_read_payload(fh, dims, "<f4"))
+    return Tensor._owning(_read_payload(path, DTYPE_FLOAT32, "<f4", "a float32 dump"))
 
 
 def write_code_dump(codes: np.ndarray, path) -> None:
@@ -107,11 +111,7 @@ def write_code_dump(codes: np.ndarray, path) -> None:
 
 
 def read_code_dump(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        dtype_tag, dims = _read_header(fh)
-        if dtype_tag != DTYPE_INT32:
-            raise FormatError("expected an int32 code dump")
-        return _read_payload(fh, dims, "<i4").copy()
+    return _read_payload(path, DTYPE_INT32, "<i4", "an int32 code dump")
 
 
 def quantizer_to_dict(params) -> dict:

@@ -190,8 +190,10 @@ def grouped_dequantize(group: int, code: int, p: GroupedQuantParams) -> float:
 def _by_group(arr: np.ndarray, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
     """The int32 group indices (the vectorized group_index) over the codes of the flattened `arr`, and
     the reconstruction (code - z) * s in `arr`'s shape, each element coded at its group's parameters."""
-    flat = arr.reshape(-1)
-    idx = np.searchsorted(p.thresholds, np.abs(flat), side="left").astype(np.int32)
+    flat, idx = arr.reshape(-1), np.zeros(arr.size, np.int32)
+    magnitudes = np.abs(flat)
+    for upper in p.thresholds[:-1]:  # an element's group: how many finite thresholds lie below its |x|
+        idx += magnitudes > upper
     tables = np.array([(g.params.scale, g.params.zero_point, g.params.q_min, g.params.q_max) for g in p.groups]).T
     # a parameter all groups share stays a scalar; mode="clip" skips a bounds check the inf threshold makes moot
     scale, zp, q_min, q_max = (np.take(t, idx, mode="clip") if len(set(t)) > 1 else t[0] for t in tables)

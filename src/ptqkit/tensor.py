@@ -32,6 +32,17 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        self._keep(np.array(self.data, dtype=np.float32, copy=True).reshape(-1))
+
+    @classmethod
+    def _owning(cls, arr: np.ndarray) -> "Tensor":
+        """A Tensor that keeps the float32 `arr`, which nothing else may hold, rather than a copy of it."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", arr.shape)
+        t._keep(arr.reshape(-1))
+        return t
+
+    def _keep(self, data: np.ndarray) -> None:
         shape = tuple(int(d) for d in self.shape)
         if len(shape) > MAX_RANK:
             raise InvalidArgument(f"rank {len(shape)} exceeds supported maximum {MAX_RANK}")
@@ -39,14 +50,13 @@ class Tensor:
             raise EmptyInput(f"tensor has no elements, shape {shape}")
         if any(d < 0 for d in shape):
             raise InvalidArgument(f"dimensions must be positive, got {shape}")
-        data = np.array(self.data, dtype=np.float32, copy=True).reshape(-1)
         if data.size == 0:
             raise EmptyInput("tensor has no elements")
         if data.size != math.prod(shape):
             raise InvalidArgument(
                 f"shape {shape} implies {math.prod(shape)} elements, got {data.size}"
             )
-        if not np.all(np.isfinite(data)):
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):  # NaN reaches both, no full-size mask
             raise InvalidArgument("tensor contains NaN or Inf")
         data.flags.writeable = False
         object.__setattr__(self, "shape", shape)

@@ -29,7 +29,7 @@ from .outlier_groups import DEFAULT_MAX_ITERS, GroupedQuantParams, ThresholdStra
 from .report import CalibrationReport, HookReport
 from .search import DEFAULT_ROUNDS, SearchSpace, alternating_matmul_search, channelwise_params, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import BNParams, QuantParams, error_stats, fold_batchnorm, make_params, whole
+from .uniform import BNParams, QuantParams, _error_stats, fold_batchnorm, make_params, whole
 
 # Hook names in forward order. `attn.scores` and `attn.out` anchor the
 # matmul gradient dumps and are never themselves quantized.
@@ -423,16 +423,16 @@ def run_pipeline(
         )
 
     hook_reports = {
-        name: HookReport(*error_stats(acts[name], quantizer.fake(acts[name])))
+        name: HookReport(*_error_stats(acts[name], quantizer.fake(acts[name])))
         for name, quantizer in plan.hooks.items()
     }
     weight_reports = {
-        name: HookReport(*error_stats(arr, plan.weight_params[name].fake(arr)))
+        name: HookReport(*_error_stats(arr, plan.weight_params[name].fake(arr)))
         for name, arr in weight_arrays.items()
     }
 
     # (mse, sqnr_db, cosine) of each input's quantized output against its traced one
-    out = [error_stats(a, b) for a, b in zip(fp.output, forward(xs, w, plan=plan)[0])]
+    out = [_error_stats(a, b) for a, b in zip(fp.output, forward(xs, w, plan=plan)[0])]
 
     report = CalibrationReport(
         hooks=hook_reports,

@@ -254,25 +254,20 @@ def dequantize(q: QuantizedTensor) -> Tensor:
 
 
 def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float, float]:
-    """(mse, sqnr_db, cosine) between a reference signal and its approximation.
+    """(mse, sqnr_db, cosine) between a reference signal and its approximation; neither is written to.
 
     Zero reconstruction error reports sqnr_db as +inf; cosine of two zero
     vectors is defined as 1.0, and 0.0 when exactly one side is zero.
     """
-    a, b = np.asarray(reference, dtype=np.float64), np.asarray(approx, dtype=np.float64)
+    return _error_stats(reference, np.array(approx, dtype=np.float64))
+
+
+def _error_stats(reference: np.ndarray, spent: np.ndarray) -> tuple[float, float, float]:
+    """`error_stats`, squaring into `spent`: a fresh approximation, which nothing reads after this call."""
+    a, b = np.asarray(reference, dtype=np.float64), np.asarray(spent, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
-    buf = np.square(a)  # the one full-size temporary: a**2, then (a - b)**2
-    signal = float(np.sum(buf))
-    noise = float(np.sum(np.square(np.subtract(a, b, out=buf), out=buf)))
-    mse = noise / a.size  # np.mean's sum and divide, so the same bits
-    if noise == 0.0:
-        sqnr = math.inf
-    elif signal == 0.0:
-        sqnr = -math.inf
-    else:
-        sqnr = 10.0 * math.log10(signal / noise)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 and nb == 0.0:
@@ -281,6 +276,15 @@ def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float
         cosine = 0.0
     else:
         cosine = float(np.dot(a, b) / (na * nb))
+    noise = float(np.sum(np.square(np.subtract(a, b, out=b), out=b)))
+    signal = float(np.sum(np.square(a, out=b)))
+    mse = noise / a.size  # np.mean's sum and divide, so the same bits
+    if noise == 0.0:
+        sqnr = math.inf
+    elif signal == 0.0:
+        sqnr = -math.inf
+    else:
+        sqnr = 10.0 * math.log10(signal / noise)
     return mse, sqnr, cosine
 
 

@@ -1,10 +1,13 @@
 import json
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ptqkit.cli import main
 from ptqkit.dual_region import DualRegionParams
 from ptqkit.errors import FormatError, InvalidArgument, QuantizationError
 from ptqkit.generate import synth
@@ -127,6 +130,54 @@ class TestDumpFormat:
         write_dump(Tensor.from_array([1.0, 2.0]), path)
         with pytest.raises(FormatError, match="expected an int32 code dump"):
             read_code_dump(path)
+
+    @pytest.mark.parametrize(
+        "dims, tail",
+        [((4, 2**32 - 1), b""), ((2**20, 2**20, 2**10), b""), ((2, 3), b"\0" * 4)],
+        ids=["past-numpy-dims", "past-memory", "trailing-bytes"],
+    )
+    def test_malformed_payload_is_one_format_error(self, tmp_path, capsys, dims, tail):
+        """A header claiming more than the file holds is rejected before anything is allocated,
+        and 4 bytes past a valid payload are rejected too: through `evaluate`, one error line."""
+        path = tmp_path / "t.dump"
+        write_dump(np.ones((2, 3), dtype=np.float32), path)
+        header = b"PTQ4" + bytes([1, 0, 0, len(dims)]) + b"".join(d.to_bytes(4, "little") for d in dims)
+        path.write_bytes(header + path.read_bytes()[16:] + tail)
+        message = f"payload holds {24 + len(tail)} bytes, dims {dims} require {4 * math.prod(dims)}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read_dump(path)
+        assert main(["evaluate", "--a", str(path), "--b", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_read_dump_is_read_only(self, tmp_path):
+        write_dump(Tensor.from_array([1.0, 2.0]), tmp_path / "t.dump")
+        t = read_dump(tmp_path / "t.dump")
+        with pytest.raises(ValueError):
+            t.data[0] = 5.0
+        with pytest.raises(ValueError):
+            t.array[0] = 5.0
+
+    def test_read_code_dump_is_a_writeable_array_of_its_own(self, tmp_path):
+        write_code_dump(np.arange(6, dtype=np.int32).reshape(2, 3), tmp_path / "c.dump")
+        codes = read_code_dump(tmp_path / "c.dump")
+        assert codes.flags.writeable and codes.flags.owndata
+        codes[0, 0] = 7
+        assert codes.tolist() == [[7, 1, 2], [3, 4, 5]]
+
+    def test_traced_peak_of_reading_a_gelu_dump(self, tmp_path):
+        """The payload is read once, into the array the Tensor keeps: reading a 256x3072 GeLU
+        dump peaks at its 3.15 MB payload and little more. Reading the bytes, then copying them
+        into the Tensor, peaked at 7.1 MB."""
+        path = tmp_path / "g.dump"
+        write_dump(synth("gelu", (256, 3072), 0), path)
+        tracemalloc.start()
+        try:
+            t = read_dump(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.shape == (256, 3072)
+        assert peak < 1.25 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def _mutations(node):

@@ -14,6 +14,7 @@ from ptqkit.outlier_groups import (
     ThresholdStrategy,
     _threshold_info,
     calibrate_grouped,
+    encode_grouped,
     fake_grouped,
     group_index,
     grouped_dequantize,
@@ -313,6 +314,19 @@ class TestCodec:
         groups, codes = params.encode(x)[0]
         got = [grouped_dequantize(int(g), int(c), params) for g, c in zip(groups, codes)]
         assert np.array(got).tobytes() == params.fake(x).tobytes()
+
+    @pytest.mark.parametrize("uppers", [(), (1.5,), (0.25, 2.0, 7.0)])
+    def test_vectorized_group_equals_group_index_at_the_edges(self, uppers):
+        """Counting the thresholds below |x| gives searchsorted's group at 0, at exactly +-each
+        threshold, beside it and between thresholds, for 1, 2 and 4 groups."""
+        qp = make_params(-1.0, 1.0, 8)
+        params = GroupedQuantParams(8, tuple(QuantGroup(u, qp) for u in (*uppers, math.inf)), max_iters=3)
+        edges = [0.0] + [v for u in uppers for v in (np.nextafter(u, 0.0), u, np.nextafter(u, math.inf))]
+        edges += [(a + b) / 2 for a, b in zip((0.0, *uppers), (*uppers, 2 * max(uppers, default=1.0)))]
+        x = np.array(edges + [-v for v in edges])
+        groups = encode_grouped(x, params)[0]
+        assert groups.tolist() == [group_index(float(v), params) for v in x]
+        assert set(groups.tolist()) == set(range(len(params.groups)))
 
 
 class TestDominance:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -394,6 +395,27 @@ class TestQuantError:
         norms = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
         want = (noise / n, 10.0 * math.log10(signal / noise), float(np.dot(a, b) / norms))
         assert np.float64(error_stats(a, b)).tobytes() == np.float64(want).tobytes()
+
+    def test_callers_arrays_are_left_as_they_were(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((64, 48))
+        b = a + rng.standard_normal((64, 48)) * 0.01
+        before = a.tobytes(), b.tobytes()
+        error_stats(a, b)
+        assert (a.tobytes(), b.tobytes()) == before
+
+    def test_traced_peak_of_two_float32_dumps(self):
+        """The statistics are taken in the float64 copies of float32 inputs, so two 256x3072 arrays
+        peak at those two copies and little more. A buffer beside them peaked at 3 copies."""
+        a = synth("gelu", (256, 3072), 0).array
+        b = a + np.float32(0.01)
+        tracemalloc.start()
+        try:
+            error_stats(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 8 * a.size, f"traced peak {peak / (8 * a.size):.2f} x one float64 copy"
 
     def test_same_values_in_another_shape_is_a_shape_error(self):
         values = np.arange(32.0)
