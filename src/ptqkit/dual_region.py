@@ -10,6 +10,10 @@ values below the R1 boundary go to R1 (the overlap resolves to the finer
 scale). Softmax codes max(x, 0): a negative value, which softmax never
 makes, is coded as 0. GeLU regions split at zero: negatives store
 magnitudes in R1, non-negatives (including 0) go to R2.
+
+`fake`, `encode` and the search's rescoring run the piecewise-uniform codec
+`search._pieces_into`, the one the outlier groups run: the two regions are
+its pieces, each with its own scale, zero point 0 and codes 0..2^(b-1)-1.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .search import CHUNK_ELEMS, SearchSpace, _bin_scores, _codes_into, _near_winners, _sorted, _sq_terms, first_min
+from .search import SearchSpace, _bin_scores, _near_winners, _pieces_into, _sorted, first_min
 from .tensor import TensorLike, _as_f64
 from .uniform import BITS, TINY, real, whole
 
@@ -88,12 +92,20 @@ class DualRegionParams:
 
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
         """(words, reconstruction) of `arr` from one coding pass, shape preserved: `encode_tensor`'s
-        words, packed from the payloads (finite where a huge scale_r2 overflows), and `fake`'s values."""
+        words, packed from the codes (finite where a huge scale_r2 overflows), and `fake`'s values."""
         arr = _as_f64(arr)
-        region, scale = _regions(arr, self), np.empty_like(arr)
-        payload = _payloads_into(_numerator(arr, self.kind), region, self, scale, np.empty_like(arr))
-        words = np.multiply(region, 2 ** (self.bits - 1), dtype=np.int32) + payload.astype(np.int32)
-        return words, np.multiply(payload, scale, out=payload)
+        codes = np.empty((2, arr.size), np.int32)
+        recon = _pieces_into(arr.reshape(-1), *self._pieces(), np.empty(arr.size), codes)
+        words = codes[0] * 2 ** (self.bits - 1) + codes[1]
+        return words.reshape(arr.shape), recon.reshape(arr.shape)
+
+    def _pieces(self):
+        """`search._pieces_into`'s rule and table: region R2 holds x >= split, and each region codes
+        0..value_max with zero point 0. GeLU's R1 scale is -scale_r1: dividing a negative element
+        by it gives the stored magnitude, and multiplying the code by it restores the sign. The
+        bound 0 codes a negative softmax value, which softmax never makes, as 0."""
+        split, r1 = self.split, -self.scale_r1 if self.kind == "gelu" else self.scale_r1
+        return (lambda x: x >= split), ((r1, 0, 0, self.value_max), (self.scale_r2, 0, 0, self.value_max))
 
 
 @dataclass(frozen=True)
@@ -143,15 +155,10 @@ def unpack_code(word: int, bits: int) -> DualRegionCode:
     return DualRegionCode(region=word >> (bits - 1), value=word & (half - 1))
 
 
-def _regions(arr: np.ndarray, p: DualRegionParams) -> np.ndarray:
-    """Region index per element (0 = R1, 1 = R2), the vectorized assign_region."""
-    return (arr >= p.split).astype(np.intp)
-
-
 def encode_tensor(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     """Vectorized pack of every element into b-bit words (int32)."""
     arr = _as_f64(x)
-    region = _regions(arr, p)
+    region = (arr >= p.split).astype(np.intp)
     scale = np.where(region == 1, p.scale_r2, p.scale_r1)
     magnitude = np.maximum(arr, 0.0) if p.kind == "softmax" else np.abs(arr)
     value = np.clip(np.rint(magnitude / scale), 0, p.value_max).astype(np.int32)
@@ -172,49 +179,10 @@ def decode_tensor(words: np.ndarray, p: DualRegionParams) -> np.ndarray:
     return magnitude
 
 
-def _numerator(arr: np.ndarray, kind: str) -> np.ndarray:
-    """What `_reconstruct_into` divides by the region scale.
-
-    Softmax codes store max(x, 0). GeLU's R1 scale carries the sign
-    instead, so x itself is divided. Adding 0.0 first turns -0.0 into +0.0,
-    whichever zero np.maximum returns, so it codes and rebuilds as +0.0.
-    """
-    num = arr + 0.0
-    return np.maximum(num, 0.0, out=num) if kind == "softmax" else num
-
-
-def _payloads_into(num, region, p: DualRegionParams, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The float payload of every element into `out` and its signed region scale into `scale`,
-    buffers of x's shape (`num` is `_numerator(x)`, `region` is `_regions(x)`). GeLU's R1 scale
-    is -scale_r1: dividing a negative element by it gives the stored magnitude and multiplying
-    the payload by it restores the sign."""
-    r1 = -p.scale_r1 if p.kind == "gelu" else p.scale_r1
-    # region holds only 0 and 1; mode="clip" spares take() its buffered bounds check
-    np.take(np.array([r1, p.scale_r2]), region, out=scale, mode="clip")
-    return _codes_into(num, scale, 0, p.value_max, out)
-
-
-def _reconstruct_into(num, region, p: DualRegionParams, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """decode_tensor(encode_tensor(x)) in float64 into `out`: no int words are built."""
-    return np.multiply(_payloads_into(num, region, p, scale, out), scale, out=out)
-
-
-def _blocks_into(flat: np.ndarray, p: DualRegionParams, out: np.ndarray, score: bool = False, grad=None) -> np.ndarray:
-    """`fake_dual_region` of the 1-D `flat` into `out` (with `score`, its `sq_error` terms, weighted
-    by the 1-D `grad` if given), CHUNK_ELEMS elements at a time so that every temporary stays in
-    cache. Each element is coded alone: the bytes are those of a whole-array pass."""
-    for at in (slice(j, j + CHUNK_ELEMS) for j in range(0, flat.size, CHUNK_ELEMS)):
-        x, y = flat[at], out[at]
-        _reconstruct_into(_numerator(x, p.kind), _regions(x, p), p, np.empty_like(x), y)
-        if score:
-            _sq_terms(x, y, None if grad is None else grad[at])
-    return out
-
-
 def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     """Encode-then-decode reconstruction, shape preserved."""
     arr = _as_f64(x)
-    return _blocks_into(arr.reshape(-1), p, np.empty(arr.size)).reshape(arr.shape)
+    return _pieces_into(arr.reshape(-1), *p._pieces(), np.empty(arr.size)).reshape(arr.shape)
 
 
 def calibrate_dual_region(
@@ -285,13 +253,13 @@ def calibrate_dual_region(
 
 def _direct_scores(arr: np.ndarray, g, bits: int, candidates: list) -> np.ndarray:
     """`sq_error` of every candidate `search._near_winners` keeps (2^(b-1) levels in each of two regions),
-    inf for the rest: the mean of one buffer of `_blocks_into` terms, allocated after the sort is freed."""
+    inf for the rest: the mean of one buffer of `_pieces_into` terms, allocated after the sort is freed."""
     binned = lambda: _region_scores(arr, g, candidates)  # noqa: E731
     keep = _near_winners(binned, arr.size, len(candidates), bits, g is not None, passes=2)
     flat, grad, terms = arr.reshape(-1), None if g is None else g.reshape(-1), np.empty(arr.size)
     scores = np.full(len(candidates), np.inf)
     for j in np.flatnonzero(keep):
-        scores[j] = _blocks_into(flat, candidates[j], terms, True, grad).mean()
+        scores[j] = _pieces_into(flat, *candidates[j]._pieces(), terms, score=True, grad=grad).mean()
     return scores
 
 

@@ -6,6 +6,8 @@ outliers until none remain or the iteration cap is hit. The result is an
 ordered list of (upper-threshold, params) groups; at quantization time a
 value lands in the first group whose threshold covers its magnitude, so
 large outliers keep their own precise scale instead of being clipped.
+The groups are the pieces of `search._pieces_into`, the piecewise-uniform
+codec the dual-region quantizer runs too.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidArgument
-from .search import SearchSpace, mse_grid_search
+from .search import SearchSpace, _pieces_into, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import BITS, QuantParams, _code, dequantize_array, quantize_array, real, whole
+from .uniform import BITS, QuantParams, dequantize_array, quantize_array, real, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -121,9 +123,24 @@ class GroupedQuantParams:
         return fake_grouped(arr, self)
 
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
-        """(codes, reconstruction) of `arr` from one coding pass: a (2, n) array of
+        """(codes, reconstruction) of `arr` from one coding pass: a (2, n) int32 array of
         group indices over codes of the flattened `arr`, and `fake`'s values."""
-        return _by_group(_as_f64(arr), self)
+        arr = _as_f64(arr)
+        codes = np.empty((2, arr.size), np.int32)
+        return codes, _pieces_into(arr.reshape(-1), *self._pieces(), np.empty(arr.size), codes).reshape(arr.shape)
+
+    def _pieces(self):
+        """`search._pieces_into`'s rule and table: an element's group is the number of finite
+        thresholds below its |x| (the vectorized `group_index`), coded at the group's parameters."""
+        uppers = self.thresholds[:-1]
+
+        def group(x: np.ndarray) -> np.ndarray:
+            magnitudes, idx = np.abs(x), np.zeros(x.size, np.intp)
+            for upper in uppers:
+                idx += magnitudes > upper
+            return idx
+
+        return group, [(g.params.scale, g.params.zero_point, g.params.q_min, g.params.q_max) for g in self.groups]
 
 
 def calibrate_grouped(
@@ -187,25 +204,12 @@ def grouped_dequantize(group: int, code: int, p: GroupedQuantParams) -> float:
     return float(dequantize_array(np.asarray([code]), p.groups[group].params)[0])
 
 
-def _by_group(arr: np.ndarray, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
-    """The int32 group indices (the vectorized group_index) over the codes of the flattened `arr`, and
-    the reconstruction (code - z) * s in `arr`'s shape, each element coded at its group's parameters."""
-    flat, idx = arr.reshape(-1), np.zeros(arr.size, np.int32)
-    magnitudes = np.abs(flat)
-    for upper in p.thresholds[:-1]:  # an element's group: how many finite thresholds lie below its |x|
-        idx += magnitudes > upper
-    tables = np.array([(g.params.scale, g.params.zero_point, g.params.q_min, g.params.q_max) for g in p.groups]).T
-    # a parameter all groups share stays a scalar; mode="clip" skips a bounds check the inf threshold makes moot
-    scale, zp, q_min, q_max = (np.take(t, idx, mode="clip") if len(set(t)) > 1 else t[0] for t in tables)
-    codes = _code(flat, scale, zp, q_min, q_max)
-    return np.stack((idx, codes)), ((codes - zp) * scale).reshape(arr.shape)
-
-
 def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (group indices, codes) for a tensor."""
-    return tuple(_by_group(_as_f64(x), p)[0])
+    return tuple(p.encode(x)[0])
 
 
 def fake_grouped(x: TensorLike, p: GroupedQuantParams) -> np.ndarray:
     """Group-wise quantize-then-dequantize reconstruction, shape preserved."""
-    return _by_group(_as_f64(x), p)[1]
+    arr = _as_f64(x)
+    return _pieces_into(arr.reshape(-1), *p._pieces(), np.empty(arr.size)).reshape(arr.shape)

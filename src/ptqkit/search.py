@@ -115,18 +115,42 @@ def _chunks(candidates: np.ndarray, *likes: np.ndarray):
         yield run, *(b[: run.size] for b in bufs)
 
 
-def _codes_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
-    """The float codes clip(rint(num / scale), lo, hi) into `out`."""
-    np.divide(num, scale, out=out)
-    return np.clip(np.rint(out, out=out), lo, hi, out=out)
-
-
 def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
-    """`_codes_into` times scale into `out`, the reconstruction every search
-    scores. With a zero point z folded into the bounds (lo = q_min - z,
-    hi = q_max - z) it is `fake_quant_array` up to the sign of a zero, as
-    clip(r + z, q_min, q_max) - z is clip(r, lo, hi) for whole r."""
-    return np.multiply(_codes_into(num, scale, lo, hi, out), scale, out=out)
+    """clip(rint(num / scale), lo, hi) * scale into `out`, the reconstruction
+    every search scores. With a zero point z folded into the bounds (lo =
+    q_min - z, hi = q_max - z) it is `fake_quant_array` up to the sign of a
+    zero, as clip(r + z, q_min, q_max) - z is clip(r, lo, hi) for whole r."""
+    np.divide(num, scale, out=out)
+    np.clip(np.rint(out, out=out), lo, hi, out=out)
+    return np.multiply(out, scale, out=out)
+
+
+def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None, score=False, grad=None) -> np.ndarray:
+    """The piecewise-uniform codec of the 1-D `flat` into `out`, CHUNK_ELEMS elements at a time so
+    that every temporary stays in cache. `piece_of(x)` gives each element's piece index, and the
+    i-th tuple of `table` holds piece i's (scale s, zero point z, q_min, q_max); a column that
+    every piece shares stays a scalar. An element codes as clip(rint(x / s) + z, q_min, q_max),
+    the IEEE steps of `quantize_array` (adding z turns a -0.0 code into +0.0), and rebuilds as
+    (code - z) * s, those of `dequantize_array`. Each element is coded alone, so the bytes are
+    those of a whole-array pass. A (2, n) int32 `codes` gets the piece indices over the codes;
+    with `score`, `out` gets the `sq_error` terms (weighted by the 1-D `grad` if given) in place
+    of the reconstruction."""
+    cols = [c[0] if len(set(c)) == 1 else np.array(c, dtype=np.float64) for c in zip(*table)]
+    for j in range(0, flat.size, CHUNK_ELEMS):
+        at = slice(j, j + CHUNK_ELEMS)
+        x, y = flat[at], out[at]
+        piece = piece_of(x)
+        # mode="clip" spares take() its bounds check: every piece index is a row of the table
+        s, z, lo, hi = (np.take(c, piece, mode="clip") if isinstance(c, np.ndarray) else c for c in cols)
+        np.add(np.rint(np.divide(x, s, out=y), out=y), z, out=y)
+        np.clip(y, lo, hi, out=y)
+        if codes is not None:
+            codes[0, at], codes[1, at] = piece, y
+        np.multiply(np.subtract(y, z, out=y), s, out=y)
+        if score:
+            _sq_terms(x, y, None if grad is None else grad[at])
+        del piece, s, z, lo, hi  # before the next block's rule allocates
+    return out
 
 
 def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1, passes: int = 1) -> bool:

@@ -220,15 +220,11 @@ def _scale_zp(arr: np.ndarray, p: QuantParams) -> tuple[np.ndarray, np.ndarray]:
     return p.scale.reshape(shape), p.zero_point.astype(np.float64).reshape(shape)
 
 
-def _code(arr: np.ndarray, scale, zp, q_min, q_max) -> np.ndarray:
-    """The uniform code step: clip(rint(arr / scale) + zp, q_min, q_max) as int32, parameters broadcast."""
-    return np.clip(np.rint(arr / scale) + zp, q_min, q_max).astype(np.int32)
-
-
 def quantize_array(arr: np.ndarray, p: QuantParams) -> np.ndarray:
     """Integer codes for a float array (int32, clamped to [q_min, q_max])."""
     arr = np.asarray(arr, dtype=np.float64)
-    return _code(arr, *_scale_zp(arr, p), p.q_min, p.q_max)
+    scale, zp = _scale_zp(arr, p)
+    return np.clip(np.rint(arr / scale) + zp, p.q_min, p.q_max).astype(np.int32)
 
 
 def dequantize_array(codes: np.ndarray, p: QuantParams) -> np.ndarray:

@@ -535,7 +535,7 @@ class TestQuantizeCodesOnce:
     def test_grouped_hook_assigns_groups_once(self, tmp_path, capsys, dump, monkeypatch):
         x = read_dump(dump).array.astype(np.float64)
         params = calibrate_grouped(x, 6)
-        calls = self.counted(monkeypatch, outlier_groups, "_by_group")
+        calls = self.counted(monkeypatch, outlier_groups, "_pieces_into")
         recon, codes = self.quantize(tmp_path, capsys, dump, params)
         assert len(calls) == 1  # 2 when quantize called fake and then encode
         assert np.array_equal(codes, np.stack(outlier_groups.encode_grouped(x, params)))

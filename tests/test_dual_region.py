@@ -605,9 +605,9 @@ class TestSortedScoring:
         assert [p.fake(arr)[0] for p in candidates] == [0.0, 0.0]
 
     def test_gelu_search_rescores_only_near_winners(self, monkeypatch):
-        rescored = set()  # the candidates whose blocks are reconstructed, one call a block
-        real = dual_region._reconstruct_into
-        monkeypatch.setattr(dual_region, "_reconstruct_into", lambda *args: rescored.add(args[2]) or real(*args))
+        rescored = set()  # the candidates whose table the piece codec reads, one call a rescoring
+        real = DualRegionParams._pieces
+        monkeypatch.setattr(DualRegionParams, "_pieces", lambda p: rescored.add(p) or real(p))
         arr = synth("gelu", (256, 3072), seed=0).array
         calibrate_dual_region(arr, "gelu", 8)
         assert 1 <= len(rescored) <= 5
