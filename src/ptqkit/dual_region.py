@@ -116,30 +116,6 @@ class DualRegionCode:
     value: int
 
 
-def assign_region(x: float, p: DualRegionParams) -> int:
-    """0 for R1, 1 for R2. Softmax sends x < boundary to R1; GeLU sends
-    negatives to R1 and everything >= 0 (zero included) to R2."""
-    if p.kind == "softmax":
-        return 0 if x < p.boundary else 1
-    return 0 if x < 0.0 else 1
-
-
-def dual_region_quantize(x: float, p: DualRegionParams) -> DualRegionCode:
-    region = assign_region(x, p)
-    scale = p.scale_r1 if region == 0 else p.scale_r2
-    magnitude = max(x, 0.0) if p.kind == "softmax" else abs(x)
-    value = int(np.clip(np.rint(magnitude / scale), 0, p.value_max))
-    return DualRegionCode(region=region, value=value)
-
-
-def dual_region_dequantize(code: DualRegionCode, p: DualRegionParams) -> float:
-    scale = p.scale_r1 if code.region == 0 else p.scale_r2
-    magnitude = code.value * scale
-    if p.kind == "gelu" and code.region == 0:
-        return -magnitude
-    return magnitude
-
-
 def pack_code(code: DualRegionCode, bits: int) -> int:
     """Pack (region, value) into one b-bit word: region in the top bit."""
     half = 2 ** (bits - 1)

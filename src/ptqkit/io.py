@@ -40,10 +40,11 @@ PARAMS_FORMAT = "ptqkit-params"
 PARAMS_VERSION = 1
 
 
-def _write_header(fh, dtype_tag: int, shape: tuple[int, ...]) -> None:
-    fh.write(MAGIC)
-    fh.write(struct.pack("<HBB", VERSION, dtype_tag, len(shape)))
-    fh.write(struct.pack(f"<{len(shape)}I", *shape))
+def _write(path, dtype_tag: int, arr: np.ndarray, fmt: str) -> None:
+    """`arr` as a dump at `path`: the header, then the payload as `fmt` values in row-major order."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack(f"<HBB{arr.ndim}I", VERSION, dtype_tag, arr.ndim, *arr.shape))
+        fh.write(np.ascontiguousarray(arr, fmt))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -92,9 +93,7 @@ def write_dump(t: TensorLike, path) -> None:
     arr = np.asarray(t.array if isinstance(t, Tensor) else t, dtype=np.float32)
     if arr.ndim > MAX_RANK or arr.size == 0 or not np.isfinite(arr).all():
         as_tensor(arr)  # raises the Tensor's error
-    with open(path, "wb") as fh:
-        _write_header(fh, DTYPE_FLOAT32, arr.shape)
-        fh.write(np.ascontiguousarray(arr, "<f4"))
+    _write(path, DTYPE_FLOAT32, arr, "<f4")
 
 
 def read_dump(path) -> Tensor:
@@ -105,9 +104,7 @@ def write_code_dump(codes: np.ndarray, path) -> None:
     arr = np.asarray(codes, dtype=np.int32)
     if arr.ndim > MAX_RANK:
         raise InvalidArgument(f"rank {arr.ndim} exceeds supported maximum {MAX_RANK}")
-    with open(path, "wb") as fh:
-        _write_header(fh, DTYPE_INT32, arr.shape)
-        fh.write(np.ascontiguousarray(arr, "<i4"))
+    _write(path, DTYPE_INT32, arr, "<i4")
 
 
 def read_code_dump(path) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .search import SearchSpace, _pieces_into, mse_grid_search
 from .tensor import TensorLike, _as_f64
-from .uniform import BITS, QuantParams, dequantize_array, quantize_array, real, whole
+from .uniform import BITS, QuantParams, real, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -131,7 +131,8 @@ class GroupedQuantParams:
 
     def _pieces(self):
         """`search._pieces_into`'s rule and table: an element's group is the number of finite
-        thresholds below its |x| (the vectorized `group_index`), coded at the group's parameters."""
+        thresholds below its |x| (the scalar `group_index` of tests/oracles.py, vectorized),
+        coded at the group's parameters."""
         uppers = self.thresholds[:-1]
 
         def group(x: np.ndarray) -> np.ndarray:
@@ -185,23 +186,6 @@ def calibrate_grouped(
         max_iters=max_iters,
         mad_fallbacks=tuple(fallbacks),
     )
-
-
-def group_index(x: float, p: GroupedQuantParams) -> int:
-    """First group whose upper threshold covers |x| (last group catches all)."""
-    return int(np.searchsorted(p.thresholds, abs(x), side="left"))
-
-
-def grouped_quantize(x: float, p: GroupedQuantParams) -> tuple[int, int]:
-    gi = group_index(x, p)
-    code = int(quantize_array(np.asarray([x]), p.groups[gi].params)[0])
-    return gi, code
-
-
-def grouped_dequantize(group: int, code: int, p: GroupedQuantParams) -> float:
-    if not 0 <= group < len(p.groups):
-        raise InvalidArgument(f"group index {group} out of range")
-    return float(dequantize_array(np.asarray([code]), p.groups[group].params)[0])
 
 
 def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,8 @@ from ptqkit.dual_region import (
     DualRegionCode,
     DualRegionParams,
     _region_scores,
-    assign_region,
     calibrate_dual_region,
     decode_tensor,
-    dual_region_dequantize,
-    dual_region_quantize,
     encode_tensor,
     fake_dual_region,
     pack_code,
@@ -28,6 +25,7 @@ from ptqkit.errors import InvalidArgument
 from ptqkit.generate import synth
 from ptqkit.search import CHUNK_ELEMS, SearchSpace, mse_grid_search, sq_error
 from ptqkit.uniform import fake_quant_array
+from oracles import assign_region, dual_region_dequantize, dual_region_quantize
 from test_search import sorted_scoring
 
 

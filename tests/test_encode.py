@@ -2,17 +2,22 @@
 those of the independent codecs, and its reconstruction is `fake(x)` bit for
 bit (compared as int64 views, so -0.0 against 0.0 is a difference)."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptqkit import dual_region, outlier_groups
 from ptqkit.dual_region import DualRegionParams, encode_tensor
 from ptqkit.errors import EmptyInput, InvalidArgument
-from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup, grouped_dequantize, grouped_quantize
+from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup
 from ptqkit.uniform import QuantParams, quant_range, quantize_array
+import oracles
+from oracles import grouped_dequantize, grouped_quantize
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -148,3 +153,19 @@ def test_every_kind_rejects_a_non_finite_or_empty_input_alike(p, bad, error):
     for method in (p.fake, p.encode):
         with pytest.raises(error):
             method(np.array(bad))
+
+
+def test_the_scalar_oracles_live_beside_their_tests():
+    """The library defines none of the scalar codecs, so it cannot call them, and they import
+    nothing from `ptqkit.search`, the home of `_pieces_into`, the piece codec they check."""
+    names = ("assign_region", "dual_region_quantize", "dual_region_dequantize")
+    names += ("group_index", "grouped_quantize", "grouped_dequantize")
+    assert all(callable(getattr(oracles, name)) for name in names)
+    assert not set(names) & (set(vars(dual_region)) | set(vars(outlier_groups)))
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    assert not any(name == "ptqkit.search" or name.startswith("ptqkit.search.") for name in imported)

@@ -10,7 +10,9 @@ them on purpose regenerates the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md, listing what the script prints: before it writes,
+it compares each fixture with the file it replaces and prints `unchanged
+<name>`, or `changed <name>:` and the top-level JSON keys that differ.
 """
 
 import contextlib
@@ -162,6 +164,12 @@ def generate(work: Path) -> dict[str, bytes]:
     return files
 
 
+def changed_keys(old: bytes, new: bytes) -> list[str]:
+    """The top-level keys whose values differ between two JSON fixtures: every key when `old` is empty."""
+    a, b = json.loads(old or b"{}"), json.loads(new)
+    return sorted(k for k in a.keys() | b.keys() if k not in a or k not in b or a[k] != b[k])
+
+
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
     return generate(tmp_path_factory.mktemp("golden"))
@@ -185,10 +193,19 @@ def test_bytes_match_golden(generated, name):
     assert generated[name] == (DATA / name).read_bytes()
 
 
+def test_changed_keys_are_the_top_level_keys_that_differ():
+    old = b'{"a": 1, "b": {"x": 2}, "c": 3}'
+    assert changed_keys(old, old) == []
+    assert changed_keys(old, b'{"a": 1, "b": {"x": 4}, "d": 3}') == ["b", "c", "d"]
+    assert changed_keys(b"", b'{"a": 1, "b": 2}') == ["a", "b"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in generate(Path(tmp)).items():
-            (DATA / name).write_bytes(data)
-            print(f"wrote {DATA / name} ({len(data)} bytes)")
+            path = DATA / name
+            old = path.read_bytes() if path.exists() else b""
+            print(f"unchanged {name}" if old == data else f"changed {name}: {', '.join(changed_keys(old, data))}")
+            path.write_bytes(data)

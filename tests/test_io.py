@@ -3,10 +3,12 @@ import math
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ptqkit import io as pio
 from ptqkit.cli import main
 from ptqkit.dual_region import DualRegionParams
 from ptqkit.errors import FormatError, InvalidArgument, QuantizationError
@@ -148,6 +150,19 @@ class TestDumpFormat:
             read_dump(path)
         assert main(["evaluate", "--a", str(path), "--b", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_payload_shorter_than_its_size_check_saw_is_one_format_error(self, tmp_path, capsys, monkeypatch):
+        """A file that shrinks between the size check and the read (`os.fstat` as `ptqkit.io`
+        sees it reports the untruncated size) fails on the short read: through `evaluate`, one error line."""
+        path = tmp_path / "t.dump"
+        write_dump(np.ones((2, 3), dtype=np.float32), path)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-4])
+        monkeypatch.setattr(pio, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=full)))
+        with pytest.raises(FormatError, match="^truncated file while reading payload$"):
+            read_dump(path)
+        assert main(["evaluate", "--a", str(path), "--b", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: truncated file while reading payload\n")
 
     def test_read_dump_is_read_only(self, tmp_path):
         write_dump(Tensor.from_array([1.0, 2.0]), tmp_path / "t.dump")

@@ -17,12 +17,10 @@ from ptqkit.outlier_groups import (
     calibrate_grouped,
     encode_grouped,
     fake_grouped,
-    group_index,
-    grouped_dequantize,
-    grouped_quantize,
 )
 from ptqkit.search import CHUNK_ELEMS
 from ptqkit.uniform import QuantParams, dequantize_array, fake_quant_array, make_params, quantize_array
+from oracles import group_index, grouped_dequantize, grouped_quantize
 
 
 def threshold_of(values, strategy):
