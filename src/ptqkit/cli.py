@@ -254,52 +254,52 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, handler, [(flag, add_argument keywords), ...])
+COMMANDS = {
+    "synth": ("write a seeded synthetic activation dump", _cmd_synth, [
+        ("--kind", dict(required=True, choices=SYNTH_KINDS)), ("--shape", dict(required=True, help="e.g. 64x16")),
+        ("--seed", dict(type=int, default=0)), ("--out", dict(required=True))]),
+    "calibrate": ("fit quantizers to dump files", _cmd_calibrate, [
+        ("--config", dict(required=True, help="JSON config with a 'hooks' mapping")),
+        ("--dumps", dict(required=True, help="directory of <hook>.dump / <hook>__N.dump files")),
+        ("--out", dict(required=True, help="parameter file to write")),
+        ("--report", dict(help="optional report file"))]),
+    "quantize": ("apply stored parameters to a dump", _cmd_quantize, [
+        ("--params", dict(required=True)), ("--in", dict(required=True)),
+        ("--out", dict(required=True, help="reconstructed float dump")),
+        ("--codes", dict(help="code dump path (default: <out>.codes)")),
+        ("--hook", dict(help="hook to use when the file defines several"))]),
+    "evaluate": ("compare two dumps or mask sets", _cmd_evaluate, [
+        ("--a", dict(required=True)), ("--b", dict(required=True)),
+        ("--masks", dict(action="store_true", help="treat inputs as binary masks"))]),
+    "pipeline": ("run the built-in network end to end", _cmd_pipeline, [
+        ("--seed", dict(type=int, default=0)), ("--preset", dict(default="W8A8", choices=sorted(PRESETS))),
+        ("--calib-count", dict(type=int, default=32)),
+        *((f"--{module}", dict(default=getattr(PipelineConfig, module), choices=modes))
+          for module, modes in MODULES.items()),
+        ("--out", dict(help="write the report here as well as stdout")),
+        ("--params-out", dict(help="write the calibrated parameter file"))]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `ptqkit` parser: every subcommand's arguments, or only `command`'s, as one invocation runs one."""
     parser = argparse.ArgumentParser(prog="ptqkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="write a seeded synthetic activation dump")
-    p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
-    p.add_argument("--shape", required=True, help="e.g. 64x16")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("calibrate", help="fit quantizers to dump files")
-    p.add_argument("--config", required=True, help="JSON config with a 'hooks' mapping")
-    p.add_argument("--dumps", required=True, help="directory of <hook>.dump / <hook>__N.dump files")
-    p.add_argument("--out", required=True, help="parameter file to write")
-    p.add_argument("--report", help="optional report file")
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("quantize", help="apply stored parameters to a dump")
-    p.add_argument("--params", required=True)
-    p.add_argument("--in", dest="in", required=True)
-    p.add_argument("--out", required=True, help="reconstructed float dump")
-    p.add_argument("--codes", help="code dump path (default: <out>.codes)")
-    p.add_argument("--hook", help="hook to use when the file defines several")
-    p.set_defaults(func=_cmd_quantize)
-
-    p = sub.add_parser("evaluate", help="compare two dumps or mask sets")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--masks", action="store_true", help="treat inputs as binary masks")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="run the built-in network end to end")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--preset", default="W8A8", choices=sorted(PRESETS))
-    p.add_argument("--calib-count", type=int, default=32)
-    for module, modes in MODULES.items():
-        p.add_argument(f"--{module}", default=getattr(PipelineConfig, module), choices=modes)
-    p.add_argument("--out", help="write the report here as well as stdout")
-    p.add_argument("--params-out", help="write the calibrated parameter file")
-    p.set_defaults(func=_cmd_pipeline)
+    # the usage lists every command; a full build keeps `command` as the name its errors give
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

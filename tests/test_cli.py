@@ -884,6 +884,68 @@ class TestNoScipy:
         assert proc.stdout.strip() == "[]"
 
 
+# The help, usage and error text of each argv, pinned byte for byte in CLI_TEXT at the
+# terminal width COLUMNS (argparse wraps its text to it). `pipeline` with no arguments is
+# not here: it runs the W8A8 preset, whose report `tests/test_golden.py` pins. A change to
+# this text on purpose regenerates the fixture with
+#
+#     PYTHONPATH=src python tests/test_cli.py
+CLI_TEXT = Path(__file__).parent / "data" / "golden_cli_text.json"
+COLUMNS = "80"
+COMMANDS = ["synth", "calibrate", "quantize", "evaluate", "pipeline"]
+CLI_TEXT_ARGV = [
+    ["--help"], [], ["bogus"], ["-h", "quantize"], ["--", "quantize"], ["--foo", "quantize"],
+    *([command, "--help"] for command in COMMANDS),
+    *([command] for command in COMMANDS if command != "pipeline"),
+    ["quantize", "--params", "p.json", "--in", "x.dump", "--out", "y.dump", "--bogus"],
+    ["synth", "--kind", "sine", "--shape", "4x4", "--out", "x.dump"],
+    ["pipeline", "--preset", "W3A3"],
+]
+
+
+def cli_text(argv: list[str]) -> dict:
+    """The exit code and the stdout and stderr text of `main(argv)`, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+class TestParserText:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(CLI_TEXT.read_text())
+
+    @pytest.mark.parametrize("argv", CLI_TEXT_ARGV, ids=" ".join)
+    def test_text_matches_golden(self, monkeypatch, golden, argv):
+        monkeypatch.setenv("COLUMNS", COLUMNS)
+        assert cli_text(argv) == golden[" ".join(argv)]
+
+    def test_a_named_command_builds_only_its_subparser(self):
+        assert list(_subparsers(build_parser()).choices) == COMMANDS
+        named = build_parser("evaluate")
+        assert list(_subparsers(named).choices) == ["evaluate"]
+        assert named.format_usage() == build_parser().format_usage()
+        assert "{synth,calibrate,quantize,evaluate,pipeline}" in named.format_usage()
+
+    @pytest.mark.parametrize("argv", [["quantize", "--help"], ["bogus"]], ids=" ".join)
+    def test_module_entry_point(self, golden, argv):
+        src = str(Path(ptqkit.__file__).resolve().parents[1])
+        env = {**os.environ, "COLUMNS": COLUMNS,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptqkit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr} == golden[" ".join(argv)]
+
+
 def _params_file(path, entry):
     path.write_text(json.dumps({"format": "ptqkit-params", "version": 1, "hooks": {"h": entry}}))
     return path
@@ -1161,3 +1223,10 @@ class TestMalformedInputs:
         for a, b in ((bad, workdir / "valid.dump"), (bad, bad)):
             code, err = self._run("evaluate", "--a", str(a), "--b", str(b))
             assert _one_line_or_success(code, err), (code, err)
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
+    texts = {" ".join(argv): cli_text(argv) for argv in CLI_TEXT_ARGV}
+    CLI_TEXT.write_text(json.dumps(texts, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(texts)} cases to {CLI_TEXT}")

@@ -123,7 +123,7 @@ class TestEncodeIsOneCodingPass:
         recon = check_encode(p, x, scalar_grouped_codes(p))
         with np.errstate(over="ignore"):
             groups, codes = scalar_grouped_codes(p)(x)
-        # the scalar decoder of the scalar codes, an oracle that shares no code with `_by_group`
+        # the scalar decoder of the scalar codes, an oracle that shares no code with `search._pieces_into`
         decoded = np.array([grouped_dequantize(int(g), int(c), p) for g, c in zip(groups, codes)])
         assert np.array_equal(recon.view(np.int64), decoded.reshape(x.shape).view(np.int64))
 
