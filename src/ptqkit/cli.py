@@ -14,6 +14,7 @@ nonzero with a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import sys
 from functools import partial
@@ -61,24 +62,24 @@ def _cmd_synth(args) -> int:
 def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
     """Every dump of `hook`, stacked in float64 along a new leading axis."""
     exact = dumps_dir / f"{hook}.dump"
-    files = sorted(dumps_dir.glob(f"{hook}__*.dump"))
+    files = sorted(dumps_dir.glob(f"{glob.escape(hook)}__*.dump"))
     if exact.exists():
         files.insert(0, exact)
     if not files:
-        raise QuantizationError(f"no dump files for hook {hook!r} in {dumps_dir}")
+        raise QuantizationError(f"no dump files in {dumps_dir}")
     for i, f in enumerate(files):  # one float64 copy, filled a dump at a time
         arr = pio.read_dump(f).array
         if i == 0:
             stacked = np.empty((len(files), *arr.shape))
         elif arr.shape != stacked.shape[1:]:
-            raise ShapeError(f"dumps for hook {hook!r} differ in shape: {sorted({stacked.shape[1:], arr.shape})}")
+            raise ShapeError(f"dumps differ in shape: {sorted({stacked.shape[1:], arr.shape})}")
         stacked[i] = arr
         del arr  # freed before the next dump is read
     return stacked
 
 
-def _calibrator(hook: str, spec, cfg: dict):
-    """The calibrator that `hook`'s entry `spec` asks for, with every setting bound: it takes
+def _calibrator(spec, cfg: dict):
+    """The calibrator that a hook's entry `spec` asks for, with every setting bound: it takes
     only the stacked samples. The entry must be an object of a known kind.
 
     A setting is read from the entry first, then, if shared, from the config; one that neither
@@ -86,7 +87,7 @@ def _calibrator(hook: str, spec, cfg: dict):
     error. The bound calibrator runs once on one zero: its checks run before any dump is read.
     """
     if not isinstance(spec, dict):
-        raise InvalidArgument(f"hook {hook!r} must map to an object, got {spec!r}")
+        raise InvalidArgument(f"entry must be an object, got {spec!r}")
     given = {**{k: v for k, v in cfg.items() if k in SHARED_KEYS}, **spec}  # the entry's own win
     read = set()
 
@@ -120,7 +121,7 @@ def _calibrator(hook: str, spec, cfg: dict):
         calibrate = partial(calibrate_grouped, bits=bits, strategy=strategy, space=space(), **settings("max_iters"))
     else:
         raise QuantizationError(f"unknown quantizer kind {kind!r}")
-    _check_keys(f"hook {hook!r}", spec, read)
+    _check_keys("its entry", spec, read)
     calibrate(np.zeros(1))  # the calibrator checks its settings, before any dump is read
     return calibrate
 
@@ -148,20 +149,18 @@ def _cmd_calibrate(args) -> int:
     try:  # every calibrator checks its settings before any dump is read
         calibrators = {}
         for hook, spec in sorted(hooks_cfg.items()):
-            calibrators[hook] = _calibrator(hook, spec, cfg)
+            calibrators[hook] = _calibrator(spec, cfg)
         for hook, calibrate in calibrators.items():
             stacked = _collect_samples(dumps_dir, hook)
             params = doc.hooks[hook] = calibrate(stacked)
             reports[hook] = HookReport(*_error_stats(stacked, params.fake(stacked)))
-    except QuantizationError as exc:  # one line that names the hook first, unless it names it already
-        if f"hook {hook!r}" in str(exc):
-            raise
-        raise type(exc)(f"hook {hook!r}: {exc}") from None
-    pio.emit_params(doc, args.out)
+    except (QuantizationError, OSError, MemoryError) as exc:  # one line that names the hook first
+        raise QuantizationError(f"hook {hook!r}: {exc}") from None
     report = CalibrationReport(hooks=reports, config=cfg, seed=cfg.get("seed"))
     text = pio.report_to_text(report)
     if args.report:
         Path(args.report).write_text(text)
+    pio.emit_params(doc, args.out)  # last, so that a failed calibrate leaves no params file
     print(text, end="")
     return 0
 

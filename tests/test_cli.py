@@ -363,13 +363,91 @@ class TestCalibrateQuantizeEvaluate:
         )
         assert (code, err) == (1, f"error: hook 'b': {message}\n")
 
-    def test_a_message_that_names_the_hook_names_it_once(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "entry,dumps,message",
+        [
+            (3, {"blk.dump": (8, 16)}, "entry must be an object, got 3"),
+            ({"alhpa": 0.5}, {"blk.dump": (8, 16)}, "unknown key 'alhpa' in its entry"),
+            ({"kind": "groups"}, {"blk.dump": (8, 16)}, "unknown quantizer kind 'groups'"),
+            ({"method": "median"}, {"blk.dump": (8, 16)}, "unknown uniform method 'median'"),
+            ({"kind": "dual_region"}, {"blk.dump": (8, 16)}, "dual_region hooks need region: softmax|gelu"),
+            ({"scheme": "bogus"}, {"blk.dump": (8, 16)},
+             "scheme must be one of ('symmetric', 'asymmetric'), got 'bogus'"),
+            ({}, {}, "no dump files in {d}\n"),
+            ({}, {"blk__000.dump": (8, 16), "blk__001.dump": (16, 8)}, "dumps differ in shape: [(8, 16), (16, 8)]"),
+            ({}, {"blk.dump": "directory"}, "Is a directory"),
+            ({}, {"blk.dump": b"PTQ4 garbled"}, "unsupported version"),
+            ({"kind": "dual_region", "region": "softmax"}, {"blk.dump": (8, 16)},
+             "softmax samples must lie in [0, 1]"),
+        ],
+        ids=["not-an-object", "unknown-key", "unknown-kind", "unknown-method", "no-region", "dry-run",
+             "no-dumps", "two-shapes", "directory", "garbled", "softmax-on-gelu"],
+    )
+    def test_every_hook_error_names_its_hook_once(self, tmp_path, capsys, entry, dumps, message):
+        """Hook "a" calibrates; each error of "blk", from its entry, its dry run, its dumps or its
+        calibration, is one line that names "blk" first and nowhere else."""
+        d = tmp_path / "dumps"
+        d.mkdir()
+        write_dump(synth("gelu", (8, 16), 0), d / "a.dump")
+        for name, content in dumps.items():
+            if content == "directory":
+                (d / name).mkdir()
+            elif isinstance(content, bytes):
+                (d / name).write_bytes(content)
+            else:
+                write_dump(synth("gelu", content, 0), d / name)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {"a": {}, "blk": entry}}))
+        params = tmp_path / "p.json"
+        code, _, err = run_cli(capsys, "calibrate", "--config", str(config), "--dumps", str(d), "--out", str(params))
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: hook 'blk': ") and err.count("'blk'") == 1
+        assert message.format(d=d) in err
+        assert not params.exists()
+
+    @pytest.mark.parametrize(
+        "hook,dump,err",
+        [("x[1]", "x[1]__000.dump", ""), ("x*", "xy__000.dump", "error: hook 'x*': no dump files in {d}\n")],
+        ids=["brackets-find-their-own", "star-finds-no-other"],
+    )
+    def test_a_hook_name_is_matched_literally(self, tmp_path, capsys, hook, dump, err):
+        """`[1]` in a hook name is no glob class, and `*` matches no other hook's dumps."""
+        d = tmp_path / "dumps"
+        d.mkdir()
+        write_dump(synth("gelu", (8, 16), 0), d / dump)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {hook: {}}}))
+        code, _, got = run_cli(
+            capsys, "calibrate", "--config", str(config), "--dumps", str(d), "--out", str(tmp_path / "p.json")
+        )
+        assert (code, got) == (1 if err else 0, err.format(d=d))
+
+    def test_a_failed_report_write_leaves_no_params_file(self, tmp_path, capsys):
+        d = tmp_path / "dumps"
+        d.mkdir()
+        write_dump(synth("gelu", (8, 16), 0), d / "a.dump")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {"a": {}}}))
+        params, report = tmp_path / "p.json", tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            capsys, "calibrate", "--config", str(config), "--dumps", str(d), "--out", str(params),
+            "--report", str(report),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(report) in err
+        assert not params.exists()
+
+    def test_a_failed_allocation_names_its_hook(self, tmp_path, capsys, monkeypatch):
+        """numpy's allocation error cannot be rebuilt from a message; it is one line all the same."""
+        (tmp_path / "a.dump").touch()
+        monkeypatch.setattr("ptqkit.io.read_dump", lambda path: np.empty(2**47))  # 1 PiB: numpy refuses it
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"hooks": {"a": {}}}))
         code, _, err = run_cli(
             capsys, "calibrate", "--config", str(config), "--dumps", str(tmp_path), "--out", str(tmp_path / "p.json")
         )
-        assert (code, err) == (1, f"error: no dump files for hook 'a' in {tmp_path}\n")
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: hook 'a': Unable to allocate 1.00 PiB")
 
     @pytest.mark.parametrize(
         "entry,key",
@@ -395,7 +473,7 @@ class TestCalibrateQuantizeEvaluate:
         config.write_text(json.dumps({"hooks": {"h": {**entry, key: value}}}))
         params = tmp_path / "p.json"
         code, _, err = run_cli(capsys, "calibrate", "--config", str(config), "--dumps", str(d), "--out", str(params))
-        assert (code, err) == (1, f"error: unknown key {key!r} in hook 'h'\n")
+        assert (code, err) == (1, f"error: hook 'h': unknown key {key!r} in its entry\n")
         assert not params.exists()
 
     def test_whole_float_count_is_an_int(self, tmp_path, capsys, dumps_dir, config_path):
