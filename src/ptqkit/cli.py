@@ -14,8 +14,8 @@ nonzero with a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -59,12 +59,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _collect_samples(dumps_dir: Path, hook: str) -> np.ndarray:
-    """Every dump of `hook`, stacked in float64 along a new leading axis."""
-    exact = dumps_dir / f"{hook}.dump"
-    files = sorted(dumps_dir.glob(f"{glob.escape(hook)}__*.dump"))
-    if exact.exists():
-        files.insert(0, exact)
+def _check_outputs_differ(args, a: str, b: str) -> None:
+    """One error, before anything is written, if output options `a` and `b` name the same file."""
+    path_a, path_b = getattr(args, a), getattr(args, b)
+    if path_a and path_b and os.path.realpath(path_a) == os.path.realpath(path_b):
+        raise InvalidArgument(f"--{a} and --{b.replace('_', '-')} name the same file {path_b}")
+
+
+def _collect_samples(dumps_dir: str, hook: str) -> np.ndarray:
+    """Every dump of `hook` directly in `dumps_dir`, stacked in float64 along a new leading axis."""
+    files = [os.path.join(dumps_dir, name) for name in sorted(os.listdir(dumps_dir))  # `<hook>.dump` sorts first
+             if name == f"{hook}.dump" or (name.startswith(f"{hook}__") and name.endswith(".dump"))]
     if not files:
         raise QuantizationError(f"no dump files in {dumps_dir}")
     for i, f in enumerate(files):  # one float64 copy, filled a dump at a time
@@ -134,6 +139,7 @@ def _check_keys(where: str, entry: dict, allowed: set) -> None:
 
 
 def _cmd_calibrate(args) -> int:
+    _check_outputs_differ(args, "out", "report")
     try:
         cfg = json.loads(Path(args.config).read_text())
         json.dumps(cfg, allow_nan=False)  # the report echoes it: inf and NaN fail here, not after calibrating
@@ -143,15 +149,16 @@ def _cmd_calibrate(args) -> int:
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:
         raise QuantizationError("config must define a non-empty 'hooks' mapping")
     _check_keys("the config", cfg, CONFIG_KEYS)
-    dumps_dir = Path(args.dumps)
     doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", DEFAULT_BITS)})
     reports: dict[str, HookReport] = {}
     try:  # every calibrator checks its settings before any dump is read
         calibrators = {}
         for hook, spec in sorted(hooks_cfg.items()):
+            if not hook:
+                raise InvalidArgument("a hook name must not be empty")
             calibrators[hook] = _calibrator(spec, cfg)
         for hook, calibrate in calibrators.items():
-            stacked = _collect_samples(dumps_dir, hook)
+            stacked = _collect_samples(args.dumps, hook)
             params = doc.hooks[hook] = calibrate(stacked)
             reports[hook] = HookReport(*_error_stats(stacked, params.fake(stacked)))
     except (QuantizationError, OSError, MemoryError) as exc:  # one line that names the hook first
@@ -166,6 +173,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
+    _check_outputs_differ(args, "out", "codes")
     doc = pio.parse_params(args.params)
     hooks = doc.hooks
     if args.hook:
@@ -234,6 +242,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    _check_outputs_differ(args, "out", "params_out")
     modes = {module: getattr(args, module) for module in MODULES}
     cfg = PipelineConfig.from_preset(args.preset, seed=args.seed, **modes)
     weights = ToyNetWeights.seeded(args.seed)

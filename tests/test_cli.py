@@ -407,20 +407,72 @@ class TestCalibrateQuantizeEvaluate:
 
     @pytest.mark.parametrize(
         "hook,dump,err",
-        [("x[1]", "x[1]__000.dump", ""), ("x*", "xy__000.dump", "error: hook 'x*': no dump files in {d}\n")],
-        ids=["brackets-find-their-own", "star-finds-no-other"],
+        [
+            ("x[1]", "x[1]__000.dump", ""),
+            ("x*", "xy__000.dump", "error: hook 'x*': no dump files in {d}\n"),
+            ("../x", "../x.dump", "error: hook '../x': no dump files in {d}\n"),
+            ("sub/a", "sub/a.dump", "error: hook 'sub/a': no dump files in {d}\n"),
+            ("{d}/../x", "../x.dump", "error: hook '{d}/../x': no dump files in {d}\n"),
+            ("", "__000.dump", "error: hook '': a hook name must not be empty\n"),
+        ],
+        ids=["brackets-find-their-own", "star-finds-no-other", "parent-dir", "subdir", "absolute", "empty"],
     )
-    def test_a_hook_name_is_matched_literally(self, tmp_path, capsys, hook, dump, err):
-        """`[1]` in a hook name is no glob class, and `*` matches no other hook's dumps."""
+    def test_a_hook_name_is_matched_literally(self, tmp_path, capsys, monkeypatch, hook, dump, err):
+        """`[1]` in a hook name is no glob class, `*` matches no other hook's dumps, and a name
+        holding a path separator is no path: only files directly in --dumps are ever read."""
         d = tmp_path / "dumps"
-        d.mkdir()
+        (d / "sub").mkdir(parents=True)
         write_dump(synth("gelu", (8, 16), 0), d / dump)
+        reads = []
+        monkeypatch.setattr("ptqkit.io.read_dump", lambda path: reads.append(path) or read_dump(path))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"hooks": {hook: {}}}))
+        config.write_text(json.dumps({"hooks": {hook.format(d=d): {}}}))
         code, _, got = run_cli(
             capsys, "calibrate", "--config", str(config), "--dumps", str(d), "--out", str(tmp_path / "p.json")
         )
         assert (code, got) == (1 if err else 0, err.format(d=d))
+        assert [Path(path).parent for path in reads] == ([d] if code == 0 else [])
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda path: None, "[Errno 2] No such file or directory"),
+            (lambda path: path.touch(), "[Errno 20] Not a directory"),
+        ],
+        ids=["missing", "a-file"],
+    )
+    def test_dumps_that_is_no_directory_is_one_line(self, tmp_path, capsys, make, message):
+        dumps = tmp_path / "dumps"
+        make(dumps)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hooks": {"b": {}, "a": {}}}))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--config", str(config), "--dumps", str(dumps), "--out", str(tmp_path / "p.json")
+        )
+        assert (code, err) == (1, f"error: hook 'a': {message}: {str(dumps)!r}\n")
+
+    def test_calibrate_out_and_report_on_one_file_is_one_line(self, tmp_path, capsys, dumps_dir, config_path):
+        params, report = tmp_path / "p.json", tmp_path / "missing" / ".." / "p.json"
+        code, out, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir),
+            "--out", str(params), "--report", str(report),
+        )
+        assert (code, out, err) == (1, "", f"error: --out and --report name the same file {report}\n")
+        assert not params.exists()
+
+    def test_quantize_out_and_codes_on_one_file_is_one_line(
+        self, tmp_path, capsys, monkeypatch, dumps_dir, config_path
+    ):
+        params = tmp_path / "params.json"
+        run_cli(capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(params))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "quantize", "--params", str(params), "--hook", "feat", "--in", str(dumps_dir / "feat__000.dump"),
+            "--out", "recon.dump", "--codes", str(tmp_path / "recon.dump"),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --out and --codes name the same file {tmp_path / 'recon.dump'}\n"
+        assert not (tmp_path / "recon.dump").exists()
 
     def test_a_failed_report_write_leaves_no_params_file(self, tmp_path, capsys):
         d = tmp_path / "dumps"
@@ -863,6 +915,14 @@ class TestPipelineCommand:
         assert rep["config"]["a_bits"] == 8
         assert "output_mse_mean" in rep["totals"]
 
+    def test_out_and_params_out_on_one_file_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "pipeline", "--calib-count", "8", "--out", str(path), "--params-out", str(path)
+        )
+        assert (code, out, err) == (1, "", f"error: --out and --params-out name the same file {path}\n")
+        assert not path.exists()
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_no_calibration_inputs_is_one_line(self, capsys, count):
         code, out, err = run_cli(capsys, "pipeline", "--seed", "0", "--preset", "W8A8", "--calib-count", count)
@@ -1245,10 +1305,18 @@ def _mutated_dump(draw, valid, header=16):
     return bytes(data)
 
 
+# Pieces of hook names: path parts, pattern characters, a NUL and the names of real dumps
+HOOK_PIECES = ("a_mse", "decoy", "valid", "sub", "..", ".", "/", "_", "__000", "\x00", "*", "[", "]", "?")
+HOOK_NAMES = st.one_of(
+    st.lists(st.sampled_from(HOOK_PIECES), max_size=5).map("".join),  # "" among them
+    st.lists(st.sampled_from(HOOK_PIECES), max_size=4).map(lambda pieces: "/" + "".join(pieces)),
+)
+
+
 class TestMalformedInputs:
     """Malformed dumps and params files through quantize and evaluate, and
-    malformed configs through calibrate: exit 0, or exit 1 with one stderr
-    line, never a traceback."""
+    malformed configs and hook names through calibrate: exit 0, or exit 1
+    with one stderr line, never a traceback."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -1257,6 +1325,9 @@ class TestMalformedInputs:
         (workdir / "hooks").mkdir()
         for hook, kind in (("a_mse", "outlier"), ("b_pct", "gelu"), ("c_groups", "outlier"), ("d_gelu", "gelu"), ("e_softmax", "softmax")):
             write_dump(synth(kind, (8, 16), 0), workdir / "hooks" / f"{hook}.dump")
+        (workdir / "hooks" / "sub").mkdir()
+        for decoy in (workdir / "decoy.dump", workdir / "hooks" / "sub" / "decoy.dump"):  # outside --dumps
+            write_dump(synth("gelu", (8, 16), 0), decoy)
         return workdir
 
     @staticmethod
@@ -1286,6 +1357,24 @@ class TestMalformedInputs:
             "calibrate", "--config", str(config), "--dumps", str(workdir / "hooks"), "--out", str(workdir / "p.json")
         )
         assert _one_line_or_success(code, err), (config.read_text(), code, err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hook_names(self, workdir, data):
+        """No hook name reads a file that is not directly in --dumps."""
+        dumps = workdir / "hooks"
+        decoys = [str(workdir / "decoy"), str(dumps / "sub" / "decoy"), str(dumps / "a_mse")]
+        hook = data.draw(st.one_of(HOOK_NAMES, st.sampled_from(decoys)))
+        config = workdir / "config.json"
+        config.write_text(json.dumps({"hooks": {hook: {}, **data.draw(st.sampled_from([{}, {"a_mse": {}}]))}}))
+        reads = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ptqkit.io.read_dump", lambda path: reads.append(path) or read_dump(path))
+            code, err = self._run(
+                "calibrate", "--config", str(config), "--dumps", str(dumps), "--out", str(workdir / "p.json")
+            )
+        assert _one_line_or_success(code, err), (hook, code, err)
+        assert all(Path(path).parent == dumps for path in reads), (hook, reads)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
