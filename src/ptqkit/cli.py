@@ -59,17 +59,28 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _check_outputs_differ(args, a: str, b: str) -> None:
-    """One error, before anything is written, if output options `a` and `b` name the same file."""
-    path_a, path_b = getattr(args, a), getattr(args, b)
-    if path_a and path_b and os.path.realpath(path_a) == os.path.realpath(path_b):
-        raise InvalidArgument(f"--{a} and --{b.replace('_', '-')} name the same file {path_b}")
+def _check_outputs(args, inputs: tuple, outputs: tuple) -> None:
+    """One error, before anything is written, if an output option names an input or an earlier
+    output, compared after `os.path.realpath`."""
+    named = {}  # each resolved path, and the first option that names it
+    for key in inputs + outputs:
+        path = getattr(args, key)
+        if path:
+            flag, real = key.replace("_", "-"), os.path.realpath(path)
+            if real in named and key in outputs:
+                raise InvalidArgument(f"--{named[real]} and --{flag} name the same file {path}")
+            named.setdefault(real, flag)
+
+
+def _is_dump_of(name: str, hook: str) -> bool:
+    """Whether the file `name` in --dumps is a dump of `hook`: `<hook>.dump` or `<hook>__*.dump`."""
+    return name == f"{hook}.dump" or (name.startswith(f"{hook}__") and name.endswith(".dump"))
 
 
 def _collect_samples(dumps_dir: str, hook: str) -> np.ndarray:
     """Every dump of `hook` directly in `dumps_dir`, stacked in float64 along a new leading axis."""
     files = [os.path.join(dumps_dir, name) for name in sorted(os.listdir(dumps_dir))  # `<hook>.dump` sorts first
-             if name == f"{hook}.dump" or (name.startswith(f"{hook}__") and name.endswith(".dump"))]
+             if _is_dump_of(name, hook)]
     if not files:
         raise QuantizationError(f"no dump files in {dumps_dir}")
     for i, f in enumerate(files):  # one float64 copy, filled a dump at a time
@@ -139,7 +150,7 @@ def _check_keys(where: str, entry: dict, allowed: set) -> None:
 
 
 def _cmd_calibrate(args) -> int:
-    _check_outputs_differ(args, "out", "report")
+    _check_outputs(args, ("config", "dumps"), ("out", "report"))
     try:
         cfg = json.loads(Path(args.config).read_text())
         json.dumps(cfg, allow_nan=False)  # the report echoes it: inf and NaN fail here, not after calibrating
@@ -149,6 +160,12 @@ def _cmd_calibrate(args) -> int:
     if not isinstance(hooks_cfg, dict) or not hooks_cfg:
         raise QuantizationError("config must define a non-empty 'hooks' mapping")
     _check_keys("the config", cfg, CONFIG_KEYS)
+    for key in ("out", "report"):  # a later run would read it as a dump
+        path = getattr(args, key) and os.path.realpath(getattr(args, key))
+        if path and os.path.dirname(path) == os.path.realpath(args.dumps):
+            hooks = [h for h in sorted(hooks_cfg) if _is_dump_of(os.path.basename(path), h)]
+            if hooks:
+                raise InvalidArgument(f"--{key} names a dump of hook {hooks[0]!r}: {getattr(args, key)}")
     doc = pio.ParamDoc(meta={"seed": cfg.get("seed"), "bits": cfg.get("bits", DEFAULT_BITS)})
     reports: dict[str, HookReport] = {}
     try:  # every calibrator checks its settings before any dump is read
@@ -173,7 +190,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    _check_outputs_differ(args, "out", "codes")
+    args.codes = args.codes or f"{args.out}.codes"
+    _check_outputs(args, ("params", "in"), ("out", "codes"))
     doc = pio.parse_params(args.params)
     hooks = doc.hooks
     if args.hook:
@@ -186,9 +204,8 @@ def _cmd_quantize(args) -> int:
         raise QuantizationError(f"--hook required; file defines {sorted(hooks)}")
     codes, recon = _encode_blocks(params, pio.read_dump(getattr(args, "in")).array)
     pio.write_dump(recon, args.out)
-    codes_path = args.codes or f"{args.out}.codes"
-    pio.write_code_dump(codes, codes_path)
-    print(f"wrote {args.out} and {codes_path}")
+    pio.write_code_dump(codes, args.codes)
+    print(f"wrote {args.out} and {args.codes}")
     return 0
 
 
@@ -242,7 +259,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    _check_outputs_differ(args, "out", "params_out")
+    _check_outputs(args, (), ("out", "params_out"))
     modes = {module: getattr(args, module) for module in MODULES}
     cfg = PipelineConfig.from_preset(args.preset, seed=args.seed, **modes)
     weights = ToyNetWeights.seeded(args.seed)

@@ -155,18 +155,19 @@ def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None,
 
 def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool, per_call: int = 1, passes: int = 1) -> bool:
     """Whether sorting n elements and scoring 2^bits levels per candidate
-    beats scoring each directly, `per_call` candidates to a call. In passes
-    over n (4 ns an element, 2 CPUs): a direct score `passes` n (2 for the
-    dual-region codec) plus 5000 a call, shared by the call's candidates;
-    the sort 5n (15n with an argsort for weights) plus 40,000, a (candidate,
-    level) cell 45, and about two rescored. Sorted/direct time, a row of 100
-    candidates, a `_chunks` run a call: 1.2, 0.8 (4 bits) on 512, 1,024; 1.3,
-    1.07, 0.67 (8 bits) on 8,192, 10,000, 16,384; 2.3, 0.8 (12 bits) on 65,536,
-    196,608. Dual region, 8 bits: 98 GeLU candidates, 0.9 on 2,048; 8 softmax
-    ones, 1.1 on 16,384 and 0.5 on 32,768, weighted 1.9 on 2,048; 4 bits, 4
-    softmax ones, 2.5 on 1,024 and 2.2 on 4,096."""
-    sort = (15 if weighted else 5) * n + 40_000 + (45 * candidates << bits)
-    return (candidates - 2) * (passes * n + 5000 / per_call) > sort
+    beats scoring each directly, `per_call` candidates to a call, when the
+    bound leaves one candidate to win unscored (`_near_winners`). In passes
+    over n (4 ns an element, 2 CPUs; `passes` 2 for the dual-region codec
+    and its two regions): a direct score `passes` (n + 5000 / per_call), the
+    sort 5n (15n with an argsort for weights) plus 40,000 `passes`^2, and a
+    (candidate, level) cell 45. Sorted/direct time, alternating: rows of 100
+    candidates 0.56 (4 bits) on 1,024, 1.07 and 0.82 (8 bits) on 8,192 and
+    12,288; dual region, 8 bits, 98 GeLU candidates 0.87 on 2,048, 8 softmax
+    ones 1.03 on 14,336 and 0.87 on 16,384; 4 bits, 4 softmax ones, 1.27 on
+    16,384. Misjudged: 4- and 6-bit rows of 600-2,600 elements sort faster,
+    weighted 8-bit softmax of 172,000-220,000 slower (1.08 on 196,608)."""
+    sort = (15 if weighted else 5) * n + 40_000 * passes**2 + (45 * candidates << bits)
+    return candidates * passes * (n + 5000 / per_call) > sort
 
 
 def _gamma(n: int) -> float:
@@ -256,18 +257,21 @@ def _bin_scores(srt: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np.
     return approx, np.where(np.isfinite(z), bound, np.inf)
 
 
-def _near_winners(scores, n: int, candidates: int, bits: int, weighted: bool, per_call=1, passes=1) -> np.ndarray:
-    """Mask of the candidates whose direct score may be the lowest. Where
-    `_sorting_pays`, `scores()` gives `_bin_scores`' (A, B) over all n
-    elements; with b = argmin(A), a candidate with A_j > A_b + B_b + B_j
-    scores above b directly, so it cannot win `first_min`, ties included.
-    Otherwise, or where anything is not finite, every candidate is kept."""
+def _near_winners(scores, n: int, candidates: int, bits: int, weighted: bool, per_call=1, passes=1) -> tuple:
+    """(keep, decided): the mask of candidates whose direct score may be the
+    lowest, and whether the bound alone decided. Where `_sorting_pays`,
+    `scores()` gives `_bin_scores`' (A, B) over all n elements; with b =
+    argmin(A), a candidate with A_j > A_b + B_b + B_j scores above b
+    directly, so it cannot win `first_min`, ties included. Where b alone is
+    kept it wins unscored: its direct score is finite, as `_bin_scores`' Z
+    is. Otherwise, or where anything is not finite, every candidate is kept."""
     if _sorting_pays(n, candidates, bits, weighted, per_call, passes):
         approx, bound = scores()
         if np.isfinite(approx).all() and np.isfinite(bound).all():
             b = np.argmin(approx)
-            return approx <= approx[b] + bound[b] + bound
-    return np.ones(candidates, dtype=bool)
+            keep = approx <= approx[b] + bound[b] + bound
+            return keep, np.count_nonzero(keep) == 1
+    return np.ones(candidates, dtype=bool), False
 
 
 def params_from_scale(
@@ -299,8 +303,9 @@ def _row_search(
     (rows, n_candidates) score array, and `first_min` picks every row's
     winner; a degenerate row (all zero, or constant under the asymmetric
     scheme) or one with no score below inf keeps the full-range parameters.
-    One row scores only its `_near_winners` directly, the rest inf, where
-    `_sorting_pays`."""
+    Where `_sorting_pays`, one row scores only its `_near_winners` directly,
+    the rest inf, and a lone survivor of the bound wins unscored (a `skip`
+    one still loses)."""
     bits = whole("bits", bits, *BITS)
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     scales, zero_points = full_range(lo, hi, bits, scheme, signed)
@@ -310,18 +315,19 @@ def _row_search(
     cand_zps = zero_point(lo[:, None], candidates, bits, scheme, signed)
     q_min, q_max = quant_range(bits, signed)
     lower, upper = q_min - cand_zps, q_max - cand_zps
-    keep = np.ones(candidates.shape[1], dtype=bool)
+    keep, decided = np.ones(candidates.shape[1], dtype=bool), False
     # Channel rows score every candidate: the pipeline's rows hold 16-36 elements, fewer
     # than 8 bits' 256 levels. A 16x16 weight: 1.7 ms, or 30 ms as 16 sorted one-row searches.
     if rows.shape[0] == 1:
         def binned():
             return _bin_scores(_sorted(rows), 0, rows.size, candidates[0], lower[0], upper[0])
 
-        keep = _near_winners(binned, rows.size, candidates.size, bits, False, _run_length(rows.size))
+        keep, decided = _near_winners(binned, rows.size, candidates.size, bits, False, _run_length(rows.size))
     # (candidate, row, 1) columns, so that a run of them broadcasts against the rows
     by_candidate = [v.T[:, :, None] for v in (candidates, lower, upper)]
     scores = np.full(candidates.shape, np.inf)
-    for run, buf in _chunks(np.flatnonzero(keep), rows):
+    scores[:, keep] = 0.0  # the score of a decided search's lone survivor; the others' are below
+    for run, buf in [] if decided else _chunks(np.flatnonzero(keep), rows):
         _fake_into(rows, *(v[run] for v in by_candidate), buf)
         scores[:, run] = sq_error(rows, buf, axis=2).T
     scores[skip] = np.inf

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -473,6 +474,55 @@ class TestCalibrateQuantizeEvaluate:
         assert (code, out) == (1, "")
         assert err == f"error: --out and --codes name the same file {tmp_path / 'recon.dump'}\n"
         assert not (tmp_path / "recon.dump").exists()
+
+    @pytest.mark.parametrize("output", ["--out", "--report"])
+    def test_calibrate_output_on_its_config_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, output):
+        before = config_path.read_bytes()
+        link = tmp_path / "link.json"
+        link.symlink_to(config_path)
+        argv = ["calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(tmp_path / "p.json")]
+        code, out, err = run_cli(capsys, *argv, output, str(link))
+        assert (code, out, err) == (1, "", f"error: --config and {output} name the same file {link}\n")
+        assert config_path.read_bytes() == before and not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("name", ["feat__000.dump", "feat__999.dump", "feat.dump"])
+    def test_calibrate_out_named_like_a_hooks_dump_is_one_line(self, tmp_path, capsys, dumps_dir, config_path, name):
+        """Whether or not that dump is there yet: the next run with this config would read it."""
+        out = dumps_dir / name
+        before = out.read_bytes() if out.exists() else None
+        code, stdout, err = run_cli(
+            capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", str(out)
+        )
+        assert (code, stdout, err) == (1, "", f"error: --out names a dump of hook 'feat': {out}\n")
+        assert (out.read_bytes() if out.exists() else None) == before
+
+    def test_calibrate_may_write_other_files_into_its_dumps(self, tmp_path, capsys, dumps_dir, config_path):
+        argv = ["calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out"]
+        assert run_cli(capsys, *argv, str(dumps_dir / "params.json"), "--report", str(dumps_dir / "x.dump"))[0] == 0
+        assert run_cli(capsys, *argv, str(tmp_path / "p.json"))[0] == 0
+        assert (dumps_dir / "params.json").read_bytes() == (tmp_path / "p.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "outputs, flags, path",
+        [
+            (["--out", "params.json"], "--params and --out", "params.json"),
+            (["--out", "in.dump"], "--in and --out", "in.dump"),
+            (["--out", "r.dump", "--codes", "params.json"], "--params and --codes", "params.json"),
+            (["--out", "in"], "--in and --codes", "in.codes"),  # the default codes path, <out>.codes
+        ],
+        ids=["out-params", "out-in", "codes-params", "default-codes-in"],
+    )
+    def test_quantize_output_on_an_input_is_one_line(
+        self, tmp_path, capsys, monkeypatch, dumps_dir, config_path, outputs, flags, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "calibrate", "--config", str(config_path), "--dumps", str(dumps_dir), "--out", "params.json")
+        src = "in.codes" if path == "in.codes" else "in.dump"
+        shutil.copy(dumps_dir / "feat__000.dump", src)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        code, out, err = run_cli(capsys, "quantize", "--params", "params.json", "--hook", "feat", "--in", src, *outputs)
+        assert (code, out, err) == (1, "", f"error: {flags} name the same file {path}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
     def test_a_failed_report_write_leaves_no_params_file(self, tmp_path, capsys):
         d = tmp_path / "dumps"

@@ -26,7 +26,7 @@ from ptqkit.generate import synth
 from ptqkit.search import CHUNK_ELEMS, SearchSpace, mse_grid_search, sq_error
 from ptqkit.uniform import fake_quant_array
 from oracles import assign_region, dual_region_dequantize, dual_region_quantize
-from test_search import sorted_scoring
+from test_search import sorted_scoring, spy_near_winners
 
 
 def softmax_params(bits=8, m=5):
@@ -369,9 +369,9 @@ class TestBlocks:
 
     def test_traced_peak_of_a_gelu_search(self):
         """The search keeps the sorted copy and, apart from it, one buffer of segment terms
-        (about half the elements here), then one buffer of score terms: on a 256x3072 GeLU
-        dump it peaks at about 1.7 x its float64 input. Full-length prefix sums and
-        whole-array rescoring peaked at 4.13 x."""
+        (about half the elements here), then, where two or more candidates survive, one buffer
+        of score terms: on a 256x3072 GeLU dump it peaks at about 1.7 x its float64 input.
+        Full-length prefix sums and whole-array rescoring peaked at 4.13 x."""
         arr = synth("gelu", (256, 3072), seed=0).array.astype(np.float64)
         tracemalloc.start()
         try:
@@ -500,6 +500,13 @@ class TestGeluWithoutNegatives:
         assert sq_error(arr, fake_dual_region(arr, p), grad) == best_score
 
 
+def spy_rescored(monkeypatch) -> list:
+    """Record the candidates whose table the piece codec reads, one call a direct score."""
+    rescored, real = [], DualRegionParams._pieces
+    monkeypatch.setattr(DualRegionParams, "_pieces", lambda p: rescored.append(p) or real(p))
+    return rescored
+
+
 def outcome(search, *args, **kwargs):
     """The search's result, or the type and message of what it raised."""
     try:
@@ -603,9 +610,33 @@ class TestSortedScoring:
         assert [p.fake(arr)[0] for p in candidates] == [0.0, 0.0]
 
     def test_gelu_search_rescores_only_near_winners(self, monkeypatch):
-        rescored = set()  # the candidates whose table the piece codec reads, one call a rescoring
-        real = DualRegionParams._pieces
-        monkeypatch.setattr(DualRegionParams, "_pieces", lambda p: rescored.add(p) or real(p))
+        """On the GeLU dump the bound keeps one candidate, which wins unscored."""
+        rescored, outcomes = spy_rescored(monkeypatch), spy_near_winners(monkeypatch, dual_region)
         arr = synth("gelu", (256, 3072), seed=0).array
-        calibrate_dual_region(arr, "gelu", 8)
-        assert 1 <= len(rescored) <= 5
+        p = calibrate_dual_region(arr, "gelu", 8)
+        (_, decided), = outcomes
+        assert decided and rescored == []
+        with sorted_scoring(pays=False):
+            assert calibrate_dual_region(arr, "gelu", 8) == p
+
+    def test_a_near_tie_rescores_every_candidate_the_bound_keeps(self, monkeypatch):
+        """A repeated-values softmax draw on which 4 of the 12 shifts tie within their bounds."""
+        rescored, outcomes = spy_rescored(monkeypatch), spy_near_winners(monkeypatch, dual_region)
+        arr = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.001])
+        with sorted_scoring():
+            p = calibrate_dual_region(arr, "softmax", 12)
+        (keep, decided), = outcomes
+        assert keep.sum() == 4 and not decided
+        assert rescored == [softmax_params(12, m) for m in np.flatnonzero(keep) + 1]
+        assert p == reference_calibrate_dual_region(arr, "softmax", 12, None, SearchSpace())
+
+    @settings(max_examples=100, deadline=None)
+    @given(adversarial_calibrations())
+    def test_the_direct_pass_scores_exactly_the_undecided_survivors(self, case):
+        arr, kind, bits, grad, space = case
+        with pytest.MonkeyPatch.context() as mp, sorted_scoring():
+            rescored, outcomes = spy_rescored(mp), spy_near_winners(mp, dual_region)
+            outcome(calibrate_dual_region, arr, kind, bits, grad=grad, space=space)
+        if outcomes:  # else the search raised before it scored
+            (keep, decided), = outcomes
+            assert len(rescored) == (0 if decided else keep.sum())

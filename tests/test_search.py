@@ -1,4 +1,5 @@
 import contextlib
+import types
 import warnings
 
 import numpy as np
@@ -241,6 +242,33 @@ class TestMseGridSearch:
         assert p == make_params(-1e300, 1e300, 8, scheme)
 
 
+def spy_near_winners(monkeypatch, module=search) -> list:
+    """Record every (keep, decided) that `module`'s searches get from `_near_winners`."""
+    seen, real = [], search._near_winners
+    monkeypatch.setattr(module, "_near_winners", lambda *args, **kw: seen.append(real(*args, **kw)) or seen[-1])
+    return seen
+
+
+def sequential_reduceat(terms, starts, out):
+    """`np.add.reduceat` of 1-D `terms` over increasing `starts` into `out`, each segment summed
+    one term after another, largest magnitude first: its rounding errors pile up, where numpy's
+    pairwise sums keep them within a few ulps."""
+    for i, (a, b) in enumerate(zip(starts, [*starts[1:], terms.size])):
+        seg = terms[a:b]
+        out[i] = np.cumsum(seg[np.argsort(-np.abs(seg), kind="stable")])[-1]
+    return out
+
+
+@contextlib.contextmanager
+def sequential_segment_sums():
+    """`search._bin_scores` sums its segments with `sequential_reduceat`: within the block,
+    `search.np` is numpy with an `add` that only has that `reduceat`."""
+    numpy = types.SimpleNamespace(**{**vars(np), "add": types.SimpleNamespace(reduceat=sequential_reduceat)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "np", numpy)
+        yield
+
+
 @contextlib.contextmanager
 def sorted_scoring(pays=True):
     """Prune every one-row and dual-region search, whatever it costs, or
@@ -368,19 +396,64 @@ class TestSortedScoring:
         direct = np.array([sq_error(arr, _fake_into(arr, s, lo, hi, np.empty_like(arr)), grad) for s in scales])
         assert direct[0] < direct[1] and approx[0] - approx[1] > 5e-7
         with sorted_scoring():
-            keep = search._near_winners(lambda: (approx, bound), arr.size, scales.size, 10, True)
+            keep, decided = search._near_winners(lambda: (approx, bound), arr.size, scales.size, 10, True)
+        assert keep.all() and not decided
         assert first_min(np.where(keep, direct, np.inf)) == first_min(direct) == 0
         assert np.all(np.abs(approx - direct * arr.size) <= bound)
 
     def test_only_near_winners_are_rescored(self, monkeypatch):
-        calls = []
-        real = search._fake_into
-        monkeypatch.setattr(search, "_fake_into", lambda *args: calls.append(1) or real(*args))
+        """On the outlier dump the bound keeps one candidate, which wins unscored. In a near tie it
+        keeps both candidates, and both are rescored."""
+        scored, outcomes = count_scored(monkeypatch), spy_near_winners(monkeypatch)
         arr = synth("outlier", (256, 768), seed=0).array
         for scheme in ("symmetric", "asymmetric"):
-            calls.clear()
-            mse_grid_search(arr, 8, scheme)
-            assert 1 <= len(calls) <= 5
+            scored.clear()
+            p = mse_grid_search(arr, 8, scheme)
+            assert scored == [] and outcomes[-1][1]
+            with sorted_scoring(pays=False):
+                assert mse_grid_search(arr, 8, scheme) == p
+        arr, t = segment_sums_reverse_a_near_tie()
+        scored.clear()
+        with sorted_scoring():
+            assert mse_grid_search(arr, 3, "symmetric", True, SearchSpace(0.75, 1.5, 2)).scale == t
+        keep, decided = outcomes[-1]
+        assert keep.tolist() == [True, True] and not decided and sum(scored) == 2
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_a_lone_skip_candidate_keeps_the_full_range_parameters(self, monkeypatch, scheme):
+        """A one-point grid past the float64 maximum is scored at the full-range scale: the bound
+        keeps it alone, and it still loses."""
+        scored, outcomes = count_scored(monkeypatch), spy_near_winners(monkeypatch)
+        arr = np.linspace(-1e12, 3e12, 64)
+        with sorted_scoring():
+            p = mse_grid_search(arr, 8, scheme, space=SearchSpace(1e300, 2e300, 1))
+        assert outcomes[-1][1] and scored == []
+        assert p == make_params(-1e12, 3e12, 8, scheme)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_segment_sums_in_any_order_stay_within_the_bound(self, weighted):
+        """10,000 equal values on a level, summed one after another: each step rounds the same way
+        within a binade, so S1 and S2 drift far more than under numpy's pairwise sums, and A, whose
+        exact value is 0, is off by 3e-9 to 7e-9, 17 to 46 times B without its segment-rounding term."""
+        arr = np.full(10_000, 4 / 3)
+        grad = np.full(arr.size, 1.1) if weighted else None
+        with sequential_segment_sums():
+            approx, bound = _bin_scores(_sorted(arr, grad), 0, arr.size, np.array([1 / 3]), -2.0, 4.0)
+        assert sq_error(arr, _fake_into(arr, 1 / 3, -2.0, 4.0, np.empty_like(arr)), grad) == 0.0
+        assert 1e-9 < abs(approx[0]) <= bound[0]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_subnormal_squares_stay_within_the_bound(self, weighted):
+        """Data near 1e-160, whose squared errors are subnormal: each product rounds to a multiple
+        of 2^-1074, far more than u times its value, which only B's underflow term covers."""
+        rng = np.random.default_rng(0)
+        arr = rng.standard_normal(2000) * 1e-160
+        grad = rng.standard_normal(arr.size) if weighted else None
+        grid = SearchSpace().scale_candidates(make_params(arr.min(), arr.max(), 8, "symmetric", True).scale)
+        approx, bound = _bin_scores(_sorted(arr, grad), 0, arr.size, grid, -128.0, 127.0)
+        direct = np.array([sq_error(arr, _fake_into(arr, s, -128.0, 127.0, np.empty_like(arr)), grad) for s in grid])
+        gap = np.abs(approx - direct * arr.size)
+        assert gap.max() > 0 and np.all(gap <= bound)
 
     def test_channel_rows_score_every_candidate(self, monkeypatch):
         scored = count_scored(monkeypatch)
