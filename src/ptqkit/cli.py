@@ -194,15 +194,14 @@ def _cmd_quantize(args) -> int:
     _check_outputs(args, ("params", "in"), ("out", "codes"))
     doc = pio.parse_params(args.params)
     hooks = doc.hooks
-    if args.hook:
-        if args.hook not in hooks:
-            raise QuantizationError(f"hook {args.hook!r} not in parameter file")
-        params = hooks[args.hook]
-    elif len(hooks) == 1:
-        params = next(iter(hooks.values()))
-    else:
+    if not hooks:
+        raise QuantizationError("parameter file defines no hooks")
+    if not args.hook and len(hooks) > 1:
         raise QuantizationError(f"--hook required; file defines {sorted(hooks)}")
-    codes, recon = _encode_blocks(params, pio.read_dump(getattr(args, "in")).array)
+    hook = args.hook or next(iter(hooks))
+    if hook not in hooks:
+        raise QuantizationError(f"hook {hook!r} not in parameter file")
+    codes, recon = _encode_blocks(hooks[hook], pio.read_dump(getattr(args, "in")).array)
     pio.write_dump(recon, args.out)
     pio.write_code_dump(codes, args.codes)
     print(f"wrote {args.out} and {args.codes}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ShapeError
-from .search import SearchSpace, _bin_scores, _near_winners, _pieces_into, _sorted, first_min
+from .search import SearchSpace, _bin_scores, _near_winners, _pieces_into, _sorted, first_min, sq_error
 from .tensor import TensorLike, _as_f64
 from .uniform import BITS, TINY, real, whole
 
@@ -229,15 +229,15 @@ def calibrate_dual_region(
 
 def _direct_scores(arr: np.ndarray, g, bits: int, candidates: list) -> np.ndarray:
     """`sq_error` of every candidate `search._near_winners` keeps (2^(b-1) levels in each of two regions),
-    inf for the rest: the mean of one buffer of `_pieces_into` terms, allocated after the sort is freed.
-    Where the bound decided, its lone survivor scores 0.0 unscored: it wins `first_min` all the same."""
+    inf for the rest: each is reconstructed by `_pieces_into` into one buffer, allocated after the sort is
+    freed. Where the bound decided, its lone survivor scores 0.0 unscored: it wins `first_min` all the same."""
     binned = lambda: _region_scores(arr, g, candidates)  # noqa: E731
     keep, decided = _near_winners(binned, arr.size, len(candidates), bits, g is not None, passes=2)
     scores = np.where(keep, 0.0, np.inf)
     if not decided:
-        flat, grad, terms = arr.reshape(-1), None if g is None else g.reshape(-1), np.empty(arr.size)
+        flat, grad, buf = arr.reshape(-1), None if g is None else g.reshape(-1), np.empty(arr.size)
         for j in np.flatnonzero(keep):
-            scores[j] = _pieces_into(flat, *candidates[j]._pieces(), terms, score=True, grad=grad).mean()
+            scores[j] = sq_error(flat, _pieces_into(flat, *candidates[j]._pieces(), buf), grad)
     return scores
 
 

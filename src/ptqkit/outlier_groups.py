@@ -173,11 +173,13 @@ def calibrate_grouped(
             fallbacks.append(iteration)
             tau, _ = _threshold_info(magnitudes, ThresholdStrategy())  # mean_3sd
         mask = magnitudes <= tau
+        del magnitudes  # the group search reads only the two sides of the split
         if mask.all() or not mask.any():
             break  # a split with an empty side: the rest is the final group
-        params = mse_grid_search(current[mask], bits, "asymmetric", signed=False, space=space)
+        inliers, current = current[mask], current[~mask]
+        del mask
+        params = mse_grid_search(inliers, bits, "asymmetric", signed=False, space=space)
         groups.append(QuantGroup(upper=float(tau), params=params))
-        current = current[~mask]
     params = mse_grid_search(current, bits, "asymmetric", signed=False, space=space)
     groups.append(QuantGroup(upper=math.inf, params=params))
     return GroupedQuantParams(

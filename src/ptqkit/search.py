@@ -125,16 +125,15 @@ def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, scale, out=out)
 
 
-def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None, score=False, grad=None) -> np.ndarray:
+def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None) -> np.ndarray:
     """The piecewise-uniform codec of the 1-D `flat` into `out`, CHUNK_ELEMS elements at a time so
     that every temporary stays in cache. `piece_of(x)` gives each element's piece index, and the
     i-th tuple of `table` holds piece i's (scale s, zero point z, q_min, q_max); a column that
     every piece shares stays a scalar. An element codes as clip(rint(x / s) + z, q_min, q_max),
     the IEEE steps of `quantize_array` (adding z turns a -0.0 code into +0.0), and rebuilds as
     (code - z) * s, those of `dequantize_array`. Each element is coded alone, so the bytes are
-    those of a whole-array pass. A (2, n) int32 `codes` gets the piece indices over the codes;
-    with `score`, `out` gets the `sq_error` terms (weighted by the 1-D `grad` if given) in place
-    of the reconstruction."""
+    those of a whole-array pass. A (2, n) int32 `codes` gets the piece indices over the codes.
+    It only codes: a search scores the reconstruction with `sq_error`."""
     cols = [c[0] if len(set(c)) == 1 else np.array(c, dtype=np.float64) for c in zip(*table)]
     for j in range(0, flat.size, CHUNK_ELEMS):
         at = slice(j, j + CHUNK_ELEMS)
@@ -147,8 +146,6 @@ def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None,
         if codes is not None:
             codes[0, at], codes[1, at] = piece, y
         np.multiply(np.subtract(y, z, out=y), s, out=y)
-        if score:
-            _sq_terms(x, y, None if grad is None else grad[at])
         del piece, s, z, lo, hi  # before the next block's rule allocates
     return out
 

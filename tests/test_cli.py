@@ -669,6 +669,16 @@ class TestCalibrateQuantizeEvaluate:
         assert code == 1
         assert err == "error: hook 'attn' not in parameter file\n"
 
+    def test_quantize_file_of_no_hooks_is_one_line(self, tmp_path, capsys, dumps_dir):
+        params, out = tmp_path / "params.json", tmp_path / "o.dump"
+        emit_params(ParamDoc(hooks={}), params)
+        code, _, err = run_cli(
+            capsys, "quantize", "--params", str(params), "--in", str(dumps_dir / "feat__000.dump"), "--out", str(out)
+        )
+        assert code == 1
+        assert err == "error: parameter file defines no hooks\n"  # no --hook can help
+        assert not out.exists()
+
 
 class TestQuantizeCodesOnce:
     """`ptqkit quantize` codes each element once: one `encode` call gives the

@@ -391,6 +391,20 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 2 * arr.nbytes, f"traced peak {peak / arr.nbytes:.2f} x the input"
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_traced_peak_of_calibrate(self, seed):
+        """`calibrate_grouped` frees the magnitudes and the mask before each group search, which
+        reads only the inliers: on the 256x768 outlier dump it peaks at about 3.5 x its float64
+        input. Keeping them through the search peaked at 4.63 x."""
+        arr = synth("outlier", (256, 768), seed=seed).array.astype(np.float64)
+        tracemalloc.start()
+        try:
+            calibrate_grouped(arr, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * arr.nbytes, f"traced peak {peak / arr.nbytes:.2f} x the input"
+
 
 class TestDominance:
     def test_beats_per_tensor_uniform_on_heavy_tails(self):

@@ -122,6 +122,10 @@ class TestMakeParams:
         with pytest.raises(InvalidArgument):
             QuantParams(scale=[1.0, scale], zero_point=[0, 0], bits=8, signed=False, axis=0)
 
+    def test_per_channel_lengths_must_match(self):
+        with pytest.raises(ShapeError, match="^per-channel scale and zero_point lengths differ$"):
+            QuantParams(scale=[1.0, 2.0], zero_point=[0], bits=8, signed=True, axis=0)
+
     @pytest.mark.parametrize("signed", ["no", 1, None])
     def test_signed_must_be_a_bool(self, signed):
         with pytest.raises(InvalidArgument):
