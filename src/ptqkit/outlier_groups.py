@@ -32,9 +32,9 @@ DEFAULT_MAX_ITERS = 3  # calibrate_grouped's cap on threshold splits
 class ThresholdStrategy:
     """How to place the inlier/outlier threshold on absolute values.
 
-    mean_3sd: mu + 3*sigma. mean_division: mean_multiplier * mu.
-    median_mad: median + mad_multiplier * MAD. confidence: two-sided Gaussian
-    interval bound at confidence_level. none: a single all-covering group.
+    mean_3sd: mu + 3*sigma. mean_division: mean_multiplier * mu. median_mad: median +
+    mad_multiplier * MAD, or mean_3sd's threshold where the MAD is 0. confidence: two-sided
+    Gaussian interval bound at confidence_level. none: a single all-covering group.
     The three multipliers must be numbers (see `uniform.real`: no bool or string).
     """
 
@@ -55,24 +55,24 @@ class ThresholdStrategy:
         if not (math.isfinite(self.mad_multiplier) and self.mad_multiplier >= 0.0):
             raise InvalidArgument(f"need a finite mad_multiplier >= 0, got {self.mad_multiplier}")
 
-
-def _threshold_info(magnitudes: np.ndarray, strategy: ThresholdStrategy) -> tuple[float, bool]:
-    """Threshold plus a flag marking a degenerate MAD (== 0)."""
-    mu = float(magnitudes.mean())
-    sigma = float(np.sqrt(np.mean((magnitudes - mu) ** 2)))
-    kind = strategy.kind
-    if kind == "mean_3sd":
-        return mu + 3.0 * sigma, False
-    if kind == "mean_division":
-        return strategy.mean_multiplier * mu, False
-    if kind == "median_mad":
-        med = float(np.median(magnitudes))
-        mad = float(np.median(np.abs(magnitudes - med)))
-        return med + strategy.mad_multiplier * mad, mad == 0.0
-    if kind == "confidence":
-        z = NormalDist().inv_cdf(0.5 + strategy.confidence_level / 2.0)
+    def threshold(self, magnitudes: np.ndarray) -> tuple[float, bool]:
+        """(tau, fell_back), fell_back where median_mad's MAD is 0 and mean_3sd's tau stands in. Each rule
+        computes only what it reads; a statistic past the float64 maximum is inf, and the set is not split."""
+        if self.kind == "none":
+            return math.inf, False
+        with np.errstate(over="ignore"):  # also in np.median, which averages the two middle values
+            if self.kind == "median_mad":
+                med = float(np.median(magnitudes))
+                mad = float(np.median(np.abs(magnitudes - med)))
+                if mad == 0.0:
+                    return ThresholdStrategy().threshold(magnitudes)[0], True
+                return med + self.mad_multiplier * mad, False
+            mu = float(np.mean(magnitudes))
+            if self.kind == "mean_division":
+                return self.mean_multiplier * mu, False
+            sigma = float(np.sqrt(np.mean((magnitudes - mu) ** 2)))
+        z = NormalDist().inv_cdf(0.5 + self.confidence_level / 2.0) if self.kind == "confidence" else 3.0
         return mu + z * sigma, False
-    return math.inf, False  # "none"
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def calibrate_grouped(
 ) -> GroupedQuantParams:
     """Iterative inlier/outlier partition with per-group grid search.
 
-    Each iteration thresholds the current set's magnitudes (a degenerate MAD
-    falls back to mean_3sd for that iteration and is recorded), searches
+    Each iteration thresholds the current set's magnitudes by
+    `strategy.threshold`, recording the iterations that fell back, searches
     asymmetric uniform parameters for the inliers, and continues on the
     outliers. The residual after the iteration cap, or after a threshold
     that leaves no inliers, becomes the final, unbounded group. `max_iters`
@@ -168,10 +168,9 @@ def calibrate_grouped(
     fallbacks: list[int] = []
     for iteration in range(max_iters):
         magnitudes = np.abs(current)
-        tau, degenerate = _threshold_info(magnitudes, strategy)
-        if degenerate:
+        tau, fell_back = strategy.threshold(magnitudes)
+        if fell_back:
             fallbacks.append(iteration)
-            tau, _ = _threshold_info(magnitudes, ThresholdStrategy())  # mean_3sd
         mask = magnitudes <= tau
         del magnitudes  # the group search reads only the two sides of the split
         if mask.all() or not mask.any():

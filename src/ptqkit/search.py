@@ -80,19 +80,20 @@ def sq_error(
     computed in place: `approx` is overwritten, `reference` and `grad` are
     only read. Callers check that `grad` has the reference's shape.
     With `axis`, a `_chunks` run gets one mean per candidate (the
-    alternating search) or per candidate and row (the row search).
+    alternating search) or per candidate and row (the row search). A term,
+    or a sum of finite terms, past the float64 maximum gives inf, without a warning.
     """
-    mean = _sq_terms(reference, approx, grad).mean(axis=axis)
+    mean = _sq_reduce(reference, approx, grad, np.mean, axis)
     return float(mean) if axis is None else mean
 
 
-def _sq_terms(reference: np.ndarray, approx: np.ndarray, grad: np.ndarray | None) -> np.ndarray:
-    """The terms (grad * (approx - reference))^2 that `sq_error` averages, in `approx`."""
-    with np.errstate(over="ignore"):  # a term past the float64 maximum is inf, which no search picks
+def _sq_reduce(reference: np.ndarray, approx: np.ndarray, grad: np.ndarray | None, reduce, axis) -> np.ndarray:
+    """`reduce` (np.mean or np.sum) over `axis` of the terms (grad * (approx - reference))^2, built in `approx`."""
+    with np.errstate(over="ignore"):  # a term or sum past the float64 maximum is inf, which no search picks
         diff = np.subtract(approx, reference, out=approx)
         if grad is not None:
             np.multiply(diff, grad, out=diff)
-        return np.square(diff, out=diff)
+        return reduce(np.square(diff, out=diff), axis=axis)
 
 
 def _run_length(size: int) -> int:
@@ -231,14 +232,14 @@ def _bin_scores(srt: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np.
     pos, span, starts = rank[idx].astype(np.intp), slice(cut[0], cut[-1]), cut[:-1] - cut[0]
     del mark, rank
     x, q = xs[span], np.zeros((2 if w is None else 3, cut.size))  # Q1, Q2 and, with weights, Q0 at the cuts
-    terms = x if w is None else np.multiply(w[span], x)  # then w*x^2: one buffer besides xs and w
-    np.add.reduceat(terms, starts, out=q[0, 1:])
-    np.add.reduceat(np.square(x) if w is None else np.multiply(terms, x, out=terms), starts, out=q[1, 1:])
-    if w is not None:
-        np.add.reduceat(w[span], starts, out=q[2, 1:])
-    np.cumsum(q, axis=1, out=q)
-    m1, wmax, approx = float(-q[0].min()), 1.0 if w is None else float(w.max()), np.empty(scale.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float64 maximum is inf: then so is Z
+        terms = x if w is None else np.multiply(w[span], x)  # then w*x^2: one buffer besides xs and w
+        np.add.reduceat(terms, starts, out=q[0, 1:])
+        np.add.reduceat(np.square(x) if w is None else np.multiply(terms, x, out=terms), starts, out=q[1, 1:])
+        if w is not None:
+            np.add.reduceat(w[span], starts, out=q[2, 1:])
+        np.cumsum(q, axis=1, out=q)
+        m1, wmax, approx = float(-q[0].min()), 1.0 if w is None else float(w.max()), np.empty(scale.shape)
         z = 4.0 * (size + levels) * (max(-xs[0], xs[-1]) + kmax * scale + 1.0) ** 2 * (wmax + 1.0)
         bound = 4 * U * (2 * kmax + 1) * scale**2 * size * wmax + 2.0**-1074 * z
         for at in chunks:
@@ -471,12 +472,12 @@ def alternating_matmul_search(
     def prune(i, todo, scores):
         """`todo` less the candidate of lowest partial sum, scored here, and
         every candidate whose partial sum proves it scores above that one."""
-        pick = np.argsort(_sq_terms(ref, np.matmul(*fq), g).sum(axis=axes[:-1]))[-heavy:]
+        pick = np.argsort(_sq_reduce(ref, np.matmul(*fq), g, np.sum, axes[:-1]))[-heavy:]
         # copies in each matrix's layout, so that its products are the same BLAS calls
         x, fixed, sub = (np.take(v, pick, axis=0, out=np.empty_like(v[:heavy])) for v in (mats[i], fq[1 - i], ref))
         sub_g, part = None if g is None else g[pick], np.full(scores.size, np.inf)
         for run, out in products(i, todo, x, fixed, sub):
-            part[run] = _sq_terms(sub, out, sub_g).sum(axis=axes)
+            part[run] = _sq_reduce(sub, out, sub_g, np.sum, axes)
         k = first_min(part)
         if k < 0:
             return todo

@@ -180,7 +180,8 @@ def make_params(
 def full_range(lo, hi, bits: int, scheme: str, signed: bool) -> tuple[np.ndarray, np.ndarray]:
     """(scale, zero point) float64 arrays, 0-d for scalars, of the full-range quantizer of each range
     [lo, hi], lo <= hi. A repeated value anchors the asymmetric scale on its magnitude; an all-zero
-    range gets the sentinel scale 1.0 and zero point 0; a subnormal scale (below TINY) is an error."""
+    range gets the sentinel scale 1.0 and zero point 0; a subnormal scale (below TINY) is an error,
+    and so is an asymmetric span hi - lo past the float64 maximum."""
     bits = whole("bits", bits, *BITS)
     if scheme not in SCHEMES:
         raise InvalidArgument(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -190,12 +191,14 @@ def full_range(lo, hi, bits: int, scheme: str, signed: bool) -> tuple[np.ndarray
     if scheme == "symmetric":
         scale = absmax / q_max
     else:
-        scale = np.where(lo == hi, absmax / max(-q_min, q_max), (hi - lo) / (q_max - q_min))
+        with np.errstate(over="ignore"):  # an inf span is refused below
+            scale = np.where(lo == hi, absmax / max(-q_min, q_max), (hi - lo) / (q_max - q_min))
     zero = absmax == 0.0
     scale = np.where(zero, 1.0, scale)
-    for i in np.flatnonzero(scale < TINY)[:1]:  # the first subnormal scale
+    for i in np.flatnonzero((scale < TINY) | np.isinf(scale))[:1]:  # the first subnormal or inf scale
         lo_i, hi_i, s_i = lo.item(i), hi.item(i), scale.item(i)
-        raise InvalidArgument(f"range [{lo_i!r}, {hi_i!r}] gives the subnormal scale {s_i!r}")
+        why = "is wider than the float64 maximum" if s_i == np.inf else f"gives the subnormal scale {s_i!r}"
+        raise InvalidArgument(f"range [{lo_i!r}, {hi_i!r}] {why}")
     return scale, np.where(zero, 0.0, zero_point(lo, scale, bits, scheme, signed))
 
 

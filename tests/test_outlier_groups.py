@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptqkit import outlier_groups
 from ptqkit.dual_region import DualRegionParams
 from ptqkit.errors import EmptyInput, InvalidArgument
 from ptqkit.generate import synth
@@ -13,7 +16,6 @@ from ptqkit.outlier_groups import (
     GroupedQuantParams,
     QuantGroup,
     ThresholdStrategy,
-    _threshold_info,
     calibrate_grouped,
     encode_grouped,
     fake_grouped,
@@ -25,7 +27,7 @@ from oracles import group_index, grouped_dequantize, grouped_quantize
 
 def threshold_of(values, strategy):
     """The threshold calibrate_grouped places over `values`' magnitudes."""
-    return _threshold_info(np.abs(np.asarray(values, dtype=np.float64)), strategy)[0]
+    return strategy.threshold(np.abs(np.asarray(values, dtype=np.float64)))[0]
 
 
 class TestThreshold:
@@ -42,9 +44,34 @@ class TestThreshold:
         assert threshold_of([2.0, 2.0, 2.0], ThresholdStrategy("mean_3sd")) == pytest.approx(2.0)
 
     def test_median_mad_degenerate(self):
-        tau, degenerate = _threshold_info(np.asarray([1.0, 1, 1, 1, 1, 9]), ThresholdStrategy("median_mad"))
-        assert tau == pytest.approx(1.0)  # MAD collapses to zero
-        assert degenerate
+        magnitudes = np.asarray([1.0, 1, 1, 1, 1, 9])  # the MAD collapses to zero
+        tau, fell_back = ThresholdStrategy("median_mad").threshold(magnitudes)
+        assert fell_back and tau == ThresholdStrategy().threshold(magnitudes)[0]  # mean_3sd's, not 1.0 + 3 * 0
+        assert tau == pytest.approx(7.0 / 3.0 + 3.0 * math.sqrt(80.0) / 3.0)
+
+    @pytest.mark.parametrize(
+        "kind,values,calls",
+        [
+            ("none", [1.0, 2, 3, 4, 10], (0, 0, 0)),
+            ("mean_division", [1.0, 2, 3, 4, 10], (1, 0, 0)),
+            ("mean_3sd", [1.0, 2, 3, 4, 10], (2, 1, 0)),
+            ("confidence", [1.0, 2, 3, 4, 10], (2, 1, 0)),
+            ("median_mad", [1.0, 2, 3, 4, 10], (0, 0, 2)),
+            ("median_mad", [1.0, 1, 1, 1, 9], (2, 1, 2)),  # MAD 0: mean_3sd's mu and sigma, once
+        ],
+    )
+    def test_each_rule_computes_only_what_it_reads(self, monkeypatch, kind, values, calls):
+        """The (np.mean, np.sqrt, np.median) calls of one threshold: mu is a mean, sigma a
+        mean and a square root, and median_mad's median and MAD two medians."""
+        seen = []
+
+        def counted(name):
+            return lambda *args, **kw: seen.append(name) or getattr(np, name)(*args, **kw)
+
+        spy = {name: counted(name) for name in ("mean", "sqrt", "median")}
+        monkeypatch.setattr(outlier_groups, "np", types.SimpleNamespace(**{**vars(np), **spy}))
+        ThresholdStrategy(kind).threshold(np.asarray(values))
+        assert tuple(seen.count(name) for name in ("mean", "sqrt", "median")) == calls
 
     def test_mean_division(self):
         tau = threshold_of([1, 2, 3], ThresholdStrategy("mean_division"))
@@ -231,6 +258,31 @@ class TestCalibration:
         data = np.asarray([1.0, 1.0, 1.0, 1.0, 1.0, 9.0] * 20)
         params = calibrate_grouped(data, 8, ThresholdStrategy("median_mad"), max_iters=3)
         assert 0 in params.mad_fallbacks
+
+    def test_mad_fallback_places_the_mean_3sd_threshold(self):
+        # the first MAD is 0; the outliers' MAD, 1, is not
+        data = np.asarray([1.0] * 100 + [-9.0, 10.0, 12.0])
+        params = calibrate_grouped(data, 8, ThresholdStrategy("median_mad"))
+        mags = np.abs(data)
+        mu = np.mean(mags)
+        assert params.mad_fallbacks == (0,)
+        assert params.groups[0].upper == float(mu) + 3.0 * float(np.sqrt(np.mean((mags - mu) ** 2)))
+
+    @pytest.mark.parametrize("kind", ["mean_3sd", "mean_division", "median_mad", "confidence", "none"])
+    @pytest.mark.parametrize("v", [1e154, 1e160, 1e308])
+    def test_near_limit_statistics_print_no_warning(self, kind, v):
+        """A statistic past the float64 maximum is inf: no warning, and no split. mean_division
+        reads only the mean, v / 2 here, and splits once. At 1e308 the one remaining group
+        spans more than the float64 maximum, which is an error."""
+        data = np.array([v, -v, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if v == 1e308:
+                with pytest.raises(InvalidArgument, match=r"^range \[-1e\+308, 1e\+308\] is wider than"):
+                    calibrate_grouped(data, 8, ThresholdStrategy(kind))
+                return
+            params = calibrate_grouped(data, 8, ThresholdStrategy(kind))
+        assert [g.upper for g in params.groups] == ([v / 2, math.inf] if kind == "mean_division" else [math.inf])
 
     def test_strategy_none_single_group(self):
         t = synth("outlier", (16, 16), seed=2)

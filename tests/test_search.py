@@ -237,8 +237,7 @@ class TestMseGridSearch:
     def test_no_finite_score_returns_full_range(self, scheme):
         # every candidate's squared error overflows to inf
         arr = np.array([1e300, -1e300])
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = mse_grid_search(arr, 8, scheme)
+        p = mse_grid_search(arr, 8, scheme)
         assert p == make_params(-1e300, 1e300, 8, scheme)
 
 
@@ -874,8 +873,7 @@ class TestChannelwiseParams:
             channels[5] = np.abs(channels[5])
             for scheme in ("symmetric", "asymmetric"):
                 for signed in (True, False):
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        p = self.assert_each_channel_is_its_own_search(w, 4, axis, scheme, signed)
+                    p = self.assert_each_channel_is_its_own_search(w, 4, axis, scheme, signed)
                     tie = make_params(float(channels[3].min()), float(channels[3].max()), 4, scheme, signed)
                     assert p.scale[3] == SearchSpace().scale_candidates(tie.scale)[0]  # the first of equals
 
@@ -896,10 +894,7 @@ class TestChannelwiseParams:
         any search, see `test_subnormal_row_scale_rejected`.)"""
         w = ints * np.asarray(magnitudes[: len(ints)])[:, None]
         space = SearchSpace(0.2, 1.3, n_candidates)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.assert_each_channel_is_its_own_search(
-                w.T if transpose else w, bits, int(transpose), scheme, signed, space
-            )
+        self.assert_each_channel_is_its_own_search(w.T if transpose else w, bits, int(transpose), scheme, signed, space)
 
     @pytest.mark.parametrize(
         "row,scheme",
@@ -912,6 +907,21 @@ class TestChannelwiseParams:
         for arr, search in ((w, lambda a: channelwise_params(a, 8, 0, scheme)), (np.array(row), None)):
             with pytest.raises(InvalidArgument, match="subnormal"):
                 search(arr) if search else mse_grid_search(arr, 8, scheme)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_range_wider_than_float64_rejected(self, signed):
+        """An asymmetric span past the float64 maximum is one error naming the range, not a warning."""
+        w = np.array([[-1.0, 0.5, 2.0], [-1e308, 0.0, 1e308]])
+        match = r"^range \[-1e\+308, 1e\+308\] is wider than the float64 maximum$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for search in (
+                lambda: make_params(-1e308, 1e308, 8, "asymmetric", signed),
+                lambda: mse_grid_search(w[1], 8, "asymmetric", signed),
+                lambda: channelwise_params(w, 8, 0, "asymmetric", signed),
+            ):
+                with pytest.raises(InvalidArgument, match=match):
+                    search()
 
     def test_mse_reduces_error_vs_minmax(self):
         rng = np.random.default_rng(7)
@@ -944,6 +954,41 @@ class TestOverflowingErrorIsSilent:
             p = channelwise_params(rows, 8, axis=0)
         full = [make_params(float(r.min()), float(r.max()), 8, "symmetric", True) for r in rows]
         assert p.scale.tolist() == [q.scale for q in full] and p.zero_point.tolist() == [0] * 4
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_mse_grid_search_on_terms_whose_sum_overflows(self, scheme):
+        """Finite squared errors past the float64 maximum in sum: such a candidate scores inf."""
+        x = np.array([1e154, -1e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = mse_grid_search(x, 8, scheme)
+        with np.errstate(over="ignore"):
+            assert p == brute_force_best(x, 8, scheme, False, SearchSpace())
+
+    def test_mse_grid_search_that_sorts(self):
+        """A row long enough to sort: `_bin_scores`' sums of squares pass the float64
+        maximum, so its bound is inf and every candidate is scored directly."""
+        x = np.random.default_rng(0).standard_normal(2**15) * 1e190
+        assert search._sorting_pays(x.size, SearchSpace().n_candidates, 8, False, search._run_length(x.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = mse_grid_search(x, 8)
+        with sorted_scoring(pays=False):
+            assert p == mse_grid_search(x, 8)
+
+    @pytest.mark.parametrize("shapes", [((6, 4, 8), (6, 8, 4)), ((4, 8), (8, 4))])
+    def test_alternating_matmul_search_on_terms_whose_sum_overflows(self, shapes):
+        """The batched case prunes, and sums the same terms over fewer axes."""
+        rng = np.random.default_rng(0)
+        a, b = (rng.standard_normal(shape) * 1e77 for shape in shapes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = alternating_matmul_search(a, b)
+        assert res.metric_history == (np.inf,) * len(res.metric_history)
+        with np.errstate(over="ignore"):
+            assert (res.params_a, res.params_b, res.metric_history) == alternating_oracle(
+                a, b, None, 8, SearchSpace(), DEFAULT_ROUNDS
+            )
 
     def test_alternating_matmul_search(self):
         rng = np.random.default_rng(0)
