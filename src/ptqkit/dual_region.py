@@ -228,16 +228,15 @@ def calibrate_dual_region(
 
 
 def _direct_scores(arr: np.ndarray, g, bits: int, candidates: list) -> np.ndarray:
-    """`sq_error` of every candidate `search._near_winners` keeps (2^(b-1) levels in each of two regions),
-    inf for the rest: each is reconstructed by `_pieces_into` into one buffer, allocated after the sort is
-    freed. Where the bound decided, its lone survivor scores 0.0 unscored: it wins `first_min` all the same."""
+    """`search._near_winners`' scores of the candidates (2^(b-1) levels in each of two regions), with
+    the `sq_error` of each one left to score: `_pieces_into` reconstructs it into one buffer, allocated
+    after the sort is freed."""
     binned = lambda: _region_scores(arr, g, candidates)  # noqa: E731
-    keep, decided = _near_winners(binned, arr.size, len(candidates), bits, g is not None, passes=2)
-    scores = np.where(keep, 0.0, np.inf)
-    if not decided:
-        flat, grad, buf = arr.reshape(-1), None if g is None else g.reshape(-1), np.empty(arr.size)
-        for j in np.flatnonzero(keep):
-            scores[j] = sq_error(flat, _pieces_into(flat, *candidates[j]._pieces(), buf), grad)
+    scores, todo = _near_winners(binned, arr.size, len(candidates), bits, g is not None, passes=2)
+    flat, grad = arr.reshape(-1), None if g is None else g.reshape(-1)
+    buf = np.empty(arr.size) if todo.size else None
+    for j in todo:
+        scores[j] = sq_error(flat, _pieces_into(flat, *candidates[j]._pieces(), buf), grad)
     return scores
 
 

@@ -17,7 +17,7 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, channel_slices
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
-from .uniform import BITS, full_range, real, whole, zero_point
+from .uniform import BITS, TINY, full_range, real, whole, zero_point
 
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
@@ -65,9 +65,11 @@ class SearchSpace:
     def scale_candidates(self, full_scale: float | np.ndarray) -> np.ndarray:
         """Grid bracketing each full-range scale by [alpha, beta], along the
         last axis: an array of scales gives one grid per row. A grid whose top
-        passes the float64 maximum holds NaN and inf, which the searches skip."""
+        passes the float64 maximum holds NaN and inf, and a point below the
+        least normal float64 (TINY) is NaN: the searches skip both."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.linspace(self.alpha * full_scale, self.beta * full_scale, self.n_candidates, axis=-1)
+            grid = np.linspace(self.alpha * full_scale, self.beta * full_scale, self.n_candidates, axis=-1)
+        return np.where(grid < TINY, np.nan, grid)
 
 
 def sq_error(
@@ -106,7 +108,9 @@ def _chunks(candidates: np.ndarray, *likes: np.ndarray):
     view of one float64 buffer per `like`, every candidate of it laid out
     as `np.empty_like(like)`: each product and sum then runs as it would on
     one candidate. A run fills at most CHUNK_ELEMS elements of the largest
-    buffer, or holds one candidate."""
+    buffer, or holds one candidate. No candidates take no buffer."""
+    if not candidates.size:
+        return
     step = _run_length(max(x.size for x in likes))
     n = min(step, candidates.size)
     layouts = [np.empty_like(x, dtype=np.float64) for x in likes]
@@ -136,18 +140,19 @@ def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None)
     those of a whole-array pass. A (2, n) int32 `codes` gets the piece indices over the codes.
     It only codes: a search scores the reconstruction with `sq_error`."""
     cols = [c[0] if len(set(c)) == 1 else np.array(c, dtype=np.float64) for c in zip(*table)]
-    for j in range(0, flat.size, CHUNK_ELEMS):
-        at = slice(j, j + CHUNK_ELEMS)
-        x, y = flat[at], out[at]
-        piece = piece_of(x)
-        # mode="clip" spares take() its bounds check: every piece index is a row of the table
-        s, z, lo, hi = (np.take(c, piece, mode="clip") if isinstance(c, np.ndarray) else c for c in cols)
-        np.add(np.rint(np.divide(x, s, out=y), out=y), z, out=y)
-        np.clip(y, lo, hi, out=y)
-        if codes is not None:
-            codes[0, at], codes[1, at] = piece, y
-        np.multiply(np.subtract(y, z, out=y), s, out=y)
-        del piece, s, z, lo, hi  # before the next block's rule allocates
+    with np.errstate(over="ignore"):  # a quotient past the float64 maximum codes to q_min or q_max, a product is inf
+        for j in range(0, flat.size, CHUNK_ELEMS):
+            at = slice(j, j + CHUNK_ELEMS)
+            x, y = flat[at], out[at]
+            piece = piece_of(x)
+            # mode="clip" spares take() its bounds check: every piece index is a row of the table
+            s, z, lo, hi = (np.take(c, piece, mode="clip") if isinstance(c, np.ndarray) else c for c in cols)
+            np.add(np.rint(np.divide(x, s, out=y), out=y), z, out=y)
+            np.clip(y, lo, hi, out=y)
+            if codes is not None:
+                codes[0, at], codes[1, at] = piece, y
+            np.multiply(np.subtract(y, z, out=y), s, out=y)
+            del piece, s, z, lo, hi  # before the next block's rule allocates
     return out
 
 
@@ -255,21 +260,22 @@ def _bin_scores(srt: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np.
     return approx, np.where(np.isfinite(z), bound, np.inf)
 
 
-def _near_winners(scores, n: int, candidates: int, bits: int, weighted: bool, per_call=1, passes=1) -> tuple:
-    """(keep, decided): the mask of candidates whose direct score may be the
-    lowest, and whether the bound alone decided. Where `_sorting_pays`,
-    `scores()` gives `_bin_scores`' (A, B) over all n elements; with b =
-    argmin(A), a candidate with A_j > A_b + B_b + B_j scores above b
-    directly, so it cannot win `first_min`, ties included. Where b alone is
-    kept it wins unscored: its direct score is finite, as `_bin_scores`' Z
-    is. Otherwise, or where anything is not finite, every candidate is kept."""
+def _near_winners(binned, n: int, candidates: int, bits: int, weighted: bool, per_call=1, passes=1) -> tuple:
+    """(scores, todo): the scores `first_min` reads before any direct scoring,
+    and the candidates (indices) left to score directly. Where `_sorting_pays`,
+    `binned()` gives `_bin_scores`' (A, B) over all n elements; with b =
+    argmin(A), a candidate with A_j > A_b + B_b + B_j scores above b directly,
+    so it cannot win `first_min`, ties included: it reads inf, the rest 0.0.
+    A lone b wins unscored, its direct score finite as `_bin_scores`' Z is:
+    the bound alone decided, and `todo` is empty. Otherwise, or where anything
+    is not finite, every candidate reads 0.0 and is left to score."""
     if _sorting_pays(n, candidates, bits, weighted, per_call, passes):
-        approx, bound = scores()
+        approx, bound = binned()
         if np.isfinite(approx).all() and np.isfinite(bound).all():
             b = np.argmin(approx)
             keep = approx <= approx[b] + bound[b] + bound
-            return keep, np.count_nonzero(keep) == 1
-    return np.ones(candidates, dtype=bool), False
+            return np.where(keep, 0.0, np.inf), np.flatnonzero(keep & (np.count_nonzero(keep) > 1))
+    return np.zeros(candidates), np.arange(candidates)
 
 
 def params_from_scale(
@@ -291,6 +297,7 @@ def params_from_scale(
     return QuantParams(scale=scale, zero_point=zp, bits=bits, signed=signed)
 
 
+@np.errstate(over="ignore")  # a quotient past the float64 maximum codes to q_min or q_max
 def _row_search(
     rows: np.ndarray, bits: int, scheme: str, signed: bool, space: SearchSpace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,9 +308,8 @@ def _row_search(
     (rows, n_candidates) score array, and `first_min` picks every row's
     winner; a degenerate row (all zero, or constant under the asymmetric
     scheme) or one with no score below inf keeps the full-range parameters.
-    Where `_sorting_pays`, one row scores only its `_near_winners` directly,
-    the rest inf, and a lone survivor of the bound wins unscored (a `skip`
-    one still loses)."""
+    One row starts from `_near_winners`' scores and scores its `todo`; many
+    score every candidate. A `skip` candidate scores inf all the same."""
     bits = whole("bits", bits, *BITS)
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     scales, zero_points = full_range(lo, hi, bits, scheme, signed)
@@ -313,19 +319,17 @@ def _row_search(
     cand_zps = zero_point(lo[:, None], candidates, bits, scheme, signed)
     q_min, q_max = quant_range(bits, signed)
     lower, upper = q_min - cand_zps, q_max - cand_zps
-    keep, decided = np.ones(candidates.shape[1], dtype=bool), False
+    scores, todo = np.zeros(candidates.shape), np.arange(candidates.shape[1])
     # Channel rows score every candidate: the pipeline's rows hold 16-36 elements, fewer
     # than 8 bits' 256 levels. A 16x16 weight: 1.7 ms, or 30 ms as 16 sorted one-row searches.
     if rows.shape[0] == 1:
         def binned():
             return _bin_scores(_sorted(rows), 0, rows.size, candidates[0], lower[0], upper[0])
 
-        keep, decided = _near_winners(binned, rows.size, candidates.size, bits, False, _run_length(rows.size))
+        scores[0], todo = _near_winners(binned, rows.size, candidates.size, bits, False, _run_length(rows.size))
     # (candidate, row, 1) columns, so that a run of them broadcasts against the rows
     by_candidate = [v.T[:, :, None] for v in (candidates, lower, upper)]
-    scores = np.full(candidates.shape, np.inf)
-    scores[:, keep] = 0.0  # the score of a decided search's lone survivor; the others' are below
-    for run, buf in [] if decided else _chunks(np.flatnonzero(keep), rows):
+    for run, buf in _chunks(todo, rows):
         _fake_into(rows, *(v[run] for v in by_candidate), buf)
         scores[:, run] = sq_error(rows, buf, axis=2).T
     scores[skip] = np.inf
@@ -395,6 +399,7 @@ class MatmulScaleSearchResult:
     metric_history: tuple[float, ...]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a product or score past the float64 maximum never wins
 def alternating_matmul_search(
     a: TensorLike,
     b: TensorLike,

@@ -19,6 +19,7 @@ from .tensor import Tensor, TensorLike, _as_f64, as_tensor
 SCHEMES = ("symmetric", "asymmetric")
 BITS = (2, 16)  # the bit widths every quantizer accepts
 TINY = np.finfo(np.float64).tiny  # the smallest normal float64, full_range's least scale
+HUGE = np.finfo(np.float64).max  # the float64 maximum
 
 
 def whole(name: str, value, lo: float, hi: float) -> int:
@@ -227,13 +228,15 @@ def quantize_array(arr: np.ndarray, p: QuantParams) -> np.ndarray:
     """Integer codes for a float array (int32, clamped to [q_min, q_max])."""
     arr = np.asarray(arr, dtype=np.float64)
     scale, zp = _scale_zp(arr, p)
-    return np.clip(np.rint(arr / scale) + zp, p.q_min, p.q_max).astype(np.int32)
+    with np.errstate(over="ignore"):  # a quotient past the float64 maximum codes to q_min or q_max
+        return np.clip(np.rint(arr / scale) + zp, p.q_min, p.q_max).astype(np.int32)
 
 
 def dequantize_array(codes: np.ndarray, p: QuantParams) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.float64)
     scale, zp = _scale_zp(codes, p)
-    return (codes - zp) * scale
+    with np.errstate(over="ignore"):  # a value past the float64 maximum is inf
+        return (codes - zp) * scale
 
 
 def fake_quant_array(arr: np.ndarray, p: QuantParams) -> np.ndarray:
@@ -262,13 +265,22 @@ def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float
 
 
 def _error_stats(reference: np.ndarray, spent: np.ndarray) -> tuple[float, float, float]:
-    """`error_stats`, squaring into `spent`: a fresh approximation, which nothing reads after this call."""
+    """`error_stats`, squaring into `spent`: a fresh approximation, which nothing reads after this call.
+    Where a norm, the dot product or a sum of squares may pass the float64 maximum, both arrays are
+    scaled by one power of two 2^-k first, which moves no cosine or SQNR, and the mse by 4^k after."""
     a, b = np.asarray(reference, dtype=np.float64), np.asarray(spent, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):  # a norm past the float64 maximum is inf, and scaled below
+        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    k = 0
+    if not 2 * (na * na + nb * nb) <= HUGE:  # bounds a.b (by na nb) and the sums of squares
+        top = float(max(np.abs(a).max(), np.abs(b).max()))
+        if math.isfinite(top):  # else there is an inf or a NaN, which no scale moves
+            k = math.frexp(top)[1] - 256  # the largest magnitude below 2^256: no square or sum overflows
+            a, b = np.ldexp(a, -k), np.ldexp(b, -k)
+            na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na == 0.0 and nb == 0.0:
         cosine = 1.0
     elif na == 0.0 or nb == 0.0:
@@ -278,6 +290,9 @@ def _error_stats(reference: np.ndarray, spent: np.ndarray) -> tuple[float, float
     noise = float(np.sum(np.square(np.subtract(a, b, out=b), out=b)))
     signal = float(np.sum(np.square(a, out=b)))
     mse = noise / a.size  # np.mean's sum and divide, so the same bits
+    if k:
+        with np.errstate(over="ignore"):
+            mse = float(np.ldexp(mse, 2 * k))
     if noise == 0.0:
         sqnr = math.inf
     elif signal == 0.0:

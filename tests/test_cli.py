@@ -1071,6 +1071,23 @@ NO_SCIPY_SCRIPT = textwrap.dedent(
 )
 
 
+class TestATinyAlpha:
+    def test_calibrate_prints_nothing_to_stderr(self, tmp_path):
+        """A uniform hook searched with alpha = 1e-310: the subnormal grid point is skipped, and the
+        normal ones whose quotients pass the float64 maximum print no RuntimeWarning either."""
+        write_dump(synth("gelu", (64, 48), 0), tmp_path / "h.dump")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 1e-310, "hooks": {"h": {"kind": "uniform"}}}))
+        src = str(Path(ptqkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["calibrate", "--config", str(config), "--dumps", str(tmp_path), "--out", str(tmp_path / "p.json")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptqkit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads((tmp_path / "p.json").read_text())["hooks"]["h"]["scale"] >= uniform.TINY
+
+
 class TestNoScipy:
     def test_subcommands_load_no_scipy(self, tmp_path):
         src = str(Path(ptqkit.__file__).resolve().parents[1])

@@ -26,7 +26,7 @@ from ptqkit.generate import synth
 from ptqkit.search import CHUNK_ELEMS, SearchSpace, mse_grid_search, sq_error
 from ptqkit.uniform import fake_quant_array
 from oracles import assign_region, dual_region_dequantize, dual_region_quantize
-from test_search import sorted_scoring, spy_near_winners
+from test_search import decided, sorted_scoring, spy_near_winners
 
 
 def softmax_params(bits=8, m=5):
@@ -307,8 +307,8 @@ class TestFloatDomainReconstruction:
     @given(params_and_values())
     def test_matches_codec_bit_for_bit(self, case):
         p, x = case
-        with np.errstate(over="ignore"):
-            got = fake_dual_region(x, p)
+        got = fake_dual_region(x, p)
+        with np.errstate(over="ignore"):  # the int codec overflows on a huge value or scale
             want = codec_roundtrip(x, p)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -317,8 +317,7 @@ class TestFloatDomainReconstruction:
     @given(params_and_values())
     def test_fake_is_idempotent(self, case):
         p, x = case
-        with np.errstate(over="ignore"):
-            once = p.fake(x)
+        once = p.fake(x)
         assert np.array_equal(p.fake(once), once)
 
     @settings(max_examples=300, deadline=None)
@@ -326,8 +325,7 @@ class TestFloatDomainReconstruction:
     def test_codes_stable_where_payload_nonzero(self, case):
         # both zero-payload words decode to 0, so only those may switch region
         p, x = case
-        with np.errstate(over="ignore"):
-            words = p.encode(x)[0]
+        words = p.encode(x)[0]
         again = p.encode(decode_tensor(words, p))[0]
         nonzero = (words & (2 ** (p.bits - 1) - 1)) != 0
         assert np.array_equal(again[nonzero], words[nonzero])
@@ -409,7 +407,7 @@ def reference_calibrate_dual_region(arr, kind, bits, grad=None, space=SearchSpac
     best, best_score = DualRegionParams(kind, bits, scale_r1_init, 0), math.inf
     for cand in space.scale_candidates(float(max(arr.max(), 0.0)) / vmax):
         scale_r2 = float(cand)
-        if scale_r2 < cover_min:
+        if not scale_r2 >= cover_min:  # a NaN point, below the least normal float64, is skipped too
             continue
         m = max(0, int(round(math.log2(scale_r2 / scale_r1_init))))
         while m > 0 and scale_r2 * 2.0**-m * 2 ** (bits - 1) < neg_absmax:
@@ -614,8 +612,8 @@ class TestSortedScoring:
         rescored, outcomes = spy_rescored(monkeypatch), spy_near_winners(monkeypatch, dual_region)
         arr = synth("gelu", (256, 3072), seed=0).array
         p = calibrate_dual_region(arr, "gelu", 8)
-        (_, decided), = outcomes
-        assert decided and rescored == []
+        bound_says, = outcomes
+        assert decided(bound_says) and rescored == []
         with sorted_scoring(pays=False):
             assert calibrate_dual_region(arr, "gelu", 8) == p
 
@@ -625,9 +623,9 @@ class TestSortedScoring:
         arr = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.001])
         with sorted_scoring():
             p = calibrate_dual_region(arr, "softmax", 12)
-        (keep, decided), = outcomes
-        assert keep.sum() == 4 and not decided
-        assert rescored == [softmax_params(12, m) for m in np.flatnonzero(keep) + 1]
+        (scores, todo), = outcomes
+        assert np.count_nonzero(scores < np.inf) == 4 and todo.size == 4
+        assert rescored == [softmax_params(12, m) for m in np.flatnonzero(scores < np.inf) + 1]
         assert p == reference_calibrate_dual_region(arr, "softmax", 12, None, SearchSpace())
 
     @settings(max_examples=100, deadline=None)
@@ -638,5 +636,5 @@ class TestSortedScoring:
             rescored, outcomes = spy_rescored(mp), spy_near_winners(mp, dual_region)
             outcome(calibrate_dual_region, arr, kind, bits, grad=grad, space=space)
         if outcomes:  # else the search raised before it scored
-            (keep, decided), = outcomes
-            assert len(rescored) == (0 if decided else keep.sum())
+            bound_says, = outcomes
+            assert len(rescored) == (0 if decided(bound_says) else np.count_nonzero(bound_says[0] < np.inf))

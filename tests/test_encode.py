@@ -4,6 +4,7 @@ bit (compared as int64 views, so -0.0 against 0.0 is a difference)."""
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqkit import dual_region, outlier_groups
-from ptqkit.dual_region import DualRegionParams, encode_tensor
+from ptqkit.dual_region import DualRegionParams, encode_tensor, fake_dual_region
 from ptqkit.errors import EmptyInput, InvalidArgument
-from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup
+from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup, calibrate_grouped
 from ptqkit.uniform import QuantParams, quant_range, quantize_array
 import oracles
 from oracles import grouped_dequantize, grouped_quantize
@@ -24,9 +25,9 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 def check_encode(p, x, codec) -> np.ndarray:
     """`p.encode(x)` against `codec(x)`'s codes and `p.fake(x)`'s values; returns the values."""
-    with np.errstate(over="ignore"):  # a huge value or scale overflows the same way on both sides
-        codes, recon = p.encode(x)
-        want_codes, fake = codec(x), p.fake(x)
+    codes, recon, fake = *p.encode(x), p.fake(x)
+    with np.errstate(over="ignore"):  # the independent codecs overflow on a huge value or scale
+        want_codes = codec(x)
     assert codes.dtype == np.int32
     assert codes.shape == want_codes.shape and np.array_equal(codes, want_codes)
     assert recon.shape == fake.shape == x.shape
@@ -131,10 +132,43 @@ class TestEncodeIsOneCodingPass:
         # payload 2 at scale 1e308 reconstructs to inf; the word still packs payload 2
         p = DualRegionParams("gelu", 8, 1e308, 0)
         x = np.array([1.7e308, -1.7e308, 1e308, -0.0])
-        with np.errstate(over="ignore"):
-            words, recon = p.encode(x)
+        words, recon = p.encode(x)
         assert words.tolist() == encode_tensor(x, p).tolist() == [130, 2, 129, 128]
         assert np.isinf(recon[:2]).all() and recon[2] == 1e308 and recon[3] == 0.0
+
+
+class TestNearLimitValuesCodeSilently:
+    """A value whose quotient by its scale passes the float64 maximum codes to q_min or q_max,
+    and every codec says nothing of it."""
+
+    X = np.array([1e308, -1e308])
+
+    @staticmethod
+    def silently(code, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return code(*args)
+
+    def test_uniform(self):
+        p = QuantParams(scale=1e-3, zero_point=0, bits=8, signed=True)
+        codes, recon = self.silently(p.encode, self.X)
+        assert codes.tolist() == [127, -128]
+        want = (np.array([127.0, -128.0]) * 1e-3).tobytes()
+        assert recon.tobytes() == self.silently(p.fake, self.X).tobytes() == want
+
+    def test_dual_region(self):
+        p = DualRegionParams("gelu", 8, 1e-3, 2)
+        words, recon = self.silently(p.encode, self.X)
+        assert words.tolist() == [255, 127]
+        want = np.array([127 * 1e-3, 127 * -(1e-3 * 2.0**-2)]).tobytes()
+        assert recon.tobytes() == self.silently(fake_dual_region, self.X, p).tobytes() == want
+
+    def test_grouped(self):
+        p = calibrate_grouped(np.array([1.0, 2.0, 3.0]), 8)
+        codes, recon = self.silently(p.encode, self.X[:1])
+        last = p.groups[-1].params
+        assert codes[:, 0].tolist() == [len(p.groups) - 1, last.q_max]
+        assert recon.tobytes() == np.array([(last.q_max - last.zero_point) * last.scale]).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from ptqkit import search, toynet
 from ptqkit.dual_region import calibrate_dual_region
 from ptqkit.errors import EmptyInput, InvalidArgument, ShapeError
 from ptqkit.generate import synth
+from ptqkit.outlier_groups import calibrate_grouped
 from ptqkit.search import (
     DEFAULT_ROUNDS,
     MAX_CANDIDATES,
@@ -27,7 +28,7 @@ from ptqkit.search import (
     percentile_calibrate,
     sq_error,
 )
-from ptqkit.uniform import QuantParams, fake_quant_array, make_params, quant_range
+from ptqkit.uniform import TINY, QuantParams, fake_quant_array, make_params, quant_range
 
 
 def brute_force_best(arr, bits, scheme, signed, space):
@@ -242,10 +243,24 @@ class TestMseGridSearch:
 
 
 def spy_near_winners(monkeypatch, module=search) -> list:
-    """Record every (keep, decided) that `module`'s searches get from `_near_winners`."""
+    """Record a copy of every (scores, todo) that `module`'s searches get from `_near_winners`,
+    taken before they score into it."""
     seen, real = [], search._near_winners
-    monkeypatch.setattr(module, "_near_winners", lambda *args, **kw: seen.append(real(*args, **kw)) or seen[-1])
+
+    def spy(*args, **kw):
+        got = real(*args, **kw)
+        seen.append(tuple(v.copy() for v in got))
+        return got
+
+    monkeypatch.setattr(module, "_near_winners", spy)
     return seen
+
+
+def decided(outcome) -> bool:
+    """Whether the bound alone decided a `_near_winners` outcome: no candidate is left to score,
+    and one reads a finite score."""
+    scores, todo = outcome
+    return todo.size == 0 and np.count_nonzero(scores < np.inf) == 1
 
 
 def sequential_reduceat(terms, starts, out):
@@ -395,9 +410,9 @@ class TestSortedScoring:
         direct = np.array([sq_error(arr, _fake_into(arr, s, lo, hi, np.empty_like(arr)), grad) for s in scales])
         assert direct[0] < direct[1] and approx[0] - approx[1] > 5e-7
         with sorted_scoring():
-            keep, decided = search._near_winners(lambda: (approx, bound), arr.size, scales.size, 10, True)
-        assert keep.all() and not decided
-        assert first_min(np.where(keep, direct, np.inf)) == first_min(direct) == 0
+            scores, todo = search._near_winners(lambda: (approx, bound), arr.size, scales.size, 10, True)
+        assert np.all(scores < np.inf) and todo.tolist() == [0, 1]
+        assert first_min(np.where(scores < np.inf, direct, np.inf)) == first_min(direct) == 0
         assert np.all(np.abs(approx - direct * arr.size) <= bound)
 
     def test_only_near_winners_are_rescored(self, monkeypatch):
@@ -408,15 +423,15 @@ class TestSortedScoring:
         for scheme in ("symmetric", "asymmetric"):
             scored.clear()
             p = mse_grid_search(arr, 8, scheme)
-            assert scored == [] and outcomes[-1][1]
+            assert scored == [] and decided(outcomes[-1])
             with sorted_scoring(pays=False):
                 assert mse_grid_search(arr, 8, scheme) == p
         arr, t = segment_sums_reverse_a_near_tie()
         scored.clear()
         with sorted_scoring():
             assert mse_grid_search(arr, 3, "symmetric", True, SearchSpace(0.75, 1.5, 2)).scale == t
-        keep, decided = outcomes[-1]
-        assert keep.tolist() == [True, True] and not decided and sum(scored) == 2
+        scores, todo = outcomes[-1]
+        assert (scores < np.inf).tolist() == [True, True] and todo.tolist() == [0, 1] and sum(scored) == 2
 
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
     def test_a_lone_skip_candidate_keeps_the_full_range_parameters(self, monkeypatch, scheme):
@@ -426,7 +441,7 @@ class TestSortedScoring:
         arr = np.linspace(-1e12, 3e12, 64)
         with sorted_scoring():
             p = mse_grid_search(arr, 8, scheme, space=SearchSpace(1e300, 2e300, 1))
-        assert outcomes[-1][1] and scored == []
+        assert decided(outcomes[-1]) and scored == []
         assert p == make_params(-1e12, 3e12, 8, scheme)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -453,6 +468,46 @@ class TestSortedScoring:
         direct = np.array([sq_error(arr, _fake_into(arr, s, -128.0, 127.0, np.empty_like(arr)), grad) for s in grid])
         gap = np.abs(approx - direct * arr.size)
         assert gap.max() > 0 and np.all(gap <= bound)
+
+    @staticmethod
+    def near_winners(approx, bound):
+        """`_near_winners`' (scores, todo) for hand-made sums A and bounds B, under `sorted_scoring`."""
+        approx, bound = np.array(approx, dtype=np.float64), np.array(bound, dtype=np.float64)
+        return search._near_winners(lambda: (approx, bound), 1000, approx.size, 4, False)
+
+    def test_a_dropped_candidate_reads_inf_and_is_not_left_to_score(self):
+        with sorted_scoring():
+            scores, todo = self.near_winners([0.0, 10.0, 0.5], [1.0, 1.0, 1.0])
+        assert scores.tolist() == [0.0, np.inf, 0.0] and todo.tolist() == [0, 2]
+
+    def test_a_near_tie_leaves_both_candidates_to_score(self):
+        with sorted_scoring():
+            scores, todo = self.near_winners([1.0, 1.1], [0.2, 0.2])
+        assert scores.tolist() == [0.0, 0.0] and todo.tolist() == [0, 1]
+
+    def test_a_lone_survivor_wins_unscored(self):
+        with sorted_scoring():
+            scores, todo = self.near_winners([5.0, 0.0, 9.0], [1.0, 1.0, 1.0])
+        assert scores.tolist() == [np.inf, 0.0, np.inf] and todo.size == 0
+        assert first_min(scores) == 1
+
+    @pytest.mark.parametrize(
+        "approx, bound",
+        [([0.0, np.nan, 9.0], [1.0] * 3), ([0.0, np.inf, 9.0], [1.0] * 3), ([0.0, 5.0, 9.0], [1.0, 1.0, np.inf])],
+    )
+    def test_a_non_finite_sum_or_bound_leaves_every_candidate_to_score(self, approx, bound):
+        with sorted_scoring():
+            scores, todo = self.near_winners(approx, bound)
+        assert scores.tolist() == [0.0] * 3 and todo.tolist() == [0, 1, 2]
+
+    def test_where_sorting_does_not_pay_every_candidate_is_left_to_score(self):
+        assert not search._sorting_pays(10, 3, 4, False)
+
+        def binned():
+            raise AssertionError("the sums are not computed where sorting does not pay")
+
+        scores, todo = search._near_winners(binned, 10, 3, 4, False)
+        assert scores.tolist() == [0.0] * 3 and todo.tolist() == [0, 1, 2]
 
     def test_channel_rows_score_every_candidate(self, monkeypatch):
         scored = count_scored(monkeypatch)
@@ -990,6 +1045,21 @@ class TestOverflowingErrorIsSilent:
                 a, b, None, 8, SearchSpace(), DEFAULT_ROUNDS
             )
 
+    @pytest.mark.parametrize("shapes", [((6, 4, 8), (6, 8, 4)), ((4, 4), (4, 4))])
+    def test_alternating_matmul_search_on_products_that_overflow(self, shapes):
+        """Products of operands near 1e154 pass the float64 maximum, and inf - inf is NaN: the
+        reference, the shape probe, the prune's ranking product and every candidate's."""
+        rng = np.random.default_rng(0)
+        a, b = (rng.standard_normal(shape) * 1e154 for shape in shapes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = alternating_matmul_search(a, b)
+        assert res.metric_history == (np.inf,) * len(res.metric_history)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (res.params_a, res.params_b, res.metric_history) == alternating_oracle(
+                a, b, None, 8, SearchSpace(), DEFAULT_ROUNDS
+            )
+
     def test_alternating_matmul_search(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((4, 4, 4)), rng.standard_normal((4, 4, 4))
@@ -1000,6 +1070,39 @@ class TestOverflowingErrorIsSilent:
         assert res.metric_history == (np.inf,) * len(res.metric_history)
         start = [QuantParams(float(np.abs(x).max()) / 255, 0, 8, True) for x in (a, b)]  # the starting scales
         assert [res.params_a, res.params_b] == start
+
+
+class TestATinyAlpha:
+    """A grid point below the least normal float64 is skipped, and a normal one whose quotients pass
+    the float64 maximum codes to q_min or q_max: no search warns or returns a subnormal scale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([5e-324, 1e-310, 1e-307]), st.floats(5e-324, 1e-290, allow_subnormal=True)),
+        st.integers(1, 40),
+        st.sampled_from([1e-3, 1.0, 1e6]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_no_search_warns_or_returns_a_subnormal_scale(self, alpha, n_candidates, magnitude, seed):
+        space = SearchSpace(alpha=alpha, beta=1.0, n_candidates=n_candidates)
+        x = np.random.default_rng(seed).standard_normal((4, 64)) * magnitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matmul = alternating_matmul_search(x[:, :8], x[:, 8:16].T, space=space)
+            scales = [
+                mse_grid_search(x, 8, "asymmetric", space=space).scale,
+                mse_grid_search(x, 8, space=space).scale,
+                *channelwise_params(x, 8, space=space).scale,
+                matmul.params_a.scale,
+                matmul.params_b.scale,
+                *(g.params.scale for g in calibrate_grouped(x, 8, space=space).groups),
+                *(calibrate_dual_region(v, "gelu", 8, space=space).scale_r1 for v in (x, np.abs(x))),
+            ]
+        assert min(scales) >= TINY
+
+    def test_a_subnormal_point_is_nan(self):
+        grid = SearchSpace(alpha=1e-310, beta=1.0, n_candidates=3).scale_candidates(1.0)
+        assert np.isnan(grid[0]) and grid[1:].tolist() == [0.5, 1.0]
 
 
 class TestChunkBudget:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -420,6 +421,39 @@ class TestQuantError:
         finally:
             tracemalloc.stop()
         assert peak < 2.2 * 8 * a.size, f"traced peak {peak / (8 * a.size):.2f} x one float64 copy"
+
+    NEAR_LIMIT = np.array([1e154, -1e154, 3.0])  # |x|^2 passes the float64 maximum, |x / 2|^2 does not
+
+    def test_near_limit_data_gets_the_true_cosine_and_sqnr(self):
+        """Unscaled, the norm of x is inf: the cosine read 0.0 and the SQNR inf."""
+        x = self.NEAR_LIMIT
+        with np.errstate(over="ignore"):
+            mse, sqnr_db, cosine = error_stats(x, 0.5 * x)
+        assert cosine == 1.0 and sqnr_db == pytest.approx(10.0 * math.log10(4.0), rel=1e-12)
+        assert np.float64(mse).tobytes() == np.mean((0.5 * x) ** 2).tobytes()  # 1.6667e307
+
+    def test_near_limit_data_warns_of_nothing(self):
+        x = self.NEAR_LIMIT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error_stats(x, 0.5 * x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(400, 1020))
+    def test_a_power_of_two_moves_no_cosine_or_sqnr(self, seed, n, j):
+        """Signals scaled by 2^j, up to where their squares and sums pass the float64 maximum, keep
+        every bit of their cosine and SQNR, and their mse is 4^j times the unscaled one (inf past
+        the maximum)."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n)
+        b = a + rng.standard_normal(n) * rng.uniform(1e-6, 1.0)
+        mse, sqnr_db, cosine = error_stats(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = error_stats(np.ldexp(a, j), np.ldexp(b, j))
+        with np.errstate(over="ignore"):
+            want = (float(np.ldexp(mse, 2 * j)), sqnr_db, cosine)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_same_values_in_another_shape_is_a_shape_error(self):
         values = np.arange(32.0)
