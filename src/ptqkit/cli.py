@@ -78,15 +78,17 @@ def _is_dump_of(name: str, hook: str) -> bool:
 
 
 def _collect_samples(dumps_dir: str, hook: str) -> np.ndarray:
-    """Every dump of `hook` directly in `dumps_dir`, stacked in float64 along a new leading axis."""
+    """Every dump of `hook` directly in `dumps_dir`, in float32 along a new leading axis: a lone dump's own array."""
     files = [os.path.join(dumps_dir, name) for name in sorted(os.listdir(dumps_dir))  # `<hook>.dump` sorts first
              if _is_dump_of(name, hook)]
     if not files:
         raise QuantizationError(f"no dump files in {dumps_dir}")
-    for i, f in enumerate(files):  # one float64 copy, filled a dump at a time
+    if len(files) == 1:
+        return pio.read_dump(files[0]).array[None]
+    for i, f in enumerate(files):  # one float32 stack, filled a dump at a time
         arr = pio.read_dump(f).array
         if i == 0:
-            stacked = np.empty((len(files), *arr.shape))
+            stacked = np.empty((len(files), *arr.shape), np.float32)
         elif arr.shape != stacked.shape[1:]:
             raise ShapeError(f"dumps differ in shape: {sorted({stacked.shape[1:], arr.shape})}")
         stacked[i] = arr
@@ -177,6 +179,7 @@ def _cmd_calibrate(args) -> int:
         for hook, calibrate in calibrators.items():
             stacked = _collect_samples(args.dumps, hook)
             params = doc.hooks[hook] = calibrate(stacked)
+            stacked = stacked.astype(np.float64)  # widened once, for the codec and the report, in place of float32
             reports[hook] = HookReport(*_error_stats(stacked, params.fake(stacked)))
     except (QuantizationError, OSError, MemoryError) as exc:  # one line that names the hook first
         raise QuantizationError(f"hook {hook!r}: {exc}") from None

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidArgument, ShapeError
 from .search import SearchSpace, _bin_scores, _near_winners, _pieces_into, _sorted, first_min, sq_error
-from .tensor import TensorLike, _as_f64
+from .tensor import TensorLike, _as_f64, _as_float
 from .uniform import BITS, TINY, real, whole
 
 KINDS = ("softmax", "gelu")
@@ -93,7 +93,7 @@ class DualRegionParams:
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
         """(words, reconstruction) of `arr` from one coding pass, shape preserved: `encode_tensor`'s
         words, packed from the codes (finite where a huge scale_r2 overflows), and `fake`'s values."""
-        arr = _as_f64(arr)
+        arr = _as_float(arr)
         codes = np.empty((2, arr.size), np.int32)
         recon = _pieces_into(arr.reshape(-1), *self._pieces(), np.empty(arr.size), codes)
         words = codes[0] * 2 ** (self.bits - 1) + codes[1]
@@ -157,7 +157,7 @@ def decode_tensor(words: np.ndarray, p: DualRegionParams) -> np.ndarray:
 
 def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     """Encode-then-decode reconstruction, shape preserved."""
-    arr = _as_f64(x)
+    arr = _as_float(x)
     return _pieces_into(arr.reshape(-1), *p._pieces(), np.empty(arr.size)).reshape(arr.shape)
 
 
@@ -186,8 +186,8 @@ def calibrate_dual_region(
     if kind not in KINDS:
         raise InvalidArgument(f"kind must be one of {KINDS}, got {kind!r}")
     bits = whole("bits", bits, *BITS)
-    arr = _as_f64(samples)
-    if kind == "softmax" and (arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6):
+    arr = _as_float(samples)  # float32 stays float32: its min and max are compared as Python floats
+    if kind == "softmax" and (float(arr.min()) < -1e-6 or float(arr.max()) > 1.0 + 1e-6):
         raise InvalidArgument("softmax samples must lie in [0, 1]")
     g = None if grad is None else _as_f64(grad)
     if g is not None and g.shape != arr.shape:
@@ -205,7 +205,7 @@ def calibrate_dual_region(
         return candidates[k]
 
     vmax = 2 ** (bits - 1) - 1
-    neg_absmax, pos_max = float(max(0.0, -arr.min())), float(max(arr.max(), 0.0))  # -0.0 is no negative
+    neg_absmax, pos_max = max(0.0, -float(arr.min())), max(float(arr.max()), 0.0)  # -0.0 is no negative
     uniform = neg_absmax == 0.0  # R1 stays empty
     scale_r1_init = neg_absmax / vmax
     cover_min = neg_absmax / 2 ** (bits - 1)

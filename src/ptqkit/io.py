@@ -73,18 +73,22 @@ def _read_header(fh) -> tuple[int, tuple[int, ...]]:
 
 def _read_payload(path, dtype_tag: int, np_dtype, what: str) -> np.ndarray:
     """The payload of the dump at `path`, which must hold `what`, in a fresh array of its own: one
-    readinto, once the bytes left in the file match the dims, so a malformed header allocates nothing."""
-    with open(path, "rb") as fh:
-        tag, dims = _read_header(fh)
-        if tag != dtype_tag:
-            raise FormatError(f"expected {what}")
-        size = 4 * math.prod(dims)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if left != size:
-            raise FormatError(f"payload holds {left} bytes, dims {dims} require {size}")
-        arr = np.empty(dims, np_dtype)
-        if fh.readinto(arr) != size:
-            raise FormatError("truncated file while reading payload")
+    readinto, once the bytes left in the file match the dims, so a malformed header allocates nothing.
+    Each FormatError names `path` first."""
+    try:
+        with open(path, "rb") as fh:
+            tag, dims = _read_header(fh)
+            if tag != dtype_tag:
+                raise FormatError(f"expected {what}")
+            size = 4 * math.prod(dims)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left != size:
+                raise FormatError(f"payload holds {left} bytes, dims {dims} require {size}")
+            arr = np.empty(dims, np_dtype)
+            if fh.readinto(arr) != size:
+                raise FormatError("truncated file while reading payload")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return arr
 
 

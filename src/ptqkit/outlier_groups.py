@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .search import SearchSpace, _pieces_into, mse_grid_search
-from .tensor import TensorLike, _as_f64
+from .tensor import TensorLike, _as_float
 from .uniform import BITS, QuantParams, real, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
@@ -125,7 +125,7 @@ class GroupedQuantParams:
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
         """(codes, reconstruction) of `arr` from one coding pass: a (2, n) int32 array of
         group indices over codes of the flattened `arr`, and `fake`'s values."""
-        arr = _as_f64(arr)
+        arr = _as_float(arr)
         codes = np.empty((2, arr.size), np.int32)
         return codes, _pieces_into(arr.reshape(-1), *self._pieces(), np.empty(arr.size), codes).reshape(arr.shape)
 
@@ -162,12 +162,12 @@ def calibrate_grouped(
     """
     max_iters = whole("max_iters", max_iters, 1, math.inf)
     strategy = strategy or ThresholdStrategy()
-    current = _as_f64(samples).reshape(-1)
+    current = _as_float(samples).reshape(-1)
 
     groups: list[QuantGroup] = []
     fallbacks: list[int] = []
     for iteration in range(max_iters):
-        magnitudes = np.abs(current)
+        magnitudes = np.abs(current, dtype=np.float64)  # widened: the threshold's statistics sum in float64
         tau, fell_back = strategy.threshold(magnitudes)
         if fell_back:
             fallbacks.append(iteration)
@@ -196,5 +196,5 @@ def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np
 
 def fake_grouped(x: TensorLike, p: GroupedQuantParams) -> np.ndarray:
     """Group-wise quantize-then-dequantize reconstruction, shape preserved."""
-    arr = _as_f64(x)
+    arr = _as_float(x)
     return _pieces_into(arr.reshape(-1), *p._pieces(), np.empty(arr.size)).reshape(arr.shape)

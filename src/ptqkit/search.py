@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgument, ShapeError
-from .tensor import TensorLike, _as_f64, channel_slices
+from .tensor import TensorLike, _as_f64, _as_float, channel_slices
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
 from .uniform import BITS, TINY, full_range, real, whole, zero_point
@@ -131,10 +131,10 @@ def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
 
 
 def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None) -> np.ndarray:
-    """The piecewise-uniform codec of the 1-D `flat` into `out`, CHUNK_ELEMS elements at a time so
-    that every temporary stays in cache. `piece_of(x)` gives each element's piece index, and the
-    i-th tuple of `table` holds piece i's (scale s, zero point z, q_min, q_max); a column that
-    every piece shares stays a scalar. An element codes as clip(rint(x / s) + z, q_min, q_max),
+    """The piecewise-uniform codec of the 1-D `flat` into `out`, CHUNK_ELEMS elements at a time, each
+    widened to float64, so that every temporary stays in cache. `piece_of(x)` gives each element's
+    piece index, and the i-th tuple of `table` holds piece i's (scale s, zero point z, q_min, q_max);
+    a column that every piece shares stays a scalar. An element codes as clip(rint(x / s) + z, q_min, q_max),
     the IEEE steps of `quantize_array` (adding z turns a -0.0 code into +0.0), and rebuilds as
     (code - z) * s, those of `dequantize_array`. Each element is coded alone, so the bytes are
     those of a whole-array pass. A (2, n) int32 `codes` gets the piece indices over the codes.
@@ -143,7 +143,7 @@ def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None)
     with np.errstate(over="ignore"):  # a quotient past the float64 maximum codes to q_min or q_max, a product is inf
         for j in range(0, flat.size, CHUNK_ELEMS):
             at = slice(j, j + CHUNK_ELEMS)
-            x, y = flat[at], out[at]
+            x, y = flat[at].astype(np.float64, copy=False), out[at]
             piece = piece_of(x)
             # mode="clip" spares take() its bounds check: every piece index is a row of the table
             s, z, lo, hi = (np.take(c, piece, mode="clip") if isinstance(c, np.ndarray) else c for c in cols)
@@ -168,7 +168,8 @@ def _sorting_pays(n: int, candidates: int, bits: int, weighted: bool, per_call: 
     12,288; dual region, 8 bits, 98 GeLU candidates 0.87 on 2,048, 8 softmax
     ones 1.03 on 14,336 and 0.87 on 16,384; 4 bits, 4 softmax ones, 1.27 on
     16,384. Misjudged: 4- and 6-bit rows of 600-2,600 elements sort faster,
-    weighted 8-bit softmax of 172,000-220,000 slower (1.08 on 196,608)."""
+    weighted 8-bit softmax of 172,000-220,000 slower (1.08 on 196,608). The sort
+    term was fitted on float64 sorts; float32 samples sort faster (`_sorted`)."""
     sort = (15 if weighted else 5) * n + 40_000 * passes**2 + (45 * candidates << bits)
     return candidates * passes * (n + 5000 / per_call) > sort
 
@@ -179,13 +180,13 @@ def _gamma(n: int) -> float:
 
 
 def _sorted(x: np.ndarray, grad: np.ndarray | None = None) -> tuple:
-    """(xs, w): `x` flattened and sorted, and w = grad^2 in that order (None without grad)."""
+    """(xs, w): `x` flattened, sorted (a float32 `x` in float32) and widened, and w = grad^2 in that order."""
     flat = x.reshape(-1)
     if grad is None:
-        return np.sort(flat), None
+        return np.sort(flat).astype(np.float64, copy=False), None
     order = np.argsort(flat)
     w = np.take(grad.reshape(-1), order)
-    return flat[order], np.square(w, out=w)
+    return flat[order].astype(np.float64, copy=False), np.square(w, out=w)
 
 
 def _bin_scores(srt: tuple, start, stop, scale, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +303,7 @@ def _row_search(
     rows: np.ndarray, bits: int, scheme: str, signed: bool, space: SearchSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scales, zero_points) minimizing the MSE of each row of a
-    (rows, elements) float64 array over a grid bracketing its `full_range`
+    (rows, elements) float32 or float64 array over a grid bracketing its `full_range`
     scale, each candidate with its `zero_point`. Each `_chunks` run of
     candidates fills a (run, rows, elements) buffer and its columns of a
     (rows, n_candidates) score array, and `first_min` picks every row's
@@ -358,7 +359,7 @@ def mse_grid_search(
     do samples on which no candidate scores finite (e.g. values near the
     float64 limit, whose squared error overflows).
     """
-    scales, zero_points = _row_search(_as_f64(samples).reshape(1, -1), bits, scheme, signed, space)
+    scales, zero_points = _row_search(_as_float(samples).reshape(1, -1), bits, scheme, signed, space)
     return QuantParams(scale=scales[0], zero_point=zero_points[0], bits=bits, signed=signed)
 
 

@@ -1,13 +1,14 @@
 """Minimal dense tensor container, input checks and the per-channel slices calibration uses.
 
-Values are stored flat in row-major order as float32; calibration reads
-them in float64. Everything here is a pure function over immutable
+Values are stored flat in row-major order as float32, which calibration
+keeps, widening each value before arithmetic. Everything here is a pure function over immutable
 inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -80,9 +81,21 @@ def as_tensor(values: TensorLike) -> Tensor:
 
 
 def _as_f64(values: TensorLike) -> np.ndarray:
+    return _as_float(values).astype(np.float64, copy=False)
+
+
+def _as_float(values: TensorLike) -> np.ndarray:
+    """A float32 array, or a Tensor's own array, as it is, and any other real values in float64:
+    a caller widens each float32 value before arithmetic, which is exact, so results keep the bits
+    of a float64 input. Strings and bytes, which numpy would parse, complex values, whose imaginary
+    part a cast drops, and other objects are refused."""
     if isinstance(values, Tensor):
-        return values.array.astype(np.float64)
-    arr = np.asarray(values, dtype=np.float64)
+        return values.array
+    arr = np.asarray(values)
+    real = np.can_cast(arr.dtype, np.float64, "same_kind")  # bool, integer or float
+    if not (real or (arr.dtype == object and all(isinstance(v, numbers.Real) for v in arr.flat))):
+        raise InvalidArgument(f"input must hold real numbers, got dtype {arr.dtype}")
+    arr = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
     if arr.size == 0:
         raise EmptyInput("input has no elements")
     if not np.all(np.isfinite(arr)):

@@ -127,10 +127,10 @@ class TestDumpFormat:
     def test_code_and_float_dumps_not_interchangeable(self, tmp_path):
         path = tmp_path / "c.dump"
         write_code_dump(np.asarray([1, 2], dtype=np.int32), path)
-        with pytest.raises(FormatError, match="expected a float32 dump"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: expected a float32 dump$"):
             read_dump(path)
         write_dump(Tensor.from_array([1.0, 2.0]), path)
-        with pytest.raises(FormatError, match="expected an int32 code dump"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: expected an int32 code dump$"):
             read_code_dump(path)
 
     @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ class TestDumpFormat:
         write_dump(np.ones((2, 3), dtype=np.float32), path)
         header = b"PTQ4" + bytes([1, 0, 0, len(dims)]) + b"".join(d.to_bytes(4, "little") for d in dims)
         path.write_bytes(header + path.read_bytes()[16:] + tail)
-        message = f"payload holds {24 + len(tail)} bytes, dims {dims} require {4 * math.prod(dims)}"
+        message = f"{path}: payload holds {24 + len(tail)} bytes, dims {dims} require {4 * math.prod(dims)}"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             read_dump(path)
         assert main(["evaluate", "--a", str(path), "--b", str(path)]) == 1
@@ -159,10 +159,11 @@ class TestDumpFormat:
         full = path.stat().st_size
         path.write_bytes(path.read_bytes()[:-4])
         monkeypatch.setattr(pio, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=full)))
-        with pytest.raises(FormatError, match="^truncated file while reading payload$"):
+        message = f"{path}: truncated file while reading payload"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             read_dump(path)
         assert main(["evaluate", "--a", str(path), "--b", str(path)]) == 1
-        assert capsys.readouterr() == ("", "error: truncated file while reading payload\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_read_dump_is_read_only(self, tmp_path):
         write_dump(Tensor.from_array([1.0, 2.0]), tmp_path / "t.dump")
