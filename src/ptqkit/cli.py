@@ -78,13 +78,11 @@ def _is_dump_of(name: str, hook: str) -> bool:
 
 
 def _collect_samples(dumps_dir: str, hook: str) -> np.ndarray:
-    """Every dump of `hook` directly in `dumps_dir`, in float32 along a new leading axis: a lone dump's own array."""
+    """Every dump of `hook` directly in `dumps_dir`, stacked in float32 along a new leading axis."""
     files = [os.path.join(dumps_dir, name) for name in sorted(os.listdir(dumps_dir))  # `<hook>.dump` sorts first
              if _is_dump_of(name, hook)]
     if not files:
         raise QuantizationError(f"no dump files in {dumps_dir}")
-    if len(files) == 1:
-        return pio.read_dump(files[0]).array[None]
     for i, f in enumerate(files):  # one float32 stack, filled a dump at a time
         arr = pio.read_dump(f).array
         if i == 0:

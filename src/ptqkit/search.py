@@ -380,11 +380,11 @@ def percentile_calibrate(
     p, low = real("percentile", p), 50.0 if scheme == "asymmetric" else 0.0
     if not low < p <= 100.0:
         raise InvalidArgument(f"percentile must be in ({low:g}, 100] for the {scheme} scheme, got {p}")
-    arr = _as_f64(samples)
+    arr = np.array(_as_float(samples), np.float64)  # a copy of its own, which np.percentile partitions in place
     if scheme == "symmetric":
-        clip = float(np.percentile(np.abs(arr), p))
+        clip = float(np.percentile(np.abs(arr, out=arr), p, overwrite_input=True))
         return make_params(-clip, clip, bits, "symmetric", signed)
-    lo, hi = np.percentile(arr, [100.0 - p, p])
+    lo, hi = np.percentile(arr, [100.0 - p, p], overwrite_input=True)
     return make_params(float(lo), float(hi), bits, scheme, signed)
 
 

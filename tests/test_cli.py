@@ -871,26 +871,33 @@ class TestCalibratePeaks:
             ("softmax", 256, 1, {"kind": "dual_region", "region": "softmax"}, 3.12),
             ("outlier", 768, 2, {"kind": "outlier_groups"}, 4.0),
             ("outlier", 768, 3, {"kind": "uniform", "scheme": "asymmetric", "method": "mse"}, 3.2),
+            ("outlier", 768, 3, {"kind": "uniform", "scheme": "asymmetric", "method": "percentile"}, 3.2),
+            ("outlier", 768, 3, {"kind": "uniform", "scheme": "symmetric", "method": "percentile"}, 3.2),
         ],
-        ids=["gelu", "softmax", "outlier_groups", "uniform-mse"],
+        ids=["gelu", "softmax", "outlier_groups", "uniform-mse", "percentile-asymmetric", "percentile-symmetric"],
     )
     def test_traced_peak_of_one_hook(self, tmp_path, kind, cols, seed, spec, bound):
         """`ptqkit calibrate` of one 256-row dump keeps its samples in float32 through the search,
-        then widens them once for the report. Traced peaks as a multiple of the float64 input,
-        with a float64 stack read before the search: GeLU 2.72 (now 2.22), softmax 3.15 (3.10),
-        outlier groups 4.52 (3.52), uniform mse 3.34 (3.01)."""
+        then widens them once for the report. Traced peaks of a second run (the first allocates
+        numpy's one-off caches), as a multiple of the float64 input, with a float64 stack read
+        before the search: GeLU 2.69 (now 2.19), softmax 3.15 (3.10), outlier groups 4.52 (3.52),
+        uniform mse 3.34 (3.01), percentile 3.01 either scheme (3.01). Softmax's margin is thin
+        because its peak is now the report phase, as the percentile hooks' always was: the float64
+        stack, its reconstruction and the codec's block temporaries, a fixed 0.56 MB that is
+        1.07x a 256x256 input. That phase is the parent's; the bound fails a float64 search."""
         (tmp_path / "dumps").mkdir()
         write_dump(synth(kind, (256, cols), seed), tmp_path / "dumps" / "h.dump")
         (tmp_path / "c.json").write_text(json.dumps({"hooks": {"h": spec}}))
         argv = ["calibrate", "--config", str(tmp_path / "c.json"), "--dumps", str(tmp_path / "dumps"),
                 "--out", str(tmp_path / "p.json")]
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
                 assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < bound * 8 * 256 * cols, f"traced peak {peak / (8 * 256 * cols):.2f} x the float64 input"
 
 

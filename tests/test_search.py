@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 import types
 import warnings
 
@@ -551,6 +552,28 @@ class TestPercentileCalibrate:
         assert percentile_calibrate(arr, 8, p, "symmetric") == make_params(
             -np.percentile(arr, p), np.percentile(arr, p), 8, "symmetric"
         )
+
+    @pytest.mark.parametrize("scheme", ["asymmetric", "symmetric"])
+    def test_one_float64_copy_partitioned_in_place(self, scheme):
+        """The samples are widened into one float64 copy, which takes |x| for the symmetric scheme
+        and which np.percentile partitions in place. Traced peaks of a second call (the first
+        allocates numpy's one-off caches), as a multiple of the float64 size, when np.percentile
+        copied its input too: float32 samples 2.0 (asymmetric) and 3.0 (symmetric), float64 ones
+        1.0 and 2.0. The caller's array is left as it was, and float32 gives the float64 result."""
+        x = synth("outlier", (256, 768), 3).array
+        params = []
+        for arr in (x, x.astype(np.float64)):
+            before = arr.tobytes()
+            percentile_calibrate(arr, 8, 99.9, scheme)
+            tracemalloc.start()
+            try:
+                params.append(percentile_calibrate(arr, 8, 99.9, scheme))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.1 * 8 * x.size, f"traced peak {peak / (8 * x.size):.2f} x the float64 size"
+            assert arr.tobytes() == before
+        assert params[0] == params[1]
 
     @pytest.mark.parametrize("p", ["x", "99", True, None])
     def test_percentile_is_a_number(self, p):
