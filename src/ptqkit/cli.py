@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +33,9 @@ from .generate import synth
 from .metrics import mask_metrics
 from .outlier_groups import ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
-from .search import CHUNK_ELEMS, SearchSpace, mse_grid_search, percentile_calibrate
+from .search import SearchSpace, mse_grid_search, percentile_calibrate
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
-from .uniform import _error_stats, error_stats
+from .uniform import CHUNK_ELEMS, block_stats
 
 DEFAULT_BITS = 8  # calibrate's bit-width when neither the hook nor the config sets one
 
@@ -142,6 +144,18 @@ def _calibrator(spec, cfg: dict):
     return calibrate
 
 
+def _hook_report(params, samples: np.ndarray) -> HookReport:
+    """The statistics of per-tensor `params` on the float32 `samples`, a block at a time: each block
+    is widened and reconstructed alone, which every per-tensor codec does to each element."""
+    flat = samples.reshape(-1)
+
+    def blocks(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        x = flat[start:stop].astype(np.float64)
+        return x, params.fake(x)
+
+    return HookReport(*block_stats(flat.size, blocks))
+
+
 def _check_keys(where: str, entry: dict, allowed: set) -> None:
     """One error naming the first key of `entry` outside `allowed`."""
     unknown = sorted(set(entry) - allowed)
@@ -177,8 +191,7 @@ def _cmd_calibrate(args) -> int:
         for hook, calibrate in calibrators.items():
             stacked = _collect_samples(args.dumps, hook)
             params = doc.hooks[hook] = calibrate(stacked)
-            stacked = stacked.astype(np.float64)  # widened once, for the codec and the report, in place of float32
-            reports[hook] = HookReport(*_error_stats(stacked, params.fake(stacked)))
+            reports[hook] = _hook_report(params, stacked)
     except (QuantizationError, OSError, MemoryError) as exc:  # one line that names the hook first
         raise QuantizationError(f"hook {hook!r}: {exc}") from None
     report = CalibrationReport(hooks=reports, config=cfg, seed=cfg.get("seed"))
@@ -202,29 +215,37 @@ def _cmd_quantize(args) -> int:
     hook = args.hook or next(iter(hooks))
     if hook not in hooks:
         raise QuantizationError(f"hook {hook!r} not in parameter file")
-    codes, recon = _encode_blocks(hooks[hook], pio.read_dump(getattr(args, "in")).array)
-    pio.write_dump(recon, args.out)
-    pio.write_code_dump(codes, args.codes)
+    _encode_into(hooks[hook], pio.read_dump(getattr(args, "in")).array, args.out, args.codes)
     print(f"wrote {args.out} and {args.codes}")
     return 0
 
 
-def _encode_blocks(params, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`params.encode` of the float32 `arr` in float64: the codes and the float32 reconstruction,
-    coded CHUNK_ELEMS elements of the flattened `arr` at a time so every temporary stays in cache.
-    Every per-tensor codec codes each element alone, so the bytes are those of one whole-array
-    call, which a per-channel quantizer (it needs the axes) still makes."""
+def _encode_into(params, arr: np.ndarray, out, codes_out) -> None:
+    """`params.encode` of the float32 `arr` in float64: its float32 reconstruction written as the
+    dump `out` and its codes as the code dump `codes_out`. A per-tensor codec codes CHUNK_ELEMS
+    elements of the flattened `arr` at a time, and each block goes to its place in both files, so
+    every temporary stays in cache and no full-size reconstruction or code array is made. It codes
+    each element alone, so the bytes are those of one whole-array call, which a per-channel
+    quantizer (it needs the axes) still makes. The first block is coded before either file is
+    opened; a failure after that removes both."""
     if getattr(params, "per_channel", False):
-        codes, recon = params.encode(arr.astype(np.float64))
-        return codes, recon.astype(np.float32)
-    flat, recon, codes = arr.reshape(-1), np.empty(arr.size, np.float32), None
-    for j in range(0, arr.size, CHUNK_ELEMS):
-        block = slice(j, j + CHUNK_ELEMS)
-        block_codes, recon[block] = params.encode(flat[block].astype(np.float64))
-        if codes is None:  # a grouped quantizer's codes lead with its (group, code) axis
-            codes = np.empty((*block_codes.shape[:-1], arr.size), np.int32)
-        codes[..., block] = block_codes
-    return (codes if codes.ndim > 1 else codes.reshape(arr.shape)), recon.reshape(arr.shape)
+        blocks = [(0, arr.astype(np.float64))]
+    else:
+        flat = arr.reshape(-1)
+        blocks = ((j, flat[j : j + CHUNK_ELEMS].astype(np.float64)) for j in range(0, arr.size, CHUNK_ELEMS))
+    coded = ((j, *params.encode(x)) for j, x in blocks)
+    j, codes, recon = next(coded)
+    lead = codes.shape[: codes.ndim - recon.ndim]  # a grouped quantizer's codes lead with its (group, code) axis
+    with pio.dump_writer(out, pio.DTYPE_FLOAT32, arr.shape) as put_recon, \
+            pio.dump_writer(codes_out, pio.DTYPE_INT32, (*lead, arr.size) if lead else arr.shape) as put_codes:
+        for j, codes, recon in chain([(j, codes, recon)], coded):
+            with np.errstate(over="ignore"):  # a value past the float32 maximum is inf, refused below
+                recon = recon.astype(np.float32)
+            if not np.isfinite(recon).all():  # as `write_dump` refuses a reconstruction
+                raise InvalidArgument("tensor contains NaN or Inf")
+            put_recon(j, recon)
+            for row, row_codes in enumerate(codes.reshape(-1, recon.size)):
+                put_codes(row * arr.size + j, row_codes)
 
 
 def _mask_pairs(a: Path, b: Path) -> tuple[list, list]:
@@ -251,9 +272,11 @@ def _cmd_evaluate(args) -> int:
             "prec_at": {str(k): v for k, v in m.prec_at.items()},
         }
     else:
-        ta = pio.read_dump(args.a)
-        tb = pio.read_dump(args.b)
-        payload = HookReport(*error_stats(ta.array, tb.array)).to_dict()
+        with pio.dump_blocks(args.a) as (shape, read_a), pio.dump_blocks(args.b) as (shape_b, read_b):
+            if shape != shape_b:
+                raise ShapeError(f"shape mismatch: {shape} vs {shape_b}")
+            stats = block_stats(math.prod(shape), lambda start, stop: (read_a(start, stop), read_b(start, stop)))
+        payload = HookReport(*stats).to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from .dual_region import DualRegionParams
 from .errors import FormatError, InvalidArgument, QuantizationError
 from .outlier_groups import GroupedQuantParams, QuantGroup
 from .report import CalibrationReport, json_float
-from .tensor import MAX_RANK, Tensor, TensorLike, as_tensor
-from .uniform import QuantParams, real
+from .tensor import MAX_RANK, Tensor, TensorLike, _real, as_tensor
+from .uniform import CHUNK_ELEMS, QuantParams, real
 
 MAGIC = b"PTQ4"
 VERSION = 1
@@ -40,11 +41,32 @@ PARAMS_FORMAT = "ptqkit-params"
 PARAMS_VERSION = 1
 
 
-def _write(path, dtype_tag: int, arr: np.ndarray, fmt: str) -> None:
-    """`arr` as a dump at `path`: the header, then the payload as `fmt` values in row-major order."""
+@contextmanager
+def dump_writer(path, dtype_tag: int, dims):
+    """`put(start, values)` into the dump at `path`, whose header for `dims` is written first: it
+    writes `values`, flattened, to the row-major payload from element `start` on, as float32 or as
+    int32 values (DTYPE_FLOAT32 or DTYPE_INT32). If the body of the `with` raises, the file is
+    removed, so that a failed write leaves no dump."""
+    fmt = "<f4" if dtype_tag == DTYPE_FLOAT32 else "<i4"
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack(f"<HBB{arr.ndim}I", VERSION, dtype_tag, arr.ndim, *arr.shape))
-        fh.write(np.ascontiguousarray(arr, fmt))
+        fh.write(MAGIC + struct.pack(f"<HBB{len(dims)}I", VERSION, dtype_tag, len(dims), *dims))
+        payload = fh.tell()
+
+        def put(start: int, values: np.ndarray) -> None:
+            fh.seek(payload + 4 * start)
+            fh.write(np.ascontiguousarray(values, fmt))
+
+        try:
+            yield put
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
+def _write(path, dtype_tag: int, arr: np.ndarray) -> None:
+    with dump_writer(path, dtype_tag, arr.shape) as put:
+        put(0, arr)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -71,12 +93,13 @@ def _read_header(fh) -> tuple[int, tuple[int, ...]]:
     return dtype_tag, dims
 
 
-def _read_payload(path, dtype_tag: int, np_dtype, what: str) -> np.ndarray:
-    """The payload of the dump at `path`, which must hold `what`, in a fresh array of its own: one
-    readinto, once the bytes left in the file match the dims, so a malformed header allocates nothing.
-    Each FormatError names `path` first."""
-    try:
-        with open(path, "rb") as fh:
+@contextmanager
+def _payload(path, dtype_tag: int, what: str):
+    """The dump at `path`, which must hold `what`, open at its payload, and its dims: once the bytes
+    left in the file match the dims, so a malformed header reads no payload and allocates nothing.
+    A FormatError of the header names `path` first."""
+    with open(path, "rb") as fh:
+        try:
             tag, dims = _read_header(fh)
             if tag != dtype_tag:
                 raise FormatError(f"expected {what}")
@@ -84,20 +107,52 @@ def _read_payload(path, dtype_tag: int, np_dtype, what: str) -> np.ndarray:
             left = os.fstat(fh.fileno()).st_size - fh.tell()
             if left != size:
                 raise FormatError(f"payload holds {left} bytes, dims {dims} require {size}")
-            arr = np.empty(dims, np_dtype)
-            if fh.readinto(arr) != size:
-                raise FormatError("truncated file while reading payload")
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        yield fh, dims
+
+
+def _read_into(path, fh, out: np.ndarray) -> None:
+    if fh.readinto(out) != out.nbytes:
+        raise FormatError(f"{path}: truncated file while reading payload")
+
+
+def _read_payload(path, dtype_tag: int, np_dtype, what: str) -> np.ndarray:
+    """The payload of the dump at `path`, which must hold `what`, in a fresh array of its own: one readinto."""
+    with _payload(path, dtype_tag, what) as (fh, dims):
+        arr = np.empty(dims, np_dtype)
+        _read_into(path, fh, arr)
     return arr
+
+
+@contextmanager
+def dump_blocks(path):
+    """(dims, read) of the float32 dump at `path`, once its header and payload size check out:
+    `read(start, stop)` reads elements [start, stop) of the row-major payload, at most CHUNK_ELEMS,
+    into one reused float32 buffer and gives them widened to float64 in another, which the next
+    read overwrites. No copy of the whole payload is made. A NaN or an infinity is an error."""
+    with _payload(path, DTYPE_FLOAT32, "a float32 dump") as (fh, dims):
+        payload, n = fh.tell(), min(math.prod(dims), CHUNK_ELEMS)
+        f32, f64 = np.empty(n, "<f4"), np.empty(n)
+
+        def read(start: int, stop: int) -> np.ndarray:
+            block, wide = f32[: stop - start], f64[: stop - start]
+            fh.seek(payload + 4 * start)
+            _read_into(path, fh, block)
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):  # as a Tensor checks its values
+                raise InvalidArgument("tensor contains NaN or Inf")
+            np.copyto(wide, block)
+            return wide
+
+        yield dims, read
 
 
 def write_dump(t: TensorLike, path) -> None:
     """`t` as a float32 dump from its own buffer: an array gets a Tensor's checks, not its copy."""
-    arr = np.asarray(t.array if isinstance(t, Tensor) else t, dtype=np.float32)
+    arr = np.asarray(t.array if isinstance(t, Tensor) else _real(t), dtype=np.float32)
     if arr.ndim > MAX_RANK or arr.size == 0 or not np.isfinite(arr).all():
         as_tensor(arr)  # raises the Tensor's error
-    _write(path, DTYPE_FLOAT32, arr, "<f4")
+    _write(path, DTYPE_FLOAT32, arr)
 
 
 def read_dump(path) -> Tensor:
@@ -108,7 +163,7 @@ def write_code_dump(codes: np.ndarray, path) -> None:
     arr = np.asarray(codes, dtype=np.int32)
     if arr.ndim > MAX_RANK:
         raise InvalidArgument(f"rank {arr.ndim} exceeds supported maximum {MAX_RANK}")
-    _write(path, DTYPE_INT32, arr, "<i4")
+    _write(path, DTYPE_INT32, arr)
 
 
 def read_code_dump(path) -> np.ndarray:

@@ -17,13 +17,12 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, _as_float, channel_slices
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
-from .uniform import BITS, TINY, full_range, real, whole, zero_point
+from .uniform import BITS, CHUNK_ELEMS, TINY, full_range, real, whole, zero_point
 
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
 MAX_CANDIDATES = 10_000  # SearchSpace.n_candidates bound: the grid is allocated from it
 U = 2.0**-53  # float64 unit roundoff
-CHUNK_ELEMS = 2**15  # float64 elements of one `_chunks` buffer: the candidates scored at once
 BIN_CELLS = 2**11  # `_bin_scores` cells per chunk; 2**15 raised pipeline peak RSS by 3 MB
 
 

@@ -33,7 +33,7 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        self._keep(np.array(self.data, dtype=np.float32, copy=True).reshape(-1))
+        self._keep(np.array(_real(self.data), dtype=np.float32, copy=True).reshape(-1))
 
     @classmethod
     def _owning(cls, arr: np.ndarray) -> "Tensor":
@@ -65,7 +65,7 @@ class Tensor:
 
     @classmethod
     def from_array(cls, values: TensorLike) -> "Tensor":
-        arr = np.asarray(values, dtype=np.float32)
+        arr = np.asarray(_real(values), dtype=np.float32)
         return cls(arr.shape, arr.reshape(-1))
 
     @property
@@ -84,17 +84,24 @@ def _as_f64(values: TensorLike) -> np.ndarray:
     return _as_float(values).astype(np.float64, copy=False)
 
 
-def _as_float(values: TensorLike) -> np.ndarray:
-    """A float32 array, or a Tensor's own array, as it is, and any other real values in float64:
-    a caller widens each float32 value before arithmetic, which is exact, so results keep the bits
-    of a float64 input. Strings and bytes, which numpy would parse, complex values, whose imaginary
-    part a cast drops, and other objects are refused."""
-    if isinstance(values, Tensor):
-        return values.array
+def _real(values) -> np.ndarray:
+    """`values` as an array of bools, integers or floats, in the dtype numpy gives it. Strings and
+    bytes, which numpy would parse, complex values, whose imaginary part a cast drops, and other
+    objects are refused."""
     arr = np.asarray(values)
     real = np.can_cast(arr.dtype, np.float64, "same_kind")  # bool, integer or float
     if not (real or (arr.dtype == object and all(isinstance(v, numbers.Real) for v in arr.flat))):
         raise InvalidArgument(f"input must hold real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _as_float(values: TensorLike) -> np.ndarray:
+    """A float32 array, or a Tensor's own array, as it is, and any other real values (see `_real`)
+    in float64: a caller widens each float32 value before arithmetic, which is exact, so results
+    keep the bits of a float64 input."""
+    if isinstance(values, Tensor):
+        return values.array
+    arr = _real(values)
     arr = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
     if arr.size == 0:
         raise EmptyInput("input has no elements")

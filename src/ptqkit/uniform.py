@@ -20,6 +20,7 @@ SCHEMES = ("symmetric", "asymmetric")
 BITS = (2, 16)  # the bit widths every quantizer accepts
 TINY = np.finfo(np.float64).tiny  # the smallest normal float64, full_range's least scale
 HUGE = np.finfo(np.float64).max  # the float64 maximum
+CHUNK_ELEMS = 2**15  # float64 elements of one block: candidates scored at once, or values coded or summed
 
 
 def whole(name: str, value, lo: float, hi: float) -> int:
@@ -256,43 +257,49 @@ def dequantize(q: QuantizedTensor) -> Tensor:
 
 
 def error_stats(reference: np.ndarray, approx: np.ndarray) -> tuple[float, float, float]:
-    """(mse, sqnr_db, cosine) between a reference signal and its approximation; neither is written to.
-
-    Zero reconstruction error reports sqnr_db as +inf; cosine of two zero
-    vectors is defined as 1.0, and 0.0 when exactly one side is zero.
-    """
-    return _error_stats(reference, np.array(approx, dtype=np.float64))
-
-
-def _error_stats(reference: np.ndarray, spent: np.ndarray) -> tuple[float, float, float]:
-    """`error_stats`, squaring into `spent`: a fresh approximation, which nothing reads after this call.
-    Where a norm, the dot product or a sum of squares may pass the float64 maximum, both arrays are
-    scaled by one power of two 2^-k first, which moves no cosine or SQNR, and the mse by 4^k after."""
-    a, b = np.asarray(reference, dtype=np.float64), np.asarray(spent, dtype=np.float64)
+    """`block_stats` of a reference signal and its approximation, of one shape: each block of each
+    is widened to float64 from its own dtype, and neither is written to."""
+    a, b = np.asarray(reference), np.asarray(approx)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
-    with np.errstate(over="ignore"):  # a norm past the float64 maximum is inf, and scaled below
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+
+    def blocks(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        return a[start:stop].astype(np.float64, copy=False), b[start:stop].astype(np.float64, copy=False)
+
+    return block_stats(a.size, blocks)
+
+
+def block_stats(size: int, blocks) -> tuple[float, float, float]:
+    """(mse, sqnr_db, cosine) of `size` pairs of values that `blocks(start, stop)` gives as float64
+    (reference, approx) arrays of elements [start, stop), which it does not write to.
+
+    The sums of a^2, b^2, ab and (a - b)^2 are each taken over blocks of at most CHUNK_ELEMS elements,
+    split as numpy's pairwise sum splits one array and added back in its order, so each has the bits
+    of `np.sum` over the whole array: mse has those of `np.mean`. The cosine is
+    sum(ab) / (sqrt(sum(a^2)) sqrt(sum(b^2))); no BLAS call takes part. Zero reconstruction error
+    reports sqnr_db as +inf; the cosine of two zero vectors is 1.0, and 0.0 when exactly one side
+    is zero. Where a sum may pass the float64 maximum, one more pass finds the largest magnitude and
+    the sums are taken again of every block scaled by one power of two 2^-k, which moves no cosine
+    or SQNR, and the mse by 4^k after."""
     k = 0
-    if not 2 * (na * na + nb * nb) <= HUGE:  # bounds a.b (by na nb) and the sums of squares
-        top = float(max(np.abs(a).max(), np.abs(b).max()))
-        if math.isfinite(top):  # else there is an inf or a NaN, which no scale moves
-            k = math.frexp(top)[1] - 256  # the largest magnitude below 2^256: no square or sum overflows
-            a, b = np.ldexp(a, -k), np.ldexp(b, -k)
-            na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 and nb == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float64 maximum (inf, or NaN) is scaled below
+        signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, k)
+        if not 2 * (signal + b2) <= HUGE:  # bounds |sum(ab)| (by their mean) and the sum of (a - b)^2
+            top = float(np.max([np.abs(x).max() for j in range(0, size, CHUNK_ELEMS)
+                                for x in blocks(j, min(j + CHUNK_ELEMS, size))]))
+            if math.isfinite(top):  # else there is an inf or a NaN, which no scale moves
+                k = math.frexp(top)[1] - 256  # the largest magnitude below 2^256: no square or sum overflows
+                signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, k)
+        mse = noise / size  # np.mean's sum and divide, so the same bits
+        if k:
+            mse = float(np.ldexp(mse, 2 * k))
+    if signal == 0.0 and b2 == 0.0:
         cosine = 1.0
-    elif na == 0.0 or nb == 0.0:
+    elif signal == 0.0 or b2 == 0.0:
         cosine = 0.0
     else:
-        cosine = float(np.dot(a, b) / (na * nb))
-    noise = float(np.sum(np.square(np.subtract(a, b, out=b), out=b)))
-    signal = float(np.sum(np.square(a, out=b)))
-    mse = noise / a.size  # np.mean's sum and divide, so the same bits
-    if k:
-        with np.errstate(over="ignore"):
-            mse = float(np.ldexp(mse, 2 * k))
+        cosine = ab / (math.sqrt(signal) * math.sqrt(b2))
     if noise == 0.0:
         sqnr = math.inf
     elif signal == 0.0:
@@ -300,6 +307,23 @@ def _error_stats(reference: np.ndarray, spent: np.ndarray) -> tuple[float, float
     else:
         sqnr = 10.0 * math.log10(signal / noise)
     return mse, sqnr, cosine
+
+
+def _pairwise_sums(blocks, start: int, stop: int, k: int) -> tuple[float, float, float, float]:
+    """The sums of a^2, b^2, ab and (a - b)^2 over elements [start, stop) of `block_stats`' `blocks`,
+    each block scaled by 2^-k: numpy's pairwise split, into halves the first of which is a multiple
+    of its 8-way unroll, down to blocks of at most CHUNK_ELEMS, each summed by `np.sum`."""
+    if stop - start > CHUNK_ELEMS:
+        half = (stop - start) // 2
+        mid = start + half - half % 8
+        left, right = _pairwise_sums(blocks, start, mid, k), _pairwise_sums(blocks, mid, stop, k)
+        return tuple(x + y for x, y in zip(left, right))
+    a, b = blocks(start, stop)
+    if k:
+        a, b = np.ldexp(a, -k), np.ldexp(b, -k)
+    out = np.empty_like(a)  # after `blocks`, whose own temporaries are gone by now
+    return (float(np.sum(np.square(a, out=out))), float(np.sum(np.square(b, out=out))),
+            float(np.sum(np.multiply(a, b, out=out))), float(np.sum(np.square(np.subtract(a, b, out=out), out=out))))
 
 
 def fold_batchnorm(weight: np.ndarray, bias: np.ndarray, bn: BNParams):

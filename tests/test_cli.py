@@ -844,11 +844,12 @@ class TestQuantizeBlocks:
                 assert row.shape == alone.shape and row.tobytes() == alone.tobytes(), (hook, i)
 
     def test_traced_peak_of_a_gelu_dump(self, tmp_path):
-        """The blocks keep every float64 temporary in cache: the traced peak of quantizing a
-        256x3072 GeLU dump is its float32 input, reconstruction and codes (4 bytes an element
-        each) plus the blocks, about 3.5 x 4 bytes an element (11.1 MB); the bound allows 4.5 x 4.
-        Coding the whole array at once (float64 copy, numerator, regions, scales, payloads,
-        word temporaries) peaked at about 11 x 4 bytes an element (34.7 MB)."""
+        """The blocks keep every float64 temporary in cache, and each block's reconstruction and
+        codes go straight to their files: the traced peak of quantizing a 256x3072 GeLU dump is its
+        float32 input plus the blocks, about 1.65 x 4 bytes an element (5.2 MB). With a full-size
+        float32 reconstruction and int32 codes beside the input it was 3.5 x 4 (11.1 MB), and
+        coding the whole array at once (float64 copy, numerator, regions, scales, payloads, word
+        temporaries) about 11 x 4 bytes an element (34.7 MB)."""
         dump, out = tmp_path / "x.dump", tmp_path / "r.dump"
         write_dump(synth("gelu", (256, 3072), 0), dump)
         emit_params(ParamDoc(hooks={"h": DualRegionParams("gelu", 8, 0.02, 3)}), tmp_path / "p.json")
@@ -860,7 +861,21 @@ class TestQuantizeBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak <= 1.8 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("at", [0, 3 * CHUNK_ELEMS + 6], ids=["first-block", "last-block"])
+    def test_a_reconstruction_past_float32_is_one_line_and_no_file(self, tmp_path, capsys, at):
+        """Scale 2e38 codes 3.1e38 as 2, which rebuilds as 4e38: past the float32 maximum, so the
+        reconstruction cannot be a dump. Wherever that value sits, it is one line, no numpy warning,
+        and neither output is left behind."""
+        x = np.zeros(3 * CHUNK_ELEMS + 7, np.float32)
+        x[at] = 3.1e38
+        write_dump(x, tmp_path / "x.dump")
+        emit_params(ParamDoc(hooks={"h": QuantParams(2e38, 0, 8, True)}), tmp_path / "p.json")
+        out = tmp_path / "r.dump"
+        argv = ["quantize", "--params", str(tmp_path / "p.json"), "--in", str(tmp_path / "x.dump"), "--out", str(out)]
+        assert run_cli(capsys, *argv) == (1, "", "error: tensor contains NaN or Inf\n")
+        assert not out.exists() and not Path(f"{out}.codes").exists()
 
 
 class TestCalibratePeaks:
@@ -868,23 +883,23 @@ class TestCalibratePeaks:
         "kind, cols, seed, spec, bound",
         [
             ("gelu", 3072, 0, {"kind": "dual_region", "region": "gelu"}, 2.4),
-            ("softmax", 256, 1, {"kind": "dual_region", "region": "softmax"}, 3.12),
+            ("softmax", 256, 1, {"kind": "dual_region", "region": "softmax"}, 2.8),
             ("outlier", 768, 2, {"kind": "outlier_groups"}, 4.0),
-            ("outlier", 768, 3, {"kind": "uniform", "scheme": "asymmetric", "method": "mse"}, 3.2),
-            ("outlier", 768, 3, {"kind": "uniform", "scheme": "asymmetric", "method": "percentile"}, 3.2),
-            ("outlier", 768, 3, {"kind": "uniform", "scheme": "symmetric", "method": "percentile"}, 3.2),
+            ("outlier", 768, 3, {"kind": "uniform", "scheme": "asymmetric", "method": "mse"}, 3.0),
+            ("outlier", 768, 3, {"kind": "uniform", "scheme": "asymmetric", "method": "percentile"}, 1.6),
+            ("outlier", 768, 3, {"kind": "uniform", "scheme": "symmetric", "method": "percentile"}, 1.6),
         ],
         ids=["gelu", "softmax", "outlier_groups", "uniform-mse", "percentile-asymmetric", "percentile-symmetric"],
     )
     def test_traced_peak_of_one_hook(self, tmp_path, kind, cols, seed, spec, bound):
         """`ptqkit calibrate` of one 256-row dump keeps its samples in float32 through the search,
-        then widens them once for the report. Traced peaks of a second run (the first allocates
-        numpy's one-off caches), as a multiple of the float64 input, with a float64 stack read
-        before the search: GeLU 2.69 (now 2.19), softmax 3.15 (3.10), outlier groups 4.52 (3.52),
-        uniform mse 3.34 (3.01), percentile 3.01 either scheme (3.01). Softmax's margin is thin
-        because its peak is now the report phase, as the percentile hooks' always was: the float64
-        stack, its reconstruction and the codec's block temporaries, a fixed 0.56 MB that is
-        1.07x a 256x256 input. That phase is the parent's; the bound fails a float64 search."""
+        and its report widens and reconstructs one block of them at a time. Traced peaks of a second
+        run (the first allocates numpy's one-off caches), as a multiple of the float64 input: GeLU
+        2.19, softmax 2.64, outlier groups 3.52, uniform mse 2.83, percentile 1.51 either scheme.
+        With a float64 stack read before the search they were 2.69, 3.15, 4.52, 3.34 and 3.01; with
+        the report taken of the whole widened stack and its reconstruction, 2.19, 3.10, 3.52, 3.01
+        and 3.01. That report phase was the peak of softmax (the stack, its reconstruction and the
+        codec's block temporaries) and of the uniform hooks, and each of their bounds fails it."""
         (tmp_path / "dumps").mkdir()
         write_dump(synth(kind, (256, cols), seed), tmp_path / "dumps" / "h.dump")
         (tmp_path / "c.json").write_text(json.dumps({"hooks": {"h": spec}}))
@@ -977,6 +992,111 @@ class TestEvaluateZeroDumps:
         assert code == 0
         mse = sum((x - y) ** 2 for x, y in zip(a, b)) / len(a)
         assert json.loads(out) == {"mse": mse, "sqnr_db": sqnr, "cosine": cosine}
+
+
+class TestEvaluateDiagnostics:
+    """`ptqkit evaluate` of two dumps that cannot be compared: exit 1 and one line that names the
+    file at fault, or both shapes."""
+
+    @staticmethod
+    def pair(tmp_path, bad):
+        """A valid 4x8 --a and a valid --b that `bad` may spoil, and the diagnostic it expects."""
+        a, b = tmp_path / "a.dump", tmp_path / "b.dump"
+        values = np.linspace(-1.0, 1.0, 32)
+        write_dump(values.reshape(4, 8), a)
+        write_dump(values.reshape(4, 8) * 0.5, b)
+        if bad == "truncated-b":
+            b.write_bytes(b.read_bytes()[:-4])
+            return a, b, f"{b}: payload holds 124 bytes, dims (4, 8) require 128"
+        if bad == "codes-as-a":
+            write_code_dump(np.zeros((4, 8), np.int32), a)
+            return a, b, f"{a}: expected a float32 dump"
+        if bad == "missing-a":
+            a.unlink()
+            return a, b, f"[Errno 2] No such file or directory: {str(a)!r}"
+        if bad == "missing-b":
+            b.unlink()
+            return a, b, f"[Errno 2] No such file or directory: {str(b)!r}"
+        write_dump(values.reshape(8, 4), b)
+        return a, b, "shape mismatch: (4, 8) vs (8, 4)"
+
+    BAD = ["truncated-b", "codes-as-a", "missing-a", "missing-b", "shapes-differ"]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_one_line(self, tmp_path, capsys, bad):
+        a, b, message = self.pair(tmp_path, bad)
+        assert run_cli(capsys, "evaluate", "--a", str(a), "--b", str(b)) == (1, "", f"error: {message}\n")
+
+    class Reads:
+        """A file that logs the name of each `readinto`, by which a dump's payload is read."""
+
+        def __init__(self, fh, log: list):
+            self.fh, self.log = fh, log
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def readinto(self, out):
+            self.log.append(self.fh.name)
+            return self.fh.readinto(out)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_no_payload_is_read_first(self, tmp_path, capsys, monkeypatch, bad):
+        """Both headers and payload sizes, and then the shapes, are checked before either payload is read."""
+        a, b, message = self.pair(tmp_path, bad)
+        reads = []
+        monkeypatch.setattr(ptqkit.io, "open", lambda *args: self.Reads(open(*args), reads), raising=False)
+        assert run_cli(capsys, "evaluate", "--a", str(a), "--b", str(b)) == (1, "", f"error: {message}\n")
+        assert reads == []
+
+    def test_traced_peak_of_two_gelu_dumps(self, tmp_path):
+        """Two 256x3072 dumps are read a block at a time into reused float32 and float64 buffers, so
+        the traced peak is those blocks, about 1.0 MB. Reading both dumps whole and widening them
+        peaked at 18.9 MB, 6x one dump."""
+        a, b = tmp_path / "a.dump", tmp_path / "b.dump"
+        x = synth("gelu", (256, 3072), 0).array
+        write_dump(x, a)
+        write_dump(x + np.float32(0.01), b)
+        with contextlib.redirect_stdout(io.StringIO()):
+            tracemalloc.start()
+            try:
+                assert main(["evaluate", "--a", str(a), "--b", str(b)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.1e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+class TestNoBlas:
+    """The error statistics call neither BLAS (`np.dot`, `np.linalg.norm`, `np.matmul`) nor anything
+    else that numpy may route through a host-dependent kernel: their bits are numpy's pairwise sums."""
+
+    def test_statistics_run_with_blas_refused(self, tmp_path, capsys, monkeypatch):
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        for hook, kind in (("h", "gelu"), ("s", "softmax")):
+            write_dump(synth(kind, (16, 64), 0), dumps / f"{hook}.dump")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"hooks": {"h": {"kind": "dual_region", "region": "gelu"}, "s": {}}}))
+        x = synth("gelu", (16, 64), 1).array
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a BLAS call")
+
+        for module, name in ((np, "dot"), (np, "matmul"), (np.linalg, "norm")):
+            monkeypatch.setattr(module, name, refused)
+        assert uniform.error_stats(x, x + np.float32(0.5))[2] < 1.0
+        argv = ["--config", str(config), "--dumps", str(dumps), "--out", str(tmp_path / "p.json")]
+        code, out, err = run_cli(capsys, "calibrate", *argv, "--report", str(tmp_path / "r.json"))
+        assert (code, err) == (0, "") and set(json.loads(out)["hooks"]) == {"h", "s"}
+        code, out, err = run_cli(capsys, "evaluate", "--a", str(dumps / "h.dump"), "--b", str(dumps / "s.dump"))
+        assert (code, err) == (0, "") and json.loads(out)["cosine"] < 1.0
 
 
 class TestPipelineCommand:

@@ -1,12 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ptqkit.dual_region import DualRegionParams, calibrate_dual_region, encode_tensor
 from ptqkit.errors import EmptyInput, InvalidArgument
+from ptqkit.io import read_dump, write_dump
 from ptqkit.outlier_groups import calibrate_grouped
 from ptqkit.search import alternating_matmul_search, channelwise_params, mse_grid_search, percentile_calibrate
 from ptqkit.tensor import Tensor, _as_f64, channel_slices
-from ptqkit.uniform import QuantParams
+from ptqkit.uniform import QuantParams, quantize
 
 
 class TestTensorContainer:
@@ -78,9 +82,20 @@ class TestChannelSlices:
             assert channel_slices(t, axis).tolist() == channel_slices(t, axis + 3).tolist()
 
 
+def _written(values) -> np.ndarray:
+    """`values` written as a dump and read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dump(values, Path(tmp) / "x.dump")
+        return read_dump(Path(tmp) / "x.dump").array
+
+
 GROUPED = calibrate_grouped(np.array([0.1, 0.2, 0.3, 5.0]), 8)
-# every calibrator and codec that reads samples, each as one call on a 2x2 input
+# every calibrator, codec, tensor constructor and dump writer that reads samples, each as one call on a 2x2 input
 READERS = {
+    "Tensor": lambda x: Tensor(np.shape(x), x).array,
+    "Tensor.from_array": lambda x: Tensor.from_array(x).array,
+    "quantize": lambda x: quantize(x, QuantParams(0.01, 0, 8, True)).codes,
+    "write_dump": _written,
     "as_f64": _as_f64,
     "mse": lambda x: mse_grid_search(x, 8),
     "percentile": lambda x: percentile_calibrate(x, 8),
