@@ -221,28 +221,24 @@ def _cmd_quantize(args) -> int:
 
 
 def _encode_into(params, arr: np.ndarray, out, codes_out) -> None:
-    """`params.encode` of the float32 `arr` in float64: its float32 reconstruction written as the
-    dump `out` and its codes as the code dump `codes_out`. A per-tensor codec codes CHUNK_ELEMS
-    elements of the flattened `arr` at a time, and each block goes to its place in both files, so
-    every temporary stays in cache and no full-size reconstruction or code array is made. It codes
-    each element alone, so the bytes are those of one whole-array call, which a per-channel
-    quantizer (it needs the axes) still makes. The first block is coded before either file is
-    opened; a failure after that removes both."""
+    """`params.encode` of `arr`, which each `encode` widens itself: `io.dump_writer` casts and checks
+    the reconstruction into the float32 dump `out`, and the codes into the code dump `codes_out`. A
+    per-tensor codec codes CHUNK_ELEMS elements of the flattened `arr` at a time, each block to its
+    place in both files, so every temporary stays in cache and no full-size reconstruction or code
+    array is made. It codes each element alone, so the bytes are those of one whole-array call, which
+    a per-channel quantizer (it needs the axes) still makes. The first block is coded before either
+    file is opened; a failure after that, such as a value past the float32 maximum, removes both."""
     if getattr(params, "per_channel", False):
-        blocks = [(0, arr.astype(np.float64))]
+        blocks = [(0, arr)]
     else:
         flat = arr.reshape(-1)
-        blocks = ((j, flat[j : j + CHUNK_ELEMS].astype(np.float64)) for j in range(0, arr.size, CHUNK_ELEMS))
+        blocks = ((j, flat[j : j + CHUNK_ELEMS]) for j in range(0, arr.size, CHUNK_ELEMS))
     coded = ((j, *params.encode(x)) for j, x in blocks)
     j, codes, recon = next(coded)
     lead = codes.shape[: codes.ndim - recon.ndim]  # a grouped quantizer's codes lead with its (group, code) axis
     with pio.dump_writer(out, pio.DTYPE_FLOAT32, arr.shape) as put_recon, \
             pio.dump_writer(codes_out, pio.DTYPE_INT32, (*lead, arr.size) if lead else arr.shape) as put_codes:
         for j, codes, recon in chain([(j, codes, recon)], coded):
-            with np.errstate(over="ignore"):  # a value past the float32 maximum is inf, refused below
-                recon = recon.astype(np.float32)
-            if not np.isfinite(recon).all():  # as `write_dump` refuses a reconstruction
-                raise InvalidArgument("tensor contains NaN or Inf")
             put_recon(j, recon)
             for row, row_codes in enumerate(codes.reshape(-1, recon.size)):
                 put_codes(row * arr.size + j, row_codes)

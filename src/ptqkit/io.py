@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .dual_region import DualRegionParams
-from .errors import FormatError, InvalidArgument, QuantizationError
+from .errors import EmptyInput, FormatError, InvalidArgument, QuantizationError
 from .outlier_groups import GroupedQuantParams, QuantGroup
 from .report import CalibrationReport, json_float
-from .tensor import MAX_RANK, Tensor, TensorLike, _real, as_tensor
+from .tensor import MAX_RANK, Tensor, TensorLike, _real
 from .uniform import CHUNK_ELEMS, QuantParams, real
 
 MAGIC = b"PTQ4"
@@ -43,18 +43,27 @@ PARAMS_VERSION = 1
 
 @contextmanager
 def dump_writer(path, dtype_tag: int, dims):
-    """`put(start, values)` into the dump at `path`, whose header for `dims` is written first: it
-    writes `values`, flattened, to the row-major payload from element `start` on, as float32 or as
-    int32 values (DTYPE_FLOAT32 or DTYPE_INT32). If the body of the `with` raises, the file is
-    removed, so that a failed write leaves no dump."""
+    """`put(start, values)` into the dump at `path`, whose header for `dims` is written first: it writes
+    `values`, flattened, to the row-major payload from element `start` on, cast to float32 or int32
+    (DTYPE_FLOAT32 or DTYPE_INT32). It refuses what the readers refuse: `dims` that `_read_header` would,
+    before the file is opened, non-real `values` (see `tensor._real`), and a NaN or an infinity in a float32
+    payload once cast. If `put` or the body of the `with` raises, the file is removed, so no dump is left."""
+    if len(dims) > MAX_RANK:
+        raise InvalidArgument(f"rank {len(dims)} exceeds supported maximum {MAX_RANK}")
+    if 0 in dims:
+        raise EmptyInput(f"tensor has no elements, shape {tuple(dims)}")
     fmt = "<f4" if dtype_tag == DTYPE_FLOAT32 else "<i4"
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack(f"<HBB{len(dims)}I", VERSION, dtype_tag, len(dims), *dims))
         payload = fh.tell()
 
-        def put(start: int, values: np.ndarray) -> None:
+        def put(start: int, values) -> None:
+            with np.errstate(over="ignore"):  # a value past the float32 maximum is inf, refused below
+                values = np.ascontiguousarray(_real(values), fmt)
+            if fmt == "<f4" and not np.isfinite(values).all():  # a Tensor's rule, in one pass over a block
+                raise InvalidArgument("tensor contains NaN or Inf")
             fh.seek(payload + 4 * start)
-            fh.write(np.ascontiguousarray(values, fmt))
+            fh.write(values)
 
         try:
             yield put
@@ -62,11 +71,6 @@ def dump_writer(path, dtype_tag: int, dims):
             fh.close()
             os.remove(path)
             raise
-
-
-def _write(path, dtype_tag: int, arr: np.ndarray) -> None:
-    with dump_writer(path, dtype_tag, arr.shape) as put:
-        put(0, arr)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -148,11 +152,10 @@ def dump_blocks(path):
 
 
 def write_dump(t: TensorLike, path) -> None:
-    """`t` as a float32 dump from its own buffer: an array gets a Tensor's checks, not its copy."""
-    arr = np.asarray(t.array if isinstance(t, Tensor) else _real(t), dtype=np.float32)
-    if arr.ndim > MAX_RANK or arr.size == 0 or not np.isfinite(arr).all():
-        as_tensor(arr)  # raises the Tensor's error
-    _write(path, DTYPE_FLOAT32, arr)
+    """`t`, a Tensor or real values, as a float32 dump, written from its own buffer where it is float32."""
+    arr = t.array if isinstance(t, Tensor) else np.asarray(t)
+    with dump_writer(path, DTYPE_FLOAT32, arr.shape) as put:
+        put(0, arr)
 
 
 def read_dump(path) -> Tensor:
@@ -160,10 +163,8 @@ def read_dump(path) -> Tensor:
 
 
 def write_code_dump(codes: np.ndarray, path) -> None:
-    arr = np.asarray(codes, dtype=np.int32)
-    if arr.ndim > MAX_RANK:
-        raise InvalidArgument(f"rank {arr.ndim} exceeds supported maximum {MAX_RANK}")
-    _write(path, DTYPE_INT32, arr)
+    with dump_writer(path, DTYPE_INT32, np.shape(codes)) as put:
+        put(0, codes)
 
 
 def read_code_dump(path) -> np.ndarray:

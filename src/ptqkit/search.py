@@ -290,10 +290,7 @@ def params_from_scale(
     Asymmetric candidates anchor the zero-point so the observed minimum maps
     near q_min; symmetric candidates keep zero_point == 0.
     """
-    if scheme == "symmetric":
-        return QuantParams(scale=scale, zero_point=0, bits=bits, signed=signed)
-    q_min, q_max = quant_range(bits, signed)
-    zp = int(np.clip(np.rint(q_min - data_min / scale), q_min, q_max))
+    zp = float(zero_point(data_min, scale, bits, scheme, signed))  # QuantParams takes no 0-d array
     return QuantParams(scale=scale, zero_point=zp, bits=bits, signed=signed)
 
 

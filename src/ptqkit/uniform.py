@@ -279,16 +279,16 @@ def block_stats(size: int, blocks) -> tuple[float, float, float]:
     of `np.sum` over the whole array: mse has those of `np.mean`. The cosine is
     sum(ab) / (sqrt(sum(a^2)) sqrt(sum(b^2))); no BLAS call takes part. Zero reconstruction error
     reports sqnr_db as +inf; the cosine of two zero vectors is 1.0, and 0.0 when exactly one side
-    is zero. Where a sum may pass the float64 maximum, one more pass finds the largest magnitude and
-    the sums are taken again of every block scaled by one power of two 2^-k, which moves no cosine
-    or SQNR, and the mse by 4^k after."""
+    is zero. Where a sum may pass the float64 maximum, or squares may underflow, one more pass
+    finds the largest magnitude and the sums are taken again of every block scaled by one power of
+    two 2^-k, which moves no cosine or SQNR, and the mse by 4^k after."""
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float64 maximum (inf, or NaN) is scaled below
         signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, k)
-        if not 2 * (signal + b2) <= HUGE:  # bounds |sum(ab)| (by their mean) and the sum of (a - b)^2
+        if not 2.0**-900 <= 2 * (signal + b2) <= HUGE:  # the bound of |sum(ab)| and the sum of (a - b)^2
             top = float(np.max([np.abs(x).max() for j in range(0, size, CHUNK_ELEMS)
                                 for x in blocks(j, min(j + CHUNK_ELEMS, size))]))
-            if math.isfinite(top):  # else there is an inf or a NaN, which no scale moves
+            if 0 < top < math.inf:  # else all is zero, or there is an inf or a NaN, which no scale moves
                 k = math.frexp(top)[1] - 256  # the largest magnitude below 2^256: no square or sum overflows
                 signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, k)
         mse = noise / size  # np.mean's sum and divide, so the same bits

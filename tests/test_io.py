@@ -124,6 +124,44 @@ class TestDumpFormat:
             write_dump(values, tmp_path / "x.dump")
         assert not (tmp_path / "x.dump").exists()
 
+    @pytest.mark.parametrize("shape", [(2,) * rank for rank in range(6)] + [(2,) * rank + (0,) for rank in range(5)],
+                             ids=str)
+    @pytest.mark.parametrize("kind", ["ints", "floats", "nan", "inf", "past-float32", "strings"])
+    @pytest.mark.parametrize("write, read, dtype", [(write_dump, read_dump, np.float32),
+                                                    (write_code_dump, read_code_dump, np.int32)], ids=["dump", "codes"])
+    def test_the_writer_refuses_what_the_reader_refuses(self, tmp_path, shape, kind, write, read, dtype):
+        """Each array of ranks 0-5, with and without a zero dimension, is refused with one error,
+        leaving no file, exactly where its dump would be refused on reading, or where a float32
+        payload holds a NaN or an inf once cast; otherwise it reads back as its cast. A code dump of
+        non-finite or huge floats holds their int32 cast."""
+        values = np.arange(-3, math.prod(shape) - 3)
+        if kind != "ints":
+            values = values * 0.5
+        if values.size and kind in ("nan", "inf", "past-float32"):
+            values[-1] = {"nan": np.nan, "inf": -np.inf, "past-float32": 1e39}[kind]
+        values = (values.astype(str) if kind == "strings" else values).reshape(shape)
+        path = tmp_path / "x.dump"
+        if len(shape) > 4:
+            refusal = f"rank {len(shape)} exceeds supported maximum 4"
+        elif 0 in shape:
+            refusal = f"tensor has no elements, shape {shape}"
+        elif kind == "strings":
+            refusal = f"input must hold real numbers, got dtype {values.dtype}"
+        elif dtype == np.float32 and kind in ("nan", "inf", "past-float32"):
+            refusal = "tensor contains NaN or Inf"
+        else:
+            refusal = None
+        with np.errstate(invalid="ignore"):  # a non-finite or huge float's int32 cast
+            if refusal:
+                with pytest.raises(QuantizationError, match=f"^{re.escape(refusal)}$"):
+                    write(values, path)
+                assert not path.exists()
+            else:
+                write(values, path)
+                back = read(path)
+                back = getattr(back, "array", back)
+                assert back.shape == shape and back.tobytes() == values.astype(dtype).tobytes()
+
     def test_code_and_float_dumps_not_interchangeable(self, tmp_path):
         path = tmp_path / "c.dump"
         write_code_dump(np.asarray([1, 2], dtype=np.int32), path)

@@ -457,6 +457,31 @@ class TestQuantError:
             want = (float(np.ldexp(mse, 2 * j)), sqnr_db, cosine)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    TINY = np.array([1e-170, 2e-170])  # every square underflows to 0
+
+    @pytest.mark.parametrize("b, sqnr_db, cosine", [(-TINY, -6.020599913279624, -0.9999999999999999),
+                                                    (np.zeros(2), 0.0, 0.0)], ids=["negated", "zeros"])
+    def test_tiny_data_gets_the_true_cosine_and_sqnr(self, b, sqnr_db, cosine):
+        """Those of the data scaled by a power of two; unscaled, both read as identical signals
+        (sqnr inf, cosine 1.0). The mse underflows to 0.0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert error_stats(self.TINY, b) == (0.0, sqnr_db, cosine)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(-700, -400))
+    def test_a_negative_power_of_two_moves_no_cosine_or_sqnr(self, seed, n, j):
+        """Signals scaled by 2^j, down to where their squares underflow but the values stay normal,
+        keep every bit of their cosine and SQNR, and their mse is 4^j times the unscaled one."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n)
+        b = a + rng.standard_normal(n) * rng.uniform(1e-6, 1.0)
+        mse, sqnr_db, cosine = error_stats(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = error_stats(np.ldexp(a, j), np.ldexp(b, j))
+        assert np.float64(got).tobytes() == np.float64((float(np.ldexp(mse, 2 * j)), sqnr_db, cosine)).tobytes()
+
     def test_same_values_in_another_shape_is_a_shape_error(self):
         values = np.arange(32.0)
         with pytest.raises(ShapeError, match=r"\(4, 8\) vs \(8, 4\)"):
