@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -45,31 +46,46 @@ PARAMS_VERSION = 1
 def dump_writer(path, dtype_tag: int, dims):
     """`put(start, values)` into the dump at `path`, whose header for `dims` is written first: it writes
     `values`, flattened, to the row-major payload from element `start` on, cast to float32 or int32
-    (DTYPE_FLOAT32 or DTYPE_INT32). It refuses what the readers refuse: `dims` that `_read_header` would,
-    before the file is opened, non-real `values` (see `tensor._real`), and a NaN or an infinity in a float32
-    payload once cast. If `put` or the body of the `with` raises, the file is removed, so no dump is left."""
+    (DTYPE_FLOAT32 or DTYPE_INT32). The body of the `with` puts every element. It refuses what the
+    readers refuse: `dims` that `_read_header` would, before the file is opened, non-real `values`
+    (see `tensor._real`), a NaN or an infinity in a float32 payload once cast, and a code that does not
+    truncate into int32, a NaN or an infinity among them; an int32 block takes no pass for that.
+
+    An existing regular file is overwritten in place: sized to the header and payload before the first
+    `put`, not truncated to zero (freeing and discarding its blocks cost more than the write), so its
+    bytes end as those of a fresh write. A file that is not regular, such as /dev/null, is never sized
+    or removed. If `put` or the body of the `with` raises, a regular file is removed, so no dump is
+    left. Nothing is synced to disk."""
     if len(dims) > MAX_RANK:
         raise InvalidArgument(f"rank {len(dims)} exceeds supported maximum {MAX_RANK}")
     if 0 in dims:
         raise EmptyInput(f"tensor has no elements, shape {tuple(dims)}")
     fmt = "<f4" if dtype_tag == DTYPE_FLOAT32 else "<i4"
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack(f"<HBB{len(dims)}I", VERSION, dtype_tag, len(dims), *dims))
-        payload = fh.tell()
+    header = MAGIC + struct.pack(f"<HBB{len(dims)}I", VERSION, dtype_tag, len(dims), *dims)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if regular:
+            fh.truncate(len(header) + 4 * math.prod(dims))
+        fh.write(header)
 
         def put(start: int, values) -> None:
+            values = _real(values)
+            if fmt == "<i4" and not np.can_cast(values.dtype, fmt):  # an int32 block takes no pass here
+                if not -2**31 - 1 < float(values.min()) <= float(values.max()) < 2**31:  # a NaN compares false
+                    raise InvalidArgument("codes must be finite and fit int32")
             with np.errstate(over="ignore"):  # a value past the float32 maximum is inf, refused below
-                values = np.ascontiguousarray(_real(values), fmt)
+                values = np.ascontiguousarray(values, fmt)
             if fmt == "<f4" and not np.isfinite(values).all():  # a Tensor's rule, in one pass over a block
                 raise InvalidArgument("tensor contains NaN or Inf")
-            fh.seek(payload + 4 * start)
+            fh.seek(len(header) + 4 * start)
             fh.write(values)
 
         try:
             yield put
         except BaseException:
             fh.close()
-            os.remove(path)
+            if regular:
+                os.remove(path)
             raise
 
 
@@ -143,7 +159,7 @@ def dump_blocks(path):
             block, wide = f32[: stop - start], f64[: stop - start]
             fh.seek(payload + 4 * start)
             _read_into(path, fh, block)
-            if not (np.isfinite(block.min()) and np.isfinite(block.max())):  # as a Tensor checks its values
+            if not np.isfinite(block).all():  # as a Tensor checks its values
                 raise InvalidArgument("tensor contains NaN or Inf")
             np.copyto(wide, block)
             return wide

@@ -281,16 +281,20 @@ def block_stats(size: int, blocks) -> tuple[float, float, float]:
     reports sqnr_db as +inf; the cosine of two zero vectors is 1.0, and 0.0 when exactly one side
     is zero. Where a sum may pass the float64 maximum, or squares may underflow, one more pass
     finds the largest magnitude and the sums are taken again of every block scaled by one power of
-    two 2^-k, which moves no cosine or SQNR, and the mse by 4^k after."""
-    k = 0
+    two 2^-k, which moves no cosine or SQNR, and the mse by 4^k after. A side whose largest magnitude
+    that scale would take below 1 (2^255 or more under the other's) is scaled on its own, 2^-ka or
+    2^-kb, for its sum of squares and sum(ab), and the SQNR gains 20 log10(2) (ka - k) dB back."""
+    k = ka = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float64 maximum (inf, or NaN) is scaled below
-        signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, k)
-        if not 2.0**-900 <= 2 * (signal + b2) <= HUGE:  # the bound of |sum(ab)| and the sum of (a - b)^2
-            top = float(np.max([np.abs(x).max() for j in range(0, size, CHUNK_ELEMS)
-                                for x in blocks(j, min(j + CHUNK_ELEMS, size))]))
+        signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, (0, 0, 0))
+        if not (2.0**-900 <= min(signal, b2) and 2 * (signal + b2) <= HUGE):  # that bound |sum(ab)| and sum((a - b)^2)
+            tops = np.max([[np.abs(x).max() for x in blocks(j, min(j + CHUNK_ELEMS, size))]
+                           for j in range(0, size, CHUNK_ELEMS)], axis=0)  # each side's largest magnitude
+            top = float(tops.max())
             if 0 < top < math.inf:  # else all is zero, or there is an inf or a NaN, which no scale moves
                 k = math.frexp(top)[1] - 256  # the largest magnitude below 2^256: no square or sum overflows
-                signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, k)
+                ka, kb = (math.frexp(t)[1] - 256 if 0 < t < math.ldexp(1.0, k) else k for t in tops.tolist())
+                signal, b2, ab, noise = _pairwise_sums(blocks, 0, size, (ka, kb, k))
         mse = noise / size  # np.mean's sum and divide, so the same bits
         if k:
             mse = float(np.ldexp(mse, 2 * k))
@@ -305,25 +309,29 @@ def block_stats(size: int, blocks) -> tuple[float, float, float]:
     elif signal == 0.0:
         sqnr = -math.inf
     else:
-        sqnr = 10.0 * math.log10(signal / noise)
+        sqnr = 10.0 * math.log10(signal / noise) + 20.0 * math.log10(2.0) * (ka - k)
     return mse, sqnr, cosine
 
 
-def _pairwise_sums(blocks, start: int, stop: int, k: int) -> tuple[float, float, float, float]:
+def _pairwise_sums(blocks, start: int, stop: int, scales) -> tuple[float, float, float, float]:
     """The sums of a^2, b^2, ab and (a - b)^2 over elements [start, stop) of `block_stats`' `blocks`,
-    each block scaled by 2^-k: numpy's pairwise split, into halves the first of which is a multiple
+    with `scales` (ka, kb, k) each block's a scaled by 2^-ka and b by 2^-kb for the first three, and
+    both by 2^-k for the last: numpy's pairwise split, into halves the first of which is a multiple
     of its 8-way unroll, down to blocks of at most CHUNK_ELEMS, each summed by `np.sum`."""
     if stop - start > CHUNK_ELEMS:
         half = (stop - start) // 2
         mid = start + half - half % 8
-        left, right = _pairwise_sums(blocks, start, mid, k), _pairwise_sums(blocks, mid, stop, k)
+        left, right = _pairwise_sums(blocks, start, mid, scales), _pairwise_sums(blocks, mid, stop, scales)
         return tuple(x + y for x, y in zip(left, right))
     a, b = blocks(start, stop)
-    if k:
-        a, b = np.ldexp(a, -k), np.ldexp(b, -k)
+    ka, kb, k = scales
+    x, y = (np.ldexp(a, -ka), np.ldexp(b, -kb)) if ka or kb else (a, b)
     out = np.empty_like(a)  # after `blocks`, whose own temporaries are gone by now
-    return (float(np.sum(np.square(a, out=out))), float(np.sum(np.square(b, out=out))),
-            float(np.sum(np.multiply(a, b, out=out))), float(np.sum(np.square(np.subtract(a, b, out=out), out=out))))
+    sums = (float(np.sum(np.square(x, out=out))), float(np.sum(np.square(y, out=out))),
+            float(np.sum(np.multiply(x, y, out=out))))
+    if ka != k or kb != k:
+        x, y = np.ldexp(a, -k), np.ldexp(b, -k)
+    return (*sums, float(np.sum(np.square(np.subtract(x, y, out=out), out=out))))
 
 
 def fold_batchnorm(weight: np.ndarray, bias: np.ndarray, bn: BNParams):

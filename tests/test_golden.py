@@ -82,7 +82,8 @@ def _pipeline(work: Path, preset: str) -> dict[str, bytes]:
     }
 
 
-def _calibrate_quantize(work: Path) -> dict[str, bytes]:
+def _calibrate(work: Path) -> tuple[Path, Path, Path]:
+    """The dumps directory, parameter file and report of `ptqkit calibrate` on DUMPS and CONFIG."""
     dumps = work / "dumps"
     dumps.mkdir()
     for hook, (kind, shape, seeds) in DUMPS.items():
@@ -94,7 +95,11 @@ def _calibrate_quantize(work: Path) -> dict[str, bytes]:
     params = work / "params.json"
     report = work / "report.json"
     _cli("calibrate", "--config", config, "--dumps", dumps, "--out", params, "--report", report)
+    return dumps, params, report
 
+
+def _calibrate_quantize(work: Path) -> dict[str, bytes]:
+    dumps, params, report = _calibrate(work)
     applied = {}
     for hook in sorted(DUMPS):
         src = dumps / f"{hook}__000.dump"
@@ -162,6 +167,21 @@ def generate(work: Path) -> dict[str, bytes]:
     files.update(_ablation(work))
     files.update(_presets(work))
     return files
+
+
+def test_quantize_over_its_own_outputs_and_larger_files_keeps_the_golden_bytes(tmp_path):
+    """The writer overwrites an existing file in place: quantize run twice into the same outputs,
+    first over files larger than the dumps it writes, leaves the golden sha256s."""
+    golden = json.loads((DATA / "golden_quantize_seed0.json").read_bytes())
+    dumps, params, _ = _calibrate(tmp_path)
+    for hook in sorted(DUMPS):
+        src = dumps / f"{hook}__000.dump"
+        recon, codes = tmp_path / f"{hook}.recon.dump", tmp_path / f"{hook}.codes.dump"
+        for path in (recon, codes):
+            path.write_bytes(b"\xff" * (4 * src.stat().st_size))
+        for _ in range(2):
+            _cli("quantize", "--params", params, "--hook", hook, "--in", src, "--out", recon, "--codes", codes)
+            assert (_sha256(recon), _sha256(codes)) == (golden[hook]["recon_sha256"], golden[hook]["codes_sha256"])
 
 
 def changed_keys(old: bytes, new: bytes) -> list[str]:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -131,9 +132,9 @@ class TestDumpFormat:
                                                     (write_code_dump, read_code_dump, np.int32)], ids=["dump", "codes"])
     def test_the_writer_refuses_what_the_reader_refuses(self, tmp_path, shape, kind, write, read, dtype):
         """Each array of ranks 0-5, with and without a zero dimension, is refused with one error,
-        leaving no file, exactly where its dump would be refused on reading, or where a float32
-        payload holds a NaN or an inf once cast; otherwise it reads back as its cast. A code dump of
-        non-finite or huge floats holds their int32 cast."""
+        leaving no file, exactly where its dump would be refused on reading, where a float32 payload
+        holds a NaN or an inf once cast, or where a code does not truncate into int32; otherwise it
+        reads back as its cast, with no warning."""
         values = np.arange(-3, math.prod(shape) - 3)
         if kind != "ints":
             values = values * 0.5
@@ -147,20 +148,34 @@ class TestDumpFormat:
             refusal = f"tensor has no elements, shape {shape}"
         elif kind == "strings":
             refusal = f"input must hold real numbers, got dtype {values.dtype}"
-        elif dtype == np.float32 and kind in ("nan", "inf", "past-float32"):
-            refusal = "tensor contains NaN or Inf"
+        elif kind in ("nan", "inf", "past-float32"):
+            refusal = "tensor contains NaN or Inf" if dtype == np.float32 else "codes must be finite and fit int32"
         else:
             refusal = None
-        with np.errstate(invalid="ignore"):  # a non-finite or huge float's int32 cast
-            if refusal:
-                with pytest.raises(QuantizationError, match=f"^{re.escape(refusal)}$"):
-                    write(values, path)
-                assert not path.exists()
-            else:
+        if refusal:
+            with pytest.raises(QuantizationError, match=f"^{re.escape(refusal)}$"):
                 write(values, path)
-                back = read(path)
-                back = getattr(back, "array", back)
-                assert back.shape == shape and back.tobytes() == values.astype(dtype).tobytes()
+            assert not path.exists()
+        else:
+            write(values, path)
+            back = read(path)
+            back = getattr(back, "array", back)
+            assert back.shape == shape and back.tobytes() == values.astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("codes", [[np.nan, np.inf, 3e9, 2**40], np.array([2**40, -2**33]),
+                                       np.array([2**31], np.uint32), [-2.0**31 - 1]],
+                             ids=["floats", "int64", "uint32", "below-int32"])
+    def test_a_code_past_int32_is_refused(self, tmp_path, codes):
+        """Cast, each read back as a wrapped or undefined int32 (-2147483648 or 0), with at most a warning."""
+        with pytest.raises(InvalidArgument, match="^codes must be finite and fit int32$"):
+            write_code_dump(codes, tmp_path / "c.dump")
+        assert not (tmp_path / "c.dump").exists()
+
+    def test_codes_at_the_int32_limits_are_kept(self, tmp_path):
+        """Floats truncate toward zero, as the cast does, so -2^31 - 0.5 and 2^31 - 0.5 are kept."""
+        for codes in (np.array([-2**31, 2**31 - 1]), np.array([-2.0**31 - 0.5, 2.0**31 - 0.5])):
+            write_code_dump(codes, tmp_path / "c.dump")
+            assert read_code_dump(tmp_path / "c.dump").tolist() == [-2**31, 2**31 - 1]
 
     def test_code_and_float_dumps_not_interchangeable(self, tmp_path):
         path = tmp_path / "c.dump"
@@ -232,6 +247,87 @@ class TestDumpFormat:
             tracemalloc.stop()
         assert t.shape == (256, 3072)
         assert peak < 1.25 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.2f} MB"
+
+
+class TestOverwrite:
+    """The writer overwrites an existing file in place, sized to the new dump, so the bytes are
+    those of a fresh write; a refused write leaves no file. A file that is not regular is written,
+    never sized or removed."""
+
+    WRITES = [(write_dump, np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4), write_code_dump),
+              (write_code_dump, np.arange(-6, 6, dtype=np.int32).reshape(3, 4), write_dump)]
+
+    @pytest.mark.parametrize("existing", ["longer", "shorter", "same-size", "other-dtype"])
+    @pytest.mark.parametrize("write, values, other", WRITES, ids=["dump", "codes"])
+    def test_an_existing_file_ends_as_a_fresh_write(self, tmp_path, write, values, other, existing):
+        write(values, tmp_path / "fresh.dump")
+        want = (tmp_path / "fresh.dump").read_bytes()
+        path = tmp_path / "x.dump"
+
+        def make_existing():
+            if existing == "other-dtype":  # the same header size and payload size, the other tag
+                other(np.full(values.shape, 7), path)
+                assert path.read_bytes()[6] != want[6] and path.stat().st_size == len(want)
+            else:
+                path.write_bytes(b"\xff" * {"longer": 3 * len(want), "shorter": 5, "same-size": len(want)}[existing])
+
+        make_existing()
+        write(values, path)
+        assert path.read_bytes() == want
+        make_existing()
+        with pytest.raises(InvalidArgument):
+            write(np.array([1.0, np.nan]), path)
+        assert not path.exists()
+
+    def test_a_refused_write_to_a_device_removes_nothing(self, monkeypatch):
+        removed = []
+        monkeypatch.setattr(pio.os, "remove", removed.append)  # a real os.remove here would delete the device
+        for write in (write_dump, write_code_dump):
+            with pytest.raises(InvalidArgument):
+                write(np.array([np.nan]), "/dev/null")
+        assert removed == []
+
+    def test_a_device_output_is_written_and_never_sized(self, tmp_path, capsys):
+        """/dev/null is written and never sized: each output may be it. Both at once are one file,
+        which quantize refuses before it writes."""
+        src, params = tmp_path / "x.dump", tmp_path / "p.json"
+        assert main(["synth", "--kind", "gelu", "--shape", "8x16", "--out", "/dev/null"]) == 0
+        write_dump(synth("gelu", (8, 16), 0), src)
+        emit_params(ParamDoc(hooks={"h": make_params(-1.0, 4.0, 8)}), params)
+        argv = ["quantize", "--params", str(params), "--in", str(src)]
+        assert main([*argv, "--out", str(tmp_path / "r.dump"), "--codes", str(tmp_path / "c.dump")]) == 0
+        assert main([*argv, "--out", "/dev/null", "--codes", str(tmp_path / "c2.dump")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "r2.dump"), "--codes", "/dev/null"]) == 0
+        assert (tmp_path / "c2.dump").read_bytes() == (tmp_path / "c.dump").read_bytes()
+        assert (tmp_path / "r2.dump").read_bytes() == (tmp_path / "r.dump").read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--out", "/dev/null", "--codes", "/dev/null"]) == 1
+        assert capsys.readouterr().err == "error: --out and --codes name the same file /dev/null\n"
+
+    def test_no_dump_output_is_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        """Truncating an existing dump to zero frees and discards its blocks, which cost more than
+        the write: every dump the package writes is opened through `os.open` without O_TRUNC."""
+        opened, real_open = {}, pio.os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened[str(path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        src, params = tmp_path / "x.dump", tmp_path / "p.json"
+        write_dump(synth("gelu", (8, 16), 0), src)
+        emit_params(ParamDoc(hooks={"h": make_params(-1.0, 4.0, 8)}), params)
+        outputs = [tmp_path / name for name in ("w.dump", "c.dump", "s.dump", "r.dump", "q.dump")]
+        for path in outputs:
+            path.write_bytes(b"\xff" * 4096)
+        monkeypatch.setattr(pio.os, "open", spy)
+        write_dump(np.ones(3), outputs[0])
+        write_code_dump(np.ones(3, np.int32), outputs[1])
+        assert main(["synth", "--kind", "gelu", "--shape", "8x16", "--out", str(outputs[2])]) == 0
+        argv = ["quantize", "--params", str(params), "--in", str(src), "--out", str(outputs[3]), "--codes"]
+        assert main([*argv, str(outputs[4])]) == 0
+        assert {str(p) for p in outputs} <= opened.keys()
+        assert not any(opened[str(p)] & os.O_TRUNC for p in outputs)
+
 
 
 def _mutations(node):

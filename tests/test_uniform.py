@@ -468,6 +468,17 @@ class TestQuantError:
             warnings.simplefilter("error")
             assert error_stats(self.TINY, b) == (0.0, sqnr_db, cosine)
 
+    @pytest.mark.parametrize("a, b, want", [([1e-170], [1.0], (1.0, -3400.0, 1.0)), ([1.0], [1e-170], (1.0, 0.0, 1.0)),
+                                            ([1e-170], [-1.0], (1.0, -3400.0, -1.0))],
+                             ids=["tiny-reference", "tiny-approx", "tiny-against-negative"])
+    def test_one_tiny_side_against_a_normal_one_gets_the_true_cosine_and_sqnr(self, a, b, want):
+        """The tiny side is scaled on its own. Scaled with the normal side, its squares underflowed
+        to 0: the cosine read 0.0, and the SQNR -inf where the tiny side was the reference."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mse, sqnr_db, cosine = error_stats(np.array(a), np.array(b))
+        assert (mse, cosine) == (want[0], want[2]) and sqnr_db == pytest.approx(want[1], rel=1e-12, abs=1e-12)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(-700, -400))
     def test_a_negative_power_of_two_moves_no_cosine_or_sqnr(self, seed, n, j):
