@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -33,7 +34,7 @@ from .generate import synth
 from .metrics import mask_metrics
 from .outlier_groups import ThresholdStrategy, calibrate_grouped
 from .report import CalibrationReport, HookReport
-from .search import SearchSpace, mse_grid_search, percentile_calibrate
+from .search import SearchSpace, mse_grid_search, percentile_calibrate, piece_codec
 from .toynet import MODULES, PRESETS, PipelineConfig, ToyNetWeights, run_pipeline, seeded_inputs
 from .uniform import CHUNK_ELEMS, block_stats
 
@@ -146,14 +147,18 @@ def _calibrator(spec, cfg: dict):
 
 def _hook_report(params, samples: np.ndarray) -> HookReport:
     """The statistics of per-tensor `params` on the float32 `samples`, a block at a time: each block
-    is widened and reconstructed alone, which every per-tensor codec does to each element."""
+    is widened into one buffer and reconstructed alone by the quantizer's codec, set up once, which
+    codes each element as `params.fake` does. The samples are dumps', so finite: no block is checked."""
     flat = samples.reshape(-1)
+    wide = np.empty(min(flat.size, CHUNK_ELEMS))
+    with piece_codec(params, flat.size) as code:
 
-    def blocks(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        x = flat[start:stop].astype(np.float64)
-        return x, params.fake(x)
+        def blocks(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            x = wide[: stop - start]
+            np.copyto(x, flat[start:stop])
+            return x, code(x)[1]
 
-    return HookReport(*block_stats(flat.size, blocks))
+        return HookReport(*block_stats(flat.size, blocks))
 
 
 def _check_keys(where: str, entry: dict, allowed: set) -> None:
@@ -221,27 +226,34 @@ def _cmd_quantize(args) -> int:
 
 
 def _encode_into(params, arr: np.ndarray, out, codes_out) -> None:
-    """`params.encode` of `arr`, which each `encode` widens itself: `io.dump_writer` casts and checks
-    the reconstruction into the float32 dump `out`, and the codes into the code dump `codes_out`. A
-    per-tensor codec codes CHUNK_ELEMS elements of the flattened `arr` at a time, each block to its
+    """`params.encode` of `arr`: `io.dump_writer` casts and checks the reconstruction into the float32
+    dump `out`, and writes the codes, in the dtype that the quantizer's code range gives, into the code
+    dump `codes_out`. A per-tensor quantizer's codec (`search.piece_codec`) is set up once and codes
+    CHUNK_ELEMS elements of the flattened `arr` at a time into its reused buffers, each block to its
     place in both files, so every temporary stays in cache and no full-size reconstruction or code
     array is made. It codes each element alone, so the bytes are those of one whole-array call, which
-    a per-channel quantizer (it needs the axes) still makes. The first block is coded before either
-    file is opened; a failure after that, such as a value past the float32 maximum, removes both."""
+    a per-channel quantizer (it needs the axes) still makes. `arr` is a dump's, so finite: no block is
+    checked again. The first block is coded before either file is opened; a failure after that, such
+    as a value past the float32 maximum, removes both."""
     if getattr(params, "per_channel", False):
-        blocks = [(0, arr)]
+        coding, blocks = nullcontext(params.encode), iter([arr])
     else:
         flat = arr.reshape(-1)
-        blocks = ((j, flat[j : j + CHUNK_ELEMS]) for j in range(0, arr.size, CHUNK_ELEMS))
-    coded = ((j, *params.encode(x)) for j, x in blocks)
-    j, codes, recon = next(coded)
-    lead = codes.shape[: codes.ndim - recon.ndim]  # a grouped quantizer's codes lead with its (group, code) axis
-    with pio.dump_writer(out, pio.DTYPE_FLOAT32, arr.shape) as put_recon, \
-            pio.dump_writer(codes_out, pio.DTYPE_INT32, (*lead, arr.size) if lead else arr.shape) as put_codes:
-        for j, codes, recon in chain([(j, codes, recon)], coded):
-            put_recon(j, recon)
-            for row, row_codes in enumerate(codes.reshape(-1, recon.size)):
-                put_codes(row * arr.size + j, row_codes)
+        coding = piece_codec(params, arr.size, codes=True)
+        blocks = (flat[j : j + CHUNK_ELEMS] for j in range(0, arr.size, CHUNK_ELEMS))
+    with coding as code:
+        coded = map(code, blocks)
+        codes, recon = first = next(coded)
+        lead = codes.shape[: codes.ndim - recon.ndim]  # a grouped quantizer's codes lead with its (group, code) axis
+        with pio.dump_writer(out, pio.DTYPE_FLOAT32, arr.shape) as put_recon, \
+                pio.dump_writer(codes_out, pio.code_tag(codes.dtype), (*lead, arr.size) if lead else arr.shape) \
+                as put_codes:
+            j = 0
+            for codes, recon in chain([first], coded):
+                put_recon(j, recon)
+                for row, row_codes in enumerate(codes.reshape(-1, recon.size)):
+                    put_codes(row * arr.size + j, row_codes)
+                j += recon.size
 
 
 def _mask_pairs(a: Path, b: Path) -> tuple[list, list]:

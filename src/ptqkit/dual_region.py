@@ -12,7 +12,7 @@ makes, is coded as 0. GeLU regions split at zero: negatives store
 magnitudes in R1, non-negatives (including 0) go to R2.
 
 `fake`, `encode` and the search's rescoring run the piecewise-uniform codec
-`search._pieces_into`, the one the outlier groups run: the two regions are
+`search.piece_codec`, the one the outlier groups run: the two regions are
 its pieces, each with its own scale, zero point 0 and codes 0..2^(b-1)-1.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidArgument, ShapeError
 from .search import SearchSpace, _bin_scores, _near_winners, _pieces_into, _sorted, first_min, sq_error
 from .tensor import TensorLike, _as_f64, _as_float
-from .uniform import BITS, TINY, real, whole
+from .uniform import BITS, TINY, code_dtype, real, whole
 
 KINDS = ("softmax", "gelu")
 
@@ -90,22 +90,29 @@ class DualRegionParams:
         """Encode-then-decode reconstruction of `arr`, shape preserved."""
         return fake_dual_region(arr, self)
 
+    @property
+    def code_range(self) -> tuple[int, int]:
+        """The least and greatest word: [0, 2^bits - 1]."""
+        return 0, 2**self.bits - 1
+
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
         """(words, reconstruction) of `arr` from one coding pass, shape preserved: `encode_tensor`'s
-        words, packed from the codes (finite where a huge scale_r2 overflows), and `fake`'s values."""
+        words, packed as each block is coded (finite where a huge scale_r2 overflows) in `code_dtype`
+        of `code_range`, uint8 up to 8 bits, else uint16, and `fake`'s values."""
         arr = _as_float(arr)
-        codes = np.empty((2, arr.size), np.int32)
-        recon = _pieces_into(arr.reshape(-1), *self._pieces(), np.empty(arr.size), codes)
-        words = codes[0] * 2 ** (self.bits - 1) + codes[1]
+        words = np.empty(arr.size, code_dtype(*self.code_range))
+        recon = _pieces_into(self, arr.reshape(-1), np.empty(arr.size), words)
         return words.reshape(arr.shape), recon.reshape(arr.shape)
 
     def _pieces(self):
-        """`search._pieces_into`'s rule and table: region R2 holds x >= split, and each region codes
-        0..value_max with zero point 0. GeLU's R1 scale is -scale_r1: dividing a negative element
-        by it gives the stored magnitude, and multiplying the code by it restores the sign. The
-        bound 0 codes a negative softmax value, which softmax never makes, as 0."""
+        """`search.piece_codec`'s rule, table and packing: region R2 holds x >= split, each region codes
+        0..value_max with zero point 0, and a word sets bit b-1 of an R2 code. GeLU's R1 scale is
+        -scale_r1: dividing a negative element by it gives the stored magnitude, and multiplying the
+        code by it restores the sign. The bound 0 codes a negative softmax value, which softmax never
+        makes, as 0."""
         split, r1 = self.split, -self.scale_r1 if self.kind == "gelu" else self.scale_r1
-        return (lambda x: x >= split), ((r1, 0, 0, self.value_max), (self.scale_r2, 0, 0, self.value_max))
+        table = ((r1, 0, 0, self.value_max), (self.scale_r2, 0, 0, self.value_max))
+        return (lambda x: x >= split), table, self.bits - 1
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,7 @@ def decode_tensor(words: np.ndarray, p: DualRegionParams) -> np.ndarray:
 def fake_dual_region(x: TensorLike, p: DualRegionParams) -> np.ndarray:
     """Encode-then-decode reconstruction, shape preserved."""
     arr = _as_float(x)
-    return _pieces_into(arr.reshape(-1), *p._pieces(), np.empty(arr.size)).reshape(arr.shape)
+    return _pieces_into(p, arr.reshape(-1), np.empty(arr.size)).reshape(arr.shape)
 
 
 def calibrate_dual_region(
@@ -236,7 +243,7 @@ def _direct_scores(arr: np.ndarray, g, bits: int, candidates: list) -> np.ndarra
     flat, grad = arr.reshape(-1), None if g is None else g.reshape(-1)
     buf = np.empty(arr.size) if todo.size else None
     for j in todo:
-        scores[j] = sq_error(flat, _pieces_into(flat, *candidates[j]._pieces(), buf), grad)
+        scores[j] = sq_error(flat, _pieces_into(candidates[j], flat, buf), grad)
     return scores
 
 

@@ -4,10 +4,15 @@ Dump layout (little-endian throughout):
 
     magic   4 bytes  b"PTQ4"
     version u16      currently 1
-    dtype   u8       0 = float32, 1 = int32 (integer code dumps)
+    dtype   u8       the payload's dtype tag: 0 = float32 (activation dumps); for
+                     integer code dumps 1 = int32, 2 = int8, 3 = uint8, 4 = int16,
+                     5 = uint16
     rank    u8       number of dimensions (<= 4)
     dims    rank*u32
-    payload row-major values, 4 bytes each
+    payload row-major values, each of its dtype's width (1, 2 or 4 bytes)
+
+A code dump stores a quantizer's codes in the narrowest integer dtype that
+holds its code range (`uniform.code_dtype`), the dtype its `encode` gives.
 
 Parameter and report files are JSON with sorted keys; scales round-trip at
 full precision via repr, and infinite thresholds/SQNR values are encoded as
@@ -36,20 +41,42 @@ from .uniform import CHUNK_ELEMS, QuantParams, real
 
 MAGIC = b"PTQ4"
 VERSION = 1
+DTYPES = tuple(map(np.dtype, ("<f4", "<i4", "i1", "u1", "<i2", "<u2")))  # a payload's dtype, by its tag
 DTYPE_FLOAT32 = 0
 DTYPE_INT32 = 1
+CODE_TAGS = range(DTYPE_INT32, len(DTYPES))  # the tags of integer code payloads
 PARAMS_FORMAT = "ptqkit-params"
 PARAMS_VERSION = 1
+
+
+def code_tag(dtype) -> int:
+    """The tag under which codes of `dtype` are stored: their own, or int32's for a dtype with no tag."""
+    dtype = np.dtype(dtype)
+    return next((tag for tag in CODE_TAGS if DTYPES[tag] == dtype), DTYPE_INT32)
+
+
+def _check_codes(values: np.ndarray, dtype: np.dtype) -> None:
+    """Refuses codes that do not truncate into the integer `dtype`: a NaN or an infinity among them
+    too, whatever the dtype of `values` (the min and max of an object array skip a NaN)."""
+    info = np.iinfo(dtype)
+    try:
+        wide = values.astype(np.float64) if values.dtype == object else values
+        fits = info.min - 1 < float(wide.min()) <= float(wide.max()) < info.max + 1  # a NaN compares false
+    except OverflowError:  # an int past float64
+        fits = False
+    if not fits:
+        raise InvalidArgument(f"codes must be finite and fit {dtype.name}")
 
 
 @contextmanager
 def dump_writer(path, dtype_tag: int, dims):
     """`put(start, values)` into the dump at `path`, whose header for `dims` is written first: it writes
-    `values`, flattened, to the row-major payload from element `start` on, cast to float32 or int32
-    (DTYPE_FLOAT32 or DTYPE_INT32). The body of the `with` puts every element. It refuses what the
-    readers refuse: `dims` that `_read_header` would, before the file is opened, non-real `values`
-    (see `tensor._real`), a NaN or an infinity in a float32 payload once cast, and a code that does not
-    truncate into int32, a NaN or an infinity among them; an int32 block takes no pass for that.
+    `values`, flattened, to the row-major payload from element `start` on, cast to the dtype of
+    `dtype_tag` (see DTYPES). The body of the `with` puts every element. It refuses what the readers
+    refuse: `dims` that `_read_header` would, before the file is opened, non-real `values` (see
+    `tensor._real`), a NaN or an infinity in a float32 payload once cast, and a code that does not
+    truncate into the tag's integer dtype, a NaN or an infinity among them; a block already in a dtype
+    that casts to it safely, such as a codec's block in the tag's own dtype, takes no pass for that.
 
     An existing regular file is overwritten in place: sized to the header and payload before the first
     `put`, not truncated to zero (freeing and discarding its blocks cost more than the write), so its
@@ -60,24 +87,23 @@ def dump_writer(path, dtype_tag: int, dims):
         raise InvalidArgument(f"rank {len(dims)} exceeds supported maximum {MAX_RANK}")
     if 0 in dims:
         raise EmptyInput(f"tensor has no elements, shape {tuple(dims)}")
-    fmt = "<f4" if dtype_tag == DTYPE_FLOAT32 else "<i4"
+    dtype = DTYPES[dtype_tag]
     header = MAGIC + struct.pack(f"<HBB{len(dims)}I", VERSION, dtype_tag, len(dims), *dims)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         if regular:
-            fh.truncate(len(header) + 4 * math.prod(dims))
+            fh.truncate(len(header) + dtype.itemsize * math.prod(dims))
         fh.write(header)
 
         def put(start: int, values) -> None:
             values = _real(values)
-            if fmt == "<i4" and not np.can_cast(values.dtype, fmt):  # an int32 block takes no pass here
-                if not -2**31 - 1 < float(values.min()) <= float(values.max()) < 2**31:  # a NaN compares false
-                    raise InvalidArgument("codes must be finite and fit int32")
+            if dtype_tag != DTYPE_FLOAT32 and not np.can_cast(values.dtype, dtype):
+                _check_codes(values, dtype)
             with np.errstate(over="ignore"):  # a value past the float32 maximum is inf, refused below
-                values = np.ascontiguousarray(values, fmt)
-            if fmt == "<f4" and not np.isfinite(values).all():  # a Tensor's rule, in one pass over a block
+                values = np.ascontiguousarray(values, dtype)
+            if dtype_tag == DTYPE_FLOAT32 and not np.isfinite(values).all():  # a Tensor's rule, in one pass
                 raise InvalidArgument("tensor contains NaN or Inf")
-            fh.seek(len(header) + 4 * start)
+            fh.seek(len(header) + dtype.itemsize * start)
             fh.write(values)
 
         try:
@@ -103,7 +129,7 @@ def _read_header(fh) -> tuple[int, tuple[int, ...]]:
     version, dtype_tag, rank = struct.unpack("<HBB", _read_exact(fh, 4, "header"))
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    if dtype_tag not in (DTYPE_FLOAT32, DTYPE_INT32):
+    if dtype_tag >= len(DTYPES):
         raise FormatError(f"unsupported dtype tag {dtype_tag}")
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds supported maximum {MAX_RANK}")
@@ -114,22 +140,22 @@ def _read_header(fh) -> tuple[int, tuple[int, ...]]:
 
 
 @contextmanager
-def _payload(path, dtype_tag: int, what: str):
-    """The dump at `path`, which must hold `what`, open at its payload, and its dims: once the bytes
-    left in the file match the dims, so a malformed header reads no payload and allocates nothing.
-    A FormatError of the header names `path` first."""
+def _payload(path, tags, what: str):
+    """The dump at `path`, which must hold `what`, one of `tags`, open at its payload, with its dtype
+    and dims: once the bytes left in the file match the dims at that dtype's width, so a malformed
+    header reads no payload and allocates nothing. A FormatError of the header names `path` first."""
     with open(path, "rb") as fh:
         try:
             tag, dims = _read_header(fh)
-            if tag != dtype_tag:
+            if tag not in tags:
                 raise FormatError(f"expected {what}")
-            size = 4 * math.prod(dims)
+            size = DTYPES[tag].itemsize * math.prod(dims)
             left = os.fstat(fh.fileno()).st_size - fh.tell()
             if left != size:
                 raise FormatError(f"payload holds {left} bytes, dims {dims} require {size}")
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None
-        yield fh, dims
+        yield fh, DTYPES[tag], dims
 
 
 def _read_into(path, fh, out: np.ndarray) -> None:
@@ -137,10 +163,11 @@ def _read_into(path, fh, out: np.ndarray) -> None:
         raise FormatError(f"{path}: truncated file while reading payload")
 
 
-def _read_payload(path, dtype_tag: int, np_dtype, what: str) -> np.ndarray:
-    """The payload of the dump at `path`, which must hold `what`, in a fresh array of its own: one readinto."""
-    with _payload(path, dtype_tag, what) as (fh, dims):
-        arr = np.empty(dims, np_dtype)
+def _read_payload(path, tags, what: str) -> np.ndarray:
+    """The payload of the dump at `path`, which must hold `what`, in a fresh array of its own and its
+    stored dtype: one readinto."""
+    with _payload(path, tags, what) as (fh, dtype, dims):
+        arr = np.empty(dims, dtype)
         _read_into(path, fh, arr)
     return arr
 
@@ -151,7 +178,7 @@ def dump_blocks(path):
     `read(start, stop)` reads elements [start, stop) of the row-major payload, at most CHUNK_ELEMS,
     into one reused float32 buffer and gives them widened to float64 in another, which the next
     read overwrites. No copy of the whole payload is made. A NaN or an infinity is an error."""
-    with _payload(path, DTYPE_FLOAT32, "a float32 dump") as (fh, dims):
+    with _payload(path, (DTYPE_FLOAT32,), "a float32 dump") as (fh, _, dims):
         payload, n = fh.tell(), min(math.prod(dims), CHUNK_ELEMS)
         f32, f64 = np.empty(n, "<f4"), np.empty(n)
 
@@ -175,16 +202,20 @@ def write_dump(t: TensorLike, path) -> None:
 
 
 def read_dump(path) -> Tensor:
-    return Tensor._owning(_read_payload(path, DTYPE_FLOAT32, "<f4", "a float32 dump"))
+    return Tensor._owning(_read_payload(path, (DTYPE_FLOAT32,), "a float32 dump"))
 
 
 def write_code_dump(codes: np.ndarray, path) -> None:
-    with dump_writer(path, DTYPE_INT32, np.shape(codes)) as put:
+    """`codes` as a code dump, stored in their own dtype where it has a tag (int8, uint8, int16, uint16
+    or int32; an `encode` gives the narrowest that holds its quantizer's code range), else as int32."""
+    with dump_writer(path, code_tag(np.asarray(codes).dtype), np.shape(codes)) as put:
         put(0, codes)
 
 
 def read_code_dump(path) -> np.ndarray:
-    return _read_payload(path, DTYPE_INT32, "<i4", "an int32 code dump")
+    """The codes of the code dump at `path`, in a fresh array of its stored dtype: any integer tag,
+    int32 among them, as every code dump before the narrow tags was written."""
+    return _read_payload(path, CODE_TAGS, "an integer code dump")
 
 
 def quantizer_to_dict(params) -> dict:

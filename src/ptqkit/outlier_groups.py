@@ -6,7 +6,7 @@ outliers until none remain or the iteration cap is hit. The result is an
 ordered list of (upper-threshold, params) groups; at quantization time a
 value lands in the first group whose threshold covers its magnitude, so
 large outliers keep their own precise scale instead of being clipped.
-The groups are the pieces of `search._pieces_into`, the piecewise-uniform
+The groups are the pieces of `search.piece_codec`, the piecewise-uniform
 codec the dual-region quantizer runs too.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .search import SearchSpace, _pieces_into, mse_grid_search
 from .tensor import TensorLike, _as_float
-from .uniform import BITS, QuantParams, real, whole
+from .uniform import BITS, QuantParams, code_dtype, real, whole
 
 STRATEGY_KINDS = ("mean_3sd", "mean_division", "median_mad", "confidence", "none")
 
@@ -122,17 +122,23 @@ class GroupedQuantParams:
         """Group-wise reconstruction of `arr`, shape preserved."""
         return fake_grouped(arr, self)
 
+    @property
+    def code_range(self) -> tuple[int, int]:
+        """The least and greatest of the group indices and the codes together: the codes' dtype holds both."""
+        params = [g.params for g in self.groups]
+        return min(0, *(q.q_min for q in params)), max(len(params) - 1, *(q.q_max for q in params))
+
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
-        """(codes, reconstruction) of `arr` from one coding pass: a (2, n) int32 array of
-        group indices over codes of the flattened `arr`, and `fake`'s values."""
+        """(codes, reconstruction) of `arr` from one coding pass: a (2, n) array of group indices
+        over codes of the flattened `arr`, in `code_dtype` of `code_range`, and `fake`'s values."""
         arr = _as_float(arr)
-        codes = np.empty((2, arr.size), np.int32)
-        return codes, _pieces_into(arr.reshape(-1), *self._pieces(), np.empty(arr.size), codes).reshape(arr.shape)
+        codes = np.empty((2, arr.size), code_dtype(*self.code_range))
+        return codes, _pieces_into(self, arr.reshape(-1), np.empty(arr.size), codes).reshape(arr.shape)
 
     def _pieces(self):
-        """`search._pieces_into`'s rule and table: an element's group is the number of finite
-        thresholds below its |x| (the scalar `group_index` of tests/oracles.py, vectorized),
-        coded at the group's parameters."""
+        """`search.piece_codec`'s rule, table and packing: an element's group is the number of finite
+        thresholds below its |x| (the scalar `group_index` of tests/oracles.py, vectorized), coded at
+        the group's parameters, and the group indices make a row of their own over the codes."""
         uppers = self.thresholds[:-1]
 
         def group(x: np.ndarray) -> np.ndarray:
@@ -141,7 +147,8 @@ class GroupedQuantParams:
                 idx += magnitudes > upper
             return idx
 
-        return group, [(g.params.scale, g.params.zero_point, g.params.q_min, g.params.q_max) for g in self.groups]
+        table = [(g.params.scale, g.params.zero_point, g.params.q_min, g.params.q_max) for g in self.groups]
+        return group, table, None
 
 
 def calibrate_grouped(
@@ -190,11 +197,11 @@ def calibrate_grouped(
 
 
 def encode_grouped(x: TensorLike, p: GroupedQuantParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (group indices, codes) for a tensor."""
+    """Vectorized (group indices, codes) for a tensor: the rows of `encode`'s codes, in its dtype."""
     return tuple(p.encode(x)[0])
 
 
 def fake_grouped(x: TensorLike, p: GroupedQuantParams) -> np.ndarray:
     """Group-wise quantize-then-dequantize reconstruction, shape preserved."""
     arr = _as_float(x)
-    return _pieces_into(arr.reshape(-1), *p._pieces(), np.empty(arr.size)).reshape(arr.shape)
+    return _pieces_into(p, arr.reshape(-1), np.empty(arr.size)).reshape(arr.shape)

@@ -8,6 +8,7 @@ matrix product. Every search scores its candidates with `sq_error` and keeps
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import InvalidArgument, ShapeError
 from .tensor import TensorLike, _as_f64, _as_float, channel_slices
 # unused here, but bench/test_bench.py checks that its span recorder wraps search.fake_quant_array
 from .uniform import QuantParams, fake_quant_array, make_params, quant_range  # noqa: F401
-from .uniform import BITS, CHUNK_ELEMS, TINY, full_range, real, whole, zero_point
+from .uniform import BITS, CHUNK_ELEMS, TINY, code_dtype, full_range, real, whole, zero_point
 
 DEFAULT_PERCENTILE = 99.9  # percentile_calibrate's clipping percentile
 DEFAULT_ROUNDS = 3  # alternating_matmul_search's coordinate-descent rounds
@@ -129,29 +130,59 @@ def _fake_into(num: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, scale, out=out)
 
 
-def _pieces_into(flat: np.ndarray, piece_of, table, out: np.ndarray, codes=None) -> np.ndarray:
-    """The piecewise-uniform codec of the 1-D `flat` into `out`, CHUNK_ELEMS elements at a time, each
-    widened to float64, so that every temporary stays in cache. `piece_of(x)` gives each element's
-    piece index, and the i-th tuple of `table` holds piece i's (scale s, zero point z, q_min, q_max);
-    a column that every piece shares stays a scalar. An element codes as clip(rint(x / s) + z, q_min, q_max),
-    the IEEE steps of `quantize_array` (adding z turns a -0.0 code into +0.0), and rebuilds as
-    (code - z) * s, those of `dequantize_array`. Each element is coded alone, so the bytes are
-    those of a whole-array pass. A (2, n) int32 `codes` gets the piece indices over the codes.
-    It only codes: a search scores the reconstruction with `sq_error`."""
+@contextmanager
+def piece_codec(params, n: int = 0, codes: bool = False):
+    """`code(x, out=None, into=None)`: the piecewise-uniform codec of the per-tensor quantizer `params`,
+    set up once (table, error state, buffers) and run on one block of at most CHUNK_ELEMS elements at
+    a time, widened to float64, so that every temporary stays in cache. `params._pieces()` gives its
+    (rule, table, pack): `rule(x)` gives each element's piece index (no rule: one piece), and the i-th
+    tuple of the table holds piece i's (scale s, zero point z, q_min, q_max); a column that every piece
+    shares stays a scalar. An element codes as clip(rint(x / s) + z, q_min, q_max), the IEEE steps of
+    `quantize_array` (adding z turns a -0.0 code into +0.0), and rebuilds as (code - z) * s, those of
+    `dequantize_array`. Each element is coded alone, so the bytes are those of a whole-array pass.
+
+    `code` writes the block's reconstruction to the float64 `out` and its codes to `into`, in
+    `code_dtype` of `params.code_range`: with a rule, each piece (a bool) is set at bit `pack` of its
+    code (dual-region words), or, where `pack` is None, the piece indices lead the codes in a (2, n)
+    array (outlier groups). Each defaults to a buffer for min(n, CHUNK_ELEMS) elements, which the next
+    call overwrites; codes are made only into `into` or if `codes` is set. It returns (codes or None,
+    reconstruction). It checks no input: `fake`, `encode` and the CLI do."""
+    rule, table, pack = params._pieces()
     cols = [c[0] if len(set(c)) == 1 else np.array(c, dtype=np.float64) for c in zip(*table)]
+    size = min(n, CHUNK_ELEMS)
+    wide = np.empty(size)
+    words = np.empty((2, size) if pack is None else size, code_dtype(*params.code_range)) if codes else None
+
+    def code(x: np.ndarray, out=None, into=None) -> tuple:
+        y = wide[: x.size] if out is None else out
+        into = words[..., : x.size] if into is None and codes else into
+        if x.dtype != np.float64:
+            np.copyto(y, x)  # widened first, exactly: a rule compares float64s
+            x = y
+        piece = rule(x) if rule else None
+        # mode="clip" spares take() its bounds check: every piece index is a row of the table
+        s, z, lo, hi = (np.take(c, piece, mode="clip") if isinstance(c, np.ndarray) else c for c in cols)
+        np.add(np.rint(np.divide(x, s, out=y), out=y), z, out=y)
+        np.clip(y, lo, hi, out=y)
+        if into is not None and pack is None:
+            into[0], into[1] = piece, y
+        elif into is not None:
+            np.copyto(into, y, casting="unsafe")  # whole and in range: exact
+            if rule:  # a masked add is ten times slower than the shift and the or
+                np.bitwise_or(into, np.left_shift(piece, pack, dtype=into.dtype), out=into)
+        return into, np.multiply(np.subtract(y, z, out=y), s, out=y)
+
     with np.errstate(over="ignore"):  # a quotient past the float64 maximum codes to q_min or q_max, a product is inf
+        yield code
+
+
+def _pieces_into(params, flat: np.ndarray, out: np.ndarray, codes=None) -> np.ndarray:
+    """`piece_codec(params)` of the 1-D `flat` into the float64 `out` and, if given, `codes`, a block
+    at a time: the whole-array loop of `fake`, `encode` and a search's rescoring."""
+    with piece_codec(params) as code:
         for j in range(0, flat.size, CHUNK_ELEMS):
             at = slice(j, j + CHUNK_ELEMS)
-            x, y = flat[at].astype(np.float64, copy=False), out[at]
-            piece = piece_of(x)
-            # mode="clip" spares take() its bounds check: every piece index is a row of the table
-            s, z, lo, hi = (np.take(c, piece, mode="clip") if isinstance(c, np.ndarray) else c for c in cols)
-            np.add(np.rint(np.divide(x, s, out=y), out=y), z, out=y)
-            np.clip(y, lo, hi, out=y)
-            if codes is not None:
-                codes[0, at], codes[1, at] = piece, y
-            np.multiply(np.subtract(y, z, out=y), s, out=y)
-            del piece, s, z, lo, hi  # before the next block's rule allocates
+            code(flat[at], out[at], None if codes is None else codes[..., at])
     return out
 
 

@@ -52,6 +52,16 @@ def quant_range(bits: int, signed: bool) -> tuple[int, int]:
     return 0, 2**bits - 1
 
 
+CODE_DTYPES = tuple(map(np.dtype, ("u1", "i1", "<u2", "<i2", "<i4")))  # narrowest first, unsigned before signed
+
+
+def code_dtype(lo: int, hi: int) -> np.dtype:
+    """The narrowest of CODE_DTYPES that holds every code in [lo, hi]: the dtype in which a quantizer
+    of that `code_range` gives its codes, and in which a code dump stores them. Codes have at most
+    16 bits and group indices are fewer than 2^31, so int32 holds every range."""
+    return next(d for d in CODE_DTYPES if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Scale/zero-point pair for one uniform quantizer.
@@ -108,14 +118,24 @@ class QuantParams:
     def q_max(self) -> int:
         return quant_range(self.bits, self.signed)[1]
 
+    @property
+    def code_range(self) -> tuple[int, int]:
+        """The least and greatest code: [q_min, q_max]."""
+        return self.q_min, self.q_max
+
     def fake(self, arr: TensorLike) -> np.ndarray:
         """Quantize-then-dequantize reconstruction of `arr`."""
         return fake_quant_array(_as_f64(arr), self)
 
     def encode(self, arr: TensorLike) -> tuple[np.ndarray, np.ndarray]:
-        """(int32 codes, reconstruction) of `arr` from one pass, shape preserved, as `fake` makes them."""
+        """(codes, reconstruction) of `arr` from one pass, shape preserved, as `fake` makes them: the
+        codes in `code_dtype` of `code_range`, uint8 or int8 up to 8 bits, else uint16 or int16."""
         codes = quantize_array(_as_f64(arr), self)
-        return codes, dequantize_array(codes, self)
+        return codes.astype(code_dtype(*self.code_range)), dequantize_array(codes, self)
+
+    def _pieces(self):
+        """`search.piece_codec`'s rule, table and packing of a per-tensor quantizer: one piece."""
+        return None, [(self.scale, self.zero_point, self.q_min, self.q_max)], 0
 
 
 @dataclass(frozen=True)

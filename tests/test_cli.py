@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptqkit
-from ptqkit import dual_region, outlier_groups, uniform
+from ptqkit import cli, dual_region, outlier_groups, uniform
 from ptqkit.cli import build_parser, main
 from ptqkit.dual_region import DualRegionParams
 from ptqkit.generate import synth
@@ -681,13 +681,16 @@ class TestCalibrateQuantizeEvaluate:
 
 
 class TestQuantizeCodesOnce:
-    """`ptqkit quantize` codes each element once: one `encode` call gives the
-    code dump and the reconstruction, which still equal the codecs' own."""
+    """`ptqkit quantize` codes each element once, and sets up a per-tensor quantizer's codec (its
+    piece table, `_pieces()`) once for the whole dump, not once a block: its code dump and
+    reconstruction still equal the codecs' own."""
+
+    CODECS = (QuantParams, DualRegionParams, outlier_groups.GroupedQuantParams)
 
     @pytest.fixture()
     def dump(self, tmp_path):
         path = tmp_path / "x.dump"
-        write_dump(synth("gelu", (16, 32), 0), path)
+        write_dump(synth("gelu", (4, 20000), 0), path)  # 80,000 elements: 3 blocks
         return path
 
     @staticmethod
@@ -703,33 +706,62 @@ class TestQuantizeCodesOnce:
         assert code == 0, err
         return read_dump(out).array, read_code_dump(f"{out}.codes")
 
-    def test_uniform_hook_quantizes_once(self, tmp_path, capsys, dump, monkeypatch):
+    def test_uniform_hook_builds_its_codec_once(self, tmp_path, capsys, dump, monkeypatch):
         params = QuantParams(scale=0.01, zero_point=17, bits=8, signed=False)
+        builds = self.counted(monkeypatch, QuantParams, "_pieces")
         calls = self.counted(monkeypatch, uniform, "quantize_array")
         recon, codes = self.quantize(tmp_path, capsys, dump, params)
-        assert len(calls) == 1  # 2 when quantize called fake and then encode
+        assert len(builds) == 1 and len(calls) == 0  # one whole-array `encode` called it once
         x = read_dump(dump).array.astype(np.float64)
-        assert np.array_equal(codes, uniform.quantize_array(x, params))
+        assert codes.dtype == np.uint8 and np.array_equal(codes, uniform.quantize_array(x, params))
         assert recon.tobytes() == params.fake(x).astype(np.float32).tobytes()
 
-    def test_dual_region_hook_never_calls_fake(self, tmp_path, capsys, dump, monkeypatch):
+    def test_dual_region_hook_builds_its_codec_once_and_never_calls_fake(self, tmp_path, capsys, dump, monkeypatch):
         params = DualRegionParams("gelu", 8, 0.02, 3)
+        builds = self.counted(monkeypatch, DualRegionParams, "_pieces")
         fakes = self.counted(monkeypatch, dual_region, "fake_dual_region")
         encodes = self.counted(monkeypatch, dual_region, "encode_tensor")
         recon, codes = self.quantize(tmp_path, capsys, dump, params)
+        assert len(builds) == 1  # 3 when each block called `encode`
         assert len(fakes) == len(encodes) == 0  # 1 each when quantize called fake and then encode
         x = read_dump(dump).array.astype(np.float64)
-        assert np.array_equal(codes, dual_region.encode_tensor(x, params))
+        assert codes.dtype == np.uint8 and np.array_equal(codes, dual_region.encode_tensor(x, params))
         assert recon.tobytes() == dual_region.fake_dual_region(x, params).astype(np.float32).tobytes()
 
-    def test_grouped_hook_assigns_groups_once(self, tmp_path, capsys, dump, monkeypatch):
+    def test_grouped_hook_builds_its_codec_once(self, tmp_path, capsys, dump, monkeypatch):
         x = read_dump(dump).array.astype(np.float64)
         params = calibrate_grouped(x, 6)
-        calls = self.counted(monkeypatch, outlier_groups, "_pieces_into")
+        builds = self.counted(monkeypatch, outlier_groups.GroupedQuantParams, "_pieces")
         recon, codes = self.quantize(tmp_path, capsys, dump, params)
-        assert len(calls) == 1  # 2 when quantize called fake and then encode
-        assert np.array_equal(codes, np.stack(outlier_groups.encode_grouped(x, params)))
+        assert len(builds) == 1  # 3 when each block called `encode`, 6 when quantize called fake and then encode
+        assert codes.dtype == np.uint8 and np.array_equal(codes, np.stack(outlier_groups.encode_grouped(x, params)))
         assert recon.tobytes() == outlier_groups.fake_grouped(x, params).astype(np.float32).tobytes()
+
+    def test_calibrate_report_builds_each_hooks_codec_once(self, tmp_path, capsys, monkeypatch):
+        """The report of each hook, over 3 blocks of samples, builds its quantizer's codec once; its
+        search may build more (the dual region's rescores each build their own)."""
+        hooks = {"gelu": ("gelu", {"kind": "dual_region", "region": "gelu"}),
+                 "softmax": ("softmax", {"kind": "dual_region", "region": "softmax"}),
+                 "grouped": ("outlier", {"kind": "outlier_groups"}),
+                 "uniform": ("outlier", {"kind": "uniform"})}
+        (tmp_path / "dumps").mkdir()
+        for hook, (kind, _) in hooks.items():
+            write_dump(synth(kind, (4, 20000), 1), tmp_path / "dumps" / f"{hook}.dump")
+        (tmp_path / "c.json").write_text(json.dumps({"hooks": {hook: spec for hook, (_, spec) in hooks.items()}}))
+        builds = [self.counted(monkeypatch, cls, "_pieces") for cls in self.CODECS]
+        reports, real = [], cli._hook_report
+
+        def hook_report(params, samples):
+            before = sum(map(len, builds))
+            report = real(params, samples)
+            reports.append(sum(map(len, builds)) - before)
+            return report
+
+        monkeypatch.setattr(cli, "_hook_report", hook_report)
+        code, _, err = run_cli(capsys, "calibrate", "--config", str(tmp_path / "c.json"),
+                               "--dumps", str(tmp_path / "dumps"), "--out", str(tmp_path / "p.json"))
+        assert code == 0, err
+        assert reports == [1] * len(hooks)  # 3 each when each block called `fake`
 
 
 class TestQuantizeBlocks:
@@ -785,10 +817,13 @@ class TestQuantizeBlocks:
         return read_dump(out), read_code_dump(f"{out}.codes")
 
     def assert_whole_array_bytes(self, got, params, x):
+        """Every quantizer here codes at most 8 unsigned bits, a grouped one's group indices among
+        them: the code dump holds uint8 codes, as `encode` gives them."""
         recon, codes = got
         want_codes, want_recon = params.encode(x.astype(np.float64))
         assert recon.shape == x.shape and recon.array.tobytes() == want_recon.astype(np.float32).tobytes()
-        assert codes.shape == want_codes.shape and codes.tobytes() == want_codes.astype(np.int32).tobytes()
+        assert codes.dtype == want_codes.dtype == np.uint8
+        assert codes.shape == want_codes.shape and codes.tobytes() == want_codes.tobytes()
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize(
@@ -844,12 +879,13 @@ class TestQuantizeBlocks:
                 assert row.shape == alone.shape and row.tobytes() == alone.tobytes(), (hook, i)
 
     def test_traced_peak_of_a_gelu_dump(self, tmp_path):
-        """The blocks keep every float64 temporary in cache, and each block's reconstruction and
-        codes go straight to their files: the traced peak of quantizing a 256x3072 GeLU dump is its
-        float32 input plus the blocks, about 1.65 x 4 bytes an element (5.2 MB). With a full-size
-        float32 reconstruction and int32 codes beside the input it was 3.5 x 4 (11.1 MB), and
-        coding the whole array at once (float64 copy, numerator, regions, scales, payloads, word
-        temporaries) about 11 x 4 bytes an element (34.7 MB)."""
+        """The blocks keep every float64 temporary in cache, the codec's buffers are made once, and
+        each block's reconstruction and uint8 words go straight to their files: the traced peak of
+        quantizing a 256x3072 GeLU dump is its float32 input plus the blocks, about 1.28-1.33 x 4
+        bytes an element (4.0-4.2 MB). With a fresh `encode` of each block, its int32 codes and
+        words, it was 1.65 x 4 (5.2 MB); with a full-size float32 reconstruction and int32 codes
+        beside the input, 3.5 x 4 (11.1 MB); and coding the whole array at once (float64 copy,
+        numerator, regions, scales, payloads, word temporaries) about 11 x 4 (34.7 MB)."""
         dump, out = tmp_path / "x.dump", tmp_path / "r.dump"
         write_dump(synth("gelu", (256, 3072), 0), dump)
         emit_params(ParamDoc(hooks={"h": DualRegionParams("gelu", 8, 0.02, 3)}), tmp_path / "p.json")
@@ -861,7 +897,7 @@ class TestQuantizeBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak <= 1.4 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("at", [0, 3 * CHUNK_ELEMS + 6], ids=["first-block", "last-block"])
     def test_a_reconstruction_past_float32_is_one_line_and_no_file(self, tmp_path, capsys, at):

@@ -4,6 +4,7 @@ bit (compared as int64 views, so -0.0 against 0.0 is a difference)."""
 
 import ast
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from ptqkit import dual_region, outlier_groups
 from ptqkit.dual_region import DualRegionParams, encode_tensor, fake_dual_region
 from ptqkit.errors import EmptyInput, InvalidArgument
+from ptqkit.io import dump_writer, read_code_dump, write_code_dump
 from ptqkit.outlier_groups import GroupedQuantParams, QuantGroup, calibrate_grouped
 from ptqkit.uniform import QuantParams, quant_range, quantize_array
 import oracles
@@ -23,12 +25,28 @@ from oracles import grouped_dequantize, grouped_quantize
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def code_range(p) -> tuple[int, int]:
+    """The least and greatest code of `p`, a grouped quantizer's group indices among them."""
+    if isinstance(p, QuantParams):
+        return quant_range(p.bits, p.signed)
+    if isinstance(p, DualRegionParams):
+        return 0, 2**p.bits - 1
+    ranges = [quant_range(p.bits, g.params.signed) for g in p.groups]
+    return min(0, *(lo for lo, _ in ranges)), max(len(ranges) - 1, *(hi for _, hi in ranges))
+
+
+def narrowest(lo: int, hi: int) -> np.dtype:
+    """The narrowest integer dtype that a code dump stores and that holds [lo, hi], unsigned first."""
+    return next(np.dtype(t) for t in ("u1", "i1", "u2", "i2", "i4") if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+
+
 def check_encode(p, x, codec) -> np.ndarray:
     """`p.encode(x)` against `codec(x)`'s codes and `p.fake(x)`'s values; returns the values."""
     codes, recon, fake = *p.encode(x), p.fake(x)
     with np.errstate(over="ignore"):  # the independent codecs overflow on a huge value or scale
         want_codes = codec(x)
-    assert codes.dtype == np.int32
+    assert p.code_range == code_range(p)
+    assert codes.dtype == narrowest(*code_range(p))
     assert codes.shape == want_codes.shape and np.array_equal(codes, want_codes)
     assert recon.shape == fake.shape == x.shape
     assert np.array_equal(recon.view(np.int64), fake.view(np.int64))
@@ -135,6 +153,48 @@ class TestEncodeIsOneCodingPass:
         words, recon = p.encode(x)
         assert words.tolist() == encode_tensor(x, p).tolist() == [130, 2, 129, 128]
         assert np.isinf(recon[:2]).all() and recon[2] == 1e308 and recon[3] == 0.0
+
+
+TAGS = {np.dtype("i4"): 1, np.dtype("i1"): 2, np.dtype("u1"): 3, np.dtype("i2"): 4, np.dtype("u2"): 5}
+
+
+class TestCodeDumpsStoreCodesAtTheirWidth:
+    """Every quantizer kind at every bit width: its code dump carries the tag of the narrowest dtype
+    that holds its code range, reads back as `encode`'s codes, and that dtype's writer refuses a
+    code one past its range on either side, leaving no file."""
+
+    @staticmethod
+    def check(p, x):
+        codes = p.encode(x)[0]
+        dtype = narrowest(*code_range(p))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.codes"
+            write_code_dump(codes, path)
+            assert path.read_bytes()[6] == TAGS[dtype]
+            back = read_code_dump(path)
+            assert back.dtype == dtype and back.shape == codes.shape
+            assert back.astype(np.int64).tolist() == codes.astype(np.int64).tolist()
+            info = np.iinfo(dtype)
+            for past in (info.min - 1, info.max + 1):
+                with pytest.raises(InvalidArgument, match=f"^codes must be finite and fit {dtype.name}$"):
+                    with dump_writer(path, TAGS[dtype], (2,)) as put:
+                        put(0, np.array([0, past], dtype=np.int64))
+                assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(uniform_cases())
+    def test_uniform(self, case):
+        self.check(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dual_region_cases())
+    def test_dual_region(self, case):
+        self.check(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_cases())
+    def test_grouped(self, case):
+        self.check(*case)
 
 
 class TestNearLimitValuesCodeSilently:

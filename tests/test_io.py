@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -183,7 +184,7 @@ class TestDumpFormat:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: expected a float32 dump$"):
             read_dump(path)
         write_dump(Tensor.from_array([1.0, 2.0]), path)
-        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: expected an int32 code dump$"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: expected an integer code dump$"):
             read_code_dump(path)
 
     @pytest.mark.parametrize(
@@ -247,6 +248,72 @@ class TestDumpFormat:
             tracemalloc.stop()
         assert t.shape == (256, 3072)
         assert peak < 1.25 * 4 * 256 * 3072, f"traced peak {peak / 1e6:.2f} MB"
+
+
+class TestCodeDumpFormat:
+    """Code dumps store each code at its dtype's width under one tag per dtype; int32 dumps, the
+    only code dumps written before the narrow tags, stay readable."""
+
+    @staticmethod
+    def dump_bytes(tag: int, dims: tuple, payload: bytes) -> bytes:
+        """A dump's bytes laid out field by field, as the format describes them, by no writer."""
+        return b"PTQ4" + struct.pack("<HBB", 1, tag, len(dims)) + struct.pack(f"<{len(dims)}I", *dims) + payload
+
+    @pytest.mark.parametrize("dims", [(16, 16), (16, 64), (2, 1024), (16, 32)],
+                             ids=["softmax", "gelu", "grouped", "uniform"])  # those of the golden quantize run
+    def test_an_int32_code_dump_of_the_earlier_format_reads_back(self, tmp_path, dims):
+        codes = [(7 * i) % 256 - 3 for i in range(math.prod(dims))]
+        path = tmp_path / "c.codes"
+        path.write_bytes(self.dump_bytes(1, dims, struct.pack(f"<{len(codes)}i", *codes)))
+        back = read_code_dump(path)
+        assert back.dtype == np.int32 and back.shape == dims and back.reshape(-1).tolist() == codes
+
+    @pytest.mark.parametrize("tag", [6, 7, 255])
+    def test_an_unknown_tag_is_one_format_error_naming_the_file(self, tmp_path, tag):
+        path = tmp_path / "c.codes"
+        path.write_bytes(self.dump_bytes(tag, (4,), bytes(4)))
+        for read in (read_code_dump, read_dump):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unsupported dtype tag {tag}$"):
+                read(path)
+
+    @pytest.mark.parametrize("tag, width, stored", [(3, 1, 4), (5, 2, 1), (2, 1, 2), (1, 4, 2), (4, 2, 4)])
+    def test_a_payload_sized_for_another_width_is_one_format_error_naming_the_file(self, tmp_path, tag, width,
+                                                                                 stored):
+        path = tmp_path / "c.codes"
+        path.write_bytes(self.dump_bytes(tag, (3, 5), bytes(stored * 15)))
+        want = f"{path}: payload holds {stored * 15} bytes, dims (3, 5) require {width * 15}"
+        with pytest.raises(FormatError, match=f"^{re.escape(want)}$"):
+            read_code_dump(path)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, object])
+    def test_a_nan_code_is_refused_whatever_its_dtype(self, tmp_path, dtype):
+        """The min and max of an object array skip a NaN; every dtype gets the one InvalidArgument,
+        under every integer tag, and no file."""
+        path = tmp_path / "c.codes"
+        for codes in (np.array([1.0, np.nan, 2.0], dtype=dtype), np.array([np.nan, 1.0], dtype=dtype)):
+            with pytest.raises(InvalidArgument, match="^codes must be finite and fit int32$"):
+                write_code_dump(codes, path)
+            assert not path.exists()
+            for tag in pio.CODE_TAGS:
+                with pytest.raises(InvalidArgument, match=f"^codes must be finite and fit {pio.DTYPES[tag].name}$"):
+                    with pio.dump_writer(path, tag, codes.shape) as put:
+                        put(0, codes)
+                assert not path.exists()
+
+    def test_an_int_past_float64_in_an_object_array_is_refused(self, tmp_path):
+        with pytest.raises(InvalidArgument, match="^codes must be finite and fit int32$"):
+            write_code_dump(np.array([1, 10**400], dtype=object), tmp_path / "c.codes")
+        assert not (tmp_path / "c.codes").exists()
+
+    @pytest.mark.parametrize("dtype, tag", [("i1", 2), ("u1", 3), ("<i2", 4), ("<u2", 5), ("<i4", 1)])
+    def test_codes_keep_their_own_dtype_and_tag(self, tmp_path, dtype, tag):
+        info = np.iinfo(dtype)
+        codes = np.array([[info.min, 0], [1, info.max]], dtype=dtype)
+        path = tmp_path / "c.codes"
+        write_code_dump(codes, path)
+        assert path.read_bytes() == self.dump_bytes(tag, (2, 2), codes.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
+        back = read_code_dump(path)
+        assert back.dtype == codes.dtype and back.tobytes() == codes.tobytes()
 
 
 class TestOverwrite:

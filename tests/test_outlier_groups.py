@@ -425,8 +425,10 @@ class TestBlocks:
         assert len(set(groups.tolist())) == len(p.groups) or size == 1
         assert fake_grouped(x, p).tobytes() == recon.tobytes()
         got_codes, got_recon = p.encode(x)
-        assert got_codes.dtype == np.int32
-        assert got_codes.tobytes() == np.stack((groups, codes)).astype(np.int32).tobytes()
+        # 6-bit unsigned groups code to uint8; MIXED's signed and unsigned 8-bit groups span [-128, 255]
+        want = np.uint8 if calibrated else np.int16
+        assert got_codes.dtype == want
+        assert got_codes.tobytes() == np.stack((groups, codes)).astype(want).tobytes()
         assert got_recon.tobytes() == recon.tobytes()
 
     def test_traced_peak_of_fake(self):
